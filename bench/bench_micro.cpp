@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -260,6 +261,28 @@ void BM_FpaPredict(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FpaPredict);
+
+void BM_FootprintBytes(benchmark::State& state) {
+  // One footprint_bytes() call right after an observe, the way the serving
+  // loop samples its per-window gauge, on a warmed 4-shard "sharded" miner.
+  // Only the footprint call is timed (manual time).
+  const Trace& trace = hp();
+  MinerOptions opts;
+  opts.shards = 4;
+  opts.apply_threads = 1;
+  const auto miner = make_miner("sharded", fpa_config(trace), trace.dict, opts);
+  miner->observe_batch(trace.records);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    miner->observe(trace.records[i % trace.records.size()]);
+    ++i;
+    const auto start = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(miner->footprint_bytes());
+    const auto stop = std::chrono::steady_clock::now();
+    state.SetIterationTime(std::chrono::duration<double>(stop - start).count());
+  }
+}
+BENCHMARK(BM_FootprintBytes)->UseManualTime();
 
 void BM_NexusObserve(benchmark::State& state) {
   const Trace& trace = hp();

@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
   ClusterConfig cc;
   cc.mds.cache_capacity = capacity;
   cc.mds.prefetch_degree = kDefaultPrefetchDegree;
-  for (const std::string& name : {"fpa", "nexus", "none"}) {
+  for (const std::string name : {"fpa", "nexus", "none"}) {
     const auto p = build(name);
     const auto m = run_cluster(trace, *p, cc);
     rt.add_row({name, fmt_double(m.mean_response_ms(), 3) + " ms",

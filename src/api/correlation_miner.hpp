@@ -16,6 +16,7 @@
 // Correlator List mid-resort.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -110,6 +111,16 @@ struct MinerStats {
                      static_cast<double>(pairs_evaluated)
                : 0.0;
   }
+};
+
+/// The four point-query answers about one candidate successor `b` of a
+/// requested file `a` — the evidence FPA re-checks per Correlator before it
+/// spends an I/O (see CorrelationMiner::candidate_evidence).
+struct PairEvidence {
+  std::uint64_t access_count = 0;  ///< access_count(b): N_b
+  double frequency = 0.0;          ///< access_frequency(a, b): F(a, b)
+  double similarity = 0.0;         ///< semantic_similarity(a, b)
+  double degree = 0.0;             ///< correlation_degree(a, b): R(a, b)
 };
 
 /// An immutable snapshot of one file's Correlator List.
@@ -279,6 +290,32 @@ class CorrelationMiner {
   /// contract as snapshot().
   [[nodiscard]] virtual double access_frequency(FileId pred,
                                                 FileId succ) const = 0;
+
+  /// Batched evidence for FPA's per-request re-check: out[i] receives
+  /// {access_count(b), access_frequency(a, b), semantic_similarity(a, b),
+  /// correlation_degree(a, b)} for b = candidates[i].file. `out` must hold
+  /// at least candidates.size() entries; entries past that are untouched.
+  ///
+  /// Contract, every backend: each field equals the matching point query
+  /// bit for bit when no ingest runs between this call and those queries.
+  /// The default body is exactly those four calls. "sharded" overrides it
+  /// with one fused walk over its shards; "concurrent" runs the same walk
+  /// over a single published shard table, so all fields of one call come
+  /// from one epoch; the durability decorator forwards to the backend it
+  /// wraps. "farmer", "nexus", "router" (which routes access_count(b) by
+  /// b's tenant, not a's) and "cluster" (no batched wire operation) keep
+  /// the default. Same thread-safety contract as snapshot().
+  virtual void candidate_evidence(FileId a,
+                                  std::span<const Correlator> candidates,
+                                  std::span<PairEvidence> out) const {
+    assert(out.size() >= candidates.size());
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      const FileId b = candidates[i].file;
+      out[i] = PairEvidence{access_count(b), access_frequency(a, b),
+                            semantic_similarity(a, b),
+                            correlation_degree(a, b)};
+    }
+  }
 
   /// Counter snapshot; see the MinerStats field contract for which fields
   /// are meaningful per backend class. On "concurrent" this is safe from

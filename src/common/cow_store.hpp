@@ -29,6 +29,14 @@
 // after that edge the snapshot side is read-only, so shared blocks are
 // immutable by construction and reclamation is plain shared_ptr counting.
 //
+// Footprint accounting is O(1): the store keeps running counters of its
+// populated pages, its blocks and the summed heap bytes of its values. The
+// heap sum is adjusted where the store itself creates or clones a value
+// (`mutate()`) and wherever a caller changes the heap a value owns
+// (`note_heap_change()`). `T` reports that heap through
+// `std::size_t heap_bytes() const`. `recount_footprint_bytes()` keeps the
+// full walk as the oracle the counters are tested against.
+//
 // The store itself is single-owner (external synchronization required, like
 // every mining structure); only the *blocks* are shared across stores.
 #pragma once
@@ -82,8 +90,20 @@ class CowBlockStore {
     }
     return *this;
   }
-  CowBlockStore(CowBlockStore&&) noexcept = default;
-  CowBlockStore& operator=(CowBlockStore&&) noexcept = default;
+  /// Moves leave the source an empty store, counters included.
+  CowBlockStore(CowBlockStore&& other) noexcept { *this = std::move(other); }
+  CowBlockStore& operator=(CowBlockStore&& other) noexcept {
+    if (this != &other) {
+      gen_ = other.gen_;
+      size_ = std::exchange(other.size_, 0);
+      pages_ = std::move(other.pages_);
+      page_gens_ = std::move(other.page_gens_);
+      stats_ = std::exchange(other.stats_, CowStoreStats{});
+      populated_pages_ = std::exchange(other.populated_pages_, 0);
+      heap_bytes_ = std::exchange(other.heap_bytes_, 0);
+    }
+    return *this;
+  }
 
   /// Structurally sharing copy for snapshot publication: O(pages) pointer
   /// copies. Bumps this store's generation first, so every block either
@@ -96,6 +116,8 @@ class CowBlockStore {
     snap.pages_ = pages_;          // shared_ptr copies: pages + blocks shared
     snap.page_gens_ = page_gens_;  // all < gen_, so the snapshot also clones
     snap.stats_ = stats_;
+    snap.populated_pages_ = populated_pages_;
+    snap.heap_bytes_ = heap_bytes_;
     return snap;
   }
 
@@ -119,7 +141,8 @@ class CowBlockStore {
 
   /// The write gate: returns a mutable reference to the block at `i`,
   /// default-constructing it when absent and COW-cloning page and block
-  /// when they are still shared with an earlier share().
+  /// when they are still shared with an earlier share(). A caller that then
+  /// changes the heap the value owns must report it (note_heap_change).
   [[nodiscard]] T& mutate(std::size_t i) {
     const std::size_t p = i / kPageSize;
     if (p >= pages_.size()) {
@@ -131,6 +154,7 @@ class CowBlockStore {
     if (!page) {
       page = std::make_shared<Page>();
       page_gens_[p] = gen_;
+      ++populated_pages_;
     } else if (page_gens_[p] != gen_) {
       page = std::make_shared<Page>(*page);  // kPageSize pointer copies
       page_gens_[p] = gen_;
@@ -139,11 +163,16 @@ class CowBlockStore {
     if (!b) {
       b = std::make_shared<Block>();
       b->gen = gen_;
+      heap_bytes_ += b->value.heap_bytes();
       ++stats_.blocks;
       ++stats_.creates;
     } else if (b->gen != gen_) {
       auto fresh = std::make_shared<Block>(*b);  // the actual dirty-copy
       fresh->gen = gen_;
+      // A copy may allocate tighter than its source (SmallVector reserves
+      // the size, not the capacity), so the clone is re-measured.
+      heap_bytes_ -= b->value.heap_bytes();
+      heap_bytes_ += fresh->value.heap_bytes();
       b = std::move(fresh);
       ++stats_.clones;
     }
@@ -162,36 +191,41 @@ class CowBlockStore {
 
   [[nodiscard]] const CowStoreStats& stats() const noexcept { return stats_; }
 
-  /// Inline bytes of one block as allocated by this store (heap spill of T
-  /// is the caller's to account via `footprint_bytes`'s callback).
+  /// Inline bytes of one block as allocated by this store (without the
+  /// heap its value owns).
   [[nodiscard]] static constexpr std::size_t block_inline_bytes() noexcept {
     return sizeof(Block);
   }
 
-  /// Visits every populated block in index order: fn(const T&).
-  template <typename Fn>
-  void for_each_block(Fn&& fn) const {
-    for (const PagePtr& page : pages_) {
-      if (!page) continue;
-      for (const BlockPtr& b : page->slots)
-        if (b) fn(b->value);
-    }
+  /// Reports that a value reached through mutate() changed the heap it
+  /// owns from `before` to `after` bytes. Every mutation that can change a
+  /// value's heap (a SmallVector growing past its capacity, an assignment
+  /// that reallocates) must report here, or footprint_bytes() drifts from
+  /// recount_footprint_bytes().
+  void note_heap_change(std::size_t before, std::size_t after) noexcept {
+    heap_bytes_ -= before;
+    heap_bytes_ += after;
   }
 
-  /// Index table + pages + blocks + per-value heap spill, where
-  /// `value_heap_bytes(const T&)` reports T's owned heap. Shared blocks are
-  /// counted in full by every store referencing them, so summing stores
-  /// over-counts shared state — callers that publish snapshots document the
-  /// bound they report.
-  template <typename Fn>
-  [[nodiscard]] std::size_t footprint_bytes(Fn&& value_heap_bytes) const {
-    std::size_t bytes = sizeof(*this) + pages_.capacity() * sizeof(PagePtr) +
-                        page_gens_.capacity() * sizeof(std::uint64_t);
+  /// Index table + pages + blocks + the heap the values own, from the
+  /// running counters: O(1). Shared blocks are counted in full by every
+  /// store referencing them, so summing stores over-counts shared state —
+  /// callers that publish snapshots document the bound they report.
+  [[nodiscard]] std::size_t footprint_bytes() const noexcept {
+    return index_bytes() + populated_pages_ * sizeof(Page) +
+           static_cast<std::size_t>(stats_.blocks) * sizeof(Block) +
+           heap_bytes_;
+  }
+
+  /// footprint_bytes() by walking every page and block — the oracle the
+  /// running counters are tested against; O(blocks).
+  [[nodiscard]] std::size_t recount_footprint_bytes() const {
+    std::size_t bytes = index_bytes();
     for (const PagePtr& page : pages_) {
       if (!page) continue;
       bytes += sizeof(Page);
       for (const BlockPtr& b : page->slots)
-        if (b) bytes += sizeof(Block) + value_heap_bytes(b->value);
+        if (b) bytes += sizeof(Block) + b->value.heap_bytes();
     }
     return bytes;
   }
@@ -207,12 +241,19 @@ class CowBlockStore {
   };
   using PagePtr = std::shared_ptr<Page>;
 
+  [[nodiscard]] std::size_t index_bytes() const noexcept {
+    return sizeof(*this) + pages_.capacity() * sizeof(PagePtr) +
+           page_gens_.capacity() * sizeof(std::uint64_t);
+  }
+
   void deep_copy_from(const CowBlockStore& other) {
     gen_ = 1;
     size_ = other.size_;
     pages_.reserve(other.pages_.size());
     page_gens_.assign(other.pages_.size(), 1);
     stats_ = CowStoreStats{};
+    populated_pages_ = 0;
+    heap_bytes_ = 0;
     for (const PagePtr& src : other.pages_) {
       if (!src) {
         pages_.push_back(nullptr);
@@ -223,9 +264,11 @@ class CowBlockStore {
         if (!src->slots[s]) continue;
         page->slots[s] = std::make_shared<Block>(*src->slots[s]);
         page->slots[s]->gen = 1;
+        heap_bytes_ += page->slots[s]->value.heap_bytes();
         ++stats_.blocks;
       }
       pages_.push_back(std::move(page));
+      ++populated_pages_;
     }
     stats_.creates = stats_.blocks;
   }
@@ -238,6 +281,8 @@ class CowBlockStore {
   std::vector<PagePtr> pages_;
   std::vector<std::uint64_t> page_gens_;
   CowStoreStats stats_;
+  std::size_t populated_pages_ = 0;  ///< non-null entries of pages_
+  std::size_t heap_bytes_ = 0;       ///< sum of heap_bytes() over blocks
 };
 
 }  // namespace farmer

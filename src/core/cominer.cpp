@@ -5,9 +5,8 @@ namespace farmer {
 double CoMiner::correlation_degree(FileId pred, const Signature& pred_sig,
                                    FileId succ,
                                    const Signature& succ_sig) const {
-  const double sim = similarity(pred_sig, succ_sig);
-  const double freq = graph_.access_frequency(pred, succ);
-  return cfg_.p * sim + (1.0 - cfg_.p) * freq;
+  return degree(cfg_.p, similarity(pred_sig, succ_sig),
+                graph_.access_frequency(pred, succ));
 }
 
 double CoMiner::evaluate_pair(FileId pred, const Signature& pred_sig,

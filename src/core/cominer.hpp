@@ -51,6 +51,15 @@ class CoMiner {
   double evaluate_pair(FileId pred, const Signature& pred_sig, FileId succ,
                        const Signature& succ_sig);
 
+  /// Function 2 on already-computed factors: p * sim + (1 - p) * F. Every
+  /// evaluation path (evaluate_pair, the point queries, the fused
+  /// candidate-evidence pass) combines through this one expression, so
+  /// they agree bit for bit.
+  [[nodiscard]] static double degree(double p, double sim,
+                                     double freq) noexcept {
+    return p * sim + (1.0 - p) * freq;
+  }
+
   /// Pure evaluation without list maintenance (analysis/tests).
   [[nodiscard]] double correlation_degree(FileId pred,
                                           const Signature& pred_sig,

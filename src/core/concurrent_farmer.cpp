@@ -424,6 +424,13 @@ double ConcurrentFarmer::access_frequency(FileId pred, FileId succ) const {
   return ShardedFarmer::merged_access_frequency(t->shards, pred, succ);
 }
 
+void ConcurrentFarmer::candidate_evidence(
+    FileId a, std::span<const Correlator> candidates,
+    std::span<PairEvidence> out) const {
+  const auto t = table();
+  ShardedFarmer::merged_candidate_evidence(t->shards, a, candidates, out);
+}
+
 void ConcurrentFarmer::save(const std::string& dir) {
   flush();
   // After flush() the published table covers every accepted record, and it

@@ -158,6 +158,10 @@ class ConcurrentFarmer final : public CorrelationMiner {
   [[nodiscard]] std::uint64_t access_count(FileId f) const override;
   [[nodiscard]] double access_frequency(FileId pred,
                                         FileId succ) const override;
+  /// The sharded fused walk over one table load: every field of the call
+  /// comes from the same published epoch.
+  void candidate_evidence(FileId a, std::span<const Correlator> candidates,
+                          std::span<PairEvidence> out) const override;
 
   /// Published sharded stats plus `epoch`, `pending`, per-shard
   /// `shard_epochs`, the cache hit/miss counters and the COW publish

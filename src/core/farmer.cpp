@@ -24,11 +24,7 @@ Farmer::Farmer(const Farmer& other)
       miner_(cfg_, graph_, other.miner_.stats()),
       window_(other.window_),
       state_(other.state_),
-      requests_(other.requests_) {
-  // Not carried over: the deep copy's containers are allocated exact-size,
-  // so the source's memoized footprint (which includes capacity slack)
-  // would misreport this object. First call recomputes.
-}
+      requests_(other.requests_) {}
 
 Farmer::Farmer(CowShare, Farmer& other)
     : cfg_(other.cfg_),
@@ -37,18 +33,10 @@ Farmer::Farmer(CowShare, Farmer& other)
       miner_(cfg_, graph_, other.miner_.stats()),
       window_(other.window_),
       state_(other.state_.share()),
-      requests_(other.requests_) {
-  // The snapshot answers queries identically to the live side right now, so
-  // a memoized footprint carries over; kFootprintDirty just defers the walk
-  // to the snapshot's first footprint_bytes() call.
-  footprint_cache_.store(
-      other.footprint_cache_.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-}
+      requests_(other.requests_) {}
 
 void Farmer::observe(const TraceRecord& rec) {
   ++requests_;
-  footprint_cache_.store(kFootprintDirty, std::memory_order_relaxed);
   observe_impl(rec);
 }
 
@@ -57,7 +45,6 @@ void Farmer::observe_batch(std::span<const TraceRecord> records) {
   // One bookkeeping update for the whole span; the pipeline itself is the
   // same per-record code, so batch == serial byte-for-byte.
   requests_ += records.size();
-  footprint_cache_.store(kFootprintDirty, std::memory_order_relaxed);
   for (const TraceRecord& r : records) observe_impl(r);
 }
 
@@ -106,8 +93,10 @@ void Farmer::observe_impl(const TraceRecord& rec) {
   FileState& st = state_.mutate(static_cast<std::size_t>(file.value()));
   extractor_.extract(rec, scratch_vec_);
   if (fresh || !same_context(scratch_vec_, st.vec)) {
+    const std::size_t heap_before = st.heap_bytes();
     st.vec = scratch_vec_;
     st.sig = build_signature(st.vec, cfg_.attributes, cfg_.path_mode);
+    state_.note_heap_change(heap_before, st.heap_bytes());
   }
 
   // Stage 2 — Constructing: N_file and LDA-weighted N_{pred,file} updates.
@@ -188,18 +177,6 @@ double Farmer::correlation_degree(FileId a, FileId b) const {
   return miner_.correlation_degree(a, sa->sig, b, sb->sig);
 }
 
-std::size_t Farmer::footprint_bytes() const noexcept {
-  const std::size_t cached = footprint_cache_.load(std::memory_order_relaxed);
-  if (cached != kFootprintDirty) return cached;
-  std::size_t bytes = graph_.footprint_bytes();
-  bytes += state_.footprint_bytes([](const FileState& st) {
-    return st.vec.path_components.heap_bytes() + st.sig.items.heap_bytes() +
-           st.sig.path_sorted.heap_bytes();
-  });
-  footprint_cache_.store(bytes, std::memory_order_relaxed);
-  return bytes;
-}
-
 void Farmer::save(const std::string& dir) {
   const Farmer* self = this;
   persist::write_checkpoint_dir(dir, requests_, cfg_, extractor_.dictionary(),
@@ -223,22 +200,21 @@ void Farmer::load(const std::string& dir) {
 void Farmer::restore_counters(std::uint64_t requests, CoMinerStats stats) {
   requests_ = requests;
   miner_.set_stats(stats);
-  footprint_cache_.store(kFootprintDirty, std::memory_order_relaxed);
 }
 
 void Farmer::restore_sizes(std::size_t state_size, std::size_t graph_nodes) {
   state_.grow_to(state_size);
   if (graph_nodes > 0)
     graph_.touch(FileId(static_cast<std::uint32_t>(graph_nodes - 1)));
-  footprint_cache_.store(kFootprintDirty, std::memory_order_relaxed);
 }
 
 void Farmer::restore_file_state(FileId f, const SemanticVector& vec,
                                 const Signature& sig) {
   FileState& st = state_.mutate(static_cast<std::size_t>(f.value()));
+  const std::size_t heap_before = st.heap_bytes();
   st.vec = vec;
   st.sig = sig;
-  footprint_cache_.store(kFootprintDirty, std::memory_order_relaxed);
+  state_.note_heap_change(heap_before, st.heap_bytes());
 }
 
 void Farmer::restore_window_push(FileId f) { window_.push(f); }
@@ -247,7 +223,6 @@ void Farmer::restore_graph_node(FileId f, std::uint64_t access_count,
                                 std::span<const SuccessorEdge> succs,
                                 std::span<const Correlator> correlators) {
   graph_.restore_node(f, access_count, succs, correlators);
-  footprint_cache_.store(kFootprintDirty, std::memory_order_relaxed);
 }
 
 std::array<CowStoreAccounting, 2> Farmer::cow_accounting() const noexcept {

@@ -20,7 +20,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <memory>
 #include <vector>
 
@@ -70,9 +69,9 @@ class Farmer : public CorrelationMiner {
   /// Ingests one file request (all four stages).
   void observe(const TraceRecord& rec) override;
 
-  /// Batch ingest without per-record bookkeeping: one requests_ update and
-  /// one footprint invalidation for the whole span, with the same per-record
-  /// pipeline (so batch and serial ingest stay byte-identical).
+  /// Batch ingest without per-record bookkeeping: one requests_ update for
+  /// the whole span, with the same per-record pipeline (so batch and serial
+  /// ingest stay byte-identical).
   void observe_batch(std::span<const TraceRecord> records) override;
 
   /// Sorted Correlator List of `f` (may be empty). Entries all satisfy
@@ -108,6 +107,14 @@ class Farmer : public CorrelationMiner {
     return graph_.access_frequency(pred, succ);
   }
 
+  /// Signature of `f`'s most recent request context; nullptr before its
+  /// first access. The per-shard input of the fused candidate-evidence
+  /// pass (ShardedFarmer::merged_candidate_evidence).
+  [[nodiscard]] const Signature* signature_of(FileId f) const noexcept {
+    const FileState* st = state_of(f);
+    return st ? &st->sig : nullptr;
+  }
+
   [[nodiscard]] const CorrelationGraph& graph() const noexcept {
     return graph_;
   }
@@ -125,12 +132,19 @@ class Farmer : public CorrelationMiner {
   [[nodiscard]] const char* name() const noexcept override { return "farmer"; }
 
   /// Total additional memory FARMER holds: graph + correlator lists +
-  /// per-active-file semantic state (Table 4 accounting). Memoized: the
-  /// walk over every block reruns only after ingest dirtied the state, so
-  /// repeated calls — and every call on an immutable snapshot — are O(1).
-  /// Shared COW blocks are counted in full (an upper bound while snapshots
-  /// are live).
-  [[nodiscard]] std::size_t footprint_bytes() const noexcept override;
+  /// per-active-file semantic state (Table 4 accounting). O(1): both COW
+  /// stores keep running counters, so the serving loop can sample it per
+  /// window. Shared COW blocks are counted in full (an upper bound while
+  /// snapshots are live).
+  [[nodiscard]] std::size_t footprint_bytes() const noexcept override {
+    return graph_.footprint_bytes() + state_.footprint_bytes();
+  }
+  /// footprint_bytes() by walking every block of both stores — the test
+  /// oracle for the running counters.
+  [[nodiscard]] std::size_t recount_footprint_bytes() const {
+    return graph_.recount_footprint_bytes() +
+           state_.recount_footprint_bytes();
+  }
 
   /// Per-store COW accounting ([0] = graph nodes, [1] = semantic state) for
   /// publish-side stats: blocks, cumulative mutations, inline block bytes.
@@ -184,10 +198,10 @@ class Farmer : public CorrelationMiner {
         fn(FileId(static_cast<std::uint32_t>(i)), st->vec, st->sig);
   }
 
-  /// Restore seams — persist::deserialize_shard is the only intended caller;
-  /// each call dirties the footprint memo. Byte-identical recovery depends
-  /// on these reproducing internal state exactly (window order, successor
-  /// order, Correlator-List order, dense-index logical sizes).
+  /// Restore seams — persist::deserialize_shard is the only intended caller.
+  /// Byte-identical recovery depends on these reproducing internal state
+  /// exactly (window order, successor order, Correlator-List order,
+  /// dense-index logical sizes).
   void restore_counters(std::uint64_t requests, CoMinerStats stats);
   void restore_sizes(std::size_t state_size, std::size_t graph_nodes);
   void restore_file_state(FileId f, const SemanticVector& vec,
@@ -204,6 +218,11 @@ class Farmer : public CorrelationMiner {
   struct FileState {
     SemanticVector vec;
     Signature sig;
+
+    [[nodiscard]] std::size_t heap_bytes() const noexcept {
+      return vec.path_components.heap_bytes() + sig.items.heap_bytes() +
+             sig.path_sorted.heap_bytes();
+    }
   };
   using StateStore = CowBlockStore<FileState>;
 
@@ -211,8 +230,6 @@ class Farmer : public CorrelationMiner {
   [[nodiscard]] const FileState* state_of(FileId f) const noexcept {
     return state_.find(static_cast<std::size_t>(f.value()));
   }
-
-  static constexpr std::size_t kFootprintDirty = ~std::size_t{0};
 
   FarmerConfig cfg_;
   Extractor extractor_;
@@ -229,12 +246,6 @@ class Farmer : public CorrelationMiner {
   /// constructors deliberately leave it default-constructed (it carries no
   /// model state and is rewritten before every use).
   SemanticVector scratch_vec_;
-
-  /// Memoized footprint_bytes(); kFootprintDirty = recompute. Atomic so
-  /// concurrent readers of one immutable snapshot may race to fill it (they
-  /// all compute the same value); the live side is single-writer by the
-  /// miner threading contract.
-  mutable std::atomic<std::size_t> footprint_cache_{kFootprintDirty};
 };
 
 }  // namespace farmer

@@ -23,12 +23,15 @@
 
 #include <algorithm>
 #include <array>
+#include <cassert>
 #include <memory>
 #include <span>
 #include <vector>
 
 #include "api/correlation_miner.hpp"
+#include "core/cominer.hpp"
 #include "core/farmer.hpp"
+#include "vsm/similarity.hpp"
 
 namespace farmer {
 
@@ -79,6 +82,13 @@ class ShardedFarmer final : public CorrelationMiner {
   /// Global F(pred, succ) = sum_s N_AB,s / sum_s N_A,s.
   [[nodiscard]] double access_frequency(FileId pred,
                                         FileId succ) const override;
+
+  /// One fused walk over the shards (merged_candidate_evidence) instead of
+  /// four fan-outs per candidate.
+  void candidate_evidence(FileId a, std::span<const Correlator> candidates,
+                          std::span<PairEvidence> out) const override {
+    merged_candidate_evidence(shards_, a, candidates, out);
+  }
 
   [[nodiscard]] MinerStats stats() const override;
   [[nodiscard]] const char* name() const noexcept override {
@@ -217,6 +227,49 @@ class ShardedFarmer final : public CorrelationMiner {
       na += shard->graph().access_count(pred);
     }
     return na == 0 ? 0.0 : nab / static_cast<double>(na);
+  }
+
+  /// candidate_evidence in one walk over the shards: per shard, a's node,
+  /// successor set and signature are fetched once, then each candidate
+  /// costs one node lookup, one signature lookup and one similarity(). The
+  /// arithmetic is the merged_* helpers' own, in the same order — N_b and
+  /// sum_s N_AB,s / sum_s N_A,s summed in shard order, the strongest shard
+  /// for similarity and degree — so every field equals the matching point
+  /// query bit for bit. (A shard without state for a or b contributes 0 to
+  /// a max that starts at 0, so skipping it changes nothing.)
+  template <typename ShardRange>
+  static void merged_candidate_evidence(const ShardRange& shards, FileId a,
+                                        std::span<const Correlator> candidates,
+                                        std::span<PairEvidence> out) {
+    assert(out.size() >= candidates.size());
+    const std::size_t n = candidates.size();
+    for (std::size_t i = 0; i < n; ++i) out[i] = PairEvidence{};
+    std::uint64_t na = 0;
+    for (const auto& shard : shards) {
+      const CorrelationGraph& g = shard->graph();
+      const std::uint64_t na_s = g.access_count(a);
+      const auto& succs = g.successors(a);
+      const Signature* sig_a = shard->signature_of(a);
+      const double p = shard->config().p;
+      na += na_s;
+      for (std::size_t i = 0; i < n; ++i) {
+        const FileId b = candidates[i].file;
+        PairEvidence& e = out[i];
+        const double nab = CorrelationGraph::edge_weight_in(succs, b);
+        e.access_count += g.access_count(b);
+        e.frequency += nab;  // sum_s N_AB,s; divided by sum_s N_A,s below
+        const Signature* sig_b = sig_a ? shard->signature_of(b) : nullptr;
+        if (!sig_b) continue;
+        const double sim = similarity(*sig_a, *sig_b);
+        const double freq =
+            na_s == 0 ? 0.0 : nab / static_cast<double>(na_s);
+        e.similarity = std::max(e.similarity, sim);
+        e.degree = std::max(e.degree, CoMiner::degree(p, sim, freq));
+      }
+    }
+    for (std::size_t i = 0; i < n; ++i)
+      out[i].frequency =
+          na == 0 ? 0.0 : out[i].frequency / static_cast<double>(na);
   }
 
   /// Sums the four mining counters over shards; shards/epoch/pending are

@@ -34,7 +34,9 @@ bool CorrelationGraph::add_transition(FileId pred, FileId succ,
     }
   }
   if (node.successors.size() < cfg_.max_successors) {
+    const std::size_t heap_before = node.successors.heap_bytes();
     node.successors.push_back({succ, static_cast<float>(weight)});
+    nodes_.note_heap_change(heap_before, node.successors.heap_bytes());
     ++edges_;
     return true;
   }
@@ -97,7 +99,9 @@ void CorrelationGraph::upsert_correlator(FileId f, Correlator c) {
   std::size_t pos = 0;
   while (pos < list.size() && list[pos].degree >= c.degree) ++pos;
   if (pos >= cfg_.correlator_capacity) return;  // too weak for a full list
+  const std::size_t heap_before = list.heap_bytes();
   list.push_back(c);  // grow by one, then shift into place
+  nodes_.note_heap_change(heap_before, list.heap_bytes());
   for (std::size_t i = list.size() - 1; i > pos; --i) list[i] = list[i - 1];
   list[pos] = c;
   while (list.size() > cfg_.correlator_capacity) list.pop_back();
@@ -108,11 +112,13 @@ void CorrelationGraph::restore_node(FileId f, std::uint64_t access_count,
                                     std::span<const Correlator> correlators) {
   assert(!has_node(f));
   Node& node = at(f);
+  const std::size_t heap_before = node.heap_bytes();
   node.access_count = access_count;
   node.successors.reserve(succs.size());
   for (const SuccessorEdge& e : succs) node.successors.push_back(e);
   node.correlator_list.reserve(correlators.size());
   for (const Correlator& c : correlators) node.correlator_list.push_back(c);
+  nodes_.note_heap_change(heap_before, node.heap_bytes());
   edges_ += succs.size();
 }
 
@@ -124,13 +130,6 @@ void CorrelationGraph::remove_correlator(FileId f, FileId succ) {
       return;
     }
   }
-}
-
-std::size_t CorrelationGraph::footprint_bytes() const noexcept {
-  return sizeof(*this) - sizeof(NodeStore) +
-         nodes_.footprint_bytes([](const Node& n) {
-           return n.successors.heap_bytes() + n.correlator_list.heap_bytes();
-         });
 }
 
 }  // namespace farmer

@@ -154,15 +154,28 @@ class CorrelationGraph {
   }
 
   /// Approximate heap + table footprint in bytes (Table 4 accounting):
-  /// node index, blocks, successor sets, correlator lists. Counts shared
-  /// blocks in full (an upper bound when snapshots are live).
-  [[nodiscard]] std::size_t footprint_bytes() const noexcept;
+  /// node index, blocks, successor sets, correlator lists. O(1) from the
+  /// node store's running counters. Counts shared blocks in full (an upper
+  /// bound when snapshots are live).
+  [[nodiscard]] std::size_t footprint_bytes() const noexcept {
+    return sizeof(*this) - sizeof(NodeStore) + nodes_.footprint_bytes();
+  }
+  /// footprint_bytes() by walking every node — the test oracle for the
+  /// running counters.
+  [[nodiscard]] std::size_t recount_footprint_bytes() const {
+    return sizeof(*this) - sizeof(NodeStore) +
+           nodes_.recount_footprint_bytes();
+  }
 
  private:
   struct Node {
     std::uint64_t access_count = 0;
     SmallVector<SuccessorEdge, 8> successors;
     SmallVector<Correlator, 4> correlator_list;
+
+    [[nodiscard]] std::size_t heap_bytes() const noexcept {
+      return successors.heap_bytes() + correlator_list.heap_bytes();
+    }
   };
   using NodeStore = CowBlockStore<Node>;
 

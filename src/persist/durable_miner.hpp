@@ -56,6 +56,10 @@ class DurableMiner final : public CorrelationMiner {
                                         FileId succ) const override {
     return inner_->access_frequency(pred, succ);
   }
+  void candidate_evidence(FileId a, std::span<const Correlator> candidates,
+                          std::span<PairEvidence> out) const override {
+    inner_->candidate_evidence(a, candidates, out);
+  }
   [[nodiscard]] MinerStats stats() const override { return inner_->stats(); }
   [[nodiscard]] std::size_t footprint_bytes() const override {
     return inner_->footprint_bytes();

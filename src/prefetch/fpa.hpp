@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <utility>
 
 #include "api/correlation_miner.hpp"
@@ -52,33 +53,40 @@ class FpaPredictor final : public Predictor {
     // serves this request — candidates whose semantic vectors match the
     // requester (same user/process/host) move up. This is the "evaluation
     // reference" part of the model: mining is historical, reference is
-    // current.
+    // current. One batched query fetches every candidate's evidence, so a
+    // sharded miner walks its shards once per request, not four times per
+    // candidate.
+    SmallVector<PairEvidence, 8> evidence;
+    evidence.resize(list.size());
+    miner_->candidate_evidence(
+        rec.file, list.entries(),
+        std::span<PairEvidence>(evidence.data(), evidence.size()));
     struct Ranked {
       FileId file;
       double degree;
     };
     SmallVector<Ranked, 8> ranked;
-    for (const Correlator& c : list) {
+    for (std::size_t i = 0; i < list.size(); ++i) {
+      const Correlator& c = list[i];
+      const PairEvidence& e = evidence[i];
       if (c.file == rec.file) continue;
       // A candidate seen only once has demonstrated no *exploitable*
       // correlation yet (Section 3.2.4's validity argument): prefetching
       // one-shot files — freshly created checkpoints, temporaries — is
       // pure pollution, so they are skipped until they recur.
-      if (miner_->access_count(c.file) < 2) continue;
+      if (e.access_count < 2) continue;
       // Reference validity: the mined degree reflects the context at mining
       // time; before spending an I/O the candidate must still look related
       // — either its successor *frequency* is established, or its semantic
       // vector matches the current requester. Entries failing both are
       // stale (old jobs' files whose context has moved on).
-      const double freq = miner_->access_frequency(rec.file, c.file);
-      const double sim_now = miner_->semantic_similarity(rec.file, c.file);
-      if (freq < kMinReliableFrequency && sim_now < kMinReferenceSimilarity)
+      if (e.frequency < kMinReliableFrequency &&
+          e.similarity < kMinReferenceSimilarity)
         continue;
-      const double now = miner_->correlation_degree(rec.file, c.file);
       // Blend mined degree with the current-reference degree so recurring
       // pairs are not discarded merely because contexts drifted.
       ranked.push_back(
-          {c.file, 0.5 * static_cast<double>(c.degree) + 0.5 * now});
+          {c.file, 0.5 * static_cast<double>(c.degree) + 0.5 * e.degree});
     }
     std::sort(ranked.begin(), ranked.end(), [](const Ranked& a,
                                                const Ranked& b) {

@@ -1,18 +1,22 @@
 // Copy-on-write snapshot publication invariants: the CowBlockStore
 // primitive, Farmer/ShardedFarmer COW exports (old snapshots keep old
-// answers, untouched blocks stay pointer-identical), the memoized
-// footprint, Farmer::observe_batch, and the concurrent backend's publish
-// coalescing (differential byte-identity, flush barrier, publish stats).
+// answers, untouched blocks stay pointer-identical), the running footprint
+// counters (checked against the full walk), Farmer::observe_batch, and the
+// concurrent backend's publish coalescing (differential byte-identity,
+// flush barrier, publish stats).
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <filesystem>
 #include <memory>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "api/miner_factory.hpp"
 #include "common/cow_store.hpp"
+#include "common/rng.hpp"
 #include "core/concurrent_farmer.hpp"
 #include "core/farmer.hpp"
 #include "core/sharded_farmer.hpp"
@@ -29,6 +33,10 @@ using testing::MicroTrace;
 struct Payload {
   int x = 0;
   std::vector<int> heap;
+
+  [[nodiscard]] std::size_t heap_bytes() const noexcept {
+    return heap.capacity() * sizeof(int);
+  }
 };
 
 TEST(CowBlockStore, FindOnEmptyAndOutOfRange) {
@@ -126,12 +134,63 @@ TEST(CowBlockStore, CopyIsDeepAndDetached) {
 
 TEST(CowBlockStore, FootprintCountsBlocksAndHeap) {
   CowBlockStore<Payload, 4> store;
-  const auto heap_of = [](const Payload& p) {
-    return p.heap.capacity() * sizeof(int);
+  const std::size_t empty = store.footprint_bytes();
+  Payload& p = store.mutate(0);
+  const std::size_t before = p.heap_bytes();
+  p.heap.assign(100, 7);
+  store.note_heap_change(before, p.heap_bytes());
+  EXPECT_GT(store.footprint_bytes(), empty + 100 * sizeof(int));
+  EXPECT_EQ(store.footprint_bytes(), store.recount_footprint_bytes());
+}
+
+// The running counters against the full walk after every operation the
+// store supports: create, reported heap growth and shrink, share then
+// clone (a std::vector copy allocates its size, not the source's
+// capacity, so clones re-measure), deep copy, copy-assign and move.
+TEST(CowBlockStore, CountersMatchWalkUnderRandomOps) {
+  using Store = CowBlockStore<Payload, 4>;
+  Rng rng(2024);
+  std::vector<Store> stores(1);  // [0] is the live side
+  const auto other = [&] {
+    return 1 + static_cast<std::size_t>(rng.next_below(stores.size() - 1));
   };
-  const std::size_t empty = store.footprint_bytes(heap_of);
-  store.mutate(0).heap.assign(100, 7);
-  EXPECT_GT(store.footprint_bytes(heap_of), empty + 100 * sizeof(int));
+  for (int step = 0; step < 3000; ++step) {
+    Store& live = stores.front();
+    const std::uint64_t op = rng.next_below(8);
+    if (op <= 1) {
+      live.mutate(static_cast<std::size_t>(rng.next_below(48))).x = step;
+    } else if (op <= 3) {
+      Payload& p = live.mutate(static_cast<std::size_t>(rng.next_below(48)));
+      const std::size_t before = p.heap_bytes();
+      if (rng.next_below(4) == 0) {
+        p.heap.clear();
+        p.heap.shrink_to_fit();
+      } else {
+        p.heap.resize(p.heap.size() + 1 + rng.next_below(40), step);
+      }
+      live.note_heap_change(before, p.heap_bytes());
+    } else if (op == 4) {
+      stores.push_back(live.share());
+    } else if (op == 5) {
+      stores.push_back(Store(live));
+    } else if (op == 6 && stores.size() > 1) {
+      stores[other()] = stores.front();
+    } else if (stores.size() > 1) {
+      const std::size_t k = other();
+      Store moved(std::move(stores[k]));
+      ASSERT_EQ(stores[k].footprint_bytes(),
+                stores[k].recount_footprint_bytes())
+          << "moved-from, step " << step;
+      stores[k] = std::move(moved);
+    }
+    if (stores.size() > 8)
+      stores.erase(stores.begin() + static_cast<std::ptrdiff_t>(other()));
+    for (std::size_t k = 0; k < stores.size(); ++k)
+      ASSERT_EQ(stores[k].footprint_bytes(),
+                stores[k].recount_footprint_bytes())
+          << "store " << k << ", step " << step;
+  }
+  EXPECT_GT(stores.front().stats().clones, 0u);
 }
 
 // ------------------------------------------------- Farmer COW snapshots --
@@ -266,15 +325,16 @@ TEST(FarmerCowSnapshot, ShardedExportSharesUntouchedBlocks) {
     EXPECT_EQ(live_list[i].degree, snap_list[i].degree);
 }
 
-// --------------------------------------------- footprint memoization --
+// ------------------------------------------------- footprint counters --
 
-TEST(FarmerFootprint, MemoizedBetweenIngests) {
+TEST(FarmerFootprint, StableBetweenIngests) {
   const MicroTrace mt = correlated_trace();
   Farmer model(FarmerConfig{}, mt.dict());
   model.observe_batch(mt.records());
   const std::size_t f1 = model.footprint_bytes();
   EXPECT_GT(f1, 0u);
-  EXPECT_EQ(model.footprint_bytes(), f1);  // cached, identical
+  EXPECT_EQ(model.footprint_bytes(), f1);  // no ingest, no change
+  EXPECT_EQ(f1, model.recount_footprint_bytes());
   // New files + new correlations: the footprint must move after ingest.
   MicroTrace grown = correlated_trace();
   for (int i = 0; i < 64; ++i)
@@ -291,9 +351,8 @@ TEST(FarmerFootprint, InvalidatedByObserve) {
   Farmer model(FarmerConfig{}, mt.dict());
   model.observe_batch(mt.records());
   const std::size_t before = model.footprint_bytes();
-  // A record for a brand-new file must be reflected: if observe failed to
-  // invalidate the memoized value, the stale (smaller) footprint would
-  // still be served.
+  // A record for a brand-new file must be reflected: counters that missed
+  // its new blocks would still report the smaller footprint.
   const std::size_t first_new = mt.records().size();
   for (int i = 0; i < 8; ++i)
     mt.access(mt.file("fresh" + std::to_string(i),
@@ -311,6 +370,119 @@ TEST(FarmerFootprint, SnapshotFootprintIsStable) {
   const std::size_t s1 = snap.footprint_bytes();
   live.observe_batch(mt.records());  // live moves on
   EXPECT_EQ(snap.footprint_bytes(), s1);
+}
+
+// Counter == walk on real mining state. Farmer's stores change a block's
+// heap only where a SmallVector can grow — successor push, Correlator-List
+// upsert, the semantic-state rebuild, the restore seams — so each of those
+// sites reports it; the walk catches any that does not. The roomier config
+// grows successor sets past 32, where a clone's exact-size copy allocates
+// less than its source.
+FarmerConfig roomy_config() {
+  FarmerConfig cfg;
+  cfg.max_successors = 40;
+  cfg.correlator_capacity = 12;
+  return cfg;
+}
+
+/// Paths deeper than a SmallVector's inline capacity, so the semantic
+/// state's vectors and signatures own heap (no paper-trace path does).
+Trace deep_path_trace() {
+  MicroTrace mt;
+  std::vector<FileId> files;
+  for (int i = 0; i < 24; ++i)
+    files.push_back(mt.file("deep" + std::to_string(i),
+                            "/d0/d1/d2/d3/d4/d5/d6/d7/d8/" +
+                                std::to_string(i % 5) + "/f" +
+                                std::to_string(i)));
+  Rng rng(7);
+  for (int k = 0; k < 1500; ++k)
+    mt.access(files[rng.next_below(files.size())],
+              "u" + std::to_string(rng.next_below(3)),
+              "pid" + std::to_string(rng.next_below(4)));
+  return mt.build("deep");
+}
+
+TEST(FarmerFootprint, CountersMatchWalkAcrossSharesCopiesAndRestore) {
+  std::vector<Trace> traces;
+  for (const TraceKind kind : {TraceKind::kLLNL, TraceKind::kINS,
+                               TraceKind::kRES, TraceKind::kHP})
+    traces.push_back(make_paper_trace(kind, 53, 0.02));
+  traces.push_back(deep_path_trace());
+  for (const FarmerConfig& cfg : {FarmerConfig{}, roomy_config()}) {
+    for (const Trace& t : traces) {
+      Farmer live(cfg, t.dict);
+      std::vector<std::unique_ptr<const Farmer>> snaps;
+      constexpr std::size_t kChunk = 256;
+      for (std::size_t i = 0; i < t.records.size(); i += kChunk) {
+        const std::size_t n = std::min(kChunk, t.records.size() - i);
+        live.observe_batch(std::span<const TraceRecord>(&t.records[i], n));
+        ASSERT_EQ(live.footprint_bytes(), live.recount_footprint_bytes())
+            << t.name << " after record " << i + n;
+        if ((i / kChunk) % 4 == 0)
+          snaps.push_back(std::make_unique<const Farmer>(CowShare{}, live));
+      }
+      EXPECT_GT(live.cow_clones(), 0u) << t.name;
+      for (const auto& snap : snaps)
+        EXPECT_EQ(snap->footprint_bytes(), snap->recount_footprint_bytes())
+            << t.name;
+
+      const Farmer deep(live);
+      EXPECT_EQ(deep.footprint_bytes(), deep.recount_footprint_bytes())
+          << t.name;
+
+      const std::string dir =
+          ::testing::TempDir() + "footprint_counters_" + t.name;
+      std::filesystem::remove_all(dir);
+      live.save(dir);
+      Farmer restored(cfg, t.dict);
+      restored.load(dir);
+      EXPECT_EQ(restored.footprint_bytes(),
+                restored.recount_footprint_bytes())
+          << t.name;
+      // Keep mining on the restored model: its exact-size restored lists
+      // grow again through the reporting sites.
+      restored.observe_batch(t.records);
+      EXPECT_EQ(restored.footprint_bytes(),
+                restored.recount_footprint_bytes())
+          << t.name;
+      std::filesystem::remove_all(dir);
+    }
+  }
+}
+
+TEST(FarmerFootprint, ShardedCountersMatchWalkWithExportsAndRestore) {
+  const Trace t = make_paper_trace(TraceKind::kHP, 59, 0.02);
+  const FarmerConfig cfg = roomy_config();
+  ShardedFarmer sharded(cfg, t.dict, /*shards=*/4, /*apply_threads=*/1);
+  std::vector<std::shared_ptr<const Farmer>> exports;
+  constexpr std::size_t kChunk = 200;
+  for (std::size_t i = 0; i < t.records.size(); i += kChunk) {
+    const std::size_t n = std::min(kChunk, t.records.size() - i);
+    sharded.observe_batch(std::span<const TraceRecord>(&t.records[i], n));
+    exports.push_back(sharded.export_shard_snapshot((i / kChunk) % 4));
+  }
+  std::size_t walked = 0;
+  for (std::size_t s = 0; s < sharded.shard_count(); ++s) {
+    EXPECT_EQ(sharded.shard(s).footprint_bytes(),
+              sharded.shard(s).recount_footprint_bytes())
+        << "shard " << s;
+    walked += sharded.shard(s).recount_footprint_bytes();
+  }
+  EXPECT_EQ(sharded.footprint_bytes(), sizeof(ShardedFarmer) + walked);
+  for (const auto& snap : exports)
+    EXPECT_EQ(snap->footprint_bytes(), snap->recount_footprint_bytes());
+
+  const std::string dir = ::testing::TempDir() + "footprint_counters_sharded";
+  std::filesystem::remove_all(dir);
+  sharded.save(dir);
+  ShardedFarmer restored(cfg, t.dict, /*shards=*/4, /*apply_threads=*/1);
+  restored.load(dir);
+  for (std::size_t s = 0; s < restored.shard_count(); ++s)
+    EXPECT_EQ(restored.shard(s).footprint_bytes(),
+              restored.shard(s).recount_footprint_bytes())
+        << "restored shard " << s;
+  std::filesystem::remove_all(dir);
 }
 
 // ------------------------------------------------- Farmer::observe_batch --

@@ -242,8 +242,9 @@ TEST(ServingWindowContract, WindowsTileTheRun) {
   ASSERT_EQ(res.windows.size(), 7u);
   for (std::size_t i = 0; i < res.windows.size(); ++i) {
     EXPECT_EQ(res.windows[i].index, i);
-    if (i > 0)
+    if (i > 0) {
       EXPECT_EQ(res.windows[i].begin_us, res.windows[i - 1].end_us);
+    }
     EXPECT_GE(res.windows[i].end_us, res.windows[i].begin_us);
   }
   // The last window closes at the actual end of simulated time, covering
