@@ -5,7 +5,6 @@
 //   4. MDS priority queues: demand-over-prefetch vs single queue (4.1)
 //   5. batched vs individual prefetch I/O (4.2)
 #include "bench_util.hpp"
-#include "storage/cluster.hpp"
 
 int main() {
   using namespace farmer;
@@ -76,17 +75,15 @@ int main() {
       "priority + batching protect demand latency from prefetch traffic");
   {
     Table t({"configuration", "mean RT (ms)", "p95 RT (ms)"});
+    const ScenarioWorkload wl = des_workload(trace);
     for (const bool batch : {true, false}) {
       auto fpa = make_fpa(trace);
-      ClusterConfig cc;
-      cc.mds.cache_capacity = default_cache_capacity(trace);
-      cc.mds.prefetch_degree = kDefaultPrefetchDegree;
-    cc.mds.disk_servers = 2;  // MDS with BDB page cache + two spindles
-      cc.mds.batch_prefetch = batch;
-      const auto m = run_cluster(trace, fpa, cc);
+      ScenarioSpec spec = des_spec();
+      spec.batch_prefetch = batch;
+      const ServingResult m = serve(spec, wl, fpa);
       t.add_row({batch ? "batched group prefetch (one I/O per group)"
                        : "individual prefetch I/Os",
-                 fmt_double(m.mean_response_ms(), 3),
+                 fmt_double(m.response.mean() / 1000.0, 3),
                  fmt_double(static_cast<double>(m.response.p95()) / 1000.0,
                             3)});
     }

@@ -8,7 +8,6 @@
 
 #include "bench_util.hpp"
 #include "common/parallel.hpp"
-#include "storage/cluster.hpp"
 
 int main() {
   using namespace farmer;
@@ -20,7 +19,9 @@ int main() {
       "stable plateau below ~0.4, rising toward 1.0 as prefetching turns "
       "off; ~1-1.8 ms band in the paper");
 
-  const Trace& trace = paper_trace(TraceKind::kHP);
+  const ScenarioWorkload wl = des_workload(paper_trace(TraceKind::kHP));
+  const Trace& trace = wl.trace;
+  const ScenarioSpec spec = des_spec();
   const std::vector<double> strengths = {0.0, 0.1, 0.2, 0.3, 0.4, 0.5,
                                          0.6, 0.7, 0.8, 0.9, 1.0};
   struct Cell {
@@ -35,12 +36,8 @@ int main() {
     FarmerConfig cfg = fpa_config(trace);
     cfg.max_strength = cells[i].strength;
     auto fpa = make_fpa(trace, cfg);
-    ClusterConfig cc;
-    cc.mds.cache_capacity = default_cache_capacity(trace);
-    cc.mds.prefetch_degree = kDefaultPrefetchDegree;
-    cc.mds.disk_servers = 2;  // MDS with BDB page cache + two spindles
-    const auto m = run_cluster(trace, fpa, cc);
-    cells[i].mean_ms = m.mean_response_ms();
+    const ServingResult m = serve(spec, wl, fpa);
+    cells[i].mean_ms = m.response.mean() / 1000.0;
     cells[i].p95_ms = static_cast<double>(m.response.p95()) / 1000.0;
     cells[i].batches = m.prefetch_batches;
   });

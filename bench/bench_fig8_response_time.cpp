@@ -6,7 +6,6 @@
 #include <memory>
 
 #include "bench_util.hpp"
-#include "storage/cluster.hpp"
 
 int main() {
   using namespace farmer;
@@ -21,25 +20,26 @@ int main() {
                "FPA vs Nexus", "FPA vs LRU"});
   for (const TraceKind kind :
        {TraceKind::kLLNL, TraceKind::kRES, TraceKind::kHP}) {
-    const Trace& trace = paper_trace(kind);
-    ClusterConfig cc;
-    cc.mds.cache_capacity = default_cache_capacity(trace);
-    cc.mds.prefetch_degree = kDefaultPrefetchDegree;
-    cc.mds.disk_servers = 2;  // MDS with BDB page cache + two spindles
+    const ScenarioWorkload wl = des_workload(paper_trace(kind));
+    const ScenarioSpec spec = des_spec();
 
     // Factory-built contenders ("fpa" mines on the env-selected backend).
     auto run = [&](std::string_view predictor) {
-      const auto p = make_bench_predictor(trace, predictor);
-      return run_cluster(trace, *p, cc).mean_response_ms();
+      const auto p = make_bench_predictor(wl.trace, predictor);
+      return serve(spec, wl, *p).response.mean() / 1000.0;
     };
     const double fpa = run("fpa");
     const double nexus = run("nexus");
     const double lru = run("none");
 
+    // Signed change of FPA's mean response time: negative = FPA faster.
+    const auto change = [fpa](double base) {
+      const double d = fpa / base - 1.0;
+      return (d >= 0.0 ? "+" : "") + pct(d, 1);
+    };
     table.add_row({trace_kind_name(kind), fmt_double(fpa, 3),
-                   fmt_double(nexus, 3), fmt_double(lru, 3),
-                   "-" + pct(1.0 - fpa / nexus, 1),
-                   "-" + pct(1.0 - fpa / lru, 1)});
+                   fmt_double(nexus, 3), fmt_double(lru, 3), change(nexus),
+                   change(lru)});
   }
   table.print(std::cout);
   return 0;

@@ -25,8 +25,8 @@
 //      the dirty-set scaling are measured side by side on identical state.
 //   3. Mixed ingest + N readers: 4 producers replay the trace while N
 //      reader threads hammer snapshot() on Zipf-distributed hot files,
-//      across the pre-RCU shared_mutex baseline, the RCU shard-table path,
-//      RCU + correlator cache, and RCU + coalesced publishes.
+//      across the RCU shard-table path, RCU + correlator cache, and RCU +
+//      coalesced publishes.
 //   4. Multi-tenant serving: a merged 2/4-tenant stream
 //      (make_multi_tenant_trace) replayed by 4 producers into one shared
 //      "concurrent" miner versus the "router" backend with one
@@ -57,127 +57,15 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
-#include <shared_mutex>
 
 #include "common/stats.hpp"
 #include "common/zipf.hpp"
-#include "core/concurrent_farmer.hpp"
 #include "trace/trace_stream.hpp"
 
 namespace {
 
 using namespace farmer;
 using namespace farmer::bench;
-
-// Writer-priority reader/writer lock for the baseline below. glibc's
-// pthread_rwlock (behind std::shared_mutex) is reader-preferring by
-// default: the spin-looping reader threads of this bench would starve the
-// ingest writers *forever*, which measures a livelock, not a latency
-// distribution. Writer priority (new readers wait while a writer waits) is
-// the strongest practical variant of the locked design, so beating it is a
-// fair win for the RCU path.
-class WriterPriorityRwLock {
- public:
-  void lock_shared() {
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_readers_.wait(lk,
-                     [&] { return !writer_active_ && waiting_writers_ == 0; });
-    ++active_readers_;
-  }
-  void unlock_shared() {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (--active_readers_ == 0) cv_writers_.notify_one();
-  }
-  void lock() {
-    std::unique_lock<std::mutex> lk(mu_);
-    ++waiting_writers_;
-    cv_writers_.wait(lk,
-                     [&] { return !writer_active_ && active_readers_ == 0; });
-    --waiting_writers_;
-    writer_active_ = true;
-  }
-  void unlock() {
-    std::lock_guard<std::mutex> lk(mu_);
-    writer_active_ = false;
-    if (waiting_writers_ > 0)
-      cv_writers_.notify_one();
-    else
-      cv_readers_.notify_all();
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_readers_;
-  std::condition_variable cv_writers_;
-  int active_readers_ = 0;
-  int waiting_writers_ = 0;
-  bool writer_active_ = false;
-};
-
-// The pre-RCU "concurrent" query path, kept as the measurement baseline:
-// one reader/writer lock in front of a ShardedFarmer, write side held for
-// whole batch applies, read side taken by every query. This is what the
-// RCU shard-table replaced; keeping it runnable makes the regression
-// visible in every future run instead of only in PR-3's commit message.
-class LockedShardedMiner final : public CorrelationMiner {
- public:
-  LockedShardedMiner(const FarmerConfig& cfg,
-                     std::shared_ptr<const TraceDictionary> dict,
-                     std::size_t shards)
-      : inner_(cfg, std::move(dict), shards) {}
-
-  void observe(const TraceRecord& rec) override {
-    mu_.lock();
-    inner_.observe(rec);
-    mu_.unlock();
-  }
-  void observe_batch(std::span<const TraceRecord> records) override {
-    mu_.lock();
-    inner_.observe_batch(records);
-    mu_.unlock();
-  }
-  [[nodiscard]] CorrelatorView snapshot(FileId f) const override {
-    mu_.lock_shared();
-    CorrelatorView view(inner_.correlators(f));
-    mu_.unlock_shared();
-    return view;
-  }
-  [[nodiscard]] double correlation_degree(FileId a, FileId b) const override {
-    mu_.lock_shared();
-    const double d = inner_.correlation_degree(a, b);
-    mu_.unlock_shared();
-    return d;
-  }
-  [[nodiscard]] std::uint64_t access_count(FileId f) const override {
-    mu_.lock_shared();
-    const std::uint64_t n = inner_.access_count(f);
-    mu_.unlock_shared();
-    return n;
-  }
-  [[nodiscard]] double access_frequency(FileId pred,
-                                        FileId succ) const override {
-    mu_.lock_shared();
-    const double fr = inner_.access_frequency(pred, succ);
-    mu_.unlock_shared();
-    return fr;
-  }
-  [[nodiscard]] MinerStats stats() const override {
-    mu_.lock_shared();
-    MinerStats s = inner_.stats();
-    mu_.unlock_shared();
-    return s;
-  }
-  [[nodiscard]] std::size_t footprint_bytes() const noexcept override {
-    return inner_.footprint_bytes();
-  }
-  [[nodiscard]] const char* name() const noexcept override {
-    return "locked-sharded";
-  }
-
- private:
-  mutable WriterPriorityRwLock mu_;
-  ShardedFarmer inner_;
-};
 
 struct MixedResult {
   double ingest_secs = 0.0;
@@ -525,11 +413,6 @@ int main(int argc, char** argv) {
          have_hits ? fmt_double(hit_pct, 1) : std::string("-")});
   };
   for (const std::size_t readers : {4u, 8u}) {
-    {
-      LockedShardedMiner locked(cfg, trace.dict, opts.shards);
-      const MixedResult r = mixed_replay(locked, parts, readers, file_count);
-      add_mixed_row("shared_mutex (pre-RCU)", readers, r, 0.0, false);
-    }
     {
       MinerOptions rcu = opts;
       rcu.ingest_threads = kProducers;
@@ -947,9 +830,7 @@ int main(int argc, char** argv) {
   std::cout << "\nNote: FARMER_SHARDS (default 4) sets the mining "
                "partitions for both backends; producer counts above the "
                "machine's cores measure queueing, not mining. The mixed "
-               "table fixes 4 producers and varies reader threads; "
-               "\"shared_mutex (pre-RCU)\" reproduces the PR-2 drain-path "
-               "locking that the RCU shard-table replaced, and the "
+               "table fixes 4 producers and varies reader threads; the "
                "coalesced row trades publish frequency (bounded by "
                "FARMER_PUBLISH_MAX_DELAY_MS staleness) for fewer table "
                "swaps. The publish-cost table is the copy-on-write story: "

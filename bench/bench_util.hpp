@@ -23,6 +23,7 @@
 #include "prefetch/fpa.hpp"
 #include "prefetch/nexus.hpp"
 #include "prefetch/replay.hpp"
+#include "serve/harness.hpp"
 #include "trace/generator.hpp"
 
 namespace farmer::bench {
@@ -296,6 +297,26 @@ inline ReplayConfig replay_config(const Trace& trace) {
   rc.cache_capacity = default_cache_capacity(trace);
   rc.prefetch_degree = kDefaultPrefetchDegree;
   return rc;
+}
+
+/// The paper's DES response-time replay (Figs. 6 and 8, ablation 4) as a
+/// serving spec: one reporting window over the whole trace, cache capacity
+/// and prefetch degree derived from it, on an MDS with a BDB page cache and
+/// two spindles.
+inline ScenarioSpec des_spec() {
+  ScenarioSpec spec;
+  spec.name = "des";
+  spec.windows = 1;
+  spec.disk_servers = 2;
+  return spec;
+}
+
+/// `trace` as a serving workload: no pretrain prefix, no churn, so serve()
+/// replays every record.
+inline ScenarioWorkload des_workload(const Trace& trace) {
+  ScenarioWorkload wl;
+  wl.trace = trace;
+  return wl;
 }
 
 inline std::string pct(double ratio, int precision = 2) {

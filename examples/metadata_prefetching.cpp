@@ -18,7 +18,7 @@
 #include "api/predictor_factory.hpp"
 #include "api/runtime_config.hpp"
 #include "prefetch/replay.hpp"
-#include "storage/cluster.hpp"
+#include "serve/harness.hpp"
 #include "trace/generator.hpp"
 
 namespace {
@@ -39,7 +39,11 @@ int main(int argc, char** argv) {
   const double scale = argc > 2 ? std::strtod(argv[2], nullptr) : 0.25;
 
   const RuntimeConfig env = RuntimeConfig::from_env_or_exit();
-  const Trace trace = make_paper_trace(kind, kExperimentSeed, scale);
+  // The whole trace as a serving workload (no pretrain, no churn): the
+  // zero-latency replay reads its records, the DES replay serves them all.
+  ScenarioWorkload wl;
+  wl.trace = make_paper_trace(kind, kExperimentSeed, scale);
+  const Trace& trace = wl.trace;
   const std::size_t capacity = default_cache_capacity(trace);
   std::cout << "trace " << trace_kind_name(kind) << ": "
             << trace.event_count() << " events, " << trace.file_count()
@@ -74,13 +78,14 @@ int main(int argc, char** argv) {
   // DES response-time comparison for the paper's three contenders.
   std::cout << "\ndiscrete-event MDS replay (latency effects):\n";
   Table rt({"algorithm", "mean RT", "p95 RT", "prefetch batches"});
-  ClusterConfig cc;
-  cc.mds.cache_capacity = capacity;
-  cc.mds.prefetch_degree = kDefaultPrefetchDegree;
+  ScenarioSpec spec;
+  spec.name = "des";
+  spec.windows = 1;
+  spec.cache_capacity = capacity;
   for (const std::string name : {"fpa", "nexus", "none"}) {
     const auto p = build(name);
-    const auto m = run_cluster(trace, *p, cc);
-    rt.add_row({name, fmt_double(m.mean_response_ms(), 3) + " ms",
+    const ServingResult m = serve(spec, wl, *p);
+    rt.add_row({name, fmt_double(m.response.mean() / 1000.0, 3) + " ms",
                 fmt_double(static_cast<double>(m.response.p95()) / 1000.0, 3) +
                     " ms",
                 std::to_string(m.prefetch_batches)});

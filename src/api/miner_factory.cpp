@@ -50,51 +50,53 @@ persist::Options persist_options(const MinerOptions& opts) {
   return p;
 }
 
+/// Synchronous backends become durable by decoration: the factory knows
+/// the concrete types, so it hands DurableMiner the Farmer shard view the
+/// checkpoint serializer needs. Recovery runs inside the decorator's
+/// constructor, before the miner is returned. Without a persist_dir the
+/// miner comes back undecorated.
+std::unique_ptr<CorrelationMiner> maybe_durable(
+    std::unique_ptr<CorrelationMiner> miner, std::vector<Farmer*> shards,
+    const FarmerConfig& cfg, std::shared_ptr<const TraceDictionary> dict,
+    const MinerOptions& opts) {
+  if (opts.persist_dir.empty()) return miner;
+  return std::make_unique<persist::DurableMiner>(
+      std::move(miner), std::move(shards), cfg, std::move(dict),
+      persist_options(opts));
+}
+
 using Registry = std::map<std::string, MinerFactoryFn, std::less<>>;
 
 Registry& registry() {
   static Registry r = [] {
     Registry built_in;
-    // Synchronous backends become durable by decoration: the factory knows
-    // the concrete types, so it hands DurableMiner the Farmer shard view
-    // the checkpoint serializer needs. Recovery runs inside the decorator's
-    // constructor, before the miner is returned.
     built_in["farmer"] = [](const FarmerConfig& cfg,
                             std::shared_ptr<const TraceDictionary> dict,
-                            const MinerOptions& opts)
-        -> std::unique_ptr<CorrelationMiner> {
+                            const MinerOptions& opts) {
       auto miner = std::make_unique<Farmer>(cfg, dict);
-      if (opts.persist_dir.empty()) return miner;
       std::vector<Farmer*> view{miner.get()};
-      return std::make_unique<persist::DurableMiner>(
-          std::move(miner), std::move(view), cfg, std::move(dict),
-          persist_options(opts));
+      return maybe_durable(std::move(miner), std::move(view), cfg,
+                           std::move(dict), opts);
     };
     built_in["sharded"] = [](const FarmerConfig& cfg,
                              std::shared_ptr<const TraceDictionary> dict,
-                             const MinerOptions& opts)
-        -> std::unique_ptr<CorrelationMiner> {
+                             const MinerOptions& opts) {
       auto miner = std::make_unique<ShardedFarmer>(cfg, dict, opts.shards,
                                                    opts.apply_threads);
-      if (opts.persist_dir.empty()) return miner;
       std::vector<Farmer*> view;
       view.reserve(miner->shard_count());
       for (std::size_t s = 0; s < miner->shard_count(); ++s)
         view.push_back(&miner->shard_mut(s));
-      return std::make_unique<persist::DurableMiner>(
-          std::move(miner), std::move(view), cfg, std::move(dict),
-          persist_options(opts));
+      return maybe_durable(std::move(miner), std::move(view), cfg,
+                           std::move(dict), opts);
     };
     built_in["nexus"] = [](const FarmerConfig& cfg,
                            std::shared_ptr<const TraceDictionary> dict,
-                           const MinerOptions& opts)
-        -> std::unique_ptr<CorrelationMiner> {
+                           const MinerOptions& opts) {
       auto miner = std::make_unique<NexusMiner>(cfg, dict);
-      if (opts.persist_dir.empty()) return miner;
       std::vector<Farmer*> view{miner.get()};
-      return std::make_unique<persist::DurableMiner>(
-          std::move(miner), std::move(view), cfg, std::move(dict),
-          persist_options(opts));
+      return maybe_durable(std::move(miner), std::move(view), cfg,
+                           std::move(dict), opts);
     };
     built_in["router"] = [](const FarmerConfig& cfg,
                             std::shared_ptr<const TraceDictionary> dict,

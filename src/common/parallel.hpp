@@ -132,8 +132,11 @@ class WorkerPool {
     const std::size_t did = participate(fn, n);
     std::unique_lock<std::mutex> lk(mu_);
     completed_ += did;
-    cv_done_.wait(lk, [&] { return completed_ == n_; });
-    body_ = nullptr;  // helpers that executed items have already re-locked
+    // Every item done is not enough: a helper that picked up this job but
+    // has not claimed yet would otherwise outlive it and claim the next
+    // job's items off the reset counter with this job's `fn` and `n`.
+    cv_done_.wait(lk, [&] { return completed_ == n_ && active_ == 0; });
+    body_ = nullptr;
   }
 
  private:
@@ -161,13 +164,15 @@ class WorkerPool {
       // A slow wake can miss a job entirely: the other lanes drained it and
       // run() already retired the body. Nothing left to claim.
       if (fn == nullptr) continue;
+      // Checked in under mu_ while the job is live: run() cannot return
+      // (and retire `fn`, or reset next_ for another job) until this lane
+      // checks out below, so `fn` and `n` stay this job's throughout.
+      ++active_;
       lk.unlock();
       const std::size_t did = participate(*fn, n);
       lk.lock();
-      // run() cannot return (and retire `fn`) before every executed item
-      // has been counted here, so the dereference above never goes stale.
       completed_ += did;
-      if (completed_ == n_) cv_done_.notify_all();
+      if (--active_ == 0 && completed_ == n_) cv_done_.notify_all();
     }
   }
 
@@ -179,6 +184,7 @@ class WorkerPool {
   const std::function<void(std::size_t)>* body_ = nullptr;
   std::size_t n_ = 0;
   std::size_t completed_ = 0;
+  std::size_t active_ = 0;  ///< helpers inside participate()
   std::uint64_t generation_ = 0;
   bool stop_ = false;
   std::atomic<std::size_t> next_{0};

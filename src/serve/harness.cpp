@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 
 #include "analysis/experiment.hpp"
@@ -17,6 +18,8 @@ namespace farmer {
 
 ServingResult serve(const ScenarioSpec& spec, const ScenarioWorkload& wl,
                     Predictor& predictor) {
+  if (const std::string errs = spec.validate(); !errs.empty())
+    throw std::invalid_argument("scenario \"" + spec.name + "\": " + errs);
   ServingResult res;
   res.scenario = spec.name;
   res.predictor = predictor.name();
@@ -35,6 +38,8 @@ ServingResult serve(const ScenarioSpec& spec, const ScenarioWorkload& wl,
                                             : default_cache_capacity(wl.trace);
   mcfg.prefetch_degree =
       spec.prefetch_degree ? spec.prefetch_degree : kDefaultPrefetchDegree;
+  mcfg.disk_servers = spec.disk_servers;
+  mcfg.batch_prefetch = spec.batch_prefetch;
   MdsServer mds(sim, mcfg, predictor);
   mds.populate(wl.trace.file_count());
 
@@ -98,15 +103,20 @@ ServingResult serve(const ScenarioSpec& spec, const ScenarioWorkload& wl,
     });
   }
 
-  // Self-clocking arrival chain (see storage/cluster.cpp for the weak_ptr
-  // rationale): each arrival schedules the next, and every completion bins
-  // its response time into the window containing the completion instant.
+  // Self-clocking arrival chain: each arrival schedules the next, keeping
+  // the event queue O(1) in trace length, and every completion bins its
+  // response time into the window containing the completion instant.
   const auto record_response = [&](SimTime rt) {
     res.response.record(static_cast<std::uint64_t>(rt));
     const auto idx = std::min(
         nwin - 1, static_cast<std::size_t>(sim.now() / window_len));
     whist[idx].record(static_cast<std::uint64_t>(rt));
   };
+  // std::function must be copyable, so the recursive closure lives in a
+  // small heap cell it captures weakly: a strong capture would be a
+  // shared_ptr cycle (cell -> function -> cell) that outlives the run and
+  // leaks. The local `issue` keeps the cell alive until sim.run() returns,
+  // so lock() cannot fail while events remain.
   auto issue = std::make_shared<std::function<void(std::size_t)>>();
   *issue = [&, weak = std::weak_ptr(issue)](std::size_t i) {
     if (i + 1 < recs.size())

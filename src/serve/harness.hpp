@@ -17,8 +17,10 @@
 // `run_scenario` is the whole loop: realise the spec, build the predictor
 // by factory name, pretrain / checkpoint-restore when the spec says so,
 // serve, report. `serve` is the lower-level entry for callers that bring
-// their own predictor instance (the stress tests drive a concurrently
-// ingesting miner through it).
+// their own predictor instance: the stress tests drive a concurrently
+// ingesting miner through it, and the paper's response-time experiments
+// (Figs. 6 and 8) replay a whole trace through it — a ScenarioWorkload
+// with no pretrain and no churn, one window.
 #pragma once
 
 #include <string>
@@ -61,7 +63,8 @@ struct ServingResult {
 
 /// Serves `wl`'s post-pretrain suffix through `predictor` (whatever state
 /// it is in — run_scenario handles warming). Deterministic for a given
-/// (spec, wl, predictor state).
+/// (spec, wl, predictor state). Throws std::invalid_argument when
+/// `spec.validate()` is non-empty.
 [[nodiscard]] ServingResult serve(const ScenarioSpec& spec,
                                   const ScenarioWorkload& wl,
                                   Predictor& predictor);

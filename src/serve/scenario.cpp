@@ -47,6 +47,7 @@ std::string ScenarioSpec::validate() const {
     fail("tenant_shift needs at least two tenants");
   if (warm_start && pretrain_fraction == 0.0)
     fail("warm_start needs pretrain_fraction > 0");
+  if (disk_servers == 0) fail("disk_servers must be at least 1");
   return errs;
 }
 

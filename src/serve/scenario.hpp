@@ -80,6 +80,10 @@ struct ScenarioSpec {
   /// kDefaultPrefetchDegree).
   std::size_t cache_capacity = 0;
   std::size_t prefetch_degree = 0;
+  /// MDS disk service slots (spindles / DB threads), >= 1.
+  unsigned disk_servers = 1;
+  /// One disk I/O per predicted correlator group instead of one per file.
+  bool batch_prefetch = true;
 
   /// Empty string when every constraint holds; otherwise all violations,
   /// "; "-joined (mirroring FarmerConfig::validate).

@@ -1,9 +1,6 @@
 #include "trace/trace_io.hpp"
 
 #include <cstring>
-#include <fstream>
-#include <istream>
-#include <limits>
 #include <ostream>
 #include <span>
 #include <stdexcept>
@@ -13,49 +10,6 @@
 namespace farmer {
 
 namespace {
-
-template <typename T>
-void put(std::ostream& os, const T& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  os.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-T get(std::istream& is) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  T v{};
-  is.read(reinterpret_cast<char*>(&v), sizeof(T));
-  if (!is) throw std::runtime_error("trace file truncated");
-  return v;
-}
-
-void put_string(std::ostream& os, std::string_view s) {
-  put<std::uint32_t>(os, static_cast<std::uint32_t>(s.size()));
-  os.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-/// Bytes between the stream cursor and end-of-stream. Every count decoded
-/// from a file is bounded against this before any allocation happens, so a
-/// corrupt length field cannot drive an OOM.
-std::uint64_t stream_remaining(std::istream& is) {
-  const auto cur = is.tellg();
-  if (cur < 0) throw std::runtime_error("trace stream not seekable");
-  is.seekg(0, std::ios::end);
-  const auto end = is.tellg();
-  is.seekg(cur);
-  if (end < cur) throw std::runtime_error("trace stream not seekable");
-  return static_cast<std::uint64_t>(end - cur);
-}
-
-std::string get_string(std::istream& is) {
-  const auto n = get<std::uint32_t>(is);
-  if (n > stream_remaining(is))
-    throw std::runtime_error("trace string length exceeds file size");
-  std::string s(n, '\0');
-  is.read(s.data(), n);
-  if (!is) throw std::runtime_error("trace file truncated");
-  return s;
-}
 
 void check_count(std::uint64_t count, std::uint64_t min_entry_bytes,
                  std::uint64_t remaining, const char* what) {
@@ -81,81 +35,14 @@ void validate_file_meta(const FileMeta& f, const TraceDictionary& d) {
   validate_token(f.fid, d, "file meta fid");
 }
 
-// Per-entry minimum on-disk sizes used to bound decoded counts. Both
-// formats agree on these: a token is at least its u32 length prefix, a v3
-// path is at least its u32 component count (u8 in v2), a file meta row is
-// exactly 21 bytes.
+// Per-entry minimum encoded sizes used to bound decoded counts: a token is
+// at least its u32 length prefix, a path at least its u32 component count,
+// a file meta row exactly 21 bytes.
 constexpr std::uint64_t kMinTokenBytes = 4;
-constexpr std::uint64_t kMinPathBytesV2 = 1;
-constexpr std::uint64_t kMinPathBytesV3 = 4;
+constexpr std::uint64_t kMinPathBytes = 4;
 constexpr std::uint64_t kFileMetaBytes = 21;
 
 }  // namespace
-
-void write_dictionary(std::ostream& os, const TraceDictionary& d) {
-  put<std::uint32_t>(os, static_cast<std::uint32_t>(d.tokens.size()));
-  for (std::uint32_t i = 0; i < d.tokens.size(); ++i)
-    put_string(os, d.tokens.resolve(TokenId(i)));
-
-  put<std::uint32_t>(os, static_cast<std::uint32_t>(d.paths.size()));
-  for (const auto& comps : d.paths) {
-    if (comps.size() > 255)
-      throw std::runtime_error(
-          "v2 trace format cannot represent a path with more than 255 "
-          "components; write v3 instead");
-    put<std::uint8_t>(os, static_cast<std::uint8_t>(comps.size()));
-    for (TokenId t : comps) put<std::uint32_t>(os, t.value());
-  }
-
-  put<std::uint32_t>(os, static_cast<std::uint32_t>(d.files.size()));
-  for (const FileMeta& f : d.files) {
-    put<std::uint32_t>(os, f.path.value());
-    put<std::uint32_t>(os, f.dev.value());
-    put<std::uint32_t>(os, f.fid.value());
-    put<std::uint32_t>(os, f.group);
-    put<std::uint32_t>(os, f.size_bytes);
-    put<std::uint8_t>(os, f.read_only ? 1 : 0);
-  }
-}
-
-void read_dictionary(std::istream& is, TraceDictionary& d) {
-  const auto ntokens = get<std::uint32_t>(is);
-  check_count(ntokens, kMinTokenBytes, stream_remaining(is), "token");
-  for (std::uint32_t i = 0; i < ntokens; ++i) {
-    const TokenId id = d.tokens.intern(get_string(is));
-    if (id.value() != i)
-      throw std::runtime_error("token table corrupt (duplicate strings)");
-  }
-
-  const auto npaths = get<std::uint32_t>(is);
-  check_count(npaths, kMinPathBytesV2, stream_remaining(is), "path");
-  d.paths.reserve(npaths);
-  for (std::uint32_t i = 0; i < npaths; ++i) {
-    const auto ncomp = get<std::uint8_t>(is);
-    SmallVector<TokenId, 8> comps;
-    for (std::uint8_t c = 0; c < ncomp; ++c) {
-      const TokenId t(get<std::uint32_t>(is));
-      validate_path_component(t, d);
-      comps.push_back(t);
-    }
-    (void)d.add_path(std::move(comps));
-  }
-
-  const auto nfiles = get<std::uint32_t>(is);
-  check_count(nfiles, kFileMetaBytes, stream_remaining(is), "file");
-  d.files.reserve(nfiles);
-  for (std::uint32_t i = 0; i < nfiles; ++i) {
-    FileMeta f;
-    f.path = PathId(get<std::uint32_t>(is));
-    f.dev = TokenId(get<std::uint32_t>(is));
-    f.fid = TokenId(get<std::uint32_t>(is));
-    f.group = get<std::uint32_t>(is);
-    f.size_bytes = get<std::uint32_t>(is);
-    f.read_only = get<std::uint8_t>(is) != 0;
-    validate_file_meta(f, d);
-    d.files.push_back(f);
-  }
-}
 
 void encode_dictionary(std::string& out, const TraceDictionary& d) {
   const auto raw = [&out](const auto& v) {
@@ -199,7 +86,7 @@ void decode_dictionary(ByteReader& in, TraceDictionary& d) {
   }
 
   const auto npaths = in.get<std::uint32_t>();
-  check_count(npaths, kMinPathBytesV3, in.remaining(), "path");
+  check_count(npaths, kMinPathBytes, in.remaining(), "path");
   d.paths.reserve(npaths);
   for (std::uint32_t i = 0; i < npaths; ++i) {
     const auto ncomp = in.get<std::uint32_t>();
@@ -270,56 +157,8 @@ void write_trace_binary(const Trace& trace, const std::string& path) {
   writer.finish(trace.name, *trace.dict);
 }
 
-void write_trace_binary_v2(const Trace& trace, const std::string& path) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  if (!os) throw std::runtime_error("cannot open for write: " + path);
-  put(os, kTraceMagic);
-  put(os, kTraceVersion2);
-  put_string(os, trace.name);
-  put<std::uint8_t>(os, static_cast<std::uint8_t>(trace.kind));
-  put<std::uint8_t>(os, trace.has_paths ? 1 : 0);
-
-  write_dictionary(os, *trace.dict);
-
-  put<std::uint64_t>(os, trace.records.size());
-  for (const TraceRecord& r : trace.records) put(os, r);
-  if (!os) throw std::runtime_error("short write: " + path);
-}
-
 Trace read_trace_binary(const std::string& path) {
-  std::uint32_t version = 0;
-  {
-    std::ifstream is(path, std::ios::binary);
-    if (!is) throw std::runtime_error("cannot open for read: " + path);
-    if (get<std::uint32_t>(is) != kTraceMagic)
-      throw std::runtime_error("not a farmer trace: " + path);
-    version = get<std::uint32_t>(is);
-  }
-
-  if (version == kTraceVersion3) return TraceReader(path).materialize();
-  if (version != kTraceVersion2)
-    throw std::runtime_error("unsupported trace version: " + path);
-
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw std::runtime_error("cannot open for read: " + path);
-  is.seekg(8);  // magic + version, checked above
-
-  Trace trace;
-  trace.name = get_string(is);
-  trace.kind = validate_trace_kind(get<std::uint8_t>(is));
-  trace.has_paths = get<std::uint8_t>(is) != 0;
-  trace.dict = std::make_shared<TraceDictionary>();
-  read_dictionary(is, *trace.dict);
-
-  const auto nrecords = get<std::uint64_t>(is);
-  check_count(nrecords, kTraceRecordBytes, stream_remaining(is), "record");
-  trace.records.reserve(nrecords);
-  for (std::uint64_t i = 0; i < nrecords; ++i) {
-    const auto rec = get<TraceRecord>(is);
-    validate_record(rec, *trace.dict);
-    trace.records.push_back(rec);
-  }
-  return trace;
+  return TraceReader(path).materialize();
 }
 
 void write_trace_tsv(const Trace& trace, std::ostream& os,

@@ -1,24 +1,17 @@
 // Trace persistence.
 //
-// Two on-disk trace formats share this header:
+// One on-disk trace format: v3, the mmap-able out-of-core layout
+// (fixed-offset record section first, metadata footer last) implemented by
+// trace_stream.hpp. `write_trace_binary` produces it and
+// `read_trace_binary` loads it into memory; any other version is rejected.
 //
-//  * v2 — the legacy stream format (dictionary first, then records), kept
-//    readable forever. Its writer survives for compatibility tests and
-//    refuses data it cannot represent (a path with more than 255
-//    components used to have its count truncated to uint8_t while every
-//    component was still written — an unreadable stream; it now throws).
-//  * v3 — the mmap-able out-of-core format (fixed-offset record section
-//    first, metadata footer last), implemented by trace_stream.hpp.
-//    `write_trace_binary` produces v3; `read_trace_binary` reads both by
-//    version sniff.
-//
-// Every reader here is hardened against corrupt input: counts are bounded
+// Every decoder here is hardened against corrupt input: counts are bounded
 // by the bytes actually present before anything is allocated, and decoded
 // ids (TraceKind, FileMeta.path, token ids) are validated against the
-// tables just read, so a truncated or bit-flipped file throws
+// tables just read, so a truncated or bit-flipped blob throws
 // std::runtime_error instead of OOMing or deferring the crash to first use.
 //
-// The v3 dictionary codec (`encode_dictionary`/`decode_dictionary`) is also
+// The dictionary codec (`encode_dictionary`/`decode_dictionary`) is also
 // the persistence substrate: checkpoints embed dictionaries through it.
 #pragma once
 
@@ -35,7 +28,6 @@
 namespace farmer {
 
 inline constexpr std::uint32_t kTraceMagic = 0xFA12ACE5;
-inline constexpr std::uint32_t kTraceVersion2 = 2;
 inline constexpr std::uint32_t kTraceVersion3 = 3;
 
 /// Bounds-checked forward reader over a serialized blob. Any overrun means
@@ -86,18 +78,6 @@ class ByteReader {
   const char* what_;
 };
 
-/// Writes just the dictionary section in the *v2* stream format (uint8_t
-/// path-component counts). Kept for v2 compatibility only; throws
-/// std::runtime_error on I/O failure or when a path has more than 255
-/// components (which v2 cannot represent — new code uses the v3 codec).
-void write_dictionary(std::ostream& os, const TraceDictionary& dict);
-
-/// Reads a v2 dictionary previously written by `write_dictionary` into
-/// `dict` (which must be empty). Counts are bounded against the remaining
-/// stream size and decoded ids are validated; throws std::runtime_error on
-/// truncation or corruption.
-void read_dictionary(std::istream& is, TraceDictionary& dict);
-
 /// Appends the v3 dictionary encoding (token table, path components with
 /// uint32 counts, file metadata) to `out`. Shared between v3 trace files
 /// and the persistence subsystem's checkpoints, which embed the dictionary
@@ -135,14 +115,9 @@ void encode_record(const TraceRecord& rec, std::string& out);
 /// std::runtime_error on I/O failure.
 void write_trace_binary(const Trace& trace, const std::string& path);
 
-/// Writes `trace` in the legacy v2 stream format. Throws std::runtime_error
-/// on I/O failure or when the trace cannot be represented in v2 (a path
-/// with more than 255 components).
-void write_trace_binary_v2(const Trace& trace, const std::string& path);
-
-/// Reads a trace previously written by `write_trace_binary` (v3) or
-/// `write_trace_binary_v2`, dispatching on the version field. Throws
-/// std::runtime_error on I/O failure, format mismatch, or corruption.
+/// Reads a trace written by `write_trace_binary` into memory, validating
+/// every record (TraceReader::materialize). Throws std::runtime_error on
+/// I/O failure, an unsupported version, or corruption.
 [[nodiscard]] Trace read_trace_binary(const std::string& path);
 
 /// Streams a human-readable TSV rendering (header + one row per record).

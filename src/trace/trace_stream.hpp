@@ -1,10 +1,10 @@
 // Out-of-core trace streaming: the v3 mmap-able binary trace format.
 //
-// v2 put the dictionary first and the records last, so replaying a trace
-// meant deserializing every record through an istream — fine at 100k
-// records, hopeless at billions. v3 inverts the layout so the record
-// section sits at a fixed offset with a fixed stride and replay needs no
-// decode pass at all: the file is mapped and the section *is* a
+// The retired v2 format put the dictionary first and the records last, so
+// replaying a trace meant deserializing every record through an istream —
+// fine at 100k records, hopeless at billions. v3 inverts the layout so the
+// record section sits at a fixed offset with a fixed stride and replay
+// needs no decode pass at all: the file is mapped and the section *is* a
 // std::span<const TraceRecord>.
 //
 // File layout (little-endian, 64-byte header):

@@ -452,17 +452,24 @@ TEST(Parallel, WorkerPoolCoversAllIndicesExactlyOnce) {
 }
 
 TEST(Parallel, WorkerPoolIsReusableAcrossManyDispatches) {
-  // Many small jobs through one pool: each run() is a fresh generation, so
-  // a stale helper that double-claimed or missed a job would corrupt the
-  // per-round sums with high probability.
+  // Many jobs through one pool: each run() is a fresh generation, so a
+  // stale helper that double-claimed or missed a job would corrupt the
+  // per-round sums with high probability. Alternating a large and a small
+  // job catches a late helper that woke for the large job and claims the
+  // small job's items with the large job's body and item count: it would
+  // call the destroyed body, or see an index past the small job's end.
   WorkerPool pool(3);
-  for (int round = 0; round < 200; ++round) {
-    std::atomic<int> sum{0};
-    pool.run(7, [&](std::size_t i) {
-      sum.fetch_add(static_cast<int>(i) + 1);
+  std::atomic<int> out_of_range{0};
+  for (int round = 0; round < 400; ++round) {
+    const std::size_t n = round % 2 == 0 ? 64 : 2;
+    std::atomic<std::size_t> sum{0};
+    pool.run(n, [&, n](std::size_t i) {
+      if (i >= n) out_of_range.fetch_add(1);
+      sum.fetch_add(i + 1);
     });
-    ASSERT_EQ(sum.load(), 28) << "round " << round;
+    ASSERT_EQ(sum.load(), n * (n + 1) / 2) << "round " << round;
   }
+  EXPECT_EQ(out_of_range.load(), 0);
 }
 
 TEST(Parallel, WorkerPoolZeroAndSingleItemShortCircuit) {

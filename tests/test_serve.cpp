@@ -97,6 +97,14 @@ TEST(ScenarioRegistry, ValidateCatchesBadFields) {
   spec.tenants = {TraceKind::kINS};
   EXPECT_FALSE(spec.validate().empty());
 
+  spec = tiny_spec();
+  spec.disk_servers = 0;
+  EXPECT_NE(spec.validate().find("disk_servers"), std::string::npos);
+  // serve() takes a caller-built workload, so it checks the spec itself.
+  NoopPredictor none;
+  EXPECT_THROW((void)serve(spec, ScenarioWorkload{}, none),
+               std::invalid_argument);
+
   // Multiple violations are all reported, "; "-joined.
   spec = tiny_spec();
   spec.scale = -1.0;

@@ -1,5 +1,6 @@
-// Tests for the MDS, OSD, the DES cluster replay, and the message-passing
-// shard tier (wire framing fuzz + transport fault injection).
+// Tests for the MDS, OSD, the DES trace replay through the serving harness,
+// and the message-passing shard tier (wire framing fuzz + transport fault
+// injection).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -18,7 +19,8 @@
 #include "net/transport.hpp"
 #include "prefetch/fpa.hpp"
 #include "prefetch/nexus.hpp"
-#include "storage/cluster.hpp"
+#include "serve/harness.hpp"
+#include "storage/mds.hpp"
 #include "storage/osd.hpp"
 #include "test_helpers.hpp"
 #include "trace/generator.hpp"
@@ -125,16 +127,31 @@ TEST(Mds, PopulateFillsTable) {
 }
 
 // -------------------------------------------------------------- cluster --
+// Whole-trace DES replay: the trace served through serve() with no pretrain
+// and no churn, on the harness's default MDS timings.
+
+ScenarioWorkload whole_trace(Trace t) {
+  ScenarioWorkload wl;
+  wl.trace = std::move(t);
+  return wl;
+}
+
+ScenarioSpec replay_spec(std::size_t cache_capacity, double time_scale = 1.0) {
+  ScenarioSpec spec;
+  spec.name = "replay";
+  spec.windows = 1;
+  spec.cache_capacity = cache_capacity;
+  spec.time_scale = time_scale;
+  return spec;
+}
 
 TEST(Cluster, EveryDemandGetsResponse) {
-  const Trace t = make_paper_trace(TraceKind::kHP, 3, 0.01);
+  const ScenarioWorkload wl =
+      whole_trace(make_paper_trace(TraceKind::kHP, 3, 0.01));
   NoopPredictor noop;
-  ClusterConfig cfg;
-  cfg.mds = fast_mds();
-  cfg.mds.cache_capacity = 64;
-  const auto metrics = run_cluster(t, noop, cfg);
-  EXPECT_EQ(metrics.response.count(), t.records.size());
-  EXPECT_GT(metrics.mean_response_ms(), 0.0);
+  const ServingResult res = serve(replay_spec(64), wl, noop);
+  EXPECT_EQ(res.response.count(), wl.trace.records.size());
+  EXPECT_GT(res.response.mean(), 0.0);
 }
 
 TEST(Cluster, PrefetchingReducesLatencyOnPredictableLoad) {
@@ -147,30 +164,27 @@ TEST(Cluster, PrefetchingReducesLatencyOnPredictableLoad) {
         mt.file("f" + std::to_string(i), "/h/u/g/f" + std::to_string(i)));
   for (int rep = 0; rep < 60; ++rep)
     for (const FileId f : ring) mt.access(f);
-  Trace t = mt.build();
-  ClusterConfig cfg;
-  cfg.mds = fast_mds();
-  cfg.mds.cache_capacity = 2;
-  cfg.mds.prefetch_degree = 1;  // just-in-time successor; degree > capacity
-                                // would evict its own prefetches
-  cfg.time_scale = 5.0;  // leave disk idle time for prefetches to run
+  const ScenarioWorkload wl = whole_trace(mt.build());
+  // time_scale 5 leaves disk idle time for prefetches to run.
+  ScenarioSpec spec = replay_spec(/*cache_capacity=*/2, /*time_scale=*/5.0);
+  spec.prefetch_degree = 1;  // just-in-time successor; degree > capacity
+                             // would evict its own prefetches
 
   NoopPredictor noop;
-  const auto lru = run_cluster(t, noop, cfg);
+  const ServingResult lru = serve(spec, wl, noop);
   FpaPredictor fpa(FarmerConfig{}, mt.dict());
-  const auto far = run_cluster(t, fpa, cfg);
+  const ServingResult far = serve(spec, wl, fpa);
   EXPECT_LT(far.response.mean(), lru.response.mean() * 0.8);
 }
 
 TEST(Cluster, TimeScaleCompressesSimulation) {
-  const Trace t = make_paper_trace(TraceKind::kINS, 9, 0.01);
+  const ScenarioWorkload wl =
+      whole_trace(make_paper_trace(TraceKind::kINS, 9, 0.01));
   NoopPredictor n1, n2;
-  ClusterConfig slow;
-  slow.mds = fast_mds();
-  ClusterConfig fast = slow;
-  fast.time_scale = 0.5;
-  const auto m_slow = run_cluster(t, n1, slow);
-  const auto m_fast = run_cluster(t, n2, fast);
+  const ServingResult m_slow =
+      serve(replay_spec(/*cache_capacity=*/8), wl, n1);
+  const ServingResult m_fast =
+      serve(replay_spec(8, /*time_scale=*/0.5), wl, n2);
   EXPECT_LT(m_fast.sim_duration, m_slow.sim_duration);
 }
 
