@@ -80,10 +80,13 @@ using PredictorFactoryFn = std::function<std::unique_ptr<Predictor>(
 ///
 /// A registered factory must return predictors honoring the Predictor
 /// contracts (prefetch/predictor.hpp): predict() never proposes the
-/// demanded file itself, flush() is a real ingest barrier when the
-/// predictor mines asynchronously, and footprint_bytes() reports the
-/// predictor's actual state so Table-4 and the serving harness's
-/// per-window memory column stay honest.
+/// demanded file itself; predict_fetchable(), when overridden, appends
+/// either exactly predict()'s candidates or nothing when none of them
+/// passes the caller's test (the serving loop and replay_trace call it,
+/// and their results must not depend on the override); flush() is a real
+/// ingest barrier when the predictor mines asynchronously; and
+/// footprint_bytes() reports the predictor's actual state so Table-4 and
+/// the serving harness's per-window memory column stay honest.
 ///
 /// Thread-safety: registration is NOT synchronized against concurrent
 /// make_predictor()/registered_predictors() calls — register predictors at

@@ -29,17 +29,16 @@
 #pragma once
 
 #include <atomic>
-#include <concepts>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
-#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
 #include "cache/replacement.hpp"
+#include "common/function_ref.hpp"
 #include "common/types.hpp"
 #include "graph/correlation_graph.hpp"
 
@@ -61,29 +60,9 @@ struct CorrelatorCacheStats {
 };
 
 /// Non-owning callable `bool(shard)` answering "is the file absent from
-/// shard s's currently published snapshot?" — a function_ref, so the hot
+/// shard s's currently published snapshot?" — a FunctionRef, so the hot
 /// path never allocates for the closure.
-class ShardAbsenceProbe {
- public:
-  // Constrained so this can never hijack copy construction (Fn = probe)
-  // or bind a non-callable: the stored pointer must address a genuine
-  // bool(std::size_t) callable that outlives the probe.
-  template <typename Fn>
-    requires(!std::same_as<std::remove_cvref_t<Fn>, ShardAbsenceProbe> &&
-             std::is_invocable_r_v<bool, const Fn&, std::size_t>)
-  ShardAbsenceProbe(const Fn& fn)  // NOLINT(google-explicit-constructor)
-      : ctx_(&fn), call_([](const void* ctx, std::size_t s) {
-          return (*static_cast<const Fn*>(ctx))(s);
-        }) {}
-
-  [[nodiscard]] bool operator()(std::size_t shard) const {
-    return call_(ctx_, shard);
-  }
-
- private:
-  const void* ctx_;
-  bool (*call_)(const void*, std::size_t);
-};
+using ShardAbsenceProbe = FunctionRef<bool(std::size_t)>;
 
 class CorrelatorCache {
  public:

@@ -1,5 +1,6 @@
 #include "persist/checkpoint.hpp"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -75,10 +76,18 @@ std::uint64_t checksum_bytes(std::string_view bytes) {
   return mix64(h ^ tail ^ bytes.size());
 }
 
+/// Throws "checkpoint: <what> <path>: <strerror> (errno N)".
+[[noreturn]] void fail_io(const char* what, const std::string& path,
+                          int err) {
+  throw std::runtime_error("checkpoint: " + std::string(what) + " " + path +
+                           ": " + std::strerror(err) + " (errno " +
+                           std::to_string(err) + ")");
+}
+
 void put_file(std::FILE* f, const void* data, std::size_t len,
               const std::string& path) {
   if (len > 0 && std::fwrite(data, 1, len, f) != len)
-    throw std::runtime_error("checkpoint: short write to " + path);
+    fail_io("short write to", path, errno);
 }
 
 /// fsync the directory containing `path` so a rename inside it is durable.
@@ -88,10 +97,11 @@ void fsync_parent_dir(const std::string& path) {
       std::filesystem::path(path).parent_path();
   const std::string dir = parent.empty() ? "." : parent.string();
   const int fd = ::open(dir.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
+  if (fd < 0) fail_io("cannot open directory", dir, errno);
+  const int sync_err = ::fsync(fd) == 0 ? 0 : errno;
+  const int close_err = ::close(fd) == 0 ? 0 : errno;
+  if (sync_err != 0) fail_io("fsync failed for directory", dir, sync_err);
+  if (close_err != 0) fail_io("close failed for directory", dir, close_err);
 #else
   (void)path;
 #endif
@@ -110,13 +120,15 @@ std::string serialize_dictionary(const TraceDictionary* dict) {
 /// Writes `[magic][version][u64 body_len][body][u64 checksum]` to `path`
 /// atomically: bytes land in `path + ".tmp"`, are flushed and fsync'd, and
 /// the tmp is renamed over `path` (with a parent-directory fsync). The
-/// shared framing behind checkpoints and the manifest.
+/// shared framing behind checkpoints and the manifest. Every write, flush,
+/// fsync and close is checked: on any failure the tmp file is removed, the
+/// rename is skipped and std::runtime_error names the path and errno, so a
+/// torn file is never published.
 void write_framed_atomic(const std::string& path, std::uint32_t magic,
                          std::uint32_t version, std::string_view body) {
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr)
-    throw std::runtime_error("checkpoint: cannot open " + tmp);
+  if (f == nullptr) fail_io("cannot open", tmp, errno);
   try {
     put_file(f, &magic, sizeof magic, tmp);
     put_file(f, &version, sizeof version, tmp);
@@ -125,19 +137,24 @@ void write_framed_atomic(const std::string& path, std::uint32_t magic,
     put_file(f, body.data(), body.size(), tmp);
     const std::uint64_t csum = checksum_bytes(body);
     put_file(f, &csum, sizeof csum, tmp);
+    if (std::fflush(f) != 0) fail_io("flush failed for", tmp, errno);
+#if defined(__unix__) || defined(__APPLE__)
+    if (::fsync(::fileno(f)) != 0) fail_io("fsync failed for", tmp, errno);
+#endif
   } catch (...) {
     std::fclose(f);
     std::remove(tmp.c_str());
     throw;
   }
-  std::fflush(f);
-#if defined(__unix__) || defined(__APPLE__)
-  ::fsync(::fileno(f));
-#endif
-  std::fclose(f);
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+  if (std::fclose(f) != 0) {
+    const int err = errno;
     std::remove(tmp.c_str());
-    throw std::runtime_error("checkpoint: rename failed for " + path);
+    fail_io("close failed for", tmp, err);
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    const int err = errno;
+    std::remove(tmp.c_str());
+    fail_io("rename failed for", path, err);
   }
   fsync_parent_dir(path);
 }

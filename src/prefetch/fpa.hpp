@@ -46,7 +46,39 @@ class FpaPredictor final : public Predictor {
 
   void predict(const TraceRecord& rec, std::size_t limit,
                PredictionList& out) override {
+    rank(rec, miner_->snapshot(rec.file), limit, out);
+  }
+
+  /// The residency gate: in a serving loop most requests find every listed
+  /// Correlator already cached or in flight, and then no ranking could
+  /// change what the caller fetches. Skipping it there saves the
+  /// per-candidate evidence pass; otherwise this is predict() unchanged.
+  void predict_fetchable(const TraceRecord& rec, std::size_t limit,
+                         FunctionRef<bool(FileId)> fetchable,
+                         PredictionList& out) override {
     const CorrelatorView list = miner_->snapshot(rec.file);
+    const bool any_fetchable =
+        std::any_of(list.begin(), list.end(), [&](const Correlator& c) {
+          return c.file != rec.file && fetchable(c.file);
+        });
+    if (any_fetchable) rank(rec, list, limit, out);
+  }
+
+  [[nodiscard]] const char* name() const noexcept override { return "FPA"; }
+  [[nodiscard]] std::size_t footprint_bytes() const override {
+    return sizeof(*this) + miner_->footprint_bytes();
+  }
+  [[nodiscard]] const CorrelationMiner& model() const noexcept {
+    return *miner_;
+  }
+  [[nodiscard]] CorrelationMiner* miner() noexcept override {
+    return miner_.get();
+  }
+
+ private:
+  /// FPA's one ranking path, shared by predict() and predict_fetchable().
+  void rank(const TraceRecord& rec, const CorrelatorView& list,
+            std::size_t limit, PredictionList& out) const {
     if (list.empty() || limit == 0) return;
     // Re-rank the (tiny) list against the *current* request context: the
     // stored degree reflects the context at mining time, but prefetching
@@ -99,18 +131,6 @@ class FpaPredictor final : public Predictor {
     }
   }
 
-  [[nodiscard]] const char* name() const noexcept override { return "FPA"; }
-  [[nodiscard]] std::size_t footprint_bytes() const override {
-    return sizeof(*this) + miner_->footprint_bytes();
-  }
-  [[nodiscard]] const CorrelationMiner& model() const noexcept {
-    return *miner_;
-  }
-  [[nodiscard]] CorrelationMiner* miner() noexcept override {
-    return miner_.get();
-  }
-
- private:
   std::unique_ptr<CorrelationMiner> miner_;
 };
 

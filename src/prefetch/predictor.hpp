@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/function_ref.hpp"
 #include "common/small_vector.hpp"
 #include "common/types.hpp"
 #include "trace/record.hpp"
@@ -33,6 +34,23 @@ class Predictor {
   /// was observed, best first. Must not propose `rec.file` itself.
   virtual void predict(const TraceRecord& rec, std::size_t limit,
                        PredictionList& out) = 0;
+
+  /// predict() for a caller that fetches only the candidates `fetchable`
+  /// accepts (a serving loop skips files already cached or in flight).
+  /// Appends either exactly what predict() would, or nothing when none of
+  /// that passes `fetchable`, so the fetchable candidates always match
+  /// predict()'s in order. Dropping only some unfetchable ones is not
+  /// allowed: a caller that inserts candidates one at a time can evict a
+  /// resident one before reaching it. `fetchable` must have no side
+  /// effects. The default is predict(); FPA overrides it to skip its
+  /// evidence re-check when no candidate could cost an I/O. The separate
+  /// name keeps a predictor that overrides only predict() clean under
+  /// -Woverloaded-virtual.
+  virtual void predict_fetchable(const TraceRecord& rec, std::size_t limit,
+                                 FunctionRef<bool(FileId)> /*fetchable*/,
+                                 PredictionList& out) {
+    predict(rec, limit, out);
+  }
 
   /// Ingest barrier: returns once everything observe()d so far can inform
   /// predict(). Only predictors over asynchronous miners (FPA on the

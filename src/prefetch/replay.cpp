@@ -21,7 +21,11 @@ ReplayResult replay_trace(const Trace& trace, Predictor& predictor,
     if (!cache.access(rec.file)) cache.insert_demand(rec.file);
     predictor.observe(rec);
     predictions.clear();
-    predictor.predict(rec, cfg.prefetch_degree, predictions);
+    // insert_prefetch() ignores resident files (rec.file is one by now), so
+    // only a non-resident candidate can change the cache.
+    predictor.predict_fetchable(
+        rec, cfg.prefetch_degree,
+        [&cache](FileId f) { return !cache.contains(f); }, predictions);
     for (FileId f : predictions) {
       if (f == rec.file) continue;
       cache.insert_prefetch(f);

@@ -76,14 +76,20 @@ void MdsServer::handle_demand(const TraceRecord& rec, ResponseFn respond) {
 
 void MdsServer::issue_prefetch(const TraceRecord& rec) {
   if (cfg_.prefetch_degree == 0) return;
+  // Only candidates that are neither cached nor in flight cost an I/O; the
+  // predictor gets the same test, so it can skip ranking a group that is
+  // already resident.
+  const auto needs_fetch = [&](FileId f) {
+    return f != rec.file && !cache_.contains(f) && !inflight_.contains(f);
+  };
   PredictionList predictions;
-  predictor_.predict(rec, cfg_.prefetch_degree, predictions);
+  predictor_.predict_fetchable(rec, cfg_.prefetch_degree, needs_fetch,
+                               predictions);
   if (predictions.empty()) return;
 
-  // Collect candidates that actually need a fetch.
   SmallVector<FileId, 8> to_fetch;
   for (FileId f : predictions) {
-    if (f == rec.file || cache_.contains(f) || inflight_.count(f)) continue;
+    if (!needs_fetch(f)) continue;
     to_fetch.push_back(f);
     inflight_[f];  // mark in-flight with no waiters yet
   }

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "api/correlation_miner.hpp"
+#include "prefetch/predictor.hpp"
 #include "trace/record.hpp"
 
 namespace farmer::testing {
@@ -44,6 +46,84 @@ inline void replay_partitioned(CorrelationMiner& miner,
   }
   for (auto& t : producers) t.join();
 }
+
+/// Forwards to a wrapped predictor but overrides only predict(), so
+/// predict_fetchable() takes the base default and calls predict(): the
+/// ungated reference a residency-gated predictor must match exactly.
+class PredictOnlyForwarder final : public Predictor {
+ public:
+  explicit PredictOnlyForwarder(std::unique_ptr<Predictor> inner)
+      : inner_(std::move(inner)) {}
+
+  void observe(const TraceRecord& rec) override { inner_->observe(rec); }
+  void predict(const TraceRecord& rec, std::size_t limit,
+               PredictionList& out) override {
+    inner_->predict(rec, limit, out);
+  }
+  void flush() override { inner_->flush(); }
+  [[nodiscard]] const char* name() const noexcept override {
+    return inner_->name();
+  }
+  [[nodiscard]] std::size_t footprint_bytes() const override {
+    return inner_->footprint_bytes();
+  }
+  [[nodiscard]] CorrelationMiner* miner() noexcept override {
+    return inner_->miner();
+  }
+
+ private:
+  std::unique_ptr<Predictor> inner_;
+};
+
+/// Forwards every call to a wrapped miner and counts candidate_evidence()
+/// calls into `calls`: FPA makes one per ranked prediction.
+class EvidenceCountingMiner final : public CorrelationMiner {
+ public:
+  EvidenceCountingMiner(std::unique_ptr<CorrelationMiner> inner,
+                        std::uint64_t& calls)
+      : inner_(std::move(inner)), calls_(calls) {}
+
+  void observe(const TraceRecord& rec) override { inner_->observe(rec); }
+  void observe_batch(std::span<const TraceRecord> records) override {
+    inner_->observe_batch(records);
+  }
+  void flush() override { inner_->flush(); }
+  [[nodiscard]] CorrelatorView snapshot(FileId f) const override {
+    return inner_->snapshot(f);
+  }
+  [[nodiscard]] double correlation_degree(FileId a, FileId b) const override {
+    return inner_->correlation_degree(a, b);
+  }
+  [[nodiscard]] double semantic_similarity(FileId a,
+                                           FileId b) const override {
+    return inner_->semantic_similarity(a, b);
+  }
+  [[nodiscard]] std::uint64_t access_count(FileId f) const override {
+    return inner_->access_count(f);
+  }
+  [[nodiscard]] double access_frequency(FileId pred,
+                                        FileId succ) const override {
+    return inner_->access_frequency(pred, succ);
+  }
+  void candidate_evidence(FileId a, std::span<const Correlator> candidates,
+                          std::span<PairEvidence> out) const override {
+    ++calls_;
+    inner_->candidate_evidence(a, candidates, out);
+  }
+  [[nodiscard]] MinerStats stats() const override { return inner_->stats(); }
+  void save(const std::string& dir) override { inner_->save(dir); }
+  void load(const std::string& dir) override { inner_->load(dir); }
+  [[nodiscard]] std::size_t footprint_bytes() const override {
+    return inner_->footprint_bytes();
+  }
+  [[nodiscard]] const char* name() const noexcept override {
+    return inner_->name();
+  }
+
+ private:
+  std::unique_ptr<CorrelationMiner> inner_;
+  std::uint64_t& calls_;
+};
 
 /// Builds tiny traces with explicit control over every attribute. Files,
 /// users, hosts etc. are created on demand by name.

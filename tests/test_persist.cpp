@@ -6,6 +6,7 @@
 // miner replayed over the durable prefix.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -394,6 +395,62 @@ TEST(PersistReopen, WalOnlyDirIsBoundToItsDictionary) {
   const auto reference = reference_miner(
       "farmer", std::span<const TraceRecord>(trace().records.data(), 100));
   expect_identical(*recovered, *reference);
+}
+
+// ------------------------------------------------- failed publish ----
+
+/// Names of the CHECKPOINT.* entries (committed or .tmp) in `dir`.
+std::vector<std::string> checkpoint_entries(const std::string& dir) {
+  std::vector<std::string> out;
+  std::error_code ec;
+  for (fs::directory_iterator it(dir, ec), end; !ec && it != end; ++it) {
+    const std::string name = it->path().filename().string();
+    if (name.rfind("CHECKPOINT.", 0) == 0) out.push_back(name);
+  }
+  return out;
+}
+
+TEST(PersistSaveLoad, FailedWriteIsNotPublished) {
+  // Regression: write_framed_atomic ignored fflush/fsync/fclose, so a
+  // checkpoint whose buffered tail (the 8-byte checksum) never reached the
+  // disk was renamed into place, save() reported success and the next
+  // load() restored nothing. A file-size limit 8 bytes short of the
+  // checkpoint makes exactly that tail fail with EFBIG.
+  TempDir ok_dir("persist_publish_ok");
+  TempDir bad_dir("persist_publish_efbig");
+  const auto model = reference_miner("farmer", trace().records);
+  model->save(ok_dir.str());
+  const std::vector<std::string> saved = checkpoint_entries(ok_dir.str());
+  ASSERT_EQ(saved.size(), 1u);
+  const auto size = fs::file_size(ok_dir.str() + "/" + saved.front());
+  ASSERT_GT(size, 8u);
+
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    // Child: past the limit a write fails with EFBIG instead of raising
+    // SIGXFSZ. Exit 0 only when save() throws std::runtime_error.
+    std::signal(SIGXFSZ, SIG_IGN);
+    const rlim_t cap = static_cast<rlim_t>(size - 8);
+    const rlimit lim{cap, cap};
+    if (::setrlimit(RLIMIT_FSIZE, &lim) != 0) ::_exit(4);
+    try {
+      model->save(bad_dir.str());
+    } catch (const std::runtime_error&) {
+      ::_exit(0);
+    } catch (...) {
+      ::_exit(2);
+    }
+    ::_exit(1);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0)
+      << "1: save() reported success on a failed write; 2: wrong "
+         "exception type; 4: setrlimit failed";
+  EXPECT_TRUE(checkpoint_entries(bad_dir.str()).empty())
+      << "a failed save() left a checkpoint file behind";
 }
 
 // --------------------------------------------------- kill-and-recover ----

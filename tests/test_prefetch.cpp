@@ -1,6 +1,9 @@
 // Tests for the predictor implementations and the replay engine.
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "api/miner_factory.hpp"
 #include "prefetch/fpa.hpp"
 #include "prefetch/nexus.hpp"
 #include "prefetch/probability_graph.hpp"
@@ -8,11 +11,14 @@
 #include "prefetch/sd_graph.hpp"
 #include "prefetch/successor.hpp"
 #include "test_helpers.hpp"
+#include "trace/generator.hpp"
 
 namespace farmer {
 namespace {
 
+using testing::EvidenceCountingMiner;
 using testing::MicroTrace;
+using testing::PredictOnlyForwarder;
 
 PredictionList predict(Predictor& p, const TraceRecord& rec,
                        std::size_t limit = 8) {
@@ -302,6 +308,74 @@ TEST(Fpa, RespectsLimit) {
   EXPECT_LE(out.size(), 2u);
 }
 
+/// `a` followed by six members of its group, four times over: `a`'s
+/// Correlator List holds several candidates that pass FPA's re-check.
+struct GroupFixture {
+  MicroTrace mt;
+  FileId a = mt.file("a", "/h/u/g/a");
+  std::uint64_t evidence_calls = 0;
+  std::unique_ptr<FpaPredictor> fpa;
+
+  GroupFixture() {
+    for (int i = 0; i < 6; ++i) {
+      const std::string m = "m" + std::to_string(i);
+      mt.file(m, "/h/u/g/" + m);
+    }
+    for (int rep = 0; rep < 4; ++rep) {
+      mt.access(a);
+      for (int i = 0; i < 6; ++i) mt.access(mt.file("m" + std::to_string(i)));
+    }
+    fpa = std::make_unique<FpaPredictor>(
+        std::make_unique<EvidenceCountingMiner>(
+            std::make_unique<Farmer>(FarmerConfig{}, mt.dict()),
+            evidence_calls));
+    for (const auto& r : mt.records()) fpa->observe(r);
+  }
+  // The miner counts into `evidence_calls`, so the fixture stays put.
+  GroupFixture(const GroupFixture&) = delete;
+  GroupFixture& operator=(const GroupFixture&) = delete;
+
+  /// The last request for `a`.
+  [[nodiscard]] const TraceRecord& a_rec() const {
+    return mt.records()[mt.records().size() - 7];
+  }
+};
+
+TEST(Fpa, FetchableGateRejectingEveryCandidatePredictsNothing) {
+  GroupFixture g;
+  ASSERT_EQ(g.a_rec().file, g.a);
+  ASSERT_FALSE(predict(*g.fpa, g.a_rec()).empty());
+  const std::uint64_t before = g.evidence_calls;
+  PredictionList out;
+  g.fpa->predict_fetchable(
+      g.a_rec(), 8, [](FileId) { return false; }, out);
+  EXPECT_TRUE(out.empty());
+  // Accepting only the demanded file itself is the same: FPA never
+  // proposes it.
+  g.fpa->predict_fetchable(
+      g.a_rec(), 8, [&](FileId f) { return f == g.a; }, out);
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(g.evidence_calls, before) << "the gate must skip the re-check";
+}
+
+TEST(Fpa, FetchableGateAcceptingOneCandidateMatchesPredict) {
+  GroupFixture g;
+  const PredictionList want = predict(*g.fpa, g.a_rec());
+  ASSERT_GE(want.size(), 2u);
+  // Accept only the weakest proposed candidate: the gate opens and the
+  // whole ranked list comes back, resident candidates included.
+  for (const std::size_t limit : {std::size_t{2}, std::size_t{8}}) {
+    SCOPED_TRACE("limit " + std::to_string(limit));
+    const FileId only = want.back();
+    PredictionList got;
+    g.fpa->predict_fetchable(
+        g.a_rec(), limit, [&](FileId f) { return f == only; }, got);
+    const PredictionList ref = predict(*g.fpa, g.a_rec(), limit);
+    ASSERT_EQ(got.size(), ref.size());
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), ref.begin()));
+  }
+}
+
 TEST(Noop, NeverPredicts) {
   MicroTrace mt;
   NoopPredictor p;
@@ -385,6 +459,40 @@ TEST(Replay, AccuracyAccountsUnusedPrefetches) {
   cfg.cache_capacity = 2;
   const auto result = replay_trace(t, p, cfg);
   EXPECT_LT(result.prefetch_accuracy(), 0.5);
+}
+
+TEST(Replay, FetchableGateMatchesUngatedReplay) {
+  const Trace trace = make_paper_trace(TraceKind::kHP, 7, 0.05);
+  FarmerConfig cfg;
+  cfg.attributes = trace.has_paths ? AttributeMask::all_with_path()
+                                   : AttributeMask::all_with_fileid();
+  ReplayConfig rc;
+  rc.cache_capacity = std::max<std::size_t>(1, trace.file_count() / 20);
+  rc.warmup_fraction = 0.1;
+  for (const char* backend : {"farmer", "sharded"}) {
+    SCOPED_TRACE(backend);
+    std::uint64_t gated_calls = 0, ungated_calls = 0;
+    FpaPredictor gated(std::make_unique<EvidenceCountingMiner>(
+        make_miner(backend, cfg, trace.dict), gated_calls));
+    PredictOnlyForwarder ungated(std::make_unique<FpaPredictor>(
+        std::make_unique<EvidenceCountingMiner>(
+            make_miner(backend, cfg, trace.dict), ungated_calls)));
+    const ReplayResult g = replay_trace(trace, gated, rc);
+    const ReplayResult u = replay_trace(trace, ungated, rc);
+    EXPECT_EQ(g.cache.demand.numerator(), u.cache.demand.numerator());
+    EXPECT_EQ(g.cache.demand.denominator(), u.cache.demand.denominator());
+    EXPECT_EQ(g.cache.prefetch_inserted, u.cache.prefetch_inserted);
+    EXPECT_EQ(g.cache.prefetch_used, u.cache.prefetch_used);
+    EXPECT_EQ(g.cache.prefetch_evicted_unused,
+              u.cache.prefetch_evicted_unused);
+    EXPECT_EQ(g.cache.evictions, u.cache.evictions);
+    EXPECT_EQ(g.predictor_footprint, u.predictor_footprint);
+    EXPECT_EQ(g.requests, u.requests);
+    // The gate engaged: it skipped some evidence passes, not all of them.
+    EXPECT_GT(g.cache.prefetch_inserted, 0u);
+    EXPECT_GT(gated_calls, 0u);
+    EXPECT_LT(gated_calls, ungated_calls);
+  }
 }
 
 }  // namespace

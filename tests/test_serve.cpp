@@ -19,8 +19,10 @@
 #include "api/correlation_miner.hpp"
 #include "api/predictor_factory.hpp"
 #include "api/runtime_config.hpp"
+#include "prefetch/fpa.hpp"
 #include "serve/harness.hpp"
 #include "serve/scenario.hpp"
+#include "test_helpers.hpp"
 #include "trace/generator.hpp"
 
 namespace farmer {
@@ -209,6 +211,62 @@ TEST(ServingDeterminism, SeedChangesWorkload) {
               r1.cache.demand.numerator() != r2.cache.demand.numerator() ||
               r1.sim_duration != r2.sim_duration);
 }
+
+// ------------------------------------------------------- fetch gate
+
+/// Serves `scenario` through FPA over each synchronous backend twice: once
+/// through FPA's residency-gated predict_fetchable(), once through a
+/// forwarder that overrides only predict(), so the MDS gets the ungated
+/// reference. Every observable must match, and the gated run must skip
+/// some (not all) of FPA's evidence passes. "concurrent" is left out: its
+/// serving results are not bit-repeatable from one run to the next. Scale
+/// 0.08, not tiny_spec's 0.04: at 0.04 "steady"'s cache holds the whole
+/// working set, so no candidate is ever fetchable and the comparison
+/// would never reach the ranking.
+void expect_gate_exact(const char* scenario) {
+  ScenarioSpec spec = scenario_spec(scenario);
+  spec.scale = 0.08;
+  spec.windows = 4;
+  const ScenarioWorkload wl = build_workload(spec);
+  const FarmerConfig cfg = cfg_for(wl.trace);
+  for (const char* backend : {"farmer", "sharded", "nexus"}) {
+    SCOPED_TRACE(std::string(scenario) + " over " + backend);
+    std::uint64_t gated_calls = 0, ungated_calls = 0;
+    FpaPredictor gated(std::make_unique<testing::EvidenceCountingMiner>(
+        make_miner(backend, cfg, wl.trace.dict), gated_calls));
+    testing::PredictOnlyForwarder ungated(std::make_unique<FpaPredictor>(
+        std::make_unique<testing::EvidenceCountingMiner>(
+            make_miner(backend, cfg, wl.trace.dict), ungated_calls)));
+    const ServingResult g = serve(spec, wl, gated);
+    const ServingResult u = serve(spec, wl, ungated);
+    expect_windows_identical(g.windows, u.windows);
+    EXPECT_EQ(g.requests, u.requests);
+    EXPECT_EQ(g.cache.demand.numerator(), u.cache.demand.numerator());
+    EXPECT_EQ(g.cache.demand.denominator(), u.cache.demand.denominator());
+    EXPECT_EQ(g.cache.prefetch_inserted, u.cache.prefetch_inserted);
+    EXPECT_EQ(g.cache.prefetch_used, u.cache.prefetch_used);
+    EXPECT_EQ(g.cache.prefetch_evicted_unused,
+              u.cache.prefetch_evicted_unused);
+    EXPECT_EQ(g.cache.evictions, u.cache.evictions);
+    EXPECT_EQ(g.prefetch_batches, u.prefetch_batches);
+    EXPECT_EQ(g.duplicate_suppressed, u.duplicate_suppressed);
+    EXPECT_EQ(g.sim_duration, u.sim_duration);
+    EXPECT_EQ(g.response.mean(), u.response.mean());
+    EXPECT_EQ(g.response.p99(), u.response.p99());
+    EXPECT_GT(g.prefetch_batches, 0u);
+    EXPECT_GT(gated_calls, 0u);
+    EXPECT_LT(gated_calls, ungated_calls)
+        << "the MDS no longer gates FPA's evidence pass";
+  }
+}
+
+TEST(ServingFetchGate, SteadyMatchesUngated) { expect_gate_exact("steady"); }
+
+TEST(ServingFetchGate, FlashCrowdMatchesUngated) {
+  expect_gate_exact("flash_crowd");
+}
+
+TEST(ServingFetchGate, ChurnMatchesUngated) { expect_gate_exact("churn"); }
 
 // ---------------------------------------------------- WindowStats contract
 
