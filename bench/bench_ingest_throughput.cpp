@@ -500,56 +500,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ------------------------------------------------------ cluster backend --
-  // The message-passing deployment shape priced against its local
-  // equivalent: N shard servers behind loopback transports vs one
-  // ShardedFarmer with the same partition count. Loopback carries no real
-  // network, so the sharded/cluster delta is pure protocol cost (encode +
-  // frame + queue hop + decode + ack). The pipeline=1 row awaits every ack
-  // before sending the next batch — the gap to the default row is what
-  // request pipelining buys.
-  Table cluster_tbl({"scenario", "records", "seconds", "records/s"});
-  {
-    const std::size_t cshards = opts.cluster_shards;
-    const std::size_t n = trace.records.size();
-    const auto chunked_replay = [&](CorrelationMiner& miner) {
-      const auto start = std::chrono::steady_clock::now();
-      constexpr std::size_t kChunk = 256;
-      for (std::size_t i = 0; i < n; i += kChunk) {
-        const std::size_t len = std::min(kChunk, n - i);
-        miner.observe_batch(
-            std::span<const TraceRecord>(&trace.records[i], len));
-      }
-      miner.flush();
-      const auto end = std::chrono::steady_clock::now();
-      return std::chrono::duration<double>(end - start).count();
-    };
-    const auto add_cluster_row = [&](const std::string& label, double secs) {
-      cluster_tbl.add_row({label, std::to_string(n), fmt_double(secs, 3),
-                           fmt_double(static_cast<double>(n) / secs, 0)});
-    };
-    {
-      MinerOptions sopts = opts;
-      sopts.shards = cshards;
-      const auto miner = make_miner("sharded", cfg, trace.dict, sopts);
-      add_cluster_row("sharded x" + std::to_string(cshards) + " (local)",
-                      chunked_replay(*miner));
-    }
-    {
-      const auto miner = make_miner("cluster", cfg, trace.dict, opts);
-      add_cluster_row("cluster x" + std::to_string(cshards) + " (loopback)",
-                      chunked_replay(*miner));
-    }
-    {
-      MinerOptions sync = opts;
-      sync.cluster_pipeline = 1;
-      const auto miner = make_miner("cluster", cfg, trace.dict, sync);
-      add_cluster_row(
-          "cluster x" + std::to_string(cshards) + " (pipeline=1)",
-          chunked_replay(*miner));
-    }
-  }
-
   // ------------------------------------------------- durable persistence --
   // The first column is the row's identity for bench_diff. All persist
   // scenarios share one temp tree (cleaned before and after); ingest rows
@@ -790,8 +740,6 @@ int main(int argc, char** argv) {
     std::cout << ", ";
     tenants_tbl.print_json(std::cout, "multi_tenant");
     std::cout << ", ";
-    cluster_tbl.print_json(std::cout, "cluster");
-    std::cout << ", ";
     recovery.print_json(std::cout, "recovery");
     std::cout << ", ";
     disk_replay.print_json(std::cout, "disk_replay");
@@ -806,13 +754,6 @@ int main(int argc, char** argv) {
                "\"concurrent\" miner vs the \"router\" backend with one "
                "concurrent child per tenant:\n\n";
   tenants_tbl.print(std::cout);
-
-  std::cout << "\nCluster backend: N loopback shard servers vs a local "
-               "ShardedFarmer with the same partition count (the delta is "
-               "pure protocol cost — no real network under loopback); the "
-               "pipeline=1 row awaits every ack, so its gap to the default "
-               "row is what request pipelining buys:\n\n";
-  cluster_tbl.print(std::cout);
 
   std::cout << "\nDurable persistence: WAL + checkpoint overhead on the "
                "ingest path, checkpoint save cost, and recovery wall-clock "

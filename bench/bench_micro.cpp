@@ -16,7 +16,6 @@
 #include "core/cominer.hpp"
 #include "core/extractor.hpp"
 #include "core/farmer.hpp"
-#include "kvstore/btree.hpp"
 #include "vsm/similarity.hpp"
 
 namespace {
@@ -304,25 +303,6 @@ void BM_CacheAccess(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CacheAccess);
-
-void BM_BTreeGet(benchmark::State& state) {
-  BTreeStore t;
-  for (std::uint64_t k = 0; k < 100000; ++k) t.put(k, "metadata-blob");
-  Rng rng(3);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(t.get(rng.next_below(100000)));
-  }
-}
-BENCHMARK(BM_BTreeGet);
-
-void BM_BTreePut(benchmark::State& state) {
-  BTreeStore t;
-  std::uint64_t k = 0;
-  for (auto _ : state) {
-    t.put(k++, "metadata-blob");
-  }
-}
-BENCHMARK(BM_BTreePut);
 
 void BM_EndToEndReplay(benchmark::State& state) {
   // Whole-pipeline throughput: events per second through FPA + cache.

@@ -67,7 +67,7 @@ inline FarmerConfig fpa_config(const Trace& trace) {
 }
 
 /// Mining backend behind every bench's FPA, selected at runtime:
-///   FARMER_MINER=farmer|sharded|concurrent|router|nexus|cluster
+///   FARMER_MINER=farmer|sharded|concurrent|router|nexus
 ///                               (default "farmer")
 ///   FARMER_SHARDS=<n>           (default 4, "sharded"/"concurrent")
 ///   FARMER_INGEST_THREADS=<n>   (default 4, "concurrent" producer slots)
@@ -98,15 +98,6 @@ inline FarmerConfig fpa_config(const Trace& trace) {
 ///   FARMER_WAL_GROUP_COMMIT=<n> (default backend = 4096, WAL commit-group
 ///                                size in records; closed groups fsync on
 ///                                a background sync thread)
-///   FARMER_CLUSTER_SHARDS=<n>   (default 2, "cluster" shard servers)
-///   FARMER_CLUSTER_TRANSPORT=<s> (default "loopback": the only registered
-///                                transport — in-process shard servers)
-///   FARMER_CLUSTER_TIMEOUT_MS=<n> (default backend = 2000, per-attempt
-///                                response deadline of a cluster request)
-///   FARMER_CLUSTER_RETRIES=<n>  (default 2, re-sends before a cluster
-///                                request fails; retries are idempotent)
-///   FARMER_CLUSTER_PIPELINE=<n> (default backend = 64, un-acked requests
-///                                in flight per shard channel)
 /// so ablations over the backend are a flag, not a recompile. The README's
 /// configuration table is the authoritative reference for these knobs;
 /// parsing lives in RuntimeConfig.

@@ -302,9 +302,9 @@ class CorrelationMiner {
   /// with one fused walk over its shards; "concurrent" runs the same walk
   /// over a single published shard table, so all fields of one call come
   /// from one epoch; the durability decorator forwards to the backend it
-  /// wraps. "farmer", "nexus", "router" (which routes access_count(b) by
-  /// b's tenant, not a's) and "cluster" (no batched wire operation) keep
-  /// the default. Same thread-safety contract as snapshot().
+  /// wraps. "farmer", "nexus" and "router" (which routes access_count(b)
+  /// by b's tenant, not a's) keep the default. Same thread-safety contract
+  /// as snapshot().
   virtual void candidate_evidence(FileId a,
                                   std::span<const Correlator> candidates,
                                   std::span<PairEvidence> out) const {

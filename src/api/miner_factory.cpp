@@ -10,9 +10,6 @@
 #include "core/concurrent_farmer.hpp"
 #include "core/farmer.hpp"
 #include "core/sharded_farmer.hpp"
-#include "net/cluster_miner.hpp"
-#include "net/shard_server.hpp"
-#include "net/transport.hpp"
 #include "persist/durable_miner.hpp"
 #include "persist/persister.hpp"
 
@@ -138,52 +135,6 @@ Registry& registry() {
                                                 opts.publish_max_delay_ms,
                                                 std::move(persister),
                                                 opts.apply_threads);
-    };
-    built_in["cluster"] = [](const FarmerConfig& cfg,
-                             std::shared_ptr<const TraceDictionary> dict,
-                             const MinerOptions& opts)
-        -> std::unique_ptr<CorrelationMiner> {
-      // Distributed deployment shape run in-process: N shard servers, each
-      // hosting one Farmer behind a message-passing transport, fronted by
-      // the ClusterMiner client. Only the "loopback" transport ships; the
-      // spec is validated here so a future socket transport extends this
-      // branch instead of changing callers.
-      if (!opts.cluster_transport.empty() &&
-          opts.cluster_transport != "loopback")
-        throw std::invalid_argument(
-            "make_miner: unknown cluster transport \"" +
-            opts.cluster_transport + "\" (known: loopback)");
-      const std::size_t shards = std::max<std::size_t>(opts.cluster_shards, 1);
-      std::vector<std::unique_ptr<net::Transport>> transports;
-      std::vector<std::unique_ptr<net::ShardServer>> servers;
-      transports.reserve(shards);
-      servers.reserve(shards);
-      for (std::size_t s = 0; s < shards; ++s) {
-        auto [client_end, server_end] = net::make_loopback_pair();
-        net::ShardServer::Options sopts;
-        // Persistence fans out per shard, like the router's per-tenant
-        // subdirectories: each shard server owns and recovers its own
-        // durable state.
-        if (!opts.persist_dir.empty()) {
-          sopts.persist_dir =
-              opts.persist_dir + "/shard" + std::to_string(s);
-          sopts.checkpoint_interval_records = opts.checkpoint_interval_records;
-          sopts.wal_group_commit = opts.wal_group_commit;
-        }
-        servers.push_back(std::make_unique<net::ShardServer>(
-            cfg, dict, std::move(server_end), std::move(sopts)));
-        transports.push_back(std::move(client_end));
-      }
-      net::ClusterOptions copts;
-      if (opts.cluster_timeout_ms != 0)
-        copts.request_timeout =
-            std::chrono::milliseconds(opts.cluster_timeout_ms);
-      copts.max_retries = opts.cluster_retries;
-      if (opts.cluster_pipeline != 0)
-        copts.max_outstanding = opts.cluster_pipeline;
-      return std::make_unique<net::ClusterMiner>(cfg, std::move(dict),
-                                                 std::move(transports), copts,
-                                                 std::move(servers));
     };
     return built_in;
   }();

@@ -1,13 +1,12 @@
 // Runtime-selectable mining backends.
 //
-// `make_miner("farmer" | "sharded" | "concurrent" | "router" | "nexus" |
-// "cluster", cfg, dict, opts)` turns the backend choice into data: benches
-// flip
+// `make_miner("farmer" | "sharded" | "concurrent" | "router" | "nexus",
+// cfg, dict, opts)` turns the backend choice into data: benches flip
 // ablations (Table 2/3, Fig. 3/6) with a string flag instead of a
-// recompiled type, and later scaling PRs (remote shards, multi-backend
-// serving) register themselves via `register_miner` without touching any
-// consumer. "router" is itself factory-driven: it builds one child miner
-// per tenant through this registry (api/miner_router.hpp).
+// recompiled type, and a new backend registers itself via `register_miner`
+// without touching any consumer. "router" is itself factory-driven: it
+// builds one child miner per tenant through this registry
+// (api/miner_router.hpp).
 //
 // The configuration is validated (FarmerConfig::validate) before any
 // backend is constructed; a bad config or an unknown backend name throws
@@ -93,28 +92,6 @@ struct MinerOptions {
   /// (0 = backend default, 4096; 1 = fsync every record).
   /// Env: FARMER_WAL_GROUP_COMMIT.
   std::size_t wal_group_commit = 0;
-  /// Shard servers for the "cluster" backend: the record stream is
-  /// partitioned by process id (ShardedFarmer::shard_of) across this many
-  /// shard servers, each hosting one Farmer behind a message-passing
-  /// transport. Env: FARMER_CLUSTER_SHARDS.
-  std::size_t cluster_shards = 2;
-  /// Transport spec for "cluster". Only "loopback" (in-process channels —
-  /// CI needs no network) is registered; empty = "loopback". A socket
-  /// transport extends the factory branch under the same option.
-  /// Env: FARMER_CLUSTER_TRANSPORT.
-  std::string cluster_transport;
-  /// Per-attempt response deadline for cluster requests, in milliseconds
-  /// (0 = backend default, 2000). Worst-case latency of one request is
-  /// (1 + retries) * timeout. Env: FARMER_CLUSTER_TIMEOUT_MS.
-  std::size_t cluster_timeout_ms = 0;
-  /// Re-sends after the first attempt before a cluster request fails with
-  /// std::runtime_error. Retries are idempotent: the shard server
-  /// deduplicates by request id. Env: FARMER_CLUSTER_RETRIES.
-  std::size_t cluster_retries = 2;
-  /// Pipelining depth per shard channel: un-acked observe_batch requests
-  /// in flight before ingest awaits the oldest ack (0 = backend default,
-  /// 64). Env: FARMER_CLUSTER_PIPELINE.
-  std::size_t cluster_pipeline = 0;
   /// Optional tenant-extraction override for "router": maps a FileId to
   /// its owning tenant; must be pure and thread-safe. Empty = contiguous
   /// FileId ranges over the dictionary's file count (hash fallback when
@@ -128,9 +105,9 @@ using MinerFactoryFn = std::function<std::unique_ptr<CorrelationMiner>(
     const MinerOptions& opts)>;
 
 /// Adds (or replaces) a backend under `name`. Returns true when `name` was
-/// new. Built-ins "farmer", "sharded", "concurrent", "router", "nexus" and
-/// "cluster" are pre-registered. This is the extension seam for new backends (remote
-/// shards, multi-backend serving, ...) — see docs/ARCHITECTURE.md.
+/// new. Built-ins "farmer", "sharded", "concurrent", "router" and "nexus"
+/// are pre-registered. This is the extension seam for new backends — see
+/// docs/ARCHITECTURE.md.
 ///
 /// A registered factory must return miners honoring the CorrelationMiner
 /// contracts (correlation_miner.hpp): in particular flush() must be a real

@@ -67,15 +67,6 @@ RuntimeConfig RuntimeConfig::from_env() {
              rc.miner.checkpoint_interval_records, /*max_value=*/1u << 30);
   parse_size("FARMER_WAL_GROUP_COMMIT", rc.miner.wal_group_commit,
              /*max_value=*/1u << 30);
-  parse_size("FARMER_CLUSTER_SHARDS", rc.miner.cluster_shards,
-             /*max_value=*/1024);
-  parse_string("FARMER_CLUSTER_TRANSPORT", rc.miner.cluster_transport);
-  parse_size("FARMER_CLUSTER_TIMEOUT_MS", rc.miner.cluster_timeout_ms,
-             /*max_value=*/600000);
-  parse_size("FARMER_CLUSTER_RETRIES", rc.miner.cluster_retries,
-             /*max_value=*/100);
-  parse_size("FARMER_CLUSTER_PIPELINE", rc.miner.cluster_pipeline,
-             /*max_value=*/1u << 20);
 
   parse_string("FARMER_PREDICTOR", rc.predictor);
   // The predictor options mirror the miner selection so "fpa" built through

@@ -54,8 +54,8 @@ struct RuntimeConfig {
   /// FARMER_SHARDS / FARMER_INGEST_THREADS / FARMER_APPLY_THREADS /
   /// FARMER_QUERY_CACHE / FARMER_MAX_PENDING / FARMER_PUBLISH_INTERVAL /
   /// FARMER_PUBLISH_MAX_DELAY_MS / FARMER_ROUTER_* / FARMER_PERSIST_DIR /
-  /// FARMER_CHECKPOINT_INTERVAL / FARMER_WAL_GROUP_COMMIT /
-  /// FARMER_CLUSTER_* — see MinerOptions field docs.
+  /// FARMER_CHECKPOINT_INTERVAL / FARMER_WAL_GROUP_COMMIT — see
+  /// MinerOptions field docs.
   MinerOptions miner;
   /// FARMER_PREDICTOR: prefetch policy name resolved through the
   /// PredictorFactory ("fpa", "nexus", ..., "none").

@@ -150,15 +150,16 @@ class ShardedFarmer final : public CorrelationMiner {
   // are allocation-free apart from the returned list). `*element` must
   // dereference to `const Farmer&`.
 
-  /// The merge-rule kernel over an already-concatenated list (per-shard
-  /// lists appended in shard order): sort by descending degree (file id
-  /// breaks ties), deduplicate keeping the strongest shard's entry, cap at
-  /// `capacity`. Split out from merged_correlators so consumers that fetch
-  /// shard lists remotely (the "cluster" client, net/cluster_miner.*) run
-  /// the exact same arithmetic on the exact same input order — which is
-  /// what keeps cluster queries byte-identical to sharded ones.
-  [[nodiscard]] static std::vector<Correlator> merge_concatenated(
-      std::vector<Correlator> merged, std::size_t capacity) {
+  /// Merged Correlator List: concatenate per-shard lists in shard order,
+  /// sort by descending degree (file id breaks ties), deduplicate keeping
+  /// the strongest shard's entry, cap at `capacity`.
+  template <typename ShardRange>
+  [[nodiscard]] static std::vector<Correlator> merged_correlators(
+      const ShardRange& shards, FileId f, std::size_t capacity) {
+    std::vector<Correlator> merged;
+    for (const auto& shard : shards)
+      for (const Correlator& c : shard->correlator_list(f))
+        merged.push_back(c);
     std::sort(merged.begin(), merged.end(),
               [](const Correlator& a, const Correlator& b) {
                 if (a.degree != b.degree) return a.degree > b.degree;
@@ -174,18 +175,6 @@ class ShardedFarmer final : public CorrelationMiner {
       if (out.size() >= capacity) break;
     }
     return out;
-  }
-
-  /// Merged Correlator List: concatenate per-shard lists in shard order,
-  /// then apply merge_concatenated.
-  template <typename ShardRange>
-  [[nodiscard]] static std::vector<Correlator> merged_correlators(
-      const ShardRange& shards, FileId f, std::size_t capacity) {
-    std::vector<Correlator> merged;
-    for (const auto& shard : shards)
-      for (const Correlator& c : shard->correlator_list(f))
-        merged.push_back(c);
-    return merge_concatenated(std::move(merged), capacity);
   }
 
   /// Strongest per-shard R(a, b) — consistent with the merge rule.

@@ -1,9 +1,9 @@
 #include "kvstore/log_store.hpp"
 
 #include <cstring>
+#include <filesystem>
 #include <map>
 #include <stdexcept>
-#include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -107,34 +107,15 @@ void LogStore::replay() {
     valid_end = std::ftell(f);
   }
   std::fclose(f);
-  // Truncate any torn tail so future appends start at a clean boundary.
-  if (valid_end >= 0) {
-    std::FILE* t = std::fopen(path_.c_str(), "rb+");
-    if (t != nullptr) {
-      std::fseek(t, 0, SEEK_END);
-      if (std::ftell(t) != valid_end) {
-        std::fclose(t);
-        // ftruncate via reopen-and-copy is portable but wasteful; use the
-        // POSIX call through stdio's fileno-free fallback: rewrite file.
-        std::FILE* in = std::fopen(path_.c_str(), "rb");
-        std::vector<char> keep(static_cast<std::size_t>(valid_end));
-        if (in != nullptr) {
-          const std::size_t got = keep.empty()
-                                      ? 0
-                                      : std::fread(keep.data(), 1,
-                                                   keep.size(), in);
-          std::fclose(in);
-          std::FILE* out = std::fopen(path_.c_str(), "wb");
-          if (out != nullptr) {
-            if (got > 0) std::fwrite(keep.data(), 1, got, out);
-            std::fclose(out);
-          }
-        }
-      } else {
-        std::fclose(t);
-      }
-    }
-  }
+  // Cut any torn tail in place so future appends start at a clean
+  // boundary. Shrinking never rewrites the valid prefix, so a failure
+  // cannot lose a durable record; it throws
+  // std::filesystem::filesystem_error.
+  if (valid_end >= 0 &&
+      std::filesystem::file_size(path_) !=
+          static_cast<std::uintmax_t>(valid_end))
+    std::filesystem::resize_file(path_,
+                                 static_cast<std::uintmax_t>(valid_end));
 }
 
 void LogStore::append(std::uint8_t op, std::uint64_t key,

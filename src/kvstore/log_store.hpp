@@ -1,4 +1,6 @@
-// Append-only persistent log store with crash recovery.
+// Append-only persistent log store with crash recovery — the Berkeley DB
+// stand-in behind the persistence WAL. Keys are 64-bit; values are opaque
+// byte strings.
 //
 // Every put/erase appends a checksummed record to a log file; an in-memory
 // hash index maps keys to their latest value. On open, the log is replayed
@@ -7,15 +9,17 @@
 // `compact()` rewrites the log keeping only live entries.
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
+#include <functional>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
-
-#include "kvstore/kvstore.hpp"
 
 namespace farmer {
 
-class LogStore final : public KvStore {
+class LogStore {
  public:
   /// How far `sync()` pushes appended records.
   enum class Durability {
@@ -38,18 +42,21 @@ class LogStore final : public KvStore {
   explicit LogStore(std::string path,
                     Durability durability = Durability::kBuffered,
                     IndexMode index_mode = IndexMode::kIndexed);
-  ~LogStore() override;
+  ~LogStore();
   LogStore(const LogStore&) = delete;
   LogStore& operator=(const LogStore&) = delete;
 
-  void put(std::uint64_t key, std::string_view value) override;
-  [[nodiscard]] std::optional<std::string> get(
-      std::uint64_t key) const override;
-  bool erase(std::uint64_t key) override;
-  [[nodiscard]] std::size_t size() const override { return index_.size(); }
+  /// Inserts or overwrites.
+  void put(std::uint64_t key, std::string_view value);
+  /// Point lookup.
+  [[nodiscard]] std::optional<std::string> get(std::uint64_t key) const;
+  /// Deletes if present; returns whether a value was removed.
+  bool erase(std::uint64_t key);
+  [[nodiscard]] std::size_t size() const { return index_.size(); }
+  /// In-order scan over [lo, hi]; `fn` returns false to stop early.
   void scan(std::uint64_t lo, std::uint64_t hi,
             const std::function<bool(std::uint64_t, std::string_view)>& fn)
-      const override;
+      const;
 
   /// Flushes buffered appends to the OS; in `Durability::kFsync` mode also
   /// fdatasync()s them to stable storage before returning.

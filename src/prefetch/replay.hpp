@@ -4,8 +4,8 @@
 // fetches: every demand miss populates the cache immediately and every
 // prediction is prefetched immediately. This isolates the *policy* effects
 // (hit ratio, prefetch accuracy, pollution) from queueing effects; the DES
-// cluster in src/storage adds the latency dimension for the response-time
-// figures.
+// replay through serve() (src/serve/harness.hpp) drives the MDS in
+// src/storage and adds the latency dimension for the response-time figures.
 #pragma once
 
 #include <functional>

@@ -41,7 +41,6 @@ ServingResult serve(const ScenarioSpec& spec, const ScenarioWorkload& wl,
   mcfg.disk_servers = spec.disk_servers;
   mcfg.batch_prefetch = spec.batch_prefetch;
   MdsServer mds(sim, mcfg, predictor);
-  mds.populate(wl.trace.file_count());
 
   // Serving time starts at 0 at the first served record; arrivals and churn
   // events share the spec's time_scale.

@@ -1,7 +1,5 @@
 #include "storage/mds.hpp"
 
-#include <string>
-
 namespace farmer {
 
 MdsServer::MdsServer(Simulator& sim, MdsConfig cfg, Predictor& predictor)
@@ -11,16 +9,6 @@ MdsServer::MdsServer(Simulator& sim, MdsConfig cfg, Predictor& predictor)
       cache_(cfg.cache_capacity, cfg.policy),
       disk_(sim, cfg.disk_servers),
       rng_(cfg.seed) {}
-
-void MdsServer::populate(std::size_t file_count) {
-  // One metadata record per file: a fixed-shape blob standing in for the
-  // inode/object descriptor HUSt keeps in Berkeley DB.
-  std::string blob(96, '\0');
-  for (std::size_t i = 0; i < file_count; ++i) {
-    blob.replace(0, 8, reinterpret_cast<const char*>(&i), 8);
-    table_.put(i, blob);
-  }
-}
 
 SimTime MdsServer::fetch_time() {
   const SimTime jitter = cfg_.db_fetch_jitter > 0
@@ -64,8 +52,6 @@ void MdsServer::handle_demand(const TraceRecord& rec, ResponseFn respond) {
         respond(sim_.now() + cfg_.cpu_time - arrival);
       });
   disk_.submit(ServiceStation::kDemand, fetch_time(), [this, file] {
-    // Verify the record exists in the table — the fetch we just paid for.
-    (void)table_.get(file.value());
     cache_.insert_demand(file);
     auto waiters = std::move(inflight_[file]);
     inflight_.erase(file);
@@ -104,7 +90,6 @@ void MdsServer::issue_prefetch(const TraceRecord& rec) {
         static_cast<SimTime>(to_fetch.size() - 1) * cfg_.seq_fetch_time;
     disk_.submit(ServiceStation::kPrefetch, t, [this, to_fetch] {
       for (FileId f : to_fetch) {
-        (void)table_.get(f.value());
         cache_.insert_prefetch(f);
         auto waiters = std::move(inflight_[f]);
         inflight_.erase(f);
@@ -114,7 +99,6 @@ void MdsServer::issue_prefetch(const TraceRecord& rec) {
   } else {
     for (FileId f : to_fetch) {
       disk_.submit(ServiceStation::kPrefetch, fetch_time(), [this, f] {
-        (void)table_.get(f.value());
         cache_.insert_prefetch(f);
         auto waiters = std::move(inflight_[f]);
         inflight_.erase(f);

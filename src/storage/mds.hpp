@@ -1,7 +1,8 @@
 // Metadata server (MDS) — the HUSt component FARMER plugs into.
 //
-// The MDS serves metadata lookups from a bounded cache backed by a KV store
-// (the Berkeley DB stand-in). Misses go to a disk/DB service station.
+// The MDS serves metadata lookups from a bounded cache. A miss goes to a
+// disk/DB service station and costs `db_fetch_time`: that is the whole
+// model of HUSt's Berkeley DB lookup, since no output reads the record.
 // After answering a demand request the MDS consults its predictor and issues
 // a *batched* prefetch for the predicted correlator group at low priority —
 // the paper's two-queue, demand-over-prefetch scheduling model (Section 4.1).
@@ -10,6 +11,7 @@
 // or prefetch) join the in-flight operation instead of re-hitting the disk.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -17,7 +19,6 @@
 #include "cache/metadata_cache.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
-#include "kvstore/btree.hpp"
 #include "prefetch/predictor.hpp"
 #include "sim/service_station.hpp"
 #include "sim/simulator.hpp"
@@ -45,9 +46,6 @@ class MdsServer {
 
   MdsServer(Simulator& sim, MdsConfig cfg, Predictor& predictor);
 
-  /// Loads the metadata table (one KV record per file).
-  void populate(std::size_t file_count);
-
   /// Client-facing entry point: a demand metadata request for `rec.file`
   /// arriving now. `respond` fires when the reply leaves the MDS.
   void handle_demand(const TraceRecord& rec, ResponseFn respond);
@@ -60,9 +58,6 @@ class MdsServer {
 
   [[nodiscard]] const MetadataCache& cache() const noexcept { return cache_; }
   [[nodiscard]] const ServiceStation& disk() const noexcept { return disk_; }
-  [[nodiscard]] const BTreeStore& metadata_table() const noexcept {
-    return table_;
-  }
   [[nodiscard]] std::uint64_t prefetch_batches() const noexcept {
     return prefetch_batches_;
   }
@@ -81,7 +76,6 @@ class MdsServer {
   Predictor& predictor_;
   MetadataCache cache_;
   ServiceStation disk_;
-  BTreeStore table_;
   Rng rng_;
 
   // In-flight fetches: file -> callbacks waiting for it to land.

@@ -4,8 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
-#include <filesystem>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -16,9 +14,6 @@
 #include "api/miner_factory.hpp"
 #include "api/miner_router.hpp"
 #include "core/farmer.hpp"
-#include "core/sharded_farmer.hpp"
-#include "net/cluster_miner.hpp"
-#include "persist/checkpoint.hpp"
 #include "trace/generator.hpp"
 #include "test_helpers.hpp"
 
@@ -823,120 +818,6 @@ TEST(CorrelatorView, MoveTransfersOwnedStorage) {
   const CorrelatorView moved = std::move(snap);
   EXPECT_EQ(moved.size(), n);
   EXPECT_TRUE(moved.owns_storage());
-}
-
-// ----------------------------------------------- cluster differential ----
-
-// The tentpole gate of the distributed backend: "cluster" over the
-// loopback transport, flushed, must answer byte-identically to "sharded"
-// on the same stream — same partitioning, same per-shard models, same
-// merge arithmetic, with every float crossing the wire as a raw bit
-// pattern. Compares the full query surface bitwise AND the serialized
-// per-shard model blobs byte-for-byte.
-TEST(ClusterDifferential, LoopbackFlushThenQueryMatchesSharded) {
-  const Trace t = make_paper_trace(TraceKind::kHP, 17, 0.02);
-  const FarmerConfig cfg;
-  MinerOptions opts;
-  opts.shards = 3;
-  opts.cluster_shards = 3;
-  const auto sharded = make_miner("sharded", cfg, t.dict, opts);
-  const auto cluster = make_miner("cluster", cfg, t.dict, opts);
-  EXPECT_STREQ(cluster->name(), "cluster");
-
-  constexpr std::size_t kChunk = 128;
-  for (std::size_t i = 0; i < t.records.size(); i += kChunk) {
-    const std::size_t n = std::min(kChunk, t.records.size() - i);
-    const std::span<const TraceRecord> chunk(&t.records[i], n);
-    sharded->observe_batch(chunk);
-    cluster->observe_batch(chunk);
-  }
-  cluster->flush();
-
-  const auto files = static_cast<std::uint32_t>(t.dict->files.size());
-  for (std::uint32_t f = 0; f < files; ++f) {
-    const FileId id(f);
-    ASSERT_EQ(sharded->access_count(id), cluster->access_count(id))
-        << "file " << f;
-    const CorrelatorView ls = sharded->snapshot(id);
-    const CorrelatorView lc = cluster->snapshot(id);
-    ASSERT_EQ(ls.size(), lc.size()) << "file " << f;
-    for (std::size_t i = 0; i < ls.size(); ++i) {
-      EXPECT_EQ(ls[i].file, lc[i].file) << "file " << f << " slot " << i;
-      EXPECT_EQ(std::bit_cast<std::uint32_t>(ls[i].degree),
-                std::bit_cast<std::uint32_t>(lc[i].degree))
-          << "file " << f << " slot " << i;
-    }
-  }
-  for (std::uint32_t a = 0; a < files; a += 13) {
-    for (std::uint32_t b = 0; b < files; b += 31) {
-      const FileId fa(a), fb(b);
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(
-                    sharded->correlation_degree(fa, fb)),
-                std::bit_cast<std::uint64_t>(
-                    cluster->correlation_degree(fa, fb)));
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(
-                    sharded->semantic_similarity(fa, fb)),
-                std::bit_cast<std::uint64_t>(
-                    cluster->semantic_similarity(fa, fb)));
-      EXPECT_EQ(
-          std::bit_cast<std::uint64_t>(sharded->access_frequency(fa, fb)),
-          std::bit_cast<std::uint64_t>(cluster->access_frequency(fa, fb)));
-    }
-  }
-
-  const MinerStats ss = sharded->stats();
-  const MinerStats sc = cluster->stats();
-  EXPECT_EQ(ss.requests, sc.requests);
-  EXPECT_EQ(ss.pairs_evaluated, sc.pairs_evaluated);
-  EXPECT_EQ(ss.pairs_accepted, sc.pairs_accepted);
-  EXPECT_EQ(ss.pairs_filtered, sc.pairs_filtered);
-  EXPECT_EQ(sc.shards, 3u);
-  EXPECT_EQ(sc.pending, 0u);
-
-  // Serialized-model gate: each remote shard's full model state, exported
-  // over the wire, is byte-for-byte the blob the equivalent local sharded
-  // shard serializes to.
-  const auto* sh = dynamic_cast<const ShardedFarmer*>(sharded.get());
-  const auto* cl = dynamic_cast<const net::ClusterMiner*>(cluster.get());
-  ASSERT_NE(sh, nullptr);
-  ASSERT_NE(cl, nullptr);
-  ASSERT_EQ(sh->shard_count(), cl->shard_count());
-  for (std::size_t s = 0; s < sh->shard_count(); ++s)
-    EXPECT_EQ(persist::serialize_shard(sh->shard(s)),
-              cl->export_shard_model(s))
-        << "shard " << s;
-}
-
-// cluster save() writes a standard checkpoint a local sharded miner can
-// load(): the distributed model is portable back into one process.
-TEST(ClusterDifferential, SaveIsLoadableBySharded) {
-  const MicroTrace mt = fixed_trace();
-  MinerOptions opts;
-  opts.shards = 2;
-  opts.cluster_shards = 2;
-  const auto cluster = make_miner("cluster", FarmerConfig{}, mt.dict(), opts);
-  cluster->observe_batch(mt.records());
-  cluster->flush();
-
-  const std::string dir = ::testing::TempDir() + "cluster_save_load";
-  std::filesystem::remove_all(dir);
-  cluster->save(dir);
-  auto loaded = make_miner("sharded", FarmerConfig{}, mt.dict(), opts);
-  loaded->load(dir);
-  const auto files = static_cast<std::uint32_t>(mt.dict()->files.size());
-  for (std::uint32_t f = 0; f < files; ++f) {
-    const FileId id(f);
-    EXPECT_EQ(cluster->access_count(id), loaded->access_count(id));
-    const CorrelatorView a = cluster->snapshot(id);
-    const CorrelatorView b = loaded->snapshot(id);
-    ASSERT_EQ(a.size(), b.size()) << "file " << f;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].file, b[i].file);
-      EXPECT_EQ(std::bit_cast<std::uint32_t>(a[i].degree),
-                std::bit_cast<std::uint32_t>(b[i].degree));
-    }
-  }
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

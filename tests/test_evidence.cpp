@@ -88,7 +88,6 @@ TEST(CandidateEvidence, EveryBackendMatchesPointQueriesBitwise) {
     for (const std::string& name : registered_miners()) {
       MinerOptions opts;
       opts.shards = 4;
-      opts.cluster_shards = 3;
       opts.router_tenants = 2;
       // Mixed children: candidates of one tenant are routed by their own
       // tenant for access_count(b), by a's for the pair queries.

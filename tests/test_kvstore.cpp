@@ -1,135 +1,20 @@
-// Tests for the Berkeley-DB stand-ins: B+tree and the persistent log store.
+// Tests for the Berkeley-DB stand-in: the persistent log store.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <map>
-#include <string>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
-#include "common/rng.hpp"
-#include "kvstore/btree.hpp"
+#include <csignal>
+#include <cstdio>
+#include <filesystem>
+#include <string>
+#include <vector>
+
 #include "kvstore/log_store.hpp"
 
 namespace farmer {
 namespace {
-
-// ---------------------------------------------------------------- BTree --
-
-TEST(BTree, PutGetSingle) {
-  BTreeStore t;
-  t.put(1, "one");
-  ASSERT_TRUE(t.get(1).has_value());
-  EXPECT_EQ(*t.get(1), "one");
-  EXPECT_FALSE(t.get(2).has_value());
-  EXPECT_EQ(t.size(), 1u);
-}
-
-TEST(BTree, OverwriteKeepsSize) {
-  BTreeStore t;
-  t.put(1, "a");
-  t.put(1, "b");
-  EXPECT_EQ(t.size(), 1u);
-  EXPECT_EQ(*t.get(1), "b");
-}
-
-TEST(BTree, EraseRemoves) {
-  BTreeStore t;
-  t.put(1, "a");
-  EXPECT_TRUE(t.erase(1));
-  EXPECT_FALSE(t.erase(1));
-  EXPECT_FALSE(t.get(1).has_value());
-  EXPECT_EQ(t.size(), 0u);
-}
-
-TEST(BTree, HeightGrowsWithInserts) {
-  BTreeStore t;
-  EXPECT_EQ(t.height(), 1u);
-  for (std::uint64_t k = 0; k < 10000; ++k) t.put(k, "v");
-  EXPECT_GT(t.height(), 1u);
-  EXPECT_TRUE(t.check_invariants());
-}
-
-TEST(BTree, OrderedScanFullRange) {
-  BTreeStore t;
-  // Insert in reverse to exercise rebalancing order.
-  for (std::uint64_t k = 500; k-- > 0;) t.put(k, std::to_string(k));
-  std::uint64_t expect = 0;
-  t.scan(0, UINT64_MAX, [&](std::uint64_t k, std::string_view v) {
-    EXPECT_EQ(k, expect);
-    EXPECT_EQ(v, std::to_string(k));
-    ++expect;
-    return true;
-  });
-  EXPECT_EQ(expect, 500u);
-}
-
-TEST(BTree, ScanSubrangeInclusive) {
-  BTreeStore t;
-  for (std::uint64_t k = 0; k < 100; ++k) t.put(k * 2, "v");
-  std::vector<std::uint64_t> seen;
-  t.scan(10, 20, [&](std::uint64_t k, std::string_view) {
-    seen.push_back(k);
-    return true;
-  });
-  EXPECT_EQ(seen, (std::vector<std::uint64_t>{10, 12, 14, 16, 18, 20}));
-}
-
-TEST(BTree, ScanEarlyStop) {
-  BTreeStore t;
-  for (std::uint64_t k = 0; k < 100; ++k) t.put(k, "v");
-  int count = 0;
-  t.scan(0, UINT64_MAX, [&](std::uint64_t, std::string_view) {
-    return ++count < 5;
-  });
-  EXPECT_EQ(count, 5);
-}
-
-TEST(BTree, InvariantsHoldUnderRandomOps) {
-  BTreeStore t;
-  std::map<std::uint64_t, std::string> ref;
-  Rng rng(13);
-  for (int op = 0; op < 20000; ++op) {
-    const std::uint64_t k = rng.next_below(4000);
-    if (rng.next_bool(0.7)) {
-      const std::string v = "v" + std::to_string(op);
-      t.put(k, v);
-      ref[k] = v;
-    } else {
-      EXPECT_EQ(t.erase(k), ref.erase(k) > 0) << "op " << op;
-    }
-  }
-  ASSERT_TRUE(t.check_invariants());
-  ASSERT_EQ(t.size(), ref.size());
-  for (const auto& [k, v] : ref) {
-    auto got = t.get(k);
-    ASSERT_TRUE(got.has_value()) << k;
-    EXPECT_EQ(*got, v);
-  }
-  // Full scan equals the reference order.
-  auto it = ref.begin();
-  t.scan(0, UINT64_MAX, [&](std::uint64_t k, std::string_view v) {
-    EXPECT_EQ(k, it->first);
-    EXPECT_EQ(v, it->second);
-    ++it;
-    return true;
-  });
-  EXPECT_EQ(it, ref.end());
-}
-
-TEST(BTree, FootprintGrows) {
-  BTreeStore t;
-  const auto before = t.footprint_bytes();
-  for (std::uint64_t k = 0; k < 1000; ++k) t.put(k, "some value payload");
-  EXPECT_GT(t.footprint_bytes(), before);
-}
-
-TEST(BTree, ExtremeKeysWork) {
-  BTreeStore t;
-  t.put(0, "zero");
-  t.put(UINT64_MAX, "max");
-  EXPECT_EQ(*t.get(0), "zero");
-  EXPECT_EQ(*t.get(UINT64_MAX), "max");
-  EXPECT_TRUE(t.check_invariants());
-}
 
 // ------------------------------------------------------------- LogStore --
 
@@ -193,6 +78,55 @@ TEST_F(LogStoreTest, RecoversFromTornTail) {
   recovered.sync();
   LogStore again(path_);
   EXPECT_EQ(again.size(), 3u);
+}
+
+// Regression: replay cut a torn tail by reopening the log "wb" (length 0)
+// and writing the valid prefix back with an unchecked fwrite, so a failed
+// write, or a crash between the two, lost records that were already
+// durable. A child whose file-size limit is half the valid prefix makes
+// that rewrite fail with EFBIG; repairing in place never rewrites a byte.
+TEST_F(LogStoreTest, TornTailRepairKeepsEveryValidRecord) {
+  constexpr std::size_t kRecords = 64;
+  {
+    LogStore s(path_);
+    for (std::size_t i = 0; i < kRecords; ++i)
+      s.put(i, "record-" + std::to_string(i));
+    s.sync();
+  }
+  const std::uintmax_t valid_size = std::filesystem::file_size(path_);
+  {
+    std::FILE* f = std::fopen(path_.c_str(), "ab");
+    ASSERT_NE(f, nullptr);
+    const char junk[] = {0x13, 0x37, 0x00, 0x42};
+    ASSERT_EQ(std::fwrite(junk, 1, sizeof junk, f), sizeof junk);
+    std::fclose(f);
+  }
+
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    // Child: past the limit a write fails with EFBIG instead of raising
+    // SIGXFSZ. Opening the store runs the torn-tail repair.
+    std::signal(SIGXFSZ, SIG_IGN);
+    const rlim_t cap = static_cast<rlim_t>(valid_size / 2);
+    const rlimit lim{cap, cap};
+    if (::setrlimit(RLIMIT_FSIZE, &lim) != 0) ::_exit(4);
+    try {
+      LogStore s(path_);
+    } catch (...) {
+      ::_exit(2);
+    }
+    ::_exit(0);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0)
+      << "2: opening the store threw; 4: setrlimit failed";
+
+  LogStore reopened(path_);
+  EXPECT_EQ(reopened.recovered_records(), kRecords);
+  EXPECT_EQ(std::filesystem::file_size(path_), valid_size);
 }
 
 TEST_F(LogStoreTest, CompactionPreservesContents) {

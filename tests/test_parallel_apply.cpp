@@ -21,7 +21,6 @@
 
 #include "api/miner_factory.hpp"
 #include "core/sharded_farmer.hpp"
-#include "net/cluster_miner.hpp"
 #include "persist/checkpoint.hpp"
 #include "trace/generator.hpp"
 
@@ -154,36 +153,6 @@ TEST_P(ParallelApplyDifferential, ConcurrentDrainMatchesSerialObserve) {
     EXPECT_EQ(miner->stats().requests, mt.trace.records.size());
     EXPECT_EQ(miner->stats().pending, 0u);
   }
-}
-
-// "cluster": apply_threads is plumbed through MinerOptions to every
-// backend; the loopback deployment must stay byte-identical to the serial
-// reference with the option set (each shard server hosts a single Farmer,
-// so the option is inert there — but it must not perturb routing).
-TEST_P(ParallelApplyDifferential, ClusterUnperturbedByApplyThreads) {
-  const MultiTenantTrace mt = tenant_trace(GetParam());
-  const FarmerConfig cfg;
-  MinerOptions serial;
-  serial.shards = 3;
-  serial.cluster_shards = 3;
-  serial.apply_threads = 1;
-  const auto ref = make_miner("sharded", cfg, mt.trace.dict, serial);
-  for (const TraceRecord& r : mt.trace.records) ref->observe(r);
-  const auto* ref_sharded = dynamic_cast<const ShardedFarmer*>(ref.get());
-  ASSERT_NE(ref_sharded, nullptr);
-
-  MinerOptions opts = serial;
-  opts.apply_threads = 4;
-  const auto cluster = make_miner("cluster", cfg, mt.trace.dict, opts);
-  chunked_batches(*cluster, mt.trace.records, /*chunk=*/97);
-  const auto files = static_cast<std::uint32_t>(mt.trace.dict->files.size());
-  expect_same_query_surface(*ref, *cluster, files, "cluster");
-  const auto* cl = dynamic_cast<const net::ClusterMiner*>(cluster.get());
-  ASSERT_NE(cl, nullptr);
-  for (std::size_t s = 0; s < ref_sharded->shard_count(); ++s)
-    ASSERT_EQ(persist::serialize_shard(ref_sharded->shard(s)),
-              cl->export_shard_model(s))
-        << "cluster shard " << s;
 }
 
 // "farmer": the single-shard backend has no parallel path, but its

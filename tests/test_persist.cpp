@@ -26,7 +26,6 @@
 
 #include "api/miner_factory.hpp"
 #include "api/miner_router.hpp"
-#include "common/hash.hpp"
 #include "persist/persister.hpp"
 #include "trace/generator.hpp"
 
@@ -568,52 +567,6 @@ TEST(PersistKillAndRecover, Router) {
   recover_opts.persist_dir = dir.str();
   auto recovered =
       make_miner("router", test_cfg(), trace().dict, recover_opts);
-  expect_identical(*recovered, *reference);
-}
-
-TEST(PersistKillAndRecover, Cluster) {
-  (void)trace();
-  TempDir dir("persist_kill_cluster");
-  MinerOptions opts = persist_opts("");
-  opts.cluster_shards = 2;
-  // The child runs the whole distributed deployment in-process: SIGKILL
-  // takes down the cluster client AND every shard server mid-request.
-  const pid_t child = spawn_ingest_child("cluster", dir.str(), opts);
-  ASSERT_GT(child, 0);
-  // Shard subdirectories checkpoint independently; shard0's first committed
-  // checkpoint means the child is well past its first interval.
-  kill_after_first_checkpoint(child, dir.str() + "/shard0");
-
-  // Each shard's durable prefix is independent. Reconstruct the per-shard
-  // sub-streams with the cluster's own routing (mix64 of the process id —
-  // identical to ShardedFarmer::shard_of), and feed a sharded reference
-  // exactly the prefixes recovery will reproduce: the records route back
-  // to their original shards, so the models coincide bit for bit.
-  std::vector<std::vector<TraceRecord>> streams(2);
-  for (const TraceRecord& r : trace().records)
-    streams[static_cast<std::size_t>(mix64(r.process.value())) % 2]
-        .push_back(r);
-  MinerOptions ref_opts;
-  ref_opts.shards = 2;
-  auto reference = make_miner("sharded", test_cfg(), trace().dict, ref_opts);
-  for (std::size_t s = 0; s < 2; ++s) {
-    ASSERT_FALSE(streams[s].empty());
-    const persist::Recovery rec = persist::recover_dir(
-        dir.str() + "/shard" + std::to_string(s), test_cfg(),
-        trace().dict.get());
-    ASSERT_GT(rec.durable_records(), 0u) << "shard " << s;
-    for (std::uint64_t i = 0; i < rec.durable_records(); ++i)
-      reference->observe(streams[s][i % streams[s].size()]);
-  }
-  reference->flush();
-
-  // Reopening the cluster recovers every shard server from its own
-  // directory; the recovered distributed model answers byte-identically
-  // to the reference replay of the durable prefixes.
-  MinerOptions recover_opts = opts;
-  recover_opts.persist_dir = dir.str();
-  auto recovered =
-      make_miner("cluster", test_cfg(), trace().dict, recover_opts);
   expect_identical(*recovered, *reference);
 }
 

@@ -629,62 +629,6 @@ TEST(RouterStress, SnapshotsAndFlushesRaceAcrossTenants) {
   for (const MinerStats& ts : s.per_tenant) EXPECT_GT(ts.requests, 0u);
 }
 
-// ------------------------------------------------------ cluster stress --
-
-// The distributed backend under the full concurrent mix: racing producers
-// partitioned by process, readers hammering merged snapshots, and a
-// flusher thread exercising the cross-shard barrier — all against live
-// shard-server threads over loopback transports. Channel state is
-// mutex-per-shard; TSan failures here indict the client's pipelining or
-// the transport queues. Runs in the CI thread-sanitizer tier via the
-// ClusterStress.* filter.
-TEST(ClusterStress, ProducersQueriersAndFlusherRace) {
-  static const Trace t = make_paper_trace(TraceKind::kHP, 71, 0.02);
-  const FarmerConfig cfg;
-  constexpr std::size_t kProducers = 4;
-  MinerOptions opts;
-  opts.cluster_shards = 3;
-  const auto miner = make_miner("cluster", cfg, t.dict, opts);
-
-  const auto parts = testing::partition_by_process(t.records, kProducers);
-  std::atomic<bool> done{false};
-  std::vector<std::thread> aux;
-  for (int rdr = 0; rdr < 2; ++rdr) {
-    aux.emplace_back([&, rdr] {
-      Rng rng(static_cast<std::uint64_t>(1700 + rdr));
-      while (!done.load(std::memory_order_acquire)) {
-        const FileId f(
-            static_cast<std::uint32_t>(rng.next_below(t.file_count())));
-        const CorrelatorView view = miner->snapshot(f);
-        ASSERT_LE(view.size(), cfg.correlator_capacity);
-        for (std::size_t i = 0; i < view.size(); ++i) {
-          EXPECT_NE(view[i].file, f) << "self-correlation";
-          if (i > 0) {
-            EXPECT_GE(view[i - 1].degree, view[i].degree)
-                << "merged snapshot not sorted";
-          }
-        }
-      }
-    });
-  }
-  aux.emplace_back([&] {  // cross-shard barrier racing the producers
-    while (!done.load(std::memory_order_acquire)) {
-      miner->flush();
-      std::this_thread::yield();
-    }
-  });
-
-  testing::replay_partitioned(*miner, parts, /*chunk=*/32);
-  miner->flush();
-  done.store(true, std::memory_order_release);
-  for (auto& th : aux) th.join();
-
-  const MinerStats s = miner->stats();
-  EXPECT_EQ(s.requests, t.records.size());
-  EXPECT_EQ(s.shards, 3u);
-  EXPECT_EQ(s.pending, 0u);
-}
-
 // ------------------------------------------------------- LDA properties --
 
 TEST(LdaProperty, WeightsDecreaseWithDistance) {
