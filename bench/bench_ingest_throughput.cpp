@@ -27,22 +27,16 @@
 //      reader threads hammer snapshot() on Zipf-distributed hot files,
 //      across the RCU shard-table path, RCU + correlator cache, and RCU +
 //      coalesced publishes.
-//   4. Multi-tenant serving: a merged 2/4-tenant stream
-//      (make_multi_tenant_trace) replayed by 4 producers into one shared
-//      "concurrent" miner versus the "router" backend with one
-//      "concurrent" child per tenant (tenant map aligned to the trace's
-//      FileId ranges), with per-tenant request accounting from
-//      MinerStats::per_tenant.
-//   5. Durable persistence: steady-state ingest with the WAL + checkpoint
+//   4. Durable persistence: steady-state ingest with the WAL + checkpoint
 //      pipeline enabled vs the no-persist baseline (sharded and concurrent
 //      paths), the cost of one full-model checkpoint save, and recovery
 //      wall-clock from a checkpoint alone vs a checkpoint plus a WAL tail
 //      (~40% of the trace) that must be replayed.
-//   6. Disk replay (the out-of-core pipeline): a multi-tenant trace is
+//   5. Disk replay (the out-of-core pipeline): a multi-tenant trace is
 //      streamed to per-tenant v3 part files (stream_multi_tenant_trace),
 //      externally merged by timestamp (merge_trace_streams), then the
 //      merged file is mmap'd and its record span fed to every backend —
-//      sharded/concurrent/router, with and without WAL + checkpoints —
+//      sharded/concurrent, with and without WAL + checkpoints —
 //      next to an in-memory sharded baseline over the materialized trace.
 //      FARMER_TRACE_DIR / FARMER_TRACE_TENANTS / FARMER_TRACE_ROUNDS size
 //      and place the trace (see bench_util.hpp); with FARMER_TRACE_DIR set
@@ -56,7 +50,6 @@
 
 #include <atomic>
 #include <filesystem>
-#include <fstream>
 
 #include "common/stats.hpp"
 #include "common/zipf.hpp"
@@ -447,59 +440,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // -------------------------------------------------- multi-tenant router --
-  // The first column is the row's identity (bench_diff matches rows by it),
-  // so it carries both the tenant count and the serving layer.
-  Table tenants_tbl({"scenario", "records", "seconds", "records/s",
-                     "per-tenant requests"});
-  {
-    const TraceKind kTenantKinds[] = {TraceKind::kHP, TraceKind::kINS,
-                                      TraceKind::kRES, TraceKind::kHP};
-    for (const std::size_t ntenants : {2u, 4u}) {
-      const std::string nt = std::to_string(ntenants);
-      const MultiTenantTrace mt = make_multi_tenant_trace(
-          std::span<const TraceKind>(kTenantKinds, ntenants),
-          kExperimentSeed, bench_scale());
-      const FarmerConfig mcfg = fpa_config(mt.trace);
-      const auto mparts = partition_by_process(mt.trace, kProducers);
-      {
-        MinerOptions shared = opts;
-        shared.ingest_threads = kProducers;
-        const auto miner = make_miner("concurrent", mcfg, mt.trace.dict,
-                                      shared);
-        const double secs = concurrent_replay(*miner, mparts);
-        const MinerStats s = miner->stats();
-        tenants_tbl.add_row(
-            {nt + "t / concurrent (shared)", std::to_string(s.requests),
-             fmt_double(secs, 3),
-             fmt_double(static_cast<double>(s.requests) / secs, 0), "-"});
-      }
-      {
-        MinerOptions ropts = opts;
-        ropts.ingest_threads = kProducers;
-        ropts.router_tenants = ntenants;
-        ropts.router_backends = "concurrent";
-        // Align the router's tenant map with the trace's ground-truth
-        // FileId ranges (tenants are not equally sized, so the default
-        // equal-range split would misroute boundary files).
-        ropts.router_tenant_of = mt.tenant_map();
-        const auto miner = make_miner("router", mcfg, mt.trace.dict, ropts);
-        const double secs = concurrent_replay(*miner, mparts);
-        const MinerStats s = miner->stats();
-        std::string per_tenant;
-        for (const MinerStats& ts : s.per_tenant) {
-          if (!per_tenant.empty()) per_tenant += "/";
-          per_tenant += std::to_string(ts.requests);
-        }
-        tenants_tbl.add_row(
-            {nt + "t / router (concurrent x" + nt + ")",
-             std::to_string(s.requests), fmt_double(secs, 3),
-             fmt_double(static_cast<double>(s.requests) / secs, 0),
-             per_tenant});
-      }
-    }
-  }
-
   // ------------------------------------------------- durable persistence --
   // The first column is the row's identity for bench_diff. All persist
   // scenarios share one temp tree (cleaned before and after); ingest rows
@@ -615,7 +555,6 @@ int main(int argc, char** argv) {
     if (!keep) fs::remove_all(dir, ec);
     fs::create_directories(dir);
     const fs::path merged_path = dir / "merged.ftrace";
-    const fs::path ranges_path = dir / "file_begin.txt";
 
     const auto add_replay_row = [&](const std::string& label,
                                     std::uint64_t records, double secs) {
@@ -625,20 +564,7 @@ int main(int argc, char** argv) {
                                       0)});
     };
 
-    // Ground-truth tenant FileId range starts; regenerated with the trace
-    // or reloaded from the sidecar when an existing trace is reused (the
-    // router row needs them).
-    std::vector<std::uint32_t> file_begin;
-    if (keep && fs::exists(merged_path) && fs::exists(ranges_path)) {
-      std::ifstream rf(ranges_path);
-      std::uint32_t v = 0;
-      while (rf >> v) file_begin.push_back(v);
-      if (file_begin.size() < 2) {
-        std::cerr << "corrupt " << ranges_path
-                  << ": regenerate the trace directory\n";
-        return 2;
-      }
-    } else {
+    if (!keep || !fs::exists(merged_path)) {
       static const TraceKind kTenantKinds[] = {TraceKind::kHP,
                                                TraceKind::kINS,
                                                TraceKind::kRES,
@@ -664,10 +590,6 @@ int main(int argc, char** argv) {
       t1 = std::chrono::steady_clock::now();
       add_replay_row("merge (k-way)", merged,
                      std::chrono::duration<double>(t1 - t0).count());
-
-      file_begin = streamed.file_begin;
-      std::ofstream rf(ranges_path, std::ios::trunc);
-      for (const std::uint32_t v : file_begin) rf << v << "\n";
     }
 
     const TraceReader reader(merged_path.string());
@@ -711,17 +633,6 @@ int main(int argc, char** argv) {
       add_replay_row("replay concurrent x4 (wal+ckpt)", n,
                      span_replay_concurrent(*miner, records, kProducers));
     }
-    {
-      MinerOptions router = ropts;
-      router.router_tenants = file_begin.size() - 1;
-      router.router_backends = "concurrent";
-      router.router_tenant_of = [begins = file_begin](FileId f) {
-        return tenant_of_ranges(begins, f);
-      };
-      const auto miner = make_miner("router", rcfg, reader.dict(), router);
-      add_replay_row("replay router (concurrent)", n,
-                     span_replay_concurrent(*miner, records, kProducers));
-    }
     fs::remove_all(pbase, ec);
     if (!keep) fs::remove_all(dir, ec);
   }
@@ -738,8 +649,6 @@ int main(int argc, char** argv) {
     std::cout << ", ";
     mixed.print_json(std::cout, "mixed_ingest_readers");
     std::cout << ", ";
-    tenants_tbl.print_json(std::cout, "multi_tenant");
-    std::cout << ", ";
     recovery.print_json(std::cout, "recovery");
     std::cout << ", ";
     disk_replay.print_json(std::cout, "disk_replay");
@@ -748,12 +657,6 @@ int main(int argc, char** argv) {
   }
 
   mixed.print(std::cout);
-
-  std::cout << "\nMulti-tenant serving: merged tenant streams "
-               "(make_multi_tenant_trace), 4 producers, one shared "
-               "\"concurrent\" miner vs the \"router\" backend with one "
-               "concurrent child per tenant:\n\n";
-  tenants_tbl.print(std::cout);
 
   std::cout << "\nDurable persistence: WAL + checkpoint overhead on the "
                "ingest path, checkpoint save cost, and recovery wall-clock "

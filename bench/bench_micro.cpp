@@ -130,7 +130,7 @@ BENCHMARK(BM_GraphTransition);
 
 void BM_FarmerObserve(benchmark::State& state) {
   // Backend comes from the factory (FARMER_MINER), so the same binary
-  // measures serial, sharded, and nexus ingest.
+  // measures serial, sharded, and concurrent ingest.
   const Trace& trace = hp();
   const auto model = make_bench_miner(trace, fpa_config(trace));
   std::size_t i = 0;

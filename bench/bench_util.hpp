@@ -67,8 +67,7 @@ inline FarmerConfig fpa_config(const Trace& trace) {
 }
 
 /// Mining backend behind every bench's FPA, selected at runtime:
-///   FARMER_MINER=farmer|sharded|concurrent|router|nexus
-///                               (default "farmer")
+///   FARMER_MINER=farmer|sharded|concurrent (default "farmer")
 ///   FARMER_SHARDS=<n>           (default 4, "sharded"/"concurrent")
 ///   FARMER_INGEST_THREADS=<n>   (default 4, "concurrent" producer slots)
 ///   FARMER_APPLY_THREADS=<n>    (default 0 = auto: worker lanes for the
@@ -85,14 +84,10 @@ inline FarmerConfig fpa_config(const Trace& trace) {
 ///                                in applied records)
 ///   FARMER_PUBLISH_MAX_DELAY_MS=<n> (default backend = 4 ms, staleness
 ///                                bound for coalesced publishes)
-///   FARMER_ROUTER_TENANTS=<n>   (default 2, "router" tenant partitions)
-///   FARMER_ROUTER_BACKENDS=<s>  (default "farmer" everywhere, "router"
-///                                per-tenant backend spec: one name or
-///                                "0=concurrent,1=sharded,*=farmer")
 ///   FARMER_PERSIST_DIR=<path>   (default off: durable persistence
 ///                                directory — WAL + checkpoints, recovered
 ///                                on construction; benches add a per-trace
-///                                subdirectory, "router" per-tenant ones)
+///                                subdirectory)
 ///   FARMER_CHECKPOINT_INTERVAL=<n> (default backend = 65536, checkpoint
 ///                                every n ingested records)
 ///   FARMER_WAL_GROUP_COMMIT=<n> (default backend = 4096, WAL commit-group
@@ -139,8 +134,7 @@ inline std::unique_ptr<CorrelationMiner> make_bench_miner(
     const Trace& trace, const FarmerConfig& cfg) {
   MinerOptions opts = miner_options();
   // A persist directory is bound to one trace's dictionary; benches sweep
-  // several traces, so each trace gets its own subdirectory (mirroring the
-  // router's per-tenant layout).
+  // several traces, so each trace gets its own subdirectory.
   if (!opts.persist_dir.empty() && !trace.name.empty())
     opts.persist_dir += "/" + trace.name;
   std::unique_ptr<CorrelationMiner> miner;
@@ -158,11 +152,6 @@ inline std::unique_ptr<CorrelationMiner> make_bench_miner(
       std::cerr << " (shards=" << opts.shards
                 << ", ingest_threads=" << opts.ingest_threads
                 << ", query_cache=" << opts.query_cache_capacity << ")";
-    if (std::string_view(miner->name()) == "router")
-      std::cerr << " (tenants=" << opts.router_tenants << ", backends="
-                << (opts.router_backends.empty() ? "farmer"
-                                                 : opts.router_backends)
-                << ")";
     std::cerr << "\n";
     return true;
   }();

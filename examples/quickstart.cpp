@@ -52,9 +52,7 @@ int main(int argc, char** argv) {
   }
 
   // 3. The model, chosen at runtime: "farmer" (serial), "sharded"
-  //    (parallel ingest), "concurrent" (async lock-free ingest), "router"
-  //    (multi-tenant partitioning over factory-built children), or
-  //    "nexus" (the p = 0 sequence-only baseline).
+  //    (parallel ingest) or "concurrent" (async lock-free ingest).
   std::unique_ptr<CorrelationMiner> model;
   try {
     model = make_miner(backend, cfg.value(), trace.dict);

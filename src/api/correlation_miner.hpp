@@ -6,8 +6,8 @@
 // lists plus a handful of evaluation queries. `CorrelationMiner` is that
 // boundary, mirroring the `Predictor` polymorphism in prefetch/predictor.hpp:
 // consumers bind to the interface and any backend (serial FARMER, sharded
-// FARMER, the async "concurrent" miner, the Nexus p = 0 baseline, future
-// remote miners) plugs in behind it without recompiling a single consumer.
+// FARMER, the async "concurrent" miner, future remote miners) plugs in
+// behind it without recompiling a single consumer.
 //
 // Queries go through `snapshot()`, which returns an immutable
 // `CorrelatorView`: backends whose lists are stable between `observe()`
@@ -34,14 +34,14 @@ namespace farmer {
 /// Field contract per backend class — every backend fills every field with
 /// a defined value, never garbage:
 ///
-///   * Synchronous backends (farmer, sharded, nexus): `epoch`, `pending`,
+///   * Synchronous backends (farmer, sharded): `epoch`, `pending`,
 ///     `cache_hits` and `cache_misses` are explicitly zero and
 ///     `shard_epochs` is empty — state is always current, nothing is ever
 ///     queued, no query cache exists. Zero here *means* "not applicable",
 ///     by contract (MinerStatsContract tests pin this down). The batch-apply
 ///     counters (`apply_batches`, `apply_parallel_records`) are owned by the
-///     sharded apply path: "sharded" fills them, single-shard backends
-///     (farmer, nexus) keep them at zero.
+///     sharded apply path: "sharded" fills them, "farmer" keeps them at
+///     zero.
 ///   * Asynchronous backends (concurrent): `requests`/`pairs_*` count
 ///     *published* records (enqueued-but-unpublished records appear in
 ///     `pending` instead), `epoch` is the global publish round,
@@ -49,12 +49,6 @@ namespace farmer {
 ///     live (all zero when the cache is disabled), and the publish counters
 ///     (`publishes`, `files_cloned`, `bytes_shared`) account the
 ///     copy-on-write snapshot pipeline.
-///   * Routing backends (router): every scalar counter is the sum over the
-///     child miners (except `epoch`, which is the max — child publish
-///     rounds are independent clocks, so a sum would be meaningless),
-///     `shard_epochs` stays empty at the top level, and `per_tenant` holds
-///     each child's full MinerStats in tenant order. Leaf backends leave
-///     `per_tenant` empty — "empty" *means* "not a router", by contract.
 struct MinerStats {
   std::uint64_t requests = 0;         ///< observe() calls ingested
   std::uint64_t pairs_evaluated = 0;  ///< CoMiner R(x,y) evaluations
@@ -100,10 +94,6 @@ struct MinerStats {
   /// is the invalidation signal the Correlator-List cache validates
   /// against.
   std::vector<std::uint64_t> shard_epochs;
-  /// Per-tenant child stats in tenant order ("router" backend only; empty
-  /// everywhere else). Children are leaves, so entries never nest further.
-  /// std::vector explicitly supports the incomplete element type here.
-  std::vector<MinerStats> per_tenant;
 
   [[nodiscard]] double acceptance_rate() const noexcept {
     return pairs_evaluated
@@ -133,7 +123,7 @@ struct PairEvidence {
 /// Lifetime contract by backend ("is the view stable across observe()?
 /// across flush()?"):
 ///
-///   * "farmer" / "nexus" — borrowed (`owns_storage() == false`). Stable
+///   * "farmer" — borrowed (`owns_storage() == false`). Stable
 ///     only until the next observe()/observe_batch() on the miner; flush()
 ///     is a no-op and does not invalidate it. Query-then-act within one
 ///     thread is safe; holding the view across further ingest is not.
@@ -215,7 +205,7 @@ class CorrelatorView {
 /// Abstract producer of Correlator Lists.
 ///
 /// Thread-safety contract: the *interface* is single-threaded by default —
-/// synchronous backends ("farmer", "sharded", "nexus") must not be called
+/// synchronous backends ("farmer", "sharded") must not be called
 /// concurrently from multiple threads, in any method combination. The
 /// asynchronous "concurrent" backend strengthens every method's contract
 /// (noted per method below): ingest is safe from any number of threads,
@@ -257,7 +247,7 @@ class CorrelationMiner {
   /// degree. Every entry passed the backend's validity threshold.
   ///
   /// Lifetime: see the CorrelatorView class comment — borrowed for
-  /// "farmer"/"nexus" (stale after the next observe()), owning and
+  /// "farmer" (stale after the next observe()), owning and
   /// permanently stable for "sharded"/"concurrent".
   /// Thread-safety: "concurrent" serves this lock-free from RCU-published
   /// state, safe from any thread at any time; synchronous backends require
@@ -302,9 +292,8 @@ class CorrelationMiner {
   /// with one fused walk over its shards; "concurrent" runs the same walk
   /// over a single published shard table, so all fields of one call come
   /// from one epoch; the durability decorator forwards to the backend it
-  /// wraps. "farmer", "nexus" and "router" (which routes access_count(b)
-  /// by b's tenant, not a's) keep the default. Same thread-safety contract
-  /// as snapshot().
+  /// wraps. "farmer" keeps the default. Same thread-safety contract as
+  /// snapshot().
   virtual void candidate_evidence(FileId a,
                                   std::span<const Correlator> candidates,
                                   std::span<PairEvidence> out) const {

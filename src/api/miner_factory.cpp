@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "api/miner_router.hpp"
 #include "core/concurrent_farmer.hpp"
 #include "core/farmer.hpp"
 #include "core/sharded_farmer.hpp"
@@ -16,28 +15,6 @@
 namespace farmer {
 
 namespace {
-
-// The Nexus baseline as a miner: the paper's p = 0 reduction ("If the
-// weight value is 0, FARMER is reduced to Nexus") with no validity
-// threshold — successors rank purely by LDA-weighted access frequency.
-class NexusMiner final : public Farmer {
- public:
-  NexusMiner(FarmerConfig cfg, std::shared_ptr<const TraceDictionary> dict)
-      : Farmer(nexus_config(cfg), std::move(dict)) {}
-
-  // Sequence-only: the semantic factor is weighted out, report none.
-  [[nodiscard]] double semantic_similarity(FileId, FileId) const override {
-    return 0.0;
-  }
-  [[nodiscard]] const char* name() const noexcept override { return "nexus"; }
-
- private:
-  static FarmerConfig nexus_config(FarmerConfig cfg) {
-    cfg.p = 0.0;            // sequence factor only
-    cfg.max_strength = 0.0; // Nexus keeps every observed successor
-    return cfg;
-  }
-};
 
 persist::Options persist_options(const MinerOptions& opts) {
   persist::Options p;
@@ -86,33 +63,6 @@ Registry& registry() {
         view.push_back(&miner->shard_mut(s));
       return maybe_durable(std::move(miner), std::move(view), cfg,
                            std::move(dict), opts);
-    };
-    built_in["nexus"] = [](const FarmerConfig& cfg,
-                           std::shared_ptr<const TraceDictionary> dict,
-                           const MinerOptions& opts) {
-      auto miner = std::make_unique<NexusMiner>(cfg, dict);
-      std::vector<Farmer*> view{miner.get()};
-      return maybe_durable(std::move(miner), std::move(view), cfg,
-                           std::move(dict), opts);
-    };
-    built_in["router"] = [](const FarmerConfig& cfg,
-                            std::shared_ptr<const TraceDictionary> dict,
-                            const MinerOptions& opts) {
-      // Children inherit the full MinerOptions; the spec string only picks
-      // each tenant's backend name. Spec errors surface as
-      // std::invalid_argument from here, before any child is built.
-      auto specs = parse_router_backends(opts.router_backends,
-                                         opts.router_tenants, opts);
-      // Persistence fans out per tenant: each child owns (and recovers) its
-      // own subdirectory through its own factory path, so a mixed-backend
-      // router persists with each tenant's native mechanism.
-      if (!opts.persist_dir.empty())
-        for (std::size_t t = 0; t < specs.size(); ++t)
-          specs[t].options.persist_dir =
-              opts.persist_dir + "/tenant" + std::to_string(t);
-      return std::make_unique<MinerRouter>(cfg, std::move(dict),
-                                           std::move(specs),
-                                           opts.router_tenant_of);
     };
     built_in["concurrent"] = [](const FarmerConfig& cfg,
                                 std::shared_ptr<const TraceDictionary> dict,

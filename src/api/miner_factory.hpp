@@ -1,12 +1,9 @@
 // Runtime-selectable mining backends.
 //
-// `make_miner("farmer" | "sharded" | "concurrent" | "router" | "nexus",
-// cfg, dict, opts)` turns the backend choice into data: benches flip
-// ablations (Table 2/3, Fig. 3/6) with a string flag instead of a
-// recompiled type, and a new backend registers itself via `register_miner`
-// without touching any consumer. "router" is itself factory-driven: it
-// builds one child miner per tenant through this registry
-// (api/miner_router.hpp).
+// `make_miner("farmer" | "sharded" | "concurrent", cfg, dict, opts)` turns
+// the backend choice into data: benches flip ablations (Table 2/3, Fig.
+// 3/6) with a string flag instead of a recompiled type, and a new backend
+// registers itself via `register_miner` without touching any consumer.
 //
 // The configuration is validated (FarmerConfig::validate) before any
 // backend is constructed; a bad config or an unknown backend name throws
@@ -65,21 +62,11 @@ struct MinerOptions {
   /// Only meaningful with publish_interval_records > 1; 0 = backend
   /// default (4 ms). Env: FARMER_PUBLISH_MAX_DELAY_MS.
   std::size_t publish_max_delay_ms = 0;
-  /// Tenant partitions for the "router" backend: the FileId space is split
-  /// across this many independent child miners. Env: FARMER_ROUTER_TENANTS.
-  std::size_t router_tenants = 2;
-  /// Per-tenant backend spec for "router": one registered name for every
-  /// tenant ("concurrent") or `idx=name` pairs with an optional `*=name`
-  /// default ("0=concurrent,1=sharded,*=farmer"). Empty = "farmer"
-  /// everywhere; "router" cannot nest. Children inherit this MinerOptions
-  /// (shards, cache, publish knobs). Env: FARMER_ROUTER_BACKENDS.
-  std::string router_backends;
   /// Durable persistence directory (empty = persistence off). When set,
   /// every ingested record is WAL-appended before it is applied, the model
   /// is checkpointed into the directory on the interval below, and
   /// construction auto-recovers whatever the directory holds (newest valid
-  /// checkpoint + contiguous WAL tail, torn records truncated). "router"
-  /// gives each tenant its own `<dir>/tenant<t>` subdirectory. The
+  /// checkpoint + contiguous WAL tail, torn records truncated). The
   /// directory is bound to the FarmerConfig and dictionary it was written
   /// with: recovery throws on a mismatch rather than mixing models.
   /// Env: FARMER_PERSIST_DIR.
@@ -92,12 +79,6 @@ struct MinerOptions {
   /// (0 = backend default, 4096; 1 = fsync every record).
   /// Env: FARMER_WAL_GROUP_COMMIT.
   std::size_t wal_group_commit = 0;
-  /// Optional tenant-extraction override for "router": maps a FileId to
-  /// its owning tenant; must be pure and thread-safe. Empty = contiguous
-  /// FileId ranges over the dictionary's file count (hash fallback when
-  /// the dictionary is empty). See MinerRouter::range_tenants /
-  /// hash_tenants (api/miner_router.hpp).
-  std::function<std::uint32_t(FileId)> router_tenant_of;
 };
 
 using MinerFactoryFn = std::function<std::unique_ptr<CorrelationMiner>(
@@ -105,9 +86,8 @@ using MinerFactoryFn = std::function<std::unique_ptr<CorrelationMiner>(
     const MinerOptions& opts)>;
 
 /// Adds (or replaces) a backend under `name`. Returns true when `name` was
-/// new. Built-ins "farmer", "sharded", "concurrent", "router" and "nexus"
-/// are pre-registered. This is the extension seam for new backends — see
-/// docs/ARCHITECTURE.md.
+/// new. Built-ins "farmer", "sharded" and "concurrent" are pre-registered.
+/// This is the extension seam for new backends — see docs/ARCHITECTURE.md.
 ///
 /// A registered factory must return miners honoring the CorrelationMiner
 /// contracts (correlation_miner.hpp): in particular flush() must be a real

@@ -12,9 +12,9 @@
 // "fpa" is the only predictor that owns a mining backend: it builds its
 // CorrelationMiner through the MinerFactory from
 // `PredictorOptions::miner_backend` + `PredictorOptions::miner`, so the
-// full backend matrix (farmer/sharded/concurrent/router/nexus, with
-// persistence, caching and publish knobs) is reachable behind the Predictor
-// interface with zero predictor-specific plumbing.
+// full backend matrix (farmer/sharded/concurrent, with persistence, caching
+// and publish knobs) is reachable behind the Predictor interface with zero
+// predictor-specific plumbing.
 //
 // `PredictorOptions` is validated before any predictor is constructed: a
 // bad option or an unknown name throws std::invalid_argument naming the
@@ -45,7 +45,7 @@ struct PredictorOptions {
   /// Other predictors ignore it. Empty = "farmer".
   std::string miner_backend;
   /// MinerOptions handed to the MinerFactory when building "fpa"'s backend
-  /// (shards, ingest threads, persistence, router knobs, ...).
+  /// (shards, ingest threads, persistence, ...).
   MinerOptions miner;
   /// Look-ahead window for the sequence-mining baselines (nexus, probgraph,
   /// sdgraph). 0 = each predictor's own default; capped at

@@ -59,9 +59,6 @@ RuntimeConfig RuntimeConfig::from_env() {
              /*max_value=*/1u << 30);
   parse_size("FARMER_PUBLISH_MAX_DELAY_MS", rc.miner.publish_max_delay_ms,
              /*max_value=*/60000);
-  parse_size("FARMER_ROUTER_TENANTS", rc.miner.router_tenants,
-             /*max_value=*/1024);
-  parse_string("FARMER_ROUTER_BACKENDS", rc.miner.router_backends);
   parse_string("FARMER_PERSIST_DIR", rc.miner.persist_dir);
   parse_size("FARMER_CHECKPOINT_INTERVAL",
              rc.miner.checkpoint_interval_records, /*max_value=*/1u << 30);

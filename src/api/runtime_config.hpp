@@ -53,7 +53,7 @@ struct RuntimeConfig {
   std::string miner_backend = "farmer";
   /// FARMER_SHARDS / FARMER_INGEST_THREADS / FARMER_APPLY_THREADS /
   /// FARMER_QUERY_CACHE / FARMER_MAX_PENDING / FARMER_PUBLISH_INTERVAL /
-  /// FARMER_PUBLISH_MAX_DELAY_MS / FARMER_ROUTER_* / FARMER_PERSIST_DIR /
+  /// FARMER_PUBLISH_MAX_DELAY_MS / FARMER_PERSIST_DIR /
   /// FARMER_CHECKPOINT_INTERVAL / FARMER_WAL_GROUP_COMMIT — see
   /// MinerOptions field docs.
   MinerOptions miner;

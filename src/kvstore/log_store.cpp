@@ -81,6 +81,7 @@ LogStore::~LogStore() {
 void LogStore::replay() {
   std::FILE* f = std::fopen(path_.c_str(), "rb");
   if (f == nullptr) return;  // fresh store
+  const std::uintmax_t file_size = std::filesystem::file_size(path_);
   long valid_end = 0;
   for (;;) {
     RecordHeader h{};
@@ -88,6 +89,13 @@ void LogStore::replay() {
     if (std::fread(&h.op, sizeof h.op, 1, f) != 1) break;
     if (std::fread(&h.key, sizeof h.key, 1, f) != 1) break;
     if (std::fread(&h.len, sizeof h.len, 1, f) != 1) break;
+    // A length running past the end of the file marks a torn or corrupt
+    // record. Bound it before allocating: one flipped byte in the field
+    // would otherwise ask for up to 4 GiB.
+    const long value_begin = std::ftell(f);
+    if (value_begin < 0 ||
+        h.len > file_size - static_cast<std::uintmax_t>(value_begin))
+      break;
     std::string value(h.len, '\0');
     if (h.len > 0 && std::fread(value.data(), 1, h.len, f) != h.len) break;
     if (checksum_of(h.op, h.key, value) != h.checksum) break;  // torn tail
@@ -111,9 +119,7 @@ void LogStore::replay() {
   // boundary. Shrinking never rewrites the valid prefix, so a failure
   // cannot lose a durable record; it throws
   // std::filesystem::filesystem_error.
-  if (valid_end >= 0 &&
-      std::filesystem::file_size(path_) !=
-          static_cast<std::uintmax_t>(valid_end))
+  if (valid_end >= 0 && file_size != static_cast<std::uintmax_t>(valid_end))
     std::filesystem::resize_file(path_,
                                  static_cast<std::uintmax_t>(valid_end));
 }

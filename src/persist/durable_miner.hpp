@@ -1,6 +1,6 @@
-// Durability decorator for synchronous backends ("farmer", "sharded",
-// "nexus"): WAL-append every record before applying it, checkpoint inline
-// when the interval elapses, auto-recover from the persist directory on
+// Durability decorator for synchronous backends ("farmer", "sharded"):
+// WAL-append every record before applying it, checkpoint inline when the
+// interval elapses, auto-recover from the persist directory on
 // construction.
 //
 // The decorator preserves the synchronous single-threaded contract — the

@@ -7,7 +7,7 @@
 // are not up to the mustard will not be prefetched".
 //
 // FPA binds to the CorrelationMiner interface, not a concrete model: any
-// factory backend (serial, sharded, nexus) drives it unchanged.
+// factory backend (serial, sharded, concurrent) drives it unchanged.
 #pragma once
 
 #include <algorithm>

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -22,18 +21,6 @@
 #include "trace/record.hpp"
 
 namespace farmer {
-
-/// Ground-truth owning tenant of `f` under contiguous FileId ranges:
-/// tenant `t` owns [begins[t], begins[t+1]); ids past the last range clamp
-/// into the final tenant, mirroring MinerRouter::range_tenants. Shared by
-/// the in-memory and streamed multi-tenant generators so router wirings
-/// built from either cannot drift.
-[[nodiscard]] inline std::uint32_t tenant_of_ranges(
-    const std::vector<std::uint32_t>& begins, FileId f) noexcept {
-  std::uint32_t t = 0;
-  while (t + 2 < begins.size() && f.value() >= begins[t + 1]) ++t;
-  return t;
-}
 
 /// Generates a complete trace. Thread-safe w.r.t. other generator calls.
 [[nodiscard]] Trace generate_trace(const WorkloadProfile& profile,
@@ -44,8 +31,7 @@ namespace farmer {
                                      double scale = 1.0);
 
 /// A merged multi-tenant request stream, as one mining service observing
-/// several independent workloads at once would see it (the serving scenario
-/// the "router" backend partitions — api/miner_router.hpp).
+/// several independent workloads at once would see it.
 ///
 /// Tenant `t`'s files occupy the contiguous FileId range
 /// [file_begin[t], file_begin[t+1]); records of all tenants interleave by
@@ -64,17 +50,11 @@ struct MultiTenantTrace {
     return file_begin.empty() ? 0 : file_begin.size() - 1;
   }
   /// Ground-truth owning tenant of `f` (ids past the last range clamp into
-  /// the final tenant, mirroring MinerRouter::range_tenants).
+  /// the final tenant).
   [[nodiscard]] std::uint32_t tenant_of(FileId f) const noexcept {
-    return tenant_of_ranges(file_begin, f);
-  }
-  /// Self-contained FileId→tenant function over these ranges (captures
-  /// them by value, so it may outlive this object) — the ground-truth map
-  /// to hand to MinerOptions::router_tenant_of.
-  [[nodiscard]] std::function<std::uint32_t(FileId)> tenant_map() const {
-    return [begins = file_begin](FileId f) {
-      return tenant_of_ranges(begins, f);
-    };
+    std::uint32_t t = 0;
+    while (t + 2 < file_begin.size() && f.value() >= file_begin[t + 1]) ++t;
+    return t;
   }
 };
 
@@ -116,11 +96,6 @@ struct StreamedMultiTenantTrace {
 
   [[nodiscard]] std::size_t tenant_count() const noexcept {
     return file_begin.empty() ? 0 : file_begin.size() - 1;
-  }
-  [[nodiscard]] std::function<std::uint32_t(FileId)> tenant_map() const {
-    return [begins = file_begin](FileId f) {
-      return tenant_of_ranges(begins, f);
-    };
   }
 };
 

@@ -7,12 +7,12 @@
 #include <memory>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
 
 #include "api/miner_factory.hpp"
-#include "api/miner_router.hpp"
 #include "core/farmer.hpp"
 #include "trace/generator.hpp"
 #include "test_helpers.hpp"
@@ -101,18 +101,14 @@ TEST(ConfigBuilder, ReportsEveryViolationAtOnce) {
 // --------------------------------------------------------------- factory --
 
 TEST(MinerFactory, BuiltInsAreRegistered) {
-  const auto names = registered_miners();
-  for (const char* expected :
-       {"concurrent", "farmer", "nexus", "router", "sharded"})
-    EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
-        << expected;
+  EXPECT_EQ(registered_miners(),
+            (std::vector<std::string>{"concurrent", "farmer", "sharded"}));
 }
 
 TEST(MinerFactory, ConstructsEachBuiltInWithMatchingName) {
   MicroTrace mt;
   (void)mt.file("a", "/p/a");
-  for (const char* backend :
-       {"farmer", "sharded", "concurrent", "router", "nexus"}) {
+  for (const char* backend : {"farmer", "sharded", "concurrent"}) {
     const auto miner = make_miner(backend, FarmerConfig{}, mt.dict());
     ASSERT_NE(miner, nullptr);
     EXPECT_STREQ(miner->name(), backend);
@@ -365,7 +361,7 @@ TEST(CorrelationMinerInterface, ConcurrentAdmitsBatchLargerThanMaxPending) {
 // "0" meaning "not applicable" instead of "whatever the backend left there".
 TEST(MinerStatsContract, SyncBackendsZeroAsyncOnlyFields) {
   const MicroTrace mt = fixed_trace();
-  for (const char* backend : {"farmer", "sharded", "nexus"}) {
+  for (const char* backend : {"farmer", "sharded"}) {
     const auto miner = make_miner(backend, FarmerConfig{}, mt.dict());
     miner->observe_batch(mt.records());
     miner->flush();  // no-op, but the contract must hold after it too
@@ -379,8 +375,6 @@ TEST(MinerStatsContract, SyncBackendsZeroAsyncOnlyFields) {
     EXPECT_EQ(s.files_cloned, 0u) << backend;
     EXPECT_EQ(s.bytes_shared, 0u) << backend;
     EXPECT_TRUE(s.shard_epochs.empty()) << backend;
-    // Leaf backends never report tenants; empty *means* "not a router".
-    EXPECT_TRUE(s.per_tenant.empty()) << backend;
     // Apply counters belong to the sharded batch-apply path alone:
     // single-shard backends report them as explicit zeros.
     if (std::string_view(backend) == "sharded") {
@@ -414,73 +408,6 @@ TEST(MinerStatsContract, ShardedApplyCountersFollowLaneCount) {
   EXPECT_EQ(four->stats().apply_batches, 2u);
   EXPECT_EQ(four->stats().apply_parallel_records,
             2u * mt.records().size());
-}
-
-// The router's side of the stats contract: scalar counters are the sums
-// over children (epoch: the max of independent clocks), shard_epochs stays
-// empty at the top, and per_tenant carries each child's stats verbatim.
-TEST(MinerStatsContract, RouterAggregatesAndBreaksDownPerTenant) {
-  constexpr TraceKind kKinds[] = {TraceKind::kHP, TraceKind::kINS};
-  const MultiTenantTrace mt = make_multi_tenant_trace(kKinds, 29, 0.02);
-  MinerOptions opts;
-  opts.shards = 2;
-  opts.router_tenants = 2;
-  opts.router_backends = "0=concurrent,1=sharded";
-  opts.router_tenant_of = mt.tenant_map();
-  const auto miner = make_miner("router", FarmerConfig{}, mt.trace.dict,
-                                opts);
-  miner->observe_batch(mt.trace.records);
-  miner->flush();
-
-  const MinerStats s = miner->stats();
-  ASSERT_EQ(s.per_tenant.size(), 2u);
-  EXPECT_TRUE(s.shard_epochs.empty());
-  EXPECT_EQ(s.requests, mt.trace.records.size());
-  EXPECT_EQ(s.pending, 0u);  // flush() fanned out as a barrier
-  std::uint64_t req = 0, pairs = 0, shards = 0, max_epoch = 0;
-  for (const MinerStats& ts : s.per_tenant) {
-    EXPECT_GT(ts.requests, 0u) << "a tenant saw no records";
-    EXPECT_TRUE(ts.per_tenant.empty()) << "children cannot nest";
-    req += ts.requests;
-    pairs += ts.pairs_evaluated;
-    shards += ts.shards;
-    max_epoch = std::max(max_epoch, ts.epoch);
-  }
-  EXPECT_EQ(s.requests, req);
-  EXPECT_EQ(s.pairs_evaluated, pairs);
-  EXPECT_EQ(s.shards, shards);
-  EXPECT_EQ(s.epoch, max_epoch);
-  // The concurrent tenant published at least once; the sharded tenant's
-  // async-only fields honor the sync-zero contract inside the breakdown.
-  EXPECT_GE(s.per_tenant[0].epoch, 1u);
-  EXPECT_EQ(s.per_tenant[1].epoch, 0u);
-  EXPECT_TRUE(s.per_tenant[1].shard_epochs.empty());
-}
-
-// Mixed-tenant flush barrier: with every tenant asynchronous, one router
-// flush() must leave *all* children fully published — nothing pending
-// anywhere, every accepted record visible to queries.
-TEST(CorrelationMinerInterface, RouterFlushIsABarrierAcrossTenants) {
-  constexpr TraceKind kKinds[] = {TraceKind::kHP, TraceKind::kINS};
-  const MultiTenantTrace mt = make_multi_tenant_trace(kKinds, 31, 0.02);
-  MinerOptions opts;
-  opts.shards = 2;
-  opts.router_tenants = 2;
-  opts.router_backends = "concurrent";
-  opts.router_tenant_of = mt.tenant_map();
-  const auto miner = make_miner("router", FarmerConfig{}, mt.trace.dict,
-                                opts);
-  constexpr std::size_t kChunk = 128;
-  for (std::size_t i = 0; i < mt.trace.records.size(); i += kChunk) {
-    const std::size_t n = std::min(kChunk, mt.trace.records.size() - i);
-    miner->observe_batch(
-        std::span<const TraceRecord>(&mt.trace.records[i], n));
-  }
-  miner->flush();
-  const MinerStats s = miner->stats();
-  EXPECT_EQ(s.requests, mt.trace.records.size());
-  EXPECT_EQ(s.pending, 0u);
-  for (const MinerStats& ts : s.per_tenant) EXPECT_EQ(ts.pending, 0u);
 }
 
 TEST(MinerStatsContract, ConcurrentReportsPerShardEpochs) {
@@ -562,204 +489,6 @@ TEST(CorrelationMinerInterface, CachedAnswersEqualUncachedUnderInterleavedIngest
     for (std::size_t k = 0; k < lc.size(); ++k)
       EXPECT_EQ(lc[k].degree, ls[k].degree) << "file " << f << " slot " << k;
   }
-}
-
-// ----------------------------------------------------------------- router --
-
-// The router's single-tenant degenerate case must vanish entirely: every
-// record and every query forwards to the one child, so the output is
-// byte-identical to the direct backend — lists, degrees, counters, the lot.
-TEST(RouterDifferential, SingleTenantFarmerIsByteIdentical) {
-  const Trace t = make_paper_trace(TraceKind::kHP, 17, 0.02);
-  const FarmerConfig cfg;
-  MinerOptions one;
-  one.router_tenants = 1;  // default backend spec: "farmer"
-  const auto direct = make_miner("farmer", cfg, t.dict);
-  const auto routed = make_miner("router", cfg, t.dict, one);
-  EXPECT_STREQ(routed->name(), "router");
-
-  routed->observe_batch(t.records);
-  direct->observe_batch(t.records);
-
-  for (std::uint32_t f = 0; f < t.file_count(); ++f) {
-    const auto ld = direct->correlators(FileId(f));
-    const auto lr = routed->correlators(FileId(f));
-    ASSERT_EQ(ld.size(), lr.size()) << "file " << f;
-    for (std::size_t i = 0; i < ld.size(); ++i) {
-      EXPECT_EQ(ld[i].file, lr[i].file) << "file " << f << " slot " << i;
-      EXPECT_EQ(ld[i].degree, lr[i].degree) << "file " << f << " slot " << i;
-    }
-    EXPECT_EQ(direct->access_count(FileId(f)),
-              routed->access_count(FileId(f)));
-    EXPECT_EQ(direct->correlation_degree(FileId(f), FileId(0)),
-              routed->correlation_degree(FileId(f), FileId(0)));
-    EXPECT_EQ(direct->semantic_similarity(FileId(f), FileId(0)),
-              routed->semantic_similarity(FileId(f), FileId(0)));
-    EXPECT_EQ(direct->access_frequency(FileId(f), FileId(0)),
-              routed->access_frequency(FileId(f), FileId(0)));
-  }
-  const MinerStats sd = direct->stats();
-  const MinerStats sr = routed->stats();
-  EXPECT_EQ(sd.requests, sr.requests);
-  EXPECT_EQ(sd.pairs_evaluated, sr.pairs_evaluated);
-  EXPECT_EQ(sd.pairs_accepted, sr.pairs_accepted);
-  EXPECT_EQ(sd.pairs_filtered, sr.pairs_filtered);
-}
-
-// Same degenerate case over the async backend: flush() must propagate as a
-// barrier through the router, after which the byte-identity holds.
-TEST(RouterDifferential, SingleTenantConcurrentMatchesDirectAfterFlush) {
-  const Trace t = make_paper_trace(TraceKind::kHP, 19, 0.02);
-  const FarmerConfig cfg;
-  MinerOptions opts;
-  opts.shards = 4;
-  MinerOptions one = opts;
-  one.router_tenants = 1;
-  one.router_backends = "concurrent";
-  const auto direct = make_miner("concurrent", cfg, t.dict, opts);
-  const auto routed = make_miner("router", cfg, t.dict, one);
-
-  routed->observe_batch(t.records);
-  direct->observe_batch(t.records);
-  routed->flush();
-  direct->flush();
-
-  EXPECT_EQ(routed->stats().pending, 0u);
-  for (std::uint32_t f = 0; f < t.file_count(); ++f) {
-    const auto ld = direct->correlators(FileId(f));
-    const auto lr = routed->correlators(FileId(f));
-    ASSERT_EQ(ld.size(), lr.size()) << "file " << f;
-    for (std::size_t i = 0; i < ld.size(); ++i) {
-      EXPECT_EQ(ld[i].file, lr[i].file) << "file " << f << " slot " << i;
-      EXPECT_EQ(ld[i].degree, lr[i].degree) << "file " << f << " slot " << i;
-    }
-  }
-}
-
-// The partitioning contract: a router over N tenants answers every query
-// exactly as N dedicated miners would, each fed only its tenant's records.
-TEST(RouterDifferential, MixedTenantsMatchPerTenantDirectMiners) {
-  constexpr TraceKind kKinds[] = {TraceKind::kHP, TraceKind::kINS};
-  const MultiTenantTrace mt = make_multi_tenant_trace(kKinds, 23, 0.02);
-  const FarmerConfig cfg;
-
-  MinerOptions ropts;
-  ropts.router_tenants = 2;
-  ropts.router_tenant_of = mt.tenant_map();
-  const auto routed = make_miner("router", cfg, mt.trace.dict, ropts);
-  routed->observe_batch(mt.trace.records);
-
-  std::vector<std::unique_ptr<CorrelationMiner>> direct;
-  for (int tnt = 0; tnt < 2; ++tnt)
-    direct.push_back(make_miner("farmer", cfg, mt.trace.dict));
-  for (const auto& r : mt.trace.records)
-    direct[mt.tenant_of(r.file)]->observe(r);
-
-  for (std::uint32_t f = 0; f < mt.trace.file_count(); ++f) {
-    const auto& owner = *direct[mt.tenant_of(FileId(f))];
-    const auto ld = owner.correlators(FileId(f));
-    const auto lr = routed->correlators(FileId(f));
-    ASSERT_EQ(ld.size(), lr.size()) << "file " << f;
-    for (std::size_t i = 0; i < ld.size(); ++i) {
-      EXPECT_EQ(ld[i].file, lr[i].file) << "file " << f << " slot " << i;
-      EXPECT_EQ(ld[i].degree, lr[i].degree) << "file " << f << " slot " << i;
-    }
-    EXPECT_EQ(owner.access_count(FileId(f)), routed->access_count(FileId(f)));
-  }
-  // Cross-tenant pairs answer 0 from the owning tenant — the isolation
-  // contract (tenant 0 never mined a tenant-1 file).
-  const FileId t0(0), t1(mt.file_begin[1]);
-  EXPECT_EQ(routed->correlation_degree(t0, t1), 0.0);
-  EXPECT_EQ(routed->access_frequency(t0, t1), 0.0);
-}
-
-TEST(RouterSpec, ParsesSingleNameAndPerTenantItems) {
-  MinerOptions base;
-  const auto all = parse_router_backends("concurrent", 3, base);
-  ASSERT_EQ(all.size(), 3u);
-  for (const auto& s : all) EXPECT_EQ(s.backend, "concurrent");
-
-  const auto mixed = parse_router_backends("1=sharded,*=nexus", 3, base);
-  EXPECT_EQ(mixed[0].backend, "nexus");
-  EXPECT_EQ(mixed[1].backend, "sharded");
-  EXPECT_EQ(mixed[2].backend, "nexus");
-
-  const auto defaulted = parse_router_backends("", 2, base);
-  EXPECT_EQ(defaulted[0].backend, "farmer");
-  EXPECT_EQ(defaulted[1].backend, "farmer");
-}
-
-TEST(RouterSpec, RejectsMalformedAndNestedSpecs) {
-  MinerOptions base;
-  EXPECT_THROW((void)parse_router_backends("5=farmer", 2, base),
-               std::invalid_argument);  // index out of range
-  EXPECT_THROW((void)parse_router_backends("0=farmer,0=nexus", 2, base),
-               std::invalid_argument);  // duplicate tenant
-  EXPECT_THROW((void)parse_router_backends("x=farmer", 2, base),
-               std::invalid_argument);  // bad index
-  EXPECT_THROW((void)parse_router_backends("0=", 2, base),
-               std::invalid_argument);  // empty name
-  EXPECT_THROW((void)parse_router_backends("router", 2, base),
-               std::invalid_argument);  // no nesting
-  EXPECT_THROW((void)parse_router_backends("*=farmer,*=nexus", 2, base),
-               std::invalid_argument);  // duplicate default
-  // A bare name inside a list is rejected, not silently promoted to the
-  // wildcard default (positional syntax is not supported).
-  EXPECT_THROW((void)parse_router_backends("0=concurrent,sharded", 3, base),
-               std::invalid_argument);
-  EXPECT_THROW((void)parse_router_backends("concurrent,sharded", 2, base),
-               std::invalid_argument);
-  EXPECT_THROW((void)parse_router_backends("farmer", 0, base),
-               std::invalid_argument);  // zero tenants
-  // Unknown backend names surface from make_miner, naming the registry.
-  MicroTrace mtrace;
-  (void)mtrace.file("a", "/p/a");
-  MinerOptions opts;
-  opts.router_tenants = 2;
-  opts.router_backends = "no-such-backend";
-  EXPECT_THROW((void)make_miner("router", FarmerConfig{}, mtrace.dict(), opts),
-               std::invalid_argument);
-}
-
-TEST(RouterSpec, HeterogeneousChildrenPlugInPerTenant) {
-  MicroTrace mtrace;
-  (void)mtrace.file("a", "/p/a");
-  MinerOptions opts;
-  opts.router_tenants = 3;
-  opts.router_backends = "0=concurrent,1=sharded,*=farmer";
-  const auto miner = make_miner("router", FarmerConfig{}, mtrace.dict(), opts);
-  const auto* router = dynamic_cast<const MinerRouter*>(miner.get());
-  ASSERT_NE(router, nullptr);
-  ASSERT_EQ(router->tenant_count(), 3u);
-  EXPECT_STREQ(router->tenant(0).name(), "concurrent");
-  EXPECT_STREQ(router->tenant(1).name(), "sharded");
-  EXPECT_STREQ(router->tenant(2).name(), "farmer");
-}
-
-TEST(RouterSpec, TenantMapsFoldIntoRange) {
-  const auto range = MinerRouter::range_tenants(4, 100);
-  EXPECT_EQ(range(FileId(0)), 0u);
-  EXPECT_EQ(range(FileId(24)), 0u);
-  EXPECT_EQ(range(FileId(25)), 1u);
-  EXPECT_EQ(range(FileId(99)), 3u);
-  // Ids past the population (including the invalid sentinel) clamp.
-  EXPECT_EQ(range(FileId(1000)), 3u);
-  EXPECT_EQ(range(FileId()), 3u);
-  const auto hash = MinerRouter::hash_tenants(4);
-  for (std::uint32_t f = 0; f < 64; ++f) EXPECT_LT(hash(FileId(f)), 4u);
-}
-
-TEST(CorrelationMinerInterface, NexusIsSequenceOnly) {
-  const MicroTrace mt = fixed_trace();
-  const auto nexus = make_miner("nexus", FarmerConfig{}, mt.dict());
-  nexus->observe_batch(mt.records());
-  const FileId a(0), b(1);
-  // No semantic component is ever reported ...
-  EXPECT_EQ(nexus->semantic_similarity(a, b), 0.0);
-  // ... and the degree equals the raw access frequency (p = 0 reduction).
-  EXPECT_NEAR(nexus->correlation_degree(a, b), nexus->access_frequency(a, b),
-              1e-12);
-  EXPECT_FALSE(nexus->snapshot(a).empty());
 }
 
 // --------------------------------------------------------------- snapshot --

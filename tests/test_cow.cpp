@@ -658,7 +658,7 @@ TEST(PublishCoalescing, PublishStatsAccountCowSharing) {
 
 TEST(PublishCoalescing, SyncBackendsReportNoPublishActivity) {
   const MicroTrace mt = correlated_trace();
-  for (const char* backend : {"farmer", "sharded", "nexus"}) {
+  for (const char* backend : {"farmer", "sharded"}) {
     const auto miner = make_miner(backend, FarmerConfig{}, mt.dict());
     miner->observe_batch(mt.records());
     const MinerStats s = miner->stats();

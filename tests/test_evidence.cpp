@@ -88,11 +88,6 @@ TEST(CandidateEvidence, EveryBackendMatchesPointQueriesBitwise) {
     for (const std::string& name : registered_miners()) {
       MinerOptions opts;
       opts.shards = 4;
-      opts.router_tenants = 2;
-      // Mixed children: candidates of one tenant are routed by their own
-      // tenant for access_count(b), by a's for the pair queries.
-      opts.router_backends = "0=sharded,1=concurrent";
-      opts.router_tenant_of = mt.tenant_map();
       const auto miner = make_miner(name, FarmerConfig{}, mt.trace.dict, opts);
       constexpr std::size_t kChunk = 256;
       for (std::size_t i = 0; i < mt.trace.records.size(); i += kChunk) {

@@ -6,8 +6,11 @@
 #include <unistd.h>
 
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -126,6 +129,80 @@ TEST_F(LogStoreTest, TornTailRepairKeepsEveryValidRecord) {
 
   LogStore reopened(path_);
   EXPECT_EQ(reopened.recovered_records(), kRecords);
+  EXPECT_EQ(std::filesystem::file_size(path_), valid_size);
+}
+
+/// The calling process's virtual size in bytes, read from
+/// /proc/self/status; 0 when it cannot be read.
+std::uintmax_t vm_size_bytes() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmSize:") {
+      std::uintmax_t kb = 0;
+      status >> kb;
+      return kb * 1024;
+    }
+    status.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+  }
+  return 0;
+}
+
+// A record's stored length must be checked against the file before replay
+// allocates the value: one flipped byte in the last record's length field
+// would otherwise ask for up to 4 GiB, and under an address-space limit
+// std::bad_alloc would leave the log unopenable. A child with 1 GiB of
+// address space to spare must still recover every intact record.
+TEST_F(LogStoreTest, CorruptLengthIsBoundedBeforeAllocation) {
+  constexpr std::size_t kRecords = 8;
+  const std::string value(100, 'v');
+  {
+    LogStore s(path_);
+    for (std::size_t i = 0; i < kRecords; ++i) s.put(i, value);
+    s.sync();
+  }
+  const std::uintmax_t valid_size = std::filesystem::file_size(path_);
+  {
+    LogStore s(path_);
+    s.put(kRecords, value);
+    s.sync();
+  }
+  {
+    // Record layout: [u32 checksum][u8 op][u64 key][u32 len][value], so
+    // the last record's length field sits 13 bytes past its start.
+    std::FILE* f = std::fopen(path_.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f, static_cast<long>(valid_size) + 13, SEEK_SET),
+              0);
+    const std::uint32_t corrupt_len = 0xFFFFFFF0u;
+    ASSERT_EQ(std::fwrite(&corrupt_len, sizeof corrupt_len, 1, f), 1u);
+    std::fclose(f);
+  }
+
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    // Child: the limit leaves 1 GiB above what is already mapped, so
+    // sanitizer reservations still fit but a 4 GiB buffer does not.
+    const std::uintmax_t vm = vm_size_bytes();
+    if (vm == 0) ::_exit(5);
+    const rlim_t cap = static_cast<rlim_t>(vm + (std::uintmax_t{1} << 30));
+    const rlimit lim{cap, cap};
+    if (::setrlimit(RLIMIT_AS, &lim) != 0) ::_exit(4);
+    std::size_t recovered = 0;
+    try {
+      recovered = LogStore(path_).recovered_records();
+    } catch (...) {
+      ::_exit(2);
+    }
+    ::_exit(recovered == kRecords ? 0 : 3);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0)
+      << "2: opening the store threw; 3: wrong record count; "
+         "4: setrlimit failed; 5: VmSize unreadable";
   EXPECT_EQ(std::filesystem::file_size(path_), valid_size);
 }
 

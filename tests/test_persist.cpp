@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "api/miner_factory.hpp"
-#include "api/miner_router.hpp"
 #include "persist/persister.hpp"
 #include "trace/generator.hpp"
 
@@ -110,9 +109,8 @@ void expect_identical(const CorrelationMiner& got,
 }
 
 std::unique_ptr<CorrelationMiner> reference_miner(
-    const char* backend, std::span<const TraceRecord> records,
-    const MinerOptions& opts = {}) {
-  auto miner = make_miner(backend, test_cfg(), trace().dict, opts);
+    const char* backend, std::span<const TraceRecord> records) {
+  auto miner = make_miner(backend, test_cfg(), trace().dict);
   miner->observe_batch(records);
   miner->flush();
   return miner;
@@ -153,18 +151,6 @@ TEST(PersistSaveLoad, ConcurrentRoundTrip) {
   source->observe_batch(std::span<const TraceRecord>(trace().records.data(),
                                                      64));
   source->flush();
-  expect_identical(*loaded, *source);
-}
-
-TEST(PersistSaveLoad, RouterRoundTripMixedBackends) {
-  TempDir dir("persist_router_rt");
-  MinerOptions opts;
-  opts.router_tenants = 2;
-  opts.router_backends = "0=sharded,1=farmer";
-  const auto source = reference_miner("router", trace().records, opts);
-  source->save(dir.str());
-  auto loaded = make_miner("router", test_cfg(), trace().dict, opts);
-  loaded->load(dir.str());
   expect_identical(*loaded, *source);
 }
 
@@ -274,26 +260,6 @@ TEST(PersistReopen, ConcurrentRecoversAcrossProcessLifetime) {
   recovered->observe_batch(
       std::span<const TraceRecord>(trace().records.data(), 128));
   recovered->flush();
-}
-
-TEST(PersistReopen, RouterRecoversPerTenantSubdirectories) {
-  TempDir dir("persist_reopen_router");
-  MinerOptions opts = persist_opts(dir.str());
-  opts.router_tenants = 2;
-  opts.router_backends = "0=sharded,1=farmer";
-  {
-    auto miner = make_miner("router", test_cfg(), trace().dict, opts);
-    miner->observe_batch(trace().records);
-  }
-  EXPECT_TRUE(fs::exists(dir.str() + "/tenant0"));
-  EXPECT_TRUE(fs::exists(dir.str() + "/tenant1"));
-  auto recovered = make_miner("router", test_cfg(), trace().dict, opts);
-  MinerOptions ref_opts;
-  ref_opts.router_tenants = 2;
-  ref_opts.router_backends = "0=sharded,1=farmer";
-  const auto reference =
-      reference_miner("router", trace().records, ref_opts);
-  expect_identical(*recovered, *reference);
 }
 
 TEST(PersistReopen, CorruptNewestCheckpointFallsBackToOlder) {
@@ -457,13 +423,12 @@ TEST(PersistSaveLoad, FailedWriteIsNotPublished) {
 /// Forks a child that ingests the trace on repeat (single producer, so WAL
 /// order is trace order) into `backend` with persistence in `dir`, until
 /// the parent SIGKILLs it mid-WAL-append.
-pid_t spawn_ingest_child(const char* backend, const std::string& dir,
-                         MinerOptions opts) {
+pid_t spawn_ingest_child(const char* backend, const std::string& dir) {
   const pid_t pid = ::fork();
   if (pid != 0) return pid;
-  opts.persist_dir = dir;
   {
-    auto miner = make_miner(backend, test_cfg(), trace().dict, opts);
+    auto miner =
+        make_miner(backend, test_cfg(), trace().dict, persist_opts(dir));
     const auto& records = trace().records;
     for (;;)
       for (const TraceRecord& r : records) miner->observe(r);
@@ -502,7 +467,7 @@ void kill_after_first_checkpoint(pid_t child, const std::string& dir) {
 void run_kill_and_recover(const char* backend) {
   (void)trace();  // build the trace before forking
   TempDir dir(std::string("persist_kill_") + backend);
-  const pid_t child = spawn_ingest_child(backend, dir.str(), persist_opts(""));
+  const pid_t child = spawn_ingest_child(backend, dir.str());
   ASSERT_GT(child, 0);
   kill_after_first_checkpoint(child, dir.str());
 
@@ -527,47 +492,6 @@ TEST(PersistKillAndRecover, Sharded) { run_kill_and_recover("sharded"); }
 
 TEST(PersistKillAndRecover, Concurrent) {
   run_kill_and_recover("concurrent");
-}
-
-TEST(PersistKillAndRecover, Router) {
-  (void)trace();
-  TempDir dir("persist_kill_router");
-  MinerOptions opts = persist_opts("");
-  opts.router_tenants = 2;
-  opts.router_backends = "0=sharded,1=farmer";
-  const pid_t child = spawn_ingest_child("router", dir.str(), opts);
-  ASSERT_GT(child, 0);
-  // Tenant subdirectories checkpoint independently; waiting on tenant0 is
-  // enough to know the child is well past its first checkpoint interval.
-  kill_after_first_checkpoint(child, dir.str() + "/tenant0");
-
-  // Each tenant's durable prefix is independent: reconstruct each child's
-  // sub-stream with the router's own range mapping and feed the reference
-  // router exactly the per-tenant prefixes recovery will produce.
-  const auto tenant_of = MinerRouter::range_tenants(
-      2, static_cast<std::uint32_t>(trace().dict->files.size()));
-  std::vector<std::vector<TraceRecord>> streams(2);
-  for (const TraceRecord& r : trace().records)
-    streams[tenant_of(r.file)].push_back(r);
-  MinerOptions ref_opts;
-  ref_opts.router_tenants = 2;
-  ref_opts.router_backends = "0=sharded,1=farmer";
-  auto reference = make_miner("router", test_cfg(), trace().dict, ref_opts);
-  for (std::size_t t = 0; t < 2; ++t) {
-    ASSERT_FALSE(streams[t].empty());
-    const persist::Recovery rec = persist::recover_dir(
-        dir.str() + "/tenant" + std::to_string(t), test_cfg(),
-        trace().dict.get());
-    for (std::uint64_t i = 0; i < rec.durable_records(); ++i)
-      reference->observe(streams[t][i % streams[t].size()]);
-  }
-  reference->flush();
-
-  MinerOptions recover_opts = opts;
-  recover_opts.persist_dir = dir.str();
-  auto recovered =
-      make_miner("router", test_cfg(), trace().dict, recover_opts);
-  expect_identical(*recovered, *reference);
 }
 
 }  // namespace

@@ -559,76 +559,6 @@ TEST(ParallelApplyStress, ConcurrentDrainWithWorkerLanesStaysConsistent) {
   EXPECT_GE(s.apply_batches, 1u);
 }
 
-// ------------------------------------------------------- router stress --
-
-// The router under the full concurrent mix: racing producers partitioned
-// by process, readers hammering snapshots across every tenant, and a
-// flusher thread exercising the fan-out barrier — all while each tenant
-// runs its own drain. The router itself keeps no mutable state, so TSan
-// failures here indict the routing layer's composition, not the children
-// (which the ConcurrentMinerStress suite covers in isolation). Runs in the
-// CI thread-sanitizer tier via the RouterStress.* filter.
-TEST(RouterStress, SnapshotsAndFlushesRaceAcrossTenants) {
-  constexpr TraceKind kKinds[] = {TraceKind::kHP, TraceKind::kINS};
-  static const MultiTenantTrace mt = make_multi_tenant_trace(kKinds, 99,
-                                                             0.02);
-  const FarmerConfig cfg;
-  constexpr std::size_t kProducers = 4;
-  MinerOptions opts;
-  opts.shards = 2;
-  opts.ingest_threads = kProducers;
-  opts.router_tenants = 2;
-  opts.router_backends = "concurrent";
-  opts.router_tenant_of = mt.tenant_map();
-  const auto miner = make_miner("router", cfg, mt.trace.dict, opts);
-
-  // Tenant-0/tenant-1 boundary, for the isolation assertion below.
-  const std::uint32_t boundary = mt.file_begin[1];
-  const auto parts = testing::partition_by_process(mt.trace.records,
-                                                   kProducers);
-  std::atomic<bool> done{false};
-  std::vector<std::thread> aux;
-  for (int rdr = 0; rdr < 2; ++rdr) {
-    aux.emplace_back([&, rdr] {
-      Rng rng(static_cast<std::uint64_t>(1300 + rdr));
-      while (!done.load(std::memory_order_acquire)) {
-        const FileId f(static_cast<std::uint32_t>(
-            rng.next_below(mt.trace.file_count())));
-        const CorrelatorView view = miner->snapshot(f);
-        ASSERT_LE(view.size(), cfg.correlator_capacity);
-        for (std::size_t i = 0; i < view.size(); ++i) {
-          EXPECT_NE(view[i].file, f) << "self-correlation";
-          // Tenant isolation must hold mid-race: a snapshot never names a
-          // file from the other tenant's range.
-          EXPECT_EQ(view[i].file.value() < boundary, f.value() < boundary)
-              << "cross-tenant correlator surfaced";
-          if (i > 0) {
-            EXPECT_GE(view[i - 1].degree, view[i].degree)
-                << "snapshot not sorted";
-          }
-        }
-      }
-    });
-  }
-  aux.emplace_back([&] {  // barrier fan-out racing the producers
-    while (!done.load(std::memory_order_acquire)) {
-      miner->flush();
-      std::this_thread::yield();
-    }
-  });
-
-  testing::replay_partitioned(*miner, parts, /*chunk=*/32);
-  miner->flush();
-  done.store(true, std::memory_order_release);
-  for (auto& th : aux) th.join();
-
-  const MinerStats s = miner->stats();
-  EXPECT_EQ(s.requests, mt.trace.records.size());
-  EXPECT_EQ(s.pending, 0u);
-  ASSERT_EQ(s.per_tenant.size(), 2u);
-  for (const MinerStats& ts : s.per_tenant) EXPECT_GT(ts.requests, 0u);
-}
-
 // ------------------------------------------------------- LDA properties --
 
 TEST(LdaProperty, WeightsDecreaseWithDistance) {

@@ -14,6 +14,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/correlation_miner.hpp"
@@ -219,24 +220,31 @@ TEST(ServingDeterminism, SeedChangesWorkload) {
 /// forwarder that overrides only predict(), so the MDS gets the ungated
 /// reference. Every observable must match, and the gated run must skip
 /// some (not all) of FPA's evidence passes. "concurrent" is left out: its
-/// serving results are not bit-repeatable from one run to the next. Scale
-/// 0.08, not tiny_spec's 0.04: at 0.04 "steady"'s cache holds the whole
-/// working set, so no candidate is ever fetchable and the comparison
-/// would never reach the ranking.
+/// serving results are not bit-repeatable from one run to the next. The
+/// third leg is a sequence-only model: the paper's p = 0 reduction to
+/// Nexus, with no validity threshold. Scale 0.08, not tiny_spec's 0.04: at
+/// 0.04 "steady"'s cache holds the whole working set, so no candidate is
+/// ever fetchable and the comparison would never reach the ranking.
 void expect_gate_exact(const char* scenario) {
   ScenarioSpec spec = scenario_spec(scenario);
   spec.scale = 0.08;
   spec.windows = 4;
   const ScenarioWorkload wl = build_workload(spec);
   const FarmerConfig cfg = cfg_for(wl.trace);
-  for (const char* backend : {"farmer", "sharded", "nexus"}) {
-    SCOPED_TRACE(std::string(scenario) + " over " + backend);
+  FarmerConfig sequence_only = cfg;
+  sequence_only.p = 0.0;
+  sequence_only.max_strength = 0.0;
+  const std::pair<const char*, FarmerConfig> legs[] = {
+      {"farmer", cfg}, {"sharded", cfg}, {"farmer", sequence_only}};
+  for (const auto& [backend, leg_cfg] : legs) {
+    SCOPED_TRACE(std::string(scenario) + " over " + backend +
+                 " p=" + std::to_string(leg_cfg.p));
     std::uint64_t gated_calls = 0, ungated_calls = 0;
     FpaPredictor gated(std::make_unique<testing::EvidenceCountingMiner>(
-        make_miner(backend, cfg, wl.trace.dict), gated_calls));
+        make_miner(backend, leg_cfg, wl.trace.dict), gated_calls));
     testing::PredictOnlyForwarder ungated(std::make_unique<FpaPredictor>(
         std::make_unique<testing::EvidenceCountingMiner>(
-            make_miner(backend, cfg, wl.trace.dict), ungated_calls)));
+            make_miner(backend, leg_cfg, wl.trace.dict), ungated_calls)));
     const ServingResult g = serve(spec, wl, gated);
     const ServingResult u = serve(spec, wl, ungated);
     expect_windows_identical(g.windows, u.windows);
