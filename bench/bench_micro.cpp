@@ -261,6 +261,35 @@ void BM_FpaPredict(benchmark::State& state) {
 }
 BENCHMARK(BM_FpaPredict);
 
+void BM_FpaPredictFetchable(benchmark::State& state) {
+  // Both sides of FPA's residency gate over 4-shard "sharded". Arg(0):
+  // everything resident, so any_listed() rejects every request from the
+  // shard lists in place, with no merge. Arg(1): nothing resident, so
+  // every request with a Correlator List merges and ranks.
+  const Trace& trace = hp();
+  MinerOptions opts;
+  opts.shards = 4;
+  auto miner = make_miner("sharded", fpa_config(trace), trace.dict, opts);
+  miner->observe_batch(trace.records);
+  FpaPredictor fpa(std::move(miner));
+  const bool nothing_resident = state.range(0) == 1;
+  const auto fetchable = [nothing_resident](FileId) {
+    return nothing_resident;
+  };
+  std::size_t i = 0;
+  PredictionList out;
+  for (auto _ : state) {
+    out.clear();
+    fpa.predict_fetchable(trace.records[i % trace.records.size()], 4,
+                          fetchable, out);
+    benchmark::DoNotOptimize(out.size());
+    ++i;
+  }
+  state.SetLabel(nothing_resident ? "nothing resident"
+                                  : "everything resident");
+}
+BENCHMARK(BM_FpaPredictFetchable)->Arg(0)->Arg(1);
+
 void BM_FootprintBytes(benchmark::State& state) {
   // One footprint_bytes() call right after an observe, the way the serving
   // loop samples its per-window gauge, on a warmed 4-shard "sharded" miner.

@@ -13,7 +13,9 @@
 // `CorrelatorView`: backends whose lists are stable between `observe()`
 // calls hand out a zero-copy span, backends that merge on demand (sharded)
 // hand out an owning snapshot — either way the caller never observes a
-// Correlator List mid-resort.
+// Correlator List mid-resort. `any_listed()` is the cheap question a
+// caller asks before paying for that merge: does any listed Correlator pass
+// a test? A merging backend answers it from its per-shard lists in place.
 #pragma once
 
 #include <cassert>
@@ -23,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "common/function_ref.hpp"
 #include "common/types.hpp"
 #include "graph/correlation_graph.hpp"
 #include "trace/record.hpp"
@@ -240,7 +243,8 @@ class CorrelationMiner {
   /// including every flushed record. Calling flush() while other threads
   /// keep producing is allowed but only guarantees the records accepted
   /// before the call. flush() never invalidates any CorrelatorView,
-  /// borrowed or owning.
+  /// borrowed or owning. A durable asynchronous backend rethrows a failed
+  /// background checkpoint from here, after the barrier completed.
   virtual void flush() {}
 
   /// Immutable snapshot of `f`'s Correlator List, sorted by descending
@@ -253,6 +257,25 @@ class CorrelationMiner {
   /// state, safe from any thread at any time; synchronous backends require
   /// external synchronization against ingest.
   [[nodiscard]] virtual CorrelatorView snapshot(FileId f) const = 0;
+
+  /// Does some Correlator listed for `f` pass `test`? A false answer
+  /// certifies that no entry of snapshot(f) passes `test`, when no ingest
+  /// runs between the two calls; a true answer promises nothing about the
+  /// snapshot. The default body scans snapshot(f), so it answers exactly.
+  /// A backend whose snapshot() merges per-shard lists should override it
+  /// with a scan of those lists in place: the merged list is a subset of
+  /// their union, so a false answer still holds, and a true one may come
+  /// from an entry the merge dedupes or cuts at capacity. "sharded" and
+  /// "concurrent" (one published shard table) do that; the durability
+  /// decorator forwards; "farmer" keeps the default — its snapshot is a
+  /// borrowed span. `test` must have no side effects. Same thread-safety
+  /// contract as snapshot().
+  [[nodiscard]] virtual bool any_listed(FileId f,
+                                        FunctionRef<bool(FileId)> test) const {
+    for (const Correlator& c : snapshot(f))
+      if (test(c.file)) return true;
+    return false;
+  }
 
   /// Materialized Correlator List (convenience over snapshot()). Owning
   /// snapshots are moved out, not re-copied.

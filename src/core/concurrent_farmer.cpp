@@ -1,6 +1,7 @@
 #include "core/concurrent_farmer.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <functional>
 #include <iterator>
 #include <stdexcept>
@@ -175,6 +176,13 @@ void ConcurrentFarmer::flush() {
     });
   }
   flush_waiters_.fetch_sub(1, std::memory_order_release);
+  if (!persister_) return;
+  std::exception_ptr error;
+  {
+    std::lock_guard<std::mutex> lk(ckpt_mu_);
+    error = std::exchange(ckpt_error_, nullptr);
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 std::size_t ConcurrentFarmer::collect(Batch& into) {
@@ -282,12 +290,21 @@ void ConcurrentFarmer::checkpoint_loop() {
     }
     // Serialization reads only the immutable published snapshots the job
     // captured — the heavy part of a checkpoint never stalls the drain, the
-    // producers or the queries.
-    std::vector<std::string> blobs;
-    blobs.reserve(shards.size());
-    for (const std::shared_ptr<const Farmer>& s : shards)
-      blobs.push_back(persist::serialize_shard(*s));
-    persister_->commit_checkpoint(seq, blobs);
+    // producers or the queries. A failed write (disk full, file-size limit)
+    // must not escape this thread: the error is parked for the next
+    // flush(), and the previous checkpoint plus the WAL stay valid because
+    // commit_checkpoint prunes only after its file write succeeded.
+    try {
+      std::vector<std::string> blobs;
+      blobs.reserve(shards.size());
+      for (const std::shared_ptr<const Farmer>& s : shards)
+        blobs.push_back(persist::serialize_shard(*s));
+      persister_->commit_checkpoint(seq, blobs);
+    } catch (...) {
+      std::lock_guard<std::mutex> lk(ckpt_mu_);
+      if (!ckpt_error_) ckpt_error_ = std::current_exception();
+    }
+    // Idle again either way, so a later publish retries.
     ckpt_busy_.store(false, std::memory_order_release);
   }
 }
@@ -392,6 +409,12 @@ std::vector<Correlator> ConcurrentFarmer::cached_correlators(
 CorrelatorView ConcurrentFarmer::snapshot(FileId f) const {
   const auto t = table();
   return CorrelatorView(cached_correlators(f, *t));
+}
+
+bool ConcurrentFarmer::any_listed(FileId f,
+                                  FunctionRef<bool(FileId)> test) const {
+  const auto t = table();
+  return ShardedFarmer::merged_any_listed(t->shards, f, test);
 }
 
 EpochSnapshot ConcurrentFarmer::epoch_snapshot(FileId f) const {

@@ -68,6 +68,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -141,7 +142,10 @@ class ConcurrentFarmer final : public CorrelationMiner {
   /// published; afterwards every query answers from state that includes it.
   /// Coalescing never weakens this barrier: while a flush() waits, the
   /// drain publishes after every apply round and again the moment the
-  /// queues run dry, interval or not.
+  /// queues run dry, interval or not. With persistence enabled, a
+  /// background checkpoint that failed since the last flush() is rethrown
+  /// here, once, as the original exception (after the barrier completed);
+  /// the previous checkpoint and the WAL still cover every record.
   void flush() override;
 
   /// Owning snapshot of `f`'s merged Correlator List at the current epoch.
@@ -149,6 +153,12 @@ class ConcurrentFarmer final : public CorrelationMiner {
   /// on miss. The view stays valid and immutable for as long as the caller
   /// holds it, across any amount of further ingest.
   [[nodiscard]] CorrelatorView snapshot(FileId f) const override;
+
+  /// The sharded in-place scan over one table load; never consults the
+  /// cache, so a caller that asks this first reaches the cache (and the
+  /// merge) only when some shard lists a passing entry.
+  [[nodiscard]] bool any_listed(
+      FileId f, FunctionRef<bool(FileId)> test) const override;
 
   /// snapshot() plus the epoch stamp, for readers that track progression.
   [[nodiscard]] EpochSnapshot epoch_snapshot(FileId f) const;
@@ -235,7 +245,8 @@ class ConcurrentFarmer final : public CorrelationMiner {
   /// until the worker catches up.
   void maybe_begin_checkpoint();
   /// Background worker: serializes handed-off snapshots and commits the
-  /// checkpoint file; never touches live state.
+  /// checkpoint file; never touches live state. A failure is parked in
+  /// ckpt_error_ for flush() to rethrow.
   void checkpoint_loop();
   /// Replaces the published table with fresh COW exports of every shard
   /// (construction and load()); resets the COW accounting baselines.
@@ -318,6 +329,7 @@ class ConcurrentFarmer final : public CorrelationMiner {
   bool ckpt_job_ready_ = false;  // guarded by ckpt_mu_
   std::uint64_t ckpt_seq_ = 0;   // guarded by ckpt_mu_
   std::vector<std::shared_ptr<const Farmer>> ckpt_shards_;  // guarded
+  std::exception_ptr ckpt_error_;  // guarded by ckpt_mu_; first unreported
   std::thread ckpt_thread_;
 };
 

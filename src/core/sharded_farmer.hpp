@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "api/correlation_miner.hpp"
+#include "common/small_vector.hpp"
 #include "core/cominer.hpp"
 #include "core/farmer.hpp"
 #include "vsm/similarity.hpp"
@@ -70,6 +71,12 @@ class ShardedFarmer final : public CorrelationMiner {
   /// immutable by construction.
   [[nodiscard]] CorrelatorView snapshot(FileId f) const override {
     return CorrelatorView(correlators(f));
+  }
+
+  /// Scans each shard's list in place (merged_any_listed): no merge.
+  [[nodiscard]] bool any_listed(
+      FileId f, FunctionRef<bool(FileId)> test) const override {
+    return merged_any_listed(shards_, f, test);
   }
 
   /// Strongest per-shard evaluation — consistent with the merge rule
@@ -152,11 +159,15 @@ class ShardedFarmer final : public CorrelationMiner {
 
   /// Merged Correlator List: concatenate per-shard lists in shard order,
   /// sort by descending degree (file id breaks ties), deduplicate keeping
-  /// the strongest shard's entry, cap at `capacity`.
+  /// the strongest shard's entry, cap at `capacity`. The concatenation
+  /// stays inline for up to four full default-capacity shard lists. The
+  /// sort is needed even though each shard list is sorted by degree: a
+  /// shard can hold equal degrees in insertion order, not file id order
+  /// (CorrelationGraph::upsert_correlator).
   template <typename ShardRange>
   [[nodiscard]] static std::vector<Correlator> merged_correlators(
       const ShardRange& shards, FileId f, std::size_t capacity) {
-    std::vector<Correlator> merged;
+    SmallVector<Correlator, 32> merged;
     for (const auto& shard : shards)
       for (const Correlator& c : shard->correlator_list(f))
         merged.push_back(c);
@@ -167,6 +178,7 @@ class ShardedFarmer final : public CorrelationMiner {
               });
     // Deduplicate successors: the strongest shard wins.
     std::vector<Correlator> out;
+    out.reserve(std::min(merged.size(), capacity));
     for (const Correlator& c : merged) {
       const bool seen = std::any_of(
           out.begin(), out.end(),
@@ -175,6 +187,19 @@ class ShardedFarmer final : public CorrelationMiner {
       if (out.size() >= capacity) break;
     }
     return out;
+  }
+
+  /// any_listed over the shards without merging: true as soon as one
+  /// shard lists an entry passing `test`. merged_correlators keeps a
+  /// subset of the union of the shard lists, so a false answer certifies
+  /// that no merged entry passes either.
+  template <typename ShardRange>
+  [[nodiscard]] static bool merged_any_listed(
+      const ShardRange& shards, FileId f, FunctionRef<bool(FileId)> test) {
+    for (const auto& shard : shards)
+      for (const Correlator& c : shard->correlator_list(f))
+        if (test(c.file)) return true;
+    return false;
   }
 
   /// Strongest per-shard R(a, b) — consistent with the merge rule.

@@ -43,6 +43,10 @@ class DurableMiner final : public CorrelationMiner {
   [[nodiscard]] CorrelatorView snapshot(FileId f) const override {
     return inner_->snapshot(f);
   }
+  [[nodiscard]] bool any_listed(
+      FileId f, FunctionRef<bool(FileId)> test) const override {
+    return inner_->any_listed(f, test);
+  }
   [[nodiscard]] double correlation_degree(FileId a, FileId b) const override {
     return inner_->correlation_degree(a, b);
   }

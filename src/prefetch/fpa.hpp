@@ -53,14 +53,20 @@ class FpaPredictor final : public Predictor {
   /// Correlator already cached or in flight, and then no ranking could
   /// change what the caller fetches. Skipping it there saves the
   /// per-candidate evidence pass; otherwise this is predict() unchanged.
+  /// any_listed() answers first, so a sharded miner merges its lists only
+  /// when some shard lists a fetchable file. The snapshot is re-checked
+  /// because that file may be one the merge cut at capacity.
   void predict_fetchable(const TraceRecord& rec, std::size_t limit,
                          FunctionRef<bool(FileId)> fetchable,
                          PredictionList& out) override {
+    const auto wanted = [&](FileId f) {
+      return f != rec.file && fetchable(f);
+    };
+    if (!miner_->any_listed(rec.file, wanted)) return;
     const CorrelatorView list = miner_->snapshot(rec.file);
     const bool any_fetchable =
-        std::any_of(list.begin(), list.end(), [&](const Correlator& c) {
-          return c.file != rec.file && fetchable(c.file);
-        });
+        std::any_of(list.begin(), list.end(),
+                    [&](const Correlator& c) { return wanted(c.file); });
     if (any_fetchable) rank(rec, list, limit, out);
   }
 

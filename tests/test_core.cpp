@@ -2,9 +2,13 @@
 // threshold filtering, the Nexus/PBS reduction properties, and sharding.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/farmer.hpp"
 #include "core/sharded_farmer.hpp"
 #include "test_helpers.hpp"
+#include "trace/generator.hpp"
 
 namespace farmer {
 namespace {
@@ -294,6 +298,104 @@ TEST(ShardedFarmer, MergedListSortedAndDeduplicated) {
       EXPECT_NE(list[i].file, list[j].file);
   for (std::size_t i = 1; i < list.size(); ++i)
     EXPECT_GE(list[i - 1].degree, list[i].degree);
+}
+
+/// The merge rule written out: concatenate the shard lists, sort by
+/// (degree desc, FileId asc), keep each file's first entry, cap.
+std::vector<Correlator> reference_merge(const ShardedFarmer& sharded,
+                                        FileId f, std::size_t capacity) {
+  std::vector<Correlator> all;
+  for (std::size_t s = 0; s < sharded.shard_count(); ++s)
+    for (const Correlator& c : sharded.shard(s).correlator_list(f))
+      all.push_back(c);
+  std::sort(all.begin(), all.end(),
+            [](const Correlator& a, const Correlator& b) {
+              if (a.degree != b.degree) return a.degree > b.degree;
+              return a.file < b.file;
+            });
+  std::vector<Correlator> out;
+  for (const Correlator& c : all) {
+    if (out.size() >= capacity) break;
+    if (std::none_of(out.begin(), out.end(), [&](const Correlator& o) {
+          return o.file == c.file;
+        }))
+      out.push_back(c);
+  }
+  return out;
+}
+
+void expect_same_list(const std::vector<Correlator>& got,
+                      const std::vector<Correlator>& want, FileId f) {
+  ASSERT_EQ(got.size(), want.size()) << "file " << f.value();
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].file, want[i].file)
+        << "file " << f.value() << " entry " << i;
+    EXPECT_EQ(got[i].degree, want[i].degree)
+        << "file " << f.value() << " entry " << i;
+  }
+}
+
+/// True when some equal-degree neighbours in `shard`'s list for `f` are
+/// out of FileId order, the order CorrelationGraph::upsert_correlator
+/// produces for a newcomer that ties an existing entry.
+bool has_tie_out_of_order(const Farmer& shard, FileId f) {
+  const auto& list = shard.correlator_list(f);
+  for (std::size_t i = 1; i < list.size(); ++i)
+    if (list[i - 1].degree == list[i].degree &&
+        list[i].file < list[i - 1].file)
+      return true;
+  return false;
+}
+
+TEST(ShardedFarmer, MergeSortsTiesByFileId) {
+  MicroTrace mt;
+  const FileId a = mt.file("a");
+  std::vector<FileId> x;
+  for (int i = 0; i < 13; ++i) x.push_back(mt.file("x" + std::to_string(i)));
+  FarmerConfig cfg = base_config();
+  ASSERT_EQ(cfg.correlator_capacity, 8u);
+  ShardedFarmer sharded(cfg, mt.dict(), 4);
+  const auto plant = [&](std::size_t shard,
+                         std::vector<Correlator> correlators) {
+    sharded.shard_mut(shard).restore_graph_node(a, 1, {}, correlators);
+  };
+  // Equal degrees with the larger FileId first, as upsert_correlator
+  // leaves a tie; x2 listed by two shards at different degrees; ten
+  // distinct files for a capacity of eight.
+  plant(0, {{x[5], 0.9f}, {x[2], 0.9f}, {x[9], 0.7f}, {x[1], 0.7f}});
+  plant(1, {{x[2], 0.95f}, {x[7], 0.6f}, {x[3], 0.6f}});
+  plant(3, {{x[12], 0.5f}, {x[11], 0.5f}, {x[10], 0.5f}, {x[8], 0.4f}});
+  ASSERT_TRUE(has_tie_out_of_order(sharded.shard(0), a));
+
+  const std::vector<Correlator> merged = sharded.correlators(a);
+  expect_same_list(merged, reference_merge(sharded, a, 8), a);
+  const std::vector<Correlator> want = {
+      {x[2], 0.95f}, {x[5], 0.9f}, {x[1], 0.7f}, {x[9], 0.7f},
+      {x[3], 0.6f},  {x[7], 0.6f}, {x[10], 0.5f}, {x[11], 0.5f}};
+  expect_same_list(merged, want, a);
+}
+
+TEST(ShardedFarmer, MergeMatchesReferenceOnEveryFileOfAPaperTrace) {
+  const Trace trace = make_paper_trace(TraceKind::kHP, 11, 0.05);
+  FarmerConfig cfg;
+  cfg.attributes = trace.has_paths ? AttributeMask::all_with_path()
+                                   : AttributeMask::all_with_fileid();
+  ShardedFarmer sharded(cfg, trace.dict, 4);
+  sharded.observe_batch(trace.records);
+  std::size_t listed = 0, tied = 0;
+  for (std::uint32_t i = 0; i < trace.file_count(); ++i) {
+    const FileId f(i);
+    const std::vector<Correlator> merged = sharded.correlators(f);
+    expect_same_list(
+        merged, reference_merge(sharded, f, cfg.correlator_capacity), f);
+    listed += merged.empty() ? 0 : 1;
+    for (std::size_t s = 0; s < sharded.shard_count(); ++s)
+      tied += has_tie_out_of_order(sharded.shard(s), f) ? 1 : 0;
+  }
+  EXPECT_GT(listed, trace.file_count() / 10);
+  // The sweep reaches the lists a merge trusting shard order would get
+  // wrong.
+  EXPECT_GT(tied, 0u);
 }
 
 TEST(ShardedFarmer, FootprintSumsShards) {

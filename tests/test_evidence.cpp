@@ -5,6 +5,11 @@
 // walk, the durability decorator's forwarding and the default body alike.
 // FPA's predictions through the batched query must match the per-query
 // loop it replaced.
+//
+// CorrelationMiner::any_listed: the pre-check FPA asks before it pays for
+// a snapshot. A false answer must certify that no snapshot entry passes
+// the test, on every backend; a merging backend may answer true for an
+// entry its merge cut.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,11 +18,14 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/miner_factory.hpp"
 #include "common/rng.hpp"
+#include "core/sharded_farmer.hpp"
 #include "prefetch/fpa.hpp"
+#include "test_helpers.hpp"
 #include "trace/generator.hpp"
 
 namespace farmer {
@@ -117,6 +125,129 @@ TEST(CandidateEvidence, DurableDecoratorForwardsToTheFusedWalk) {
         *miner, static_cast<std::uint32_t>(mt.trace.file_count()), 71);
   }
   std::filesystem::remove_all(dir);
+}
+
+// ------------------------------------------------------------ any_listed
+
+/// Checks any_listed against the snapshot for every file (and one never
+/// seen) under five tests: accept all, reject all and `id % 3 == r`. A
+/// false answer must mean no snapshot entry passes; with `exact` the answer
+/// must equal that scan.
+void expect_any_listed_contract(const CorrelationMiner& miner,
+                                std::uint32_t files, bool exact) {
+  std::size_t yes = 0, no = 0;
+  for (std::uint32_t i = 0; i <= files; ++i) {
+    const FileId f(i);
+    const CorrelatorView snap = miner.snapshot(f);
+    const auto check = [&](FunctionRef<bool(FileId)> test, int which) {
+      const bool listed = miner.any_listed(f, test);
+      const bool in_snapshot =
+          std::any_of(snap.begin(), snap.end(),
+                      [&](const Correlator& c) { return test(c.file); });
+      if (!listed) {
+        ASSERT_FALSE(in_snapshot)
+            << miner.name() << " file " << i << " test " << which;
+      }
+      if (exact) {
+        ASSERT_EQ(listed, in_snapshot)
+            << miner.name() << " file " << i << " test " << which;
+      }
+      ++(listed ? yes : no);
+    };
+    check([](FileId) { return true; }, 0);
+    check([](FileId) { return false; }, 1);
+    for (std::uint32_t r = 0; r < 3; ++r)
+      check([r](FileId g) { return g.value() % 3 == r; },
+            2 + static_cast<int>(r));
+    // Accept-all is exact everywhere: the merge of non-empty shard lists
+    // is never empty.
+    ASSERT_EQ(miner.any_listed(f, [](FileId) { return true; }), !snap.empty())
+        << miner.name() << " file " << i;
+  }
+  EXPECT_GT(yes, files / 4) << miner.name();
+  EXPECT_GT(no, files) << miner.name();
+}
+
+TEST(AnyListed, FalseCertifiesNoSnapshotEntryOnEveryBackend) {
+  const MultiTenantTrace mt = make_multi_tenant_trace(kTenants, 79, 0.02);
+  const auto files = static_cast<std::uint32_t>(mt.trace.file_count());
+  const std::string dir = ::testing::TempDir() + "any_listed_durable";
+  std::filesystem::remove_all(dir);
+  std::vector<std::pair<std::string, std::unique_ptr<CorrelationMiner>>>
+      miners;
+  for (const std::string& name : registered_miners()) {
+    MinerOptions opts;
+    opts.shards = 4;
+    miners.emplace_back(name,
+                        make_miner(name, FarmerConfig{}, mt.trace.dict, opts));
+  }
+  MinerOptions durable;
+  durable.shards = 4;
+  durable.persist_dir = dir;
+  miners.emplace_back(
+      "durable sharded",
+      make_miner("sharded", FarmerConfig{}, mt.trace.dict, durable));
+  for (const auto& [label, miner] : miners) {
+    SCOPED_TRACE(label);
+    constexpr std::size_t kChunk = 256;
+    for (std::size_t i = 0; i < mt.trace.records.size(); i += kChunk) {
+      const std::size_t n = std::min(kChunk, mt.trace.records.size() - i);
+      miner->observe_batch(
+          std::span<const TraceRecord>(&mt.trace.records[i], n));
+    }
+    miner->flush();
+    expect_any_listed_contract(*miner, files, label == "farmer");
+  }
+  miners.clear();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(AnyListed, TrueForAnEntryTheMergeCutAtCapacity) {
+  // Shard 0 lists eight strong Correlators of `a` (a full list), shard 1
+  // one weak one, `cut`. The merge keeps the eight, so `cut` is in no
+  // snapshot, yet the in-place scan finds it: FPA has to re-check the
+  // snapshot after a true answer.
+  testing::MicroTrace mt;
+  const FileId a = mt.file("a");
+  const FileId cut = mt.file("cut");
+  std::vector<Correlator> strong;
+  for (int i = 0; i < 8; ++i)
+    strong.push_back({mt.file("s" + std::to_string(i)), 0.9f});
+  const FarmerConfig cfg;
+  ASSERT_EQ(cfg.correlator_capacity, strong.size());
+  const std::string planted = ::testing::TempDir() + "any_listed_planted";
+  const std::string durable = ::testing::TempDir() + "any_listed_cut_wal";
+  std::filesystem::remove_all(planted);
+  std::filesystem::remove_all(durable);
+  {
+    ShardedFarmer source(cfg, mt.dict(), 2);
+    source.shard_mut(0).restore_graph_node(a, 1, {}, strong);
+    const Correlator weak{cut, 0.5f};
+    source.shard_mut(1).restore_graph_node(a, 1, {}, {&weak, 1});
+    source.save(planted);
+  }
+  const auto is_cut = [&](FileId f) { return f == cut; };
+  // Every backend whose snapshot merges: the sharded scan, the concurrent
+  // scan over its published table, and the durability decorator.
+  const std::pair<const char*, bool> backends[] = {
+      {"sharded", false}, {"concurrent", false}, {"sharded", true}};
+  for (const auto& [backend, persist] : backends) {
+    SCOPED_TRACE(std::string(backend) + (persist ? " durable" : ""));
+    MinerOptions opts;
+    opts.shards = 2;
+    if (persist) opts.persist_dir = durable;
+    const auto miner = make_miner(backend, cfg, mt.dict(), opts);
+    miner->load(planted);
+    const CorrelatorView snap = miner->snapshot(a);
+    ASSERT_EQ(snap.size(), strong.size());
+    EXPECT_TRUE(std::none_of(snap.begin(), snap.end(),
+                             [&](const Correlator& c) {
+                               return is_cut(c.file);
+                             }));
+    EXPECT_TRUE(miner->any_listed(a, is_cut));
+  }
+  std::filesystem::remove_all(planted);
+  std::filesystem::remove_all(durable);
 }
 
 /// FPA's re-check as four point queries per candidate — the loop

@@ -76,12 +76,16 @@ class PredictOnlyForwarder final : public Predictor {
 };
 
 /// Forwards every call to a wrapped miner and counts candidate_evidence()
-/// calls into `calls`: FPA makes one per ranked prediction.
+/// calls into `calls`: FPA makes one per ranked prediction. When
+/// `snapshots` is given, snapshot() calls are counted there: FPA's gate
+/// makes one only when any_listed() said yes. any_listed() is forwarded,
+/// so a sharded inner miner runs its in-place scan, not the default body.
 class EvidenceCountingMiner final : public CorrelationMiner {
  public:
   EvidenceCountingMiner(std::unique_ptr<CorrelationMiner> inner,
-                        std::uint64_t& calls)
-      : inner_(std::move(inner)), calls_(calls) {}
+                        std::uint64_t& calls,
+                        std::uint64_t* snapshots = nullptr)
+      : inner_(std::move(inner)), calls_(calls), snapshots_(snapshots) {}
 
   void observe(const TraceRecord& rec) override { inner_->observe(rec); }
   void observe_batch(std::span<const TraceRecord> records) override {
@@ -89,7 +93,12 @@ class EvidenceCountingMiner final : public CorrelationMiner {
   }
   void flush() override { inner_->flush(); }
   [[nodiscard]] CorrelatorView snapshot(FileId f) const override {
+    if (snapshots_) ++*snapshots_;
     return inner_->snapshot(f);
+  }
+  [[nodiscard]] bool any_listed(
+      FileId f, FunctionRef<bool(FileId)> test) const override {
+    return inner_->any_listed(f, test);
   }
   [[nodiscard]] double correlation_degree(FileId a, FileId b) const override {
     return inner_->correlation_degree(a, b);
@@ -123,6 +132,7 @@ class EvidenceCountingMiner final : public CorrelationMiner {
  private:
   std::unique_ptr<CorrelationMiner> inner_;
   std::uint64_t& calls_;
+  std::uint64_t* snapshots_;
 };
 
 /// Builds tiny traces with explicit control over every attribute. Files,

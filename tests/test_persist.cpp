@@ -418,6 +418,91 @@ TEST(PersistSaveLoad, FailedWriteIsNotPublished) {
       << "a failed save() left a checkpoint file behind";
 }
 
+/// Feeds `miner` the trace in 100-record observe_batch chunks with a
+/// flush() after each; returns how many of those flush() calls threw
+/// std::runtime_error (any other exception propagates).
+std::size_t chunked_ingest_with_flushes(CorrelationMiner& miner) {
+  constexpr std::size_t kChunk = 100;
+  const auto& records = trace().records;
+  std::size_t threw = 0;
+  for (std::size_t i = 0; i < records.size(); i += kChunk) {
+    miner.observe_batch(std::span<const TraceRecord>(
+        &records[i], std::min(kChunk, records.size() - i)));
+    try {
+      miner.flush();
+    } catch (const std::runtime_error&) {
+      ++threw;
+    }
+  }
+  return threw;
+}
+
+/// Size of the committed checkpoint with the highest sequence in `dir`.
+std::uintmax_t newest_checkpoint_size(const std::string& dir) {
+  std::uint64_t newest = 0;
+  std::uintmax_t size = 0;
+  for (const std::string& name : checkpoint_entries(dir)) {
+    if (name.find(".tmp") != std::string::npos) continue;
+    const std::uint64_t seq =
+        std::stoull(name.substr(sizeof("CHECKPOINT.") - 1));
+    if (seq < newest) continue;
+    newest = seq;
+    size = fs::file_size(dir + "/" + name);
+  }
+  return size;
+}
+
+TEST(PersistReopen, ConcurrentCheckpointFailureSurfacesAtFlush) {
+  // Regression: the concurrent backend's checkpoint worker let a failed
+  // commit_checkpoint throw on its own thread, so a short checkpoint write
+  // killed the process through std::terminate. A file-size limit of half
+  // the last checkpoint lets the early checkpoints commit and fails the
+  // later ones; each failure must come back from a flush() as the original
+  // std::runtime_error, and the directory must still recover everything.
+  TempDir sizing("persist_ckpt_fail_sizing");
+  TempDir dir("persist_ckpt_fail");
+  {
+    auto miner = make_miner("concurrent", test_cfg(), trace().dict,
+                            persist_opts(sizing.str()));
+    EXPECT_EQ(chunked_ingest_with_flushes(*miner), 0u);
+  }
+  const std::uintmax_t full = newest_checkpoint_size(sizing.str());
+  ASSERT_GT(full, 0u);
+
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    // Child: past the limit a write fails with EFBIG instead of raising
+    // SIGXFSZ. Exit 0 only when some flush() threw std::runtime_error.
+    std::signal(SIGXFSZ, SIG_IGN);
+    const auto cap = static_cast<rlim_t>(full / 2);
+    const rlimit lim{cap, cap};
+    if (::setrlimit(RLIMIT_FSIZE, &lim) != 0) ::_exit(4);
+    std::size_t threw = 0;
+    try {
+      auto miner = make_miner("concurrent", test_cfg(), trace().dict,
+                              persist_opts(dir.str()));
+      threw = chunked_ingest_with_flushes(*miner);
+    } catch (...) {
+      ::_exit(2);
+    }
+    ::_exit(threw > 0 ? 0 : 1);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_FALSE(WIFSIGNALED(status))
+      << "child killed by signal " << WTERMSIG(status);
+  ASSERT_TRUE(WIFEXITED(status));
+  ASSERT_EQ(WEXITSTATUS(status), 0)
+      << "1: no flush() reported a failed checkpoint; 2: an exception "
+         "escaped outside flush(); 4: setrlimit failed";
+
+  auto recovered = make_miner("concurrent", test_cfg(), trace().dict,
+                              persist_opts(dir.str()));
+  const auto reference = reference_miner("concurrent", trace().records);
+  expect_identical(*recovered, *reference);
+}
+
 // --------------------------------------------------- kill-and-recover ----
 
 /// Forks a child that ingests the trace on repeat (single producer, so WAL

@@ -239,9 +239,10 @@ void expect_gate_exact(const char* scenario) {
   for (const auto& [backend, leg_cfg] : legs) {
     SCOPED_TRACE(std::string(scenario) + " over " + backend +
                  " p=" + std::to_string(leg_cfg.p));
-    std::uint64_t gated_calls = 0, ungated_calls = 0;
+    std::uint64_t gated_calls = 0, ungated_calls = 0, gated_snapshots = 0;
     FpaPredictor gated(std::make_unique<testing::EvidenceCountingMiner>(
-        make_miner(backend, leg_cfg, wl.trace.dict), gated_calls));
+        make_miner(backend, leg_cfg, wl.trace.dict), gated_calls,
+        &gated_snapshots));
     testing::PredictOnlyForwarder ungated(std::make_unique<FpaPredictor>(
         std::make_unique<testing::EvidenceCountingMiner>(
             make_miner(backend, leg_cfg, wl.trace.dict), ungated_calls)));
@@ -265,6 +266,10 @@ void expect_gate_exact(const char* scenario) {
     EXPECT_GT(gated_calls, 0u);
     EXPECT_LT(gated_calls, ungated_calls)
         << "the MDS no longer gates FPA's evidence pass";
+    // any_listed() answers first, so FPA takes a snapshot (the sharded
+    // merge) only on requests where some Correlator is fetchable.
+    EXPECT_LT(gated_snapshots, g.requests)
+        << "FPA no longer asks any_listed() before snapshot()";
   }
 }
 
