@@ -25,8 +25,7 @@
 //      the dirty-set scaling are measured side by side on identical state.
 //   3. Mixed ingest + N readers: 4 producers replay the trace while N
 //      reader threads hammer snapshot() on Zipf-distributed hot files,
-//      across the RCU shard-table path, RCU + correlator cache, and RCU +
-//      coalesced publishes.
+//      on the RCU shard-table path with and without coalesced publishes.
 //   4. Durable persistence: steady-state ingest with the WAL + checkpoint
 //      pipeline enabled vs the no-persist baseline (sharded and concurrent
 //      paths), the cost of one full-model checkpoint save, and recovery
@@ -392,51 +391,33 @@ int main(int argc, char** argv) {
       static_cast<std::uint32_t>(trace.dict->files.size());
 
   Table mixed({"query path", "readers", "ingest rec/s", "queries", "q p50",
-               "q p95", "q p99", "cache hit%"});
+               "q p95", "q p99"});
   const auto add_mixed_row = [&](const char* label, std::size_t readers,
-                                 const MixedResult& r, double hit_pct,
-                                 bool have_hits) {
+                                 const MixedResult& r) {
     mixed.add_row(
         {label, std::to_string(readers),
          fmt_double(static_cast<double>(trace.records.size()) / r.ingest_secs,
                     0),
          std::to_string(r.queries), std::to_string(r.latency_ns.p50()),
          std::to_string(r.latency_ns.p95()),
-         std::to_string(r.latency_ns.p99()),
-         have_hits ? fmt_double(hit_pct, 1) : std::string("-")});
+         std::to_string(r.latency_ns.p99())});
   };
   for (const std::size_t readers : {4u, 8u}) {
     {
       MinerOptions rcu = opts;
       rcu.ingest_threads = kProducers;
-      rcu.query_cache_capacity = 0;
       rcu.publish_interval_records = 0;
       const auto miner = make_miner("concurrent", cfg, trace.dict, rcu);
       const MixedResult r = mixed_replay(*miner, parts, readers, file_count);
-      add_mixed_row("RCU shard-table", readers, r, 0.0, false);
+      add_mixed_row("RCU shard-table", readers, r);
     }
     {
       MinerOptions coal = opts;
       coal.ingest_threads = kProducers;
-      coal.query_cache_capacity = 0;
       coal.publish_interval_records = 8192;
       const auto miner = make_miner("concurrent", cfg, trace.dict, coal);
       const MixedResult r = mixed_replay(*miner, parts, readers, file_count);
-      add_mixed_row("RCU + coalesced publish", readers, r, 0.0, false);
-    }
-    {
-      MinerOptions cached = opts;
-      cached.ingest_threads = kProducers;
-      cached.query_cache_capacity = 4096;
-      const auto miner = make_miner("concurrent", cfg, trace.dict, cached);
-      const MixedResult r = mixed_replay(*miner, parts, readers, file_count);
-      const MinerStats s = miner->stats();
-      const double hit_pct =
-          s.cache_hits + s.cache_misses
-              ? 100.0 * static_cast<double>(s.cache_hits) /
-                    static_cast<double>(s.cache_hits + s.cache_misses)
-              : 0.0;
-      add_mixed_row("RCU + correlator cache", readers, r, hit_pct, true);
+      add_mixed_row("RCU + coalesced publish", readers, r);
     }
   }
 

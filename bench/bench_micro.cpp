@@ -188,9 +188,8 @@ void BM_SnapshotUnderIngest(benchmark::State& state) {
   // Mixed ingest + query: every benchmark thread is a reader issuing
   // snapshot() on Zipf-hot files while one background producer replays the
   // trace in a loop, so the drain keeps publishing fresh shard tables the
-  // whole time. Measures the RCU read path under churn; Arg(0) is the
-  // Correlator-List cache capacity (0 = disabled). Readers scaling with
-  // ->Threads() is the "no reader contention" claim made measurable.
+  // whole time. Measures the RCU read path under churn. Readers scaling
+  // with ->Threads() is the "no reader contention" claim made measurable.
   struct Shared {
     std::unique_ptr<CorrelationMiner> miner;
     std::atomic<bool> stop{false};
@@ -199,11 +198,8 @@ void BM_SnapshotUnderIngest(benchmark::State& state) {
   static Shared* shared = nullptr;
   const Trace& trace = hp();
   if (state.thread_index() == 0) {
-    MinerOptions opts;
-    opts.query_cache_capacity = static_cast<std::size_t>(state.range(0));
     shared = new Shared;
-    shared->miner =
-        make_miner("concurrent", fpa_config(trace), trace.dict, opts);
+    shared->miner = make_miner("concurrent", fpa_config(trace), trace.dict);
     shared->miner->observe_batch(trace.records);  // warm state
     shared->miner->flush();
     shared->producer = std::thread([s = shared, &trace] {
@@ -230,16 +226,11 @@ void BM_SnapshotUnderIngest(benchmark::State& state) {
   if (state.thread_index() == 0) {
     shared->stop.store(true, std::memory_order_release);
     shared->producer.join();
-    const MinerStats s = shared->miner->stats();
-    state.counters["cache_hits"] = static_cast<double>(s.cache_hits);
-    state.counters["cache_misses"] = static_cast<double>(s.cache_misses);
     delete shared;
     shared = nullptr;
   }
 }
 BENCHMARK(BM_SnapshotUnderIngest)
-    ->Arg(0)      // RCU only
-    ->Arg(4096)   // RCU + correlator cache
     ->Threads(1)
     ->Threads(4)
     ->Threads(8)
@@ -324,7 +315,7 @@ void BM_NexusObserve(benchmark::State& state) {
 BENCHMARK(BM_NexusObserve);
 
 void BM_CacheAccess(benchmark::State& state) {
-  MetadataCache cache(4096, CachePolicy::kLRU);
+  MetadataCache cache(4096);
   Rng rng(7);
   for (auto _ : state) {
     const FileId f(static_cast<std::uint32_t>(rng.next_below(8192)));

@@ -75,8 +75,6 @@ inline FarmerConfig fpa_config(const Trace& trace) {
 ///                                observe_batch on "sharded"/"concurrent";
 ///                                1 = serial apply, capped at the shard
 ///                                count, byte-identical at every setting)
-///   FARMER_QUERY_CACHE=<n>      (default 0 = off, "concurrent" hot
-///                                Correlator-List cache entries)
 ///   FARMER_MAX_PENDING=<n>      (default backend, "concurrent" ingest
 ///                                backpressure bound in records)
 ///   FARMER_PUBLISH_INTERVAL=<n> (default 0/1 = publish every drain round,
@@ -150,8 +148,7 @@ inline std::unique_ptr<CorrelationMiner> make_bench_miner(
       std::cerr << " (shards=" << opts.shards << ")";
     if (std::string_view(miner->name()) == "concurrent")
       std::cerr << " (shards=" << opts.shards
-                << ", ingest_threads=" << opts.ingest_threads
-                << ", query_cache=" << opts.query_cache_capacity << ")";
+                << ", ingest_threads=" << opts.ingest_threads << ")";
     std::cerr << "\n";
     return true;
   }();

@@ -37,10 +37,9 @@ namespace farmer {
 /// Field contract per backend class — every backend fills every field with
 /// a defined value, never garbage:
 ///
-///   * Synchronous backends (farmer, sharded): `epoch`, `pending`,
-///     `cache_hits` and `cache_misses` are explicitly zero and
-///     `shard_epochs` is empty — state is always current, nothing is ever
-///     queued, no query cache exists. Zero here *means* "not applicable",
+///   * Synchronous backends (farmer, sharded): `epoch` and `pending` are
+///     explicitly zero and `shard_epochs` is empty — state is always
+///     current, nothing is ever queued. Zero here *means* "not applicable",
 ///     by contract (MinerStatsContract tests pin this down). The batch-apply
 ///     counters (`apply_batches`, `apply_parallel_records`) are owned by the
 ///     sharded apply path: "sharded" fills them, "farmer" keeps them at
@@ -48,8 +47,7 @@ namespace farmer {
 ///   * Asynchronous backends (concurrent): `requests`/`pairs_*` count
 ///     *published* records (enqueued-but-unpublished records appear in
 ///     `pending` instead), `epoch` is the global publish round,
-///     `shard_epochs[s]` is shard s's publish count, the cache counters are
-///     live (all zero when the cache is disabled), and the publish counters
+///     `shard_epochs[s]` is shard s's publish count, and the publish counters
 ///     (`publishes`, `files_cloned`, `bytes_shared`) account the
 ///     copy-on-write snapshot pipeline.
 struct MinerStats {
@@ -79,10 +77,6 @@ struct MinerStats {
                                    ///< (async backends; heap spill of shared
                                    ///< blocks is additional savings not
                                    ///< counted here)
-  std::uint64_t cache_hits = 0;    ///< Correlator-List cache hits (async
-                                   ///< backends with the cache enabled)
-  std::uint64_t cache_misses = 0;  ///< lookups that had to re-merge: cold,
-                                   ///< evicted, or epoch-stale entries
   std::uint64_t apply_batches = 0;  ///< observe_batch spans the sharded
                                     ///< apply path partitioned (sharded
                                     ///< backend live; concurrent as of the
@@ -93,9 +87,7 @@ struct MinerStats {
                                     ///< apply thread; 0 = every batch was
                                     ///< applied serially)
   /// Per-shard publish counts (async backends; empty = synchronous). A
-  /// shard's entry advances exactly when an apply round touched it, which
-  /// is the invalidation signal the Correlator-List cache validates
-  /// against.
+  /// shard's entry advances exactly when an apply round touched it.
   std::vector<std::uint64_t> shard_epochs;
 
   [[nodiscard]] double acceptance_rate() const noexcept {

@@ -80,7 +80,6 @@ Registry& registry() {
                                                 opts.shards,
                                                 opts.ingest_threads,
                                                 opts.max_pending,
-                                                opts.query_cache_capacity,
                                                 opts.publish_interval_records,
                                                 opts.publish_max_delay_ms,
                                                 std::move(persister),

@@ -41,13 +41,6 @@ struct MinerOptions {
   /// Backpressure bound for the "concurrent" backend: producers soft-block
   /// once this many records are queued but unapplied. 0 = backend default.
   std::size_t max_pending = 0;
-  /// Capacity (entries) of the "concurrent" backend's epoch-validated LRU
-  /// cache of hot merged Correlator Lists, in front of the snapshot query
-  /// path. 0 disables caching entirely — every query re-merges, which is
-  /// the reference behavior the differential tests compare against.
-  /// Ignored by synchronous backends (their snapshot() is already a
-  /// zero-copy borrow or a single-merge). Env: FARMER_QUERY_CACHE.
-  std::size_t query_cache_capacity = 0;
   /// Publish coalescing for the "concurrent" backend: the drain batches
   /// apply rounds and publishes a new shard table only once at least this
   /// many records have been applied since the last publication, or the
@@ -92,8 +85,8 @@ using MinerFactoryFn = std::function<std::unique_ptr<CorrelationMiner>(
 /// A registered factory must return miners honoring the CorrelationMiner
 /// contracts (correlation_miner.hpp): in particular flush() must be a real
 /// ingest barrier on asynchronous backends, and stats() must follow the
-/// MinerStats field contract (zero epoch/pending/cache counters and empty
-/// shard_epochs when the concept does not apply).
+/// MinerStats field contract (zero epoch/pending and empty shard_epochs
+/// when the concept does not apply).
 ///
 /// Thread-safety: registration is NOT synchronized against concurrent
 /// make_miner()/registered_miners() calls — register backends at startup,

@@ -7,8 +7,9 @@
 // `RuntimeConfig::from_env()` produces validated `MinerOptions`,
 // `PredictorOptions` and scenario knobs in one pass, and a malformed
 // variable surfaces as a *typed* `ConfigError` naming the variable, the
-// raw value and the constraint it violated — a typo can never silently
-// select the default.
+// raw value and the constraint it violated. So does any other set FARMER_*
+// variable, misspelt or retired — a typo can never silently select the
+// default.
 //
 // Consumers that want the classic CLI behavior (print the diagnostic,
 // exit 2) call `from_env_or_exit()`; programmatic consumers catch
@@ -52,7 +53,7 @@ struct RuntimeConfig {
   /// FARMER_MINER: mining backend name resolved through the MinerFactory.
   std::string miner_backend = "farmer";
   /// FARMER_SHARDS / FARMER_INGEST_THREADS / FARMER_APPLY_THREADS /
-  /// FARMER_QUERY_CACHE / FARMER_MAX_PENDING / FARMER_PUBLISH_INTERVAL /
+  /// FARMER_MAX_PENDING / FARMER_PUBLISH_INTERVAL /
   /// FARMER_PUBLISH_MAX_DELAY_MS / FARMER_PERSIST_DIR /
   /// FARMER_CHECKPOINT_INTERVAL / FARMER_WAL_GROUP_COMMIT — see
   /// MinerOptions field docs.
@@ -85,7 +86,8 @@ struct RuntimeConfig {
   std::size_t trace_rounds = 1;
 
   /// Parses the process environment. Throws ConfigError on the first
-  /// malformed variable; unset variables keep the documented defaults.
+  /// malformed variable, or on a set FARMER_* variable this loader does not
+  /// read; unset (or empty) variables keep the documented defaults.
   [[nodiscard]] static RuntimeConfig from_env();
 
   /// from_env() with the classic CLI contract: on ConfigError, print the

@@ -1,71 +1,60 @@
 #include "cache/metadata_cache.hpp"
 
-#include <cassert>
-
 namespace farmer {
 
-MetadataCache::MetadataCache(std::size_t capacity, CachePolicy policy)
-    : capacity_(capacity == 0 ? 1 : capacity), policy_(make_policy(policy)) {
-  if (auto* arc = dynamic_cast<ArcPolicy*>(policy_.get()))
-    arc->set_capacity(capacity_);
-  resident_.reserve(capacity_ * 2);
+MetadataCache::MetadataCache(std::size_t capacity)
+    : capacity_(capacity == 0 ? 1 : capacity) {
+  slots_.reserve(capacity_);
 }
 
 bool MetadataCache::access(FileId f) {
-  auto it = resident_.find(f);
-  if (it == resident_.end()) {
+  auto it = slots_.find(f);
+  if (it == slots_.end()) {
     stats_.demand.miss();
     return false;
   }
-  if (it->second) {  // first demand hit on a prefetched entry
+  Slot& slot = it->second;
+  if (slot.unused_prefetch) {  // first demand hit on a prefetched entry
     ++stats_.prefetch_used;
-    it->second = false;
+    slot.unused_prefetch = false;
   }
   stats_.demand.hit();
-  policy_->on_access(f);
+  order_.splice(order_.begin(), order_, slot.pos);
   return true;
 }
 
 void MetadataCache::insert_demand(FileId f) {
-  if (resident_.count(f)) return;
-  evict_if_full();
-  resident_.emplace(f, false);
-  policy_->on_insert(f);
+  if (!slots_.contains(f)) insert(f, /*prefetched=*/false);
 }
 
 bool MetadataCache::insert_prefetch(FileId f) {
-  if (resident_.count(f)) return false;
-  evict_if_full();
-  resident_.emplace(f, true);
-  policy_->on_insert(f);
+  if (slots_.contains(f)) return false;
+  insert(f, /*prefetched=*/true);
   ++stats_.prefetch_inserted;
   return true;
 }
 
 bool MetadataCache::contains(FileId f) const noexcept {
-  return resident_.count(f) != 0;
+  return slots_.contains(f);
 }
 
 void MetadataCache::erase(FileId f) {
-  auto it = resident_.find(f);
-  if (it == resident_.end()) return;
-  if (it->second) ++stats_.prefetch_evicted_unused;
-  resident_.erase(it);
-  policy_->on_erase(f);
+  if (auto it = slots_.find(f); it != slots_.end()) remove(it);
 }
 
-void MetadataCache::evict_if_full() {
-  while (resident_.size() >= capacity_) {
-    const auto victim = policy_->victim();
-    assert(victim.has_value());
-    if (!victim) return;  // defensive: drop capacity enforcement over UB
-    auto it = resident_.find(*victim);
-    assert(it != resident_.end());
-    if (it->second) ++stats_.prefetch_evicted_unused;
-    resident_.erase(it);
-    policy_->on_erase(*victim);
+void MetadataCache::insert(FileId f, bool prefetched) {
+  if (slots_.size() >= capacity_) {
+    remove(slots_.find(order_.back()));
     ++stats_.evictions;
   }
+  order_.push_front(f);
+  slots_.emplace(f, Slot{order_.begin(), prefetched});
+}
+
+void MetadataCache::remove(std::unordered_map<FileId, Slot>::iterator it) {
+  if (it->second.unused_prefetch) ++stats_.prefetch_evicted_unused;
+  order_.erase(it->second.pos);
+  slots_.erase(it);
 }
 
 }  // namespace farmer

@@ -1,8 +1,9 @@
 // Prefetch-aware metadata cache.
 //
 // The MDS cache holds metadata entries keyed by FileId, enforces a fixed
-// entry capacity with a pluggable replacement policy, and distinguishes
-// demand-fetched from prefetched entries so the experiments can report:
+// entry capacity with LRU replacement — the paper's baseline MDS cache —
+// and distinguishes demand-fetched from prefetched entries so the
+// experiments can report:
 //
 //   * demand hit ratio       — the paper's "cache hit ratio" (Figs 3/5/7)
 //   * prefetch accuracy      — prefetched entries that served a demand hit
@@ -11,10 +12,11 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <list>
+#include <unordered_map>
 
-#include "cache/replacement.hpp"
 #include "common/stats.hpp"
+#include "common/types.hpp"
 
 namespace farmer {
 
@@ -42,14 +44,17 @@ struct CacheStats {
 
 class MetadataCache {
  public:
-  MetadataCache(std::size_t capacity, CachePolicy policy);
+  /// A capacity of 0 is clamped to 1.
+  explicit MetadataCache(std::size_t capacity);
 
-  /// Demand access. Returns true on hit. On miss the caller is expected to
-  /// fetch and call `insert_demand` (the cache does not auto-populate, since
-  /// in the DES the fetch has latency).
+  /// Demand access. Returns true on hit (the entry becomes most recently
+  /// used). On miss the caller is expected to fetch and call
+  /// `insert_demand` (the cache does not auto-populate, since in the DES the
+  /// fetch has latency).
   bool access(FileId f);
 
-  /// Inserts a demand-fetched entry (no-op if present), evicting as needed.
+  /// Inserts a demand-fetched entry (no-op if present), evicting the least
+  /// recently used entry when full.
   void insert_demand(FileId f);
 
   /// Inserts a prefetched entry. Returns false (and counts nothing) if the
@@ -66,20 +71,24 @@ class MetadataCache {
   /// Zeroes the counters without touching residency (warm-up support).
   void reset_stats() noexcept { stats_ = CacheStats{}; }
 
-  [[nodiscard]] std::size_t size() const noexcept { return resident_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return slots_.size(); }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] const CacheStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const char* policy_name() const noexcept {
-    return policy_->name();
-  }
 
  private:
-  void evict_if_full();
+  struct Slot {
+    std::list<FileId>::iterator pos;  ///< place in `order_`
+    bool unused_prefetch;  ///< came from prefetch, no demand hit yet
+  };
+
+  void insert(FileId f, bool prefetched);
+  /// Removes a resident entry, counting it as polluting when it was an
+  /// unused prefetch.
+  void remove(std::unordered_map<FileId, Slot>::iterator it);
 
   std::size_t capacity_;
-  std::unique_ptr<ReplacementPolicy> policy_;
-  // Resident set; value = entry came from prefetch and is still unused.
-  std::unordered_map<FileId, bool> resident_;
+  std::list<FileId> order_;  ///< front = most recently used
+  std::unordered_map<FileId, Slot> slots_;
   CacheStats stats_;
 };
 

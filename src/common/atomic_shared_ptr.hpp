@@ -14,8 +14,8 @@
 // for does not exist — every load/store pair reports a false-positive race
 // on the internal pointer (see GCC PR 113073). Swapping in a primitive
 // TSan fully understands keeps the sanitizer tier able to validate all the
-// code *around* the cell (queues, drain, snapshot immutability, cache
-// stripes) instead of drowning in one known-benign report.
+// code *around* the cell (queues, drain, snapshot immutability) instead of
+// drowning in one known-benign report.
 #pragma once
 
 #include <memory>

@@ -1,8 +1,8 @@
 // FunctionRef: a non-owning reference to a callable.
 //
-// Hot query paths take short-lived predicates (the Correlator-List cache's
-// shard-absence probe, a serving loop's "would I fetch this file?" test)
-// that only live for one call. std::function would allocate or copy the
+// Hot query paths take short-lived predicates (`any_listed`'s test, a
+// serving loop's "would I fetch this file?" check) that only live for one
+// call. std::function would allocate or copy the
 // closure; a FunctionRef is two words, a context pointer and a trampoline,
 // and never allocates. Like std::string_view it must not outlive what it
 // refers to: bind it to a callable that stays alive for the whole call, as

@@ -17,7 +17,6 @@ ConcurrentFarmer::ConcurrentFarmer(FarmerConfig cfg,
                                    std::size_t shards,
                                    std::size_t ingest_queues,
                                    std::size_t max_pending,
-                                   std::size_t query_cache_capacity,
                                    std::size_t publish_interval_records,
                                    std::size_t publish_max_delay_ms,
                                    std::unique_ptr<persist::Persister> persister,
@@ -34,7 +33,6 @@ ConcurrentFarmer::ConcurrentFarmer(FarmerConfig cfg,
                                    kDefaultPublishMaxDelay)
                              : std::chrono::milliseconds(
                                    publish_max_delay_ms)),
-      cache_(query_cache_capacity),
       persister_(std::move(persister)) {
   const std::size_t slots = ingest_queues == 0 ? 1 : ingest_queues;
   queues_.reserve(slots);
@@ -383,32 +381,10 @@ void ConcurrentFarmer::drain_loop() {
   publish_pending();
 }
 
-std::vector<Correlator> ConcurrentFarmer::cached_correlators(
-    FileId f, const ShardTable& t) const {
-  if (!cache_.enabled())
-    return ShardedFarmer::merged_correlators(t.shards, f,
-                                             correlator_capacity_);
-  // A shard with no recorded access of f cannot hold (and can never have
-  // held) a Correlator List for it, so "still absent" certifies the shard
-  // is still a non-contributor. The probe reads the published snapshot's
-  // COW node index — O(1) regardless of sharing.
-  const auto still_absent = [&](std::size_t s) {
-    return t.shards[s]->access_count(f) == 0;
-  };
-  if (auto hit = cache_.lookup(f, t.shard_epochs, still_absent))
-    return std::move(*hit);
-  std::vector<Correlator> merged = ShardedFarmer::merged_correlators(
-      t.shards, f, correlator_capacity_);
-  std::vector<std::uint8_t> contained(t.shards.size(), 0);
-  for (std::size_t s = 0; s < t.shards.size(); ++s)
-    contained[s] = t.shards[s]->access_count(f) > 0 ? 1 : 0;
-  cache_.insert(f, t.shard_epochs, std::move(contained), merged);
-  return merged;
-}
-
 CorrelatorView ConcurrentFarmer::snapshot(FileId f) const {
   const auto t = table();
-  return CorrelatorView(cached_correlators(f, *t));
+  return CorrelatorView(
+      ShardedFarmer::merged_correlators(t->shards, f, correlator_capacity_));
 }
 
 bool ConcurrentFarmer::any_listed(FileId f,
@@ -422,7 +398,8 @@ EpochSnapshot ConcurrentFarmer::epoch_snapshot(FileId f) const {
   // state the view was cut from.
   const auto t = table();
   EpochSnapshot snap;
-  snap.view = CorrelatorView(cached_correlators(f, *t));
+  snap.view = CorrelatorView(
+      ShardedFarmer::merged_correlators(t->shards, f, correlator_capacity_));
   snap.epoch = t->epoch;
   return snap;
 }
@@ -519,11 +496,6 @@ MinerStats ConcurrentFarmer::stats() const {
   s.epoch = t->epoch;
   s.shard_epochs = t->shard_epochs;
   s.pending = pending_.load(std::memory_order_acquire);
-  const CorrelatorCacheStats cs = cache_.stats();
-  s.cache_hits = cs.hits;
-  // Every lookup that had to fall through to a merge counts as a miss,
-  // whether the entry was absent or epoch-stale.
-  s.cache_misses = cs.misses + cs.invalidations;
   return s;
 }
 
@@ -538,7 +510,7 @@ std::size_t ConcurrentFarmer::footprint_bytes() const noexcept {
   std::size_t snapshots = 0;
   for (const auto& s : t->shards) snapshots += s->footprint_bytes();
   return sizeof(*this) + 2 * snapshots +
-         queues_.size() * sizeof(MpscQueue<Batch>) + cache_.footprint_bytes() +
+         queues_.size() * sizeof(MpscQueue<Batch>) +
          queued_.load(std::memory_order_acquire) * sizeof(TraceRecord);
 }
 

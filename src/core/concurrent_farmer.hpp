@@ -6,8 +6,7 @@
 //   producers ──push──▶ per-slot MpscQueues ──drain thread──▶ ShardedFarmer
 //                                                 │ COW shard snapshot export
 //   readers ◀── RCU shard-table (atomic shared_ptr swap) ◀── publish
-//        │                                        (coalesced across rounds)
-//        └── epoch-validated Correlator-List cache (hot queries)
+//                                                 (coalesced across rounds)
 //
 // * Ingest is lock-free for callers: `observe()`/`observe_batch()` route to
 //   one of `ingest_queues` MPSC queues (slot = hash of the calling thread)
@@ -40,10 +39,7 @@
 // * Queries merge the per-shard snapshot lists with the *same* static
 //   helpers ShardedFarmer uses live (merged_correlators & friends), which
 //   is what keeps flush()-then-query byte-identical to the "sharded"
-//   backend. An optional epoch-validated cache (cache/correlator_cache.hpp)
-//   memoizes hot merged lists; entries are invalidated lazily when a
-//   contributing shard's epoch advances (`query_cache_capacity` knob,
-//   0 = disabled).
+//   backend.
 //
 // `flush()` is the barrier between the two worlds: it returns once every
 // record accepted before the call has been applied *and published*, which
@@ -76,7 +72,6 @@
 #include <vector>
 
 #include "api/correlation_miner.hpp"
-#include "cache/correlator_cache.hpp"
 #include "common/atomic_shared_ptr.hpp"
 #include "common/mpsc_queue.hpp"
 #include "core/sharded_farmer.hpp"
@@ -116,7 +111,6 @@ class ConcurrentFarmer final : public CorrelationMiner {
                    std::shared_ptr<const TraceDictionary> dict,
                    std::size_t shards, std::size_t ingest_queues,
                    std::size_t max_pending = kDefaultMaxPending,
-                   std::size_t query_cache_capacity = 0,
                    std::size_t publish_interval_records = 0,
                    std::size_t publish_max_delay_ms = 0,
                    std::unique_ptr<persist::Persister> persister = nullptr,
@@ -149,14 +143,14 @@ class ConcurrentFarmer final : public CorrelationMiner {
   void flush() override;
 
   /// Owning snapshot of `f`'s merged Correlator List at the current epoch.
-  /// Lock-free: loads the published shard table, consults the cache, merges
-  /// on miss. The view stays valid and immutable for as long as the caller
-  /// holds it, across any amount of further ingest.
+  /// Lock-free: loads the published shard table and merges its shard lists.
+  /// The view stays valid and immutable for as long as the caller holds it,
+  /// across any amount of further ingest.
   [[nodiscard]] CorrelatorView snapshot(FileId f) const override;
 
-  /// The sharded in-place scan over one table load; never consults the
-  /// cache, so a caller that asks this first reaches the cache (and the
-  /// merge) only when some shard lists a passing entry.
+  /// The sharded in-place scan over one table load, so a caller that asks
+  /// this first reaches the merge only when some shard lists a passing
+  /// entry.
   [[nodiscard]] bool any_listed(
       FileId f, FunctionRef<bool(FileId)> test) const override;
 
@@ -174,10 +168,9 @@ class ConcurrentFarmer final : public CorrelationMiner {
                           std::span<PairEvidence> out) const override;
 
   /// Published sharded stats plus `epoch`, `pending`, per-shard
-  /// `shard_epochs`, the cache hit/miss counters and the COW publish
-  /// counters (`publishes`, `files_cloned`, `bytes_shared`). `requests`
-  /// counts *published* records; enqueued-but-unpublished records are
-  /// `pending`.
+  /// `shard_epochs` and the COW publish counters (`publishes`,
+  /// `files_cloned`, `bytes_shared`). `requests` counts *published*
+  /// records; enqueued-but-unpublished records are `pending`.
   [[nodiscard]] MinerStats stats() const override;
   [[nodiscard]] std::size_t footprint_bytes() const noexcept override;
   [[nodiscard]] const char* name() const noexcept override {
@@ -201,10 +194,6 @@ class ConcurrentFarmer final : public CorrelationMiner {
   }
   [[nodiscard]] std::size_t ingest_queue_count() const noexcept {
     return queues_.size();
-  }
-  /// Correlator-List cache counters (all zero when the cache is disabled).
-  [[nodiscard]] CorrelatorCacheStats cache_stats() const {
-    return cache_.stats();
   }
 
  private:
@@ -256,9 +245,6 @@ class ConcurrentFarmer final : public CorrelationMiner {
   [[nodiscard]] std::shared_ptr<const ShardTable> table() const {
     return table_.load();
   }
-  /// Merged list through the cache (lookup, else merge + memoize).
-  [[nodiscard]] std::vector<Correlator> cached_correlators(
-      FileId f, const ShardTable& t) const;
 
   /// Retained for checkpoint writing and load(); set before inner_ so
   /// construction-time recovery can use them.
@@ -277,8 +263,6 @@ class ConcurrentFarmer final : public CorrelationMiner {
   /// RCU head: swapped (release) by the drain at every publish,
   /// loaded (acquire) by every query.
   AtomicSharedPtr<const ShardTable> table_;
-
-  mutable CorrelatorCache cache_;
 
   /// Records enqueued but not yet *published* (visible to queries); the
   /// stats() `pending` field. Shrinks only at the table swap so a reader

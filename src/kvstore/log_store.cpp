@@ -27,8 +27,8 @@ void fsync_file(std::FILE* f) {
 #endif
 }
 
+// The only record kind; replay treats any other op byte as corruption.
 constexpr std::uint8_t kOpPut = 1;
-constexpr std::uint8_t kOpErase = 2;
 
 // Record: [u32 checksum][u8 op][u64 key][u32 len][len bytes]
 struct RecordHeader {
@@ -99,18 +99,8 @@ void LogStore::replay() {
     std::string value(h.len, '\0');
     if (h.len > 0 && std::fread(value.data(), 1, h.len, f) != h.len) break;
     if (checksum_of(h.op, h.key, value) != h.checksum) break;  // torn tail
-    if (h.op == kOpPut) {
-      if (index_mode_ == IndexMode::kIndexed) {
-        auto it = index_.find(h.key);
-        if (it != index_.end())
-          dead_bytes_ += sizeof(RecordHeader) + it->second.size();
-        index_[h.key] = std::move(value);
-      }
-    } else if (h.op == kOpErase) {
-      index_.erase(h.key);
-    } else {
-      break;  // unknown op: treat as corruption
-    }
+    if (h.op != kOpPut) break;  // unknown op: treat as corruption
+    if (index_mode_ == IndexMode::kIndexed) index_[h.key] = std::move(value);
     ++recovered_;
     valid_end = std::ftell(f);
   }
@@ -124,15 +114,14 @@ void LogStore::replay() {
                                  static_cast<std::uintmax_t>(valid_end));
 }
 
-void LogStore::append(std::uint8_t op, std::uint64_t key,
-                      std::string_view value) {
-  const std::uint32_t csum = checksum_of(op, key, value);
+void LogStore::append(std::uint64_t key, std::string_view value) {
+  const std::uint32_t csum = checksum_of(kOpPut, key, value);
   const auto len = static_cast<std::uint32_t>(value.size());
   // One fwrite per record: stdio locks the FILE per call, so five small
   // writes cost five lock round-trips on the WAL append path.
   write_buf_.clear();
   write_buf_.append(reinterpret_cast<const char*>(&csum), sizeof csum);
-  write_buf_.push_back(static_cast<char>(op));
+  write_buf_.push_back(static_cast<char>(kOpPut));
   write_buf_.append(reinterpret_cast<const char*>(&key), sizeof key);
   write_buf_.append(reinterpret_cast<const char*>(&len), sizeof len);
   write_buf_.append(value.data(), value.size());
@@ -140,27 +129,14 @@ void LogStore::append(std::uint8_t op, std::uint64_t key,
 }
 
 void LogStore::put(std::uint64_t key, std::string_view value) {
-  append(kOpPut, key, value);
-  if (index_mode_ != IndexMode::kIndexed) return;
-  auto it = index_.find(key);
-  if (it != index_.end())
-    dead_bytes_ += sizeof(RecordHeader) + it->second.size();
-  index_[key] = std::string(value);
+  append(key, value);
+  if (index_mode_ == IndexMode::kIndexed) index_[key] = std::string(value);
 }
 
 std::optional<std::string> LogStore::get(std::uint64_t key) const {
   auto it = index_.find(key);
   if (it == index_.end()) return std::nullopt;
   return it->second;
-}
-
-bool LogStore::erase(std::uint64_t key) {
-  auto it = index_.find(key);
-  if (it == index_.end()) return false;
-  append(kOpErase, key, {});
-  dead_bytes_ += sizeof(RecordHeader) + it->second.size();
-  index_.erase(it);
-  return true;
 }
 
 void LogStore::scan(
@@ -178,35 +154,6 @@ void LogStore::sync() {
   if (file_ == nullptr) return;
   std::fflush(file_);
   if (durability_ == Durability::kFsync) fsync_file(file_);
-}
-
-std::size_t LogStore::compact() {
-  // An append-only store has no index to rewrite from; compacting would
-  // silently discard every record.
-  if (index_mode_ != IndexMode::kIndexed) return 0;
-  const std::size_t reclaimed = dead_bytes_;
-  if (file_ != nullptr) std::fclose(file_);
-  const std::string tmp = path_ + ".compact";
-  {
-    std::FILE* out = std::fopen(tmp.c_str(), "wb");
-    if (out == nullptr)
-      throw std::runtime_error("LogStore: cannot open " + tmp);
-    std::FILE* saved = file_;
-    file_ = out;
-    for (const auto& [k, v] : index_) append(kOpPut, k, v);
-    file_ = saved;
-    std::fflush(out);
-    if (durability_ == Durability::kFsync) fsync_file(out);
-    std::fclose(out);
-  }
-  std::remove(path_.c_str());
-  if (std::rename(tmp.c_str(), path_.c_str()) != 0)
-    throw std::runtime_error("LogStore: compaction rename failed");
-  file_ = std::fopen(path_.c_str(), "ab");
-  if (file_ == nullptr)
-    throw std::runtime_error("LogStore: cannot reopen " + path_);
-  dead_bytes_ = 0;
-  return reclaimed;
 }
 
 }  // namespace farmer

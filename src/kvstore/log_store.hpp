@@ -2,11 +2,12 @@
 // stand-in behind the persistence WAL. Keys are 64-bit; values are opaque
 // byte strings.
 //
-// Every put/erase appends a checksummed record to a log file; an in-memory
-// hash index maps keys to their latest value. On open, the log is replayed
-// to rebuild the index; a torn tail (partial final record or bad checksum)
-// is truncated, matching the write-ahead-log discipline Berkeley DB applies.
-// `compact()` rewrites the log keeping only live entries.
+// Every put appends a checksummed record to a log file; an in-memory hash
+// index maps keys to their latest value. On open, the log is replayed to
+// rebuild the index; a torn tail (partial final record or bad checksum) is
+// truncated, matching the write-ahead-log discipline Berkeley DB applies.
+// The log only grows: the WAL writes each key once, and an overwrite leaves
+// the older record in the file.
 #pragma once
 
 #include <cstdint>
@@ -29,12 +30,11 @@ class LogStore {
 
   /// Whether the store maintains its in-memory key→value index.
   enum class IndexMode {
-    kIndexed,     ///< default: get/scan/erase/compact work (Berkeley-DB use)
+    kIndexed,     ///< default: get/scan work (Berkeley-DB use)
     kAppendOnly,  ///< write-optimized WAL segment: put() only appends; the
                   ///< replay still validates and truncates the torn tail,
-                  ///< but get()/scan() see nothing, size() is 0, erase() is
-                  ///< a no-op and compact() reclaims nothing. Reopen in
-                  ///< kIndexed mode to read the contents back.
+                  ///< but get()/scan() see nothing and size() is 0. Reopen
+                  ///< in kIndexed mode to read the contents back.
   };
 
   /// Opens (creating if needed) the log at `path` and replays it.
@@ -50,8 +50,6 @@ class LogStore {
   void put(std::uint64_t key, std::string_view value);
   /// Point lookup.
   [[nodiscard]] std::optional<std::string> get(std::uint64_t key) const;
-  /// Deletes if present; returns whether a value was removed.
-  bool erase(std::uint64_t key);
   [[nodiscard]] std::size_t size() const { return index_.size(); }
   /// In-order scan over [lo, hi]; `fn` returns false to stop early.
   void scan(std::uint64_t lo, std::uint64_t hi,
@@ -62,16 +60,13 @@ class LogStore {
   /// fdatasync()s them to stable storage before returning.
   void sync();
 
-  /// Rewrites the log with only live records; returns reclaimed bytes.
-  std::size_t compact();
-
   /// Number of log records replayed by the constructor (tests/recovery).
   [[nodiscard]] std::size_t recovered_records() const noexcept {
     return recovered_;
   }
 
  private:
-  void append(std::uint8_t op, std::uint64_t key, std::string_view value);
+  void append(std::uint64_t key, std::string_view value);
   void replay();
 
   std::string path_;
@@ -81,7 +76,6 @@ class LogStore {
   std::unordered_map<std::uint64_t, std::string> index_;
   std::string write_buf_;  // reused per append: one fwrite per record
   std::size_t recovered_ = 0;
-  std::size_t dead_bytes_ = 0;
 };
 
 }  // namespace farmer

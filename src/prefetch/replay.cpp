@@ -7,7 +7,7 @@ namespace farmer {
 ReplayResult replay_trace(const Trace& trace, Predictor& predictor,
                           const ReplayConfig& cfg) {
   const auto t0 = std::chrono::steady_clock::now();
-  MetadataCache cache(cfg.cache_capacity, cfg.policy);
+  MetadataCache cache(cfg.cache_capacity);
   const std::size_t warmup =
       static_cast<std::size_t>(static_cast<double>(trace.records.size()) *
                                cfg.warmup_fraction);

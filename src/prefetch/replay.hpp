@@ -18,8 +18,7 @@
 namespace farmer {
 
 struct ReplayConfig {
-  std::size_t cache_capacity = 1024;
-  CachePolicy policy = CachePolicy::kLRU;
+  std::size_t cache_capacity = 1024;  ///< LRU metadata-cache entries
   std::size_t prefetch_degree = 4;  ///< max candidates consumed per request
   /// Warm-up fraction of the trace during which stats are not recorded
   /// (the model still learns). 0 disables warm-up handling.

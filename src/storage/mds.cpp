@@ -6,7 +6,7 @@ MdsServer::MdsServer(Simulator& sim, MdsConfig cfg, Predictor& predictor)
     : sim_(sim),
       cfg_(cfg),
       predictor_(predictor),
-      cache_(cfg.cache_capacity, cfg.policy),
+      cache_(cfg.cache_capacity),
       disk_(sim, cfg.disk_servers),
       rng_(cfg.seed) {}
 

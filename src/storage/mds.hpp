@@ -26,8 +26,7 @@
 namespace farmer {
 
 struct MdsConfig {
-  std::size_t cache_capacity = 1024;
-  CachePolicy policy = CachePolicy::kLRU;
+  std::size_t cache_capacity = 1024;  ///< LRU metadata-cache entries
   std::size_t prefetch_degree = 4;
   unsigned disk_servers = 1;
   SimTime cpu_time = 30;            ///< µs per request (hit path)

@@ -356,7 +356,7 @@ TEST(CorrelationMinerInterface, ConcurrentAdmitsBatchLargerThanMaxPending) {
 }
 
 // The MinerStats field contract: synchronous backends report the async-only
-// fields as explicit zeros (epoch, pending, cache counters) and an empty
+// fields as explicit zeros (epoch, pending, publish counters) and an empty
 // shard_epochs; the async backend fills all of them. Pinning this down keeps
 // "0" meaning "not applicable" instead of "whatever the backend left there".
 TEST(MinerStatsContract, SyncBackendsZeroAsyncOnlyFields) {
@@ -369,8 +369,6 @@ TEST(MinerStatsContract, SyncBackendsZeroAsyncOnlyFields) {
     EXPECT_GT(s.requests, 0u) << backend;
     EXPECT_EQ(s.epoch, 0u) << backend;
     EXPECT_EQ(s.pending, 0u) << backend;
-    EXPECT_EQ(s.cache_hits, 0u) << backend;
-    EXPECT_EQ(s.cache_misses, 0u) << backend;
     EXPECT_EQ(s.publishes, 0u) << backend;
     EXPECT_EQ(s.files_cloned, 0u) << backend;
     EXPECT_EQ(s.bytes_shared, 0u) << backend;
@@ -432,62 +430,37 @@ TEST(MinerStatsContract, ConcurrentReportsPerShardEpochs) {
   // Publish accounting is live on the async backend: every epoch is one
   // table publication (with coalescing off by default they are identical).
   EXPECT_EQ(s.publishes, s.epoch);
-  // Cache disabled by default: counters stay zero even though queries ran.
-  (void)miner->correlators(FileId(0));
-  EXPECT_EQ(miner->stats().cache_hits, 0u);
-  EXPECT_EQ(miner->stats().cache_misses, 0u);
 }
 
-// Differential guarantee for the query cache: with caching on, every answer
-// — cold, warm, or served across epoch advances — must be byte-identical to
-// the uncached merge, under interleaved ingest/flush/query cycles. The
-// cached miner is also queried twice per file so the second read exercises
-// the hit path, not just the fill path.
-TEST(CorrelationMinerInterface, CachedAnswersEqualUncachedUnderInterleavedIngest) {
+// "concurrent" after flush() must answer exactly as "sharded" fed the same
+// batches, mid-trace as well as at the end: both take the trace in
+// 512-record chunks, "concurrent" is flushed after each one, and every
+// seventh file's Correlator List must match entry for entry.
+TEST(CorrelationMinerInterface, ConcurrentMatchesShardedAfterEveryFlush) {
   const Trace t = make_paper_trace(TraceKind::kHP, 31, 0.02);
   MinerOptions opts;
   opts.shards = 4;
-  MinerOptions cached_opts = opts;
-  cached_opts.query_cache_capacity = 256;  // small: exercises eviction too
-  const auto uncached = make_miner("concurrent", FarmerConfig{}, t.dict,
-                                   opts);
-  const auto cached = make_miner("concurrent", FarmerConfig{}, t.dict,
-                                 cached_opts);
+  const auto concurrent = make_miner("concurrent", FarmerConfig{}, t.dict,
+                                     opts);
+  const auto sharded = make_miner("sharded", FarmerConfig{}, t.dict, opts);
 
   constexpr std::size_t kChunk = 512;
   for (std::size_t i = 0; i < t.records.size(); i += kChunk) {
     const std::size_t n = std::min(kChunk, t.records.size() - i);
     const std::span<const TraceRecord> chunk(&t.records[i], n);
-    uncached->observe_batch(chunk);
-    cached->observe_batch(chunk);
-    uncached->flush();
-    cached->flush();
-    // Mid-stream queries: warm the cache, then compare the hit against the
-    // uncached merge at the same published state.
+    concurrent->observe_batch(chunk);
+    sharded->observe_batch(chunk);
+    concurrent->flush();
     for (std::uint32_t f = 0; f < t.file_count(); f += 7) {
-      (void)cached->correlators(FileId(f));  // fill (or revalidate)
-      const auto lc = cached->correlators(FileId(f));
-      const auto lu = uncached->correlators(FileId(f));
-      ASSERT_EQ(lc.size(), lu.size()) << "file " << f << " at record " << i;
+      const auto lc = concurrent->correlators(FileId(f));
+      const auto ls = sharded->correlators(FileId(f));
+      ASSERT_EQ(lc.size(), ls.size()) << "file " << f << " at record " << i;
       for (std::size_t k = 0; k < lc.size(); ++k) {
-        EXPECT_EQ(lc[k].file, lu[k].file) << "file " << f << " slot " << k;
-        EXPECT_EQ(lc[k].degree, lu[k].degree)
+        EXPECT_EQ(lc[k].file, ls[k].file) << "file " << f << " slot " << k;
+        EXPECT_EQ(lc[k].degree, ls[k].degree)
             << "file " << f << " slot " << k;
       }
     }
-  }
-  const MinerStats sc = cached->stats();
-  EXPECT_GT(sc.cache_hits, 0u);   // the hit path really ran
-  EXPECT_GT(sc.cache_misses, 0u); // so did fills/invalidations
-  // And the final state still matches the synchronous reference.
-  const auto sharded = make_miner("sharded", FarmerConfig{}, t.dict, opts);
-  sharded->observe_batch(t.records);
-  for (std::uint32_t f = 0; f < t.file_count(); ++f) {
-    const auto lc = cached->correlators(FileId(f));
-    const auto ls = sharded->correlators(FileId(f));
-    ASSERT_EQ(lc.size(), ls.size()) << "file " << f;
-    for (std::size_t k = 0; k < lc.size(); ++k)
-      EXPECT_EQ(lc[k].degree, ls[k].degree) << "file " << f << " slot " << k;
   }
 }
 

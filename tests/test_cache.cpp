@@ -1,22 +1,18 @@
-// Tests for replacement policies, the prefetch-aware metadata cache, and
-// the epoch-validated Correlator-List cache.
+// Tests for the prefetch-aware LRU metadata cache.
 #include <gtest/gtest.h>
 
-#include <set>
+#include <algorithm>
 #include <vector>
 
-#include "cache/correlator_cache.hpp"
 #include "cache/metadata_cache.hpp"
-#include "cache/replacement.hpp"
 #include "common/rng.hpp"
+#include "test_helpers.hpp"
 
 namespace farmer {
 namespace {
 
-// ------------------------------------------------------ policy-specific --
-
 TEST(Lru, EvictsLeastRecentlyUsed) {
-  MetadataCache c(2, CachePolicy::kLRU);
+  MetadataCache c(2);
   c.insert_demand(FileId(1));
   c.insert_demand(FileId(2));
   (void)c.access(FileId(1));  // 1 becomes MRU
@@ -26,58 +22,12 @@ TEST(Lru, EvictsLeastRecentlyUsed) {
   EXPECT_TRUE(c.contains(FileId(3)));
 }
 
-TEST(Lfu, EvictsLeastFrequentlyUsed) {
-  MetadataCache c(2, CachePolicy::kLFU);
-  c.insert_demand(FileId(1));
-  c.insert_demand(FileId(2));
-  (void)c.access(FileId(1));
-  (void)c.access(FileId(1));
-  (void)c.access(FileId(2));
-  c.insert_demand(FileId(3));  // evicts 2 (freq 2 < freq 3)
-  EXPECT_TRUE(c.contains(FileId(1)));
-  EXPECT_FALSE(c.contains(FileId(2)));
-}
+// ----------------------------------------------- eviction-order suite ---
 
-TEST(Clock, GivesSecondChance) {
-  MetadataCache c(2, CachePolicy::kCLOCK);
-  c.insert_demand(FileId(1));
-  c.insert_demand(FileId(2));
-  (void)c.access(FileId(1));
-  (void)c.access(FileId(2));
-  // Both referenced; insertion sweeps, clears bits, evicts the first
-  // unreferenced frame — deterministic full rotation.
-  c.insert_demand(FileId(3));
-  EXPECT_EQ(c.size(), 2u);
-  EXPECT_TRUE(c.contains(FileId(3)));
-}
-
-TEST(Arc, AdaptsToGhostHits) {
-  // Fill, evict, re-insert: the ghost hit must not crash and the entry
-  // returns as resident.
-  MetadataCache c(2, CachePolicy::kARC);
-  c.insert_demand(FileId(1));
-  c.insert_demand(FileId(2));
-  c.insert_demand(FileId(3));  // evicts something into a ghost list
-  const bool one_resident = c.contains(FileId(1));
-  c.insert_demand(one_resident ? FileId(2) : FileId(1));  // ghost hit path
-  EXPECT_LE(c.size(), 2u);
-}
-
-TEST(PolicyFactory, MakesAllPolicies) {
-  for (auto p : {CachePolicy::kLRU, CachePolicy::kLFU, CachePolicy::kCLOCK,
-                 CachePolicy::kARC}) {
-    const auto policy = make_policy(p);
-    ASSERT_NE(policy, nullptr);
-    EXPECT_STREQ(policy->name(), cache_policy_name(p));
-  }
-}
-
-// -------------------------------------------- parameterized policy suite --
-
-class PolicySuite : public ::testing::TestWithParam<CachePolicy> {};
+class PolicySuite : public ::testing::TestWithParam<testing::Eviction> {};
 
 TEST_P(PolicySuite, CapacityNeverExceeded) {
-  MetadataCache c(8, GetParam());
+  MetadataCache c(8);
   Rng rng(1);
   for (int i = 0; i < 2000; ++i) {
     const FileId f(static_cast<std::uint32_t>(rng.next_below(64)));
@@ -92,18 +42,18 @@ TEST_P(PolicySuite, CapacityNeverExceeded) {
 }
 
 TEST_P(PolicySuite, HitAfterInsert) {
-  MetadataCache c(4, GetParam());
+  MetadataCache c(4);
   c.insert_demand(FileId(7));
   EXPECT_TRUE(c.access(FileId(7)));
 }
 
 TEST_P(PolicySuite, MissOnEmpty) {
-  MetadataCache c(4, GetParam());
+  MetadataCache c(4);
   EXPECT_FALSE(c.access(FileId(1)));
 }
 
 TEST_P(PolicySuite, EraseRemoves) {
-  MetadataCache c(4, GetParam());
+  MetadataCache c(4);
   c.insert_demand(FileId(1));
   c.erase(FileId(1));
   EXPECT_FALSE(c.contains(FileId(1)));
@@ -111,9 +61,9 @@ TEST_P(PolicySuite, EraseRemoves) {
 }
 
 TEST_P(PolicySuite, WorkingSetSmallerThanCapacityAlwaysHitsEventually) {
-  MetadataCache c(8, GetParam());
+  MetadataCache c(8);
   // Working set of 4 distinct files cycled: after the first pass, every
-  // access must hit for every sane policy.
+  // access must hit.
   for (int pass = 0; pass < 3; ++pass) {
     for (std::uint32_t f = 0; f < 4; ++f) {
       if (!c.access(FileId(f))) c.insert_demand(FileId(f));
@@ -124,7 +74,7 @@ TEST_P(PolicySuite, WorkingSetSmallerThanCapacityAlwaysHitsEventually) {
 }
 
 TEST_P(PolicySuite, DuplicateInsertIsNoop) {
-  MetadataCache c(4, GetParam());
+  MetadataCache c(4);
   c.insert_demand(FileId(1));
   c.insert_demand(FileId(1));
   EXPECT_EQ(c.size(), 1u);
@@ -133,18 +83,13 @@ TEST_P(PolicySuite, DuplicateInsertIsNoop) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicySuite,
-                         ::testing::Values(CachePolicy::kLRU,
-                                           CachePolicy::kLFU,
-                                           CachePolicy::kCLOCK,
-                                           CachePolicy::kARC),
-                         [](const auto& info) {
-                           return cache_policy_name(info.param);
-                         });
+                         ::testing::Values(testing::Eviction::kLRU),
+                         [](const auto&) { return "LRU"; });
 
 // ------------------------------------------------------- MetadataCache ---
 
 TEST(MetadataCache, DemandHitMissAccounting) {
-  MetadataCache c(4, CachePolicy::kLRU);
+  MetadataCache c(4);
   EXPECT_FALSE(c.access(FileId(1)));
   c.insert_demand(FileId(1));
   EXPECT_TRUE(c.access(FileId(1)));
@@ -154,7 +99,7 @@ TEST(MetadataCache, DemandHitMissAccounting) {
 }
 
 TEST(MetadataCache, PrefetchAccuracyCountsFirstUse) {
-  MetadataCache c(4, CachePolicy::kLRU);
+  MetadataCache c(4);
   c.insert_prefetch(FileId(1));
   c.insert_prefetch(FileId(2));
   (void)c.access(FileId(1));  // used
@@ -165,7 +110,7 @@ TEST(MetadataCache, PrefetchAccuracyCountsFirstUse) {
 }
 
 TEST(MetadataCache, PollutionCountsEvictedUnused) {
-  MetadataCache c(2, CachePolicy::kLRU);
+  MetadataCache c(2);
   c.insert_prefetch(FileId(1));
   c.insert_prefetch(FileId(2));
   c.insert_demand(FileId(3));  // evicts 1 (unused prefetch)
@@ -175,7 +120,7 @@ TEST(MetadataCache, PollutionCountsEvictedUnused) {
 }
 
 TEST(MetadataCache, UsedPrefetchNotCountedAsPollution) {
-  MetadataCache c(2, CachePolicy::kLRU);
+  MetadataCache c(2);
   c.insert_prefetch(FileId(1));
   (void)c.access(FileId(1));
   c.insert_demand(FileId(2));
@@ -184,7 +129,7 @@ TEST(MetadataCache, UsedPrefetchNotCountedAsPollution) {
 }
 
 TEST(MetadataCache, ResetStatsKeepsResidency) {
-  MetadataCache c(4, CachePolicy::kLRU);
+  MetadataCache c(4);
   c.insert_demand(FileId(1));
   (void)c.access(FileId(1));
   c.reset_stats();
@@ -193,7 +138,7 @@ TEST(MetadataCache, ResetStatsKeepsResidency) {
 }
 
 TEST(MetadataCache, CapacityOneWorks) {
-  MetadataCache c(1, CachePolicy::kLRU);
+  MetadataCache c(1);
   c.insert_demand(FileId(1));
   c.insert_demand(FileId(2));
   EXPECT_EQ(c.size(), 1u);
@@ -201,152 +146,101 @@ TEST(MetadataCache, CapacityOneWorks) {
 }
 
 TEST(MetadataCache, ZeroCapacityClampedToOne) {
-  MetadataCache c(0, CachePolicy::kLRU);
+  MetadataCache c(0);
   c.insert_demand(FileId(1));
   EXPECT_EQ(c.capacity(), 1u);
   EXPECT_EQ(c.size(), 1u);
 }
 
 TEST(MetadataCache, EvictionCounterAdvances) {
-  MetadataCache c(2, CachePolicy::kLRU);
+  MetadataCache c(2);
   for (std::uint32_t i = 0; i < 10; ++i) c.insert_demand(FileId(i));
   EXPECT_EQ(c.stats().evictions, 8u);
 }
 
-// LRU stress against a reference model.
+// Every operation of the cache, mixed at random over a small key range,
+// against a reference model: a recency list whose entries carry the
+// unused-prefetch flag, plus the counters CacheStats keeps. Residency and
+// every counter are compared after each operation, so a recency order that
+// drifts (a prefetched entry left in place on its first demand hit) shows at
+// the first eviction it changes, and a miscounted pollution at the op itself.
 TEST(Lru, MatchesReferenceModelUnderRandomOps) {
-  MetadataCache c(16, CachePolicy::kLRU);
-  std::vector<FileId> ref;  // front = LRU, back = MRU
-  Rng rng(77);
-  auto ref_touch = [&](FileId f) {
-    for (std::size_t i = 0; i < ref.size(); ++i)
-      if (ref[i] == f) {
-        ref.erase(ref.begin() + static_cast<std::ptrdiff_t>(i));
-        break;
-      }
-    ref.push_back(f);
+  constexpr std::size_t kCapacity = 8;
+  constexpr std::uint32_t kKeys = 24;
+  MetadataCache c(kCapacity);
+
+  struct Entry {
+    FileId file;
+    bool unused_prefetch;
   };
-  for (int op = 0; op < 5000; ++op) {
-    const FileId f(static_cast<std::uint32_t>(rng.next_below(64)));
-    const bool hit = c.access(f);
-    const bool ref_hit =
-        std::find(ref.begin(), ref.end(), f) != ref.end();
-    ASSERT_EQ(hit, ref_hit) << "op " << op;
-    if (hit) {
-      ref_touch(f);
-    } else {
-      if (ref.size() >= 16) ref.erase(ref.begin());
-      ref.push_back(f);
-      c.insert_demand(f);
+  std::vector<Entry> ref;  // front = LRU, back = MRU
+  CacheStats want;
+  const auto find = [&](FileId f) {
+    return std::find_if(ref.begin(), ref.end(),
+                        [f](const Entry& e) { return e.file == f; });
+  };
+  const auto drop = [&](std::vector<Entry>::iterator it) {
+    if (it->unused_prefetch) ++want.prefetch_evicted_unused;
+    ref.erase(it);
+  };
+  const auto insert = [&](FileId f, bool prefetched) {
+    if (ref.size() == kCapacity) {
+      drop(ref.begin());
+      ++want.evictions;
     }
-    ASSERT_EQ(c.size(), ref.size());
+    ref.push_back({f, prefetched});
+  };
+
+  Rng rng(77);
+  for (int op = 0; op < 20000; ++op) {
+    const FileId f(static_cast<std::uint32_t>(rng.next_below(kKeys)));
+    const auto it = find(f);
+    const bool resident = it != ref.end();
+    const std::uint64_t kind = rng.next_below(10);
+    if (kind < 5) {  // demand access, fetched on a miss (the MDS pattern)
+      ASSERT_EQ(c.access(f), resident) << "op " << op;
+      if (resident) {
+        want.demand.hit();
+        Entry e = *it;
+        if (e.unused_prefetch) {
+          ++want.prefetch_used;
+          e.unused_prefetch = false;
+        }
+        ref.erase(it);
+        ref.push_back(e);
+      } else {
+        want.demand.miss();
+        c.insert_demand(f);
+        insert(f, /*prefetched=*/false);
+      }
+    } else if (kind < 8) {
+      ASSERT_EQ(c.insert_prefetch(f), !resident) << "op " << op;
+      if (!resident) {
+        ++want.prefetch_inserted;
+        insert(f, /*prefetched=*/true);
+      }
+    } else if (kind < 9) {
+      c.erase(f);
+      if (resident) drop(it);
+    } else {
+      c.insert_demand(f);  // a no-op when resident
+      if (!resident) insert(f, /*prefetched=*/false);
+    }
+
+    ASSERT_EQ(c.size(), ref.size()) << "op " << op;
+    for (std::uint32_t k = 0; k < kKeys; ++k)
+      ASSERT_EQ(c.contains(FileId(k)), find(FileId(k)) != ref.end())
+          << "op " << op << " key " << k;
+    const CacheStats& got = c.stats();
+    ASSERT_EQ(got.demand.numerator(), want.demand.numerator()) << "op " << op;
+    ASSERT_EQ(got.demand.denominator(), want.demand.denominator())
+        << "op " << op;
+    ASSERT_EQ(got.prefetch_inserted, want.prefetch_inserted) << "op " << op;
+    ASSERT_EQ(got.prefetch_used, want.prefetch_used) << "op " << op;
+    ASSERT_EQ(got.prefetch_evicted_unused, want.prefetch_evicted_unused)
+        << "op " << op;
+    ASSERT_EQ(got.evictions, want.evictions) << "op " << op;
   }
-}
-
-// ------------------------------------------------ Correlator-List cache --
-
-std::vector<Correlator> micro_list() {
-  return {{FileId(7), 0.9f}, {FileId(9), 0.5f}};
-}
-
-constexpr auto kNeverAbsent = [](std::size_t) { return false; };
-constexpr auto kAlwaysAbsent = [](std::size_t) { return true; };
-
-TEST(CorrelatorCache, HitAfterWarm) {
-  CorrelatorCache cache(8);
-  const std::vector<std::uint64_t> epochs = {3, 5};
-  EXPECT_FALSE(cache.lookup(FileId(1), epochs, kNeverAbsent).has_value());
-  cache.insert(FileId(1), epochs, {1, 0}, micro_list());
-  const auto hit = cache.lookup(FileId(1), epochs, kNeverAbsent);
-  ASSERT_TRUE(hit.has_value());
-  ASSERT_EQ(hit->size(), 2u);
-  EXPECT_EQ((*hit)[0].file, FileId(7));
-  EXPECT_FLOAT_EQ((*hit)[0].degree, 0.9f);
-  const CorrelatorCacheStats s = cache.stats();
-  EXPECT_EQ(s.hits, 1u);
-  EXPECT_EQ(s.misses, 1u);
-  EXPECT_EQ(s.insertions, 1u);
-  EXPECT_EQ(s.invalidations, 0u);
-}
-
-TEST(CorrelatorCache, ContributingShardEpochAdvanceInvalidates) {
-  CorrelatorCache cache(8);
-  cache.insert(FileId(1), std::vector<std::uint64_t>{3, 5}, {1, 0},
-               micro_list());
-  // Shard 0 contributed and republished: the entry must die even though the
-  // absence probe would claim the file vanished (contained wins).
-  const std::vector<std::uint64_t> advanced = {4, 5};
-  EXPECT_FALSE(cache.lookup(FileId(1), advanced, kAlwaysAbsent).has_value());
-  EXPECT_EQ(cache.stats().invalidations, 1u);
-  // The stale entry was erased, not served again.
-  EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(CorrelatorCache, NonContributingShardAdvanceKeepsEntryWhileAbsent) {
-  CorrelatorCache cache(8);
-  cache.insert(FileId(1), std::vector<std::uint64_t>{3, 5}, {1, 0},
-               micro_list());
-  // Shard 1 republished but never contained the file and still does not:
-  // the merged list cannot have changed, the entry survives.
-  const std::vector<std::uint64_t> advanced = {3, 9};
-  EXPECT_TRUE(cache.lookup(FileId(1), advanced, kAlwaysAbsent).has_value());
-  // The verdict is memoized: a probe that now said "present" would not be
-  // consulted for epoch 9 again (recorded epoch advanced on the hit)...
-  EXPECT_TRUE(cache.lookup(FileId(1), advanced, kNeverAbsent).has_value());
-  // ...but a *further* advance with the file now present invalidates.
-  const std::vector<std::uint64_t> further = {3, 10};
-  EXPECT_FALSE(cache.lookup(FileId(1), further, kNeverAbsent).has_value());
-  const CorrelatorCacheStats s = cache.stats();
-  EXPECT_EQ(s.hits, 2u);
-  EXPECT_EQ(s.invalidations, 1u);
-}
-
-TEST(CorrelatorCache, ShardCountChangeInvalidates) {
-  CorrelatorCache cache(8);
-  cache.insert(FileId(1), std::vector<std::uint64_t>{3}, {1}, micro_list());
-  const std::vector<std::uint64_t> two_shards = {3, 0};
-  EXPECT_FALSE(cache.lookup(FileId(1), two_shards, kAlwaysAbsent).has_value());
-  EXPECT_EQ(cache.stats().invalidations, 1u);
-}
-
-TEST(CorrelatorCache, CapacityZeroDisablesEverything) {
-  CorrelatorCache cache(0);
-  EXPECT_FALSE(cache.enabled());
-  const std::vector<std::uint64_t> epochs = {1};
-  cache.insert(FileId(1), epochs, {1}, micro_list());
-  EXPECT_FALSE(cache.lookup(FileId(1), epochs, kNeverAbsent).has_value());
-  EXPECT_EQ(cache.size(), 0u);
-  // Disabled means invisible: not even miss counters move.
-  const CorrelatorCacheStats s = cache.stats();
-  EXPECT_EQ(s.hits + s.misses + s.insertions + s.invalidations, 0u);
-}
-
-TEST(CorrelatorCache, EvictionRespectsCapacityWithLru) {
-  // One stripe so the LRU order is global and deterministic.
-  CorrelatorCache cache(2, CachePolicy::kLRU, /*stripes=*/1);
-  const std::vector<std::uint64_t> epochs = {1};
-  cache.insert(FileId(1), epochs, {1}, micro_list());
-  cache.insert(FileId(2), epochs, {1}, micro_list());
-  // Touch 1 so 2 becomes the LRU victim.
-  EXPECT_TRUE(cache.lookup(FileId(1), epochs, kNeverAbsent).has_value());
-  cache.insert(FileId(3), epochs, {1}, micro_list());
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_TRUE(cache.lookup(FileId(1), epochs, kNeverAbsent).has_value());
-  EXPECT_FALSE(cache.lookup(FileId(2), epochs, kNeverAbsent).has_value());
-  EXPECT_TRUE(cache.lookup(FileId(3), epochs, kNeverAbsent).has_value());
-  EXPECT_EQ(cache.stats().evictions, 1u);
-}
-
-TEST(CorrelatorCache, ClearDropsEntriesKeepsStats) {
-  CorrelatorCache cache(8);
-  const std::vector<std::uint64_t> epochs = {1};
-  cache.insert(FileId(1), epochs, {1}, micro_list());
-  EXPECT_TRUE(cache.lookup(FileId(1), epochs, kNeverAbsent).has_value());
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.lookup(FileId(1), epochs, kNeverAbsent).has_value());
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_GT(cache.footprint_bytes(), 0u);
 }
 
 }  // namespace

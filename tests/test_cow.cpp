@@ -565,7 +565,6 @@ TEST(PublishCoalescing, FlushIsAStrictBarrierDespiteHugeIntervals) {
   ConcurrentFarmer miner(FarmerConfig{}, mt.dict(), /*shards=*/2,
                          /*ingest_queues=*/1,
                          ConcurrentFarmer::kDefaultMaxPending,
-                         /*query_cache_capacity=*/0,
                          /*publish_interval_records=*/1u << 30,
                          /*publish_max_delay_ms=*/60000);
   miner.observe_batch(mt.records());
@@ -586,7 +585,6 @@ TEST(PublishCoalescing, FlushCompletesWhileIngestNeverPauses) {
   ConcurrentFarmer miner(FarmerConfig{}, t.dict, /*shards=*/2,
                          /*ingest_queues=*/2,
                          ConcurrentFarmer::kDefaultMaxPending,
-                         /*query_cache_capacity=*/0,
                          /*publish_interval_records=*/1u << 30,
                          /*publish_max_delay_ms=*/60000);
   // A fixed workload (not a stop-flag loop): on a single core the producer
@@ -618,7 +616,6 @@ TEST(PublishCoalescing, IdleBacklogPublishesByStalenessDeadline) {
   ConcurrentFarmer miner(FarmerConfig{}, mt.dict(), /*shards=*/2,
                          /*ingest_queues=*/1,
                          ConcurrentFarmer::kDefaultMaxPending,
-                         /*query_cache_capacity=*/0,
                          /*publish_interval_records=*/1u << 30,
                          /*publish_max_delay_ms=*/50);
   miner.observe_batch(mt.records());

@@ -32,14 +32,16 @@ class LogStoreTest : public ::testing::Test {
       ".db";
 };
 
-TEST_F(LogStoreTest, PutGetErase) {
+TEST_F(LogStoreTest, PutOverwriteGet) {
   LogStore s(path_);
   s.put(1, "alpha");
   s.put(2, "beta");
   EXPECT_EQ(*s.get(1), "alpha");
-  EXPECT_TRUE(s.erase(1));
-  EXPECT_FALSE(s.get(1).has_value());
-  EXPECT_EQ(s.size(), 1u);
+  s.put(1, "gamma");
+  EXPECT_EQ(*s.get(1), "gamma");
+  EXPECT_EQ(*s.get(2), "beta");
+  EXPECT_FALSE(s.get(3).has_value());
+  EXPECT_EQ(s.size(), 2u);
 }
 
 TEST_F(LogStoreTest, PersistsAcrossReopen) {
@@ -47,12 +49,14 @@ TEST_F(LogStoreTest, PersistsAcrossReopen) {
     LogStore s(path_);
     s.put(10, "ten");
     s.put(20, "twenty");
-    s.erase(10);
+    s.put(10, "TEN");
     s.sync();
   }
   LogStore reopened(path_);
   EXPECT_EQ(reopened.recovered_records(), 3u);
-  EXPECT_FALSE(reopened.get(10).has_value());
+  EXPECT_EQ(reopened.size(), 2u);
+  ASSERT_TRUE(reopened.get(10).has_value());
+  EXPECT_EQ(*reopened.get(10), "TEN");  // the later record wins
   ASSERT_TRUE(reopened.get(20).has_value());
   EXPECT_EQ(*reopened.get(20), "twenty");
 }
@@ -206,21 +210,6 @@ TEST_F(LogStoreTest, CorruptLengthIsBoundedBeforeAllocation) {
   EXPECT_EQ(std::filesystem::file_size(path_), valid_size);
 }
 
-TEST_F(LogStoreTest, CompactionPreservesContents) {
-  LogStore s(path_);
-  for (int i = 0; i < 50; ++i) s.put(7, "version " + std::to_string(i));
-  s.put(8, "keep");
-  const std::size_t reclaimed = s.compact();
-  EXPECT_GT(reclaimed, 0u);
-  EXPECT_EQ(*s.get(7), "version 49");
-  EXPECT_EQ(*s.get(8), "keep");
-  s.put(9, "after-compact");
-  s.sync();
-  LogStore reopened(path_);
-  EXPECT_EQ(reopened.size(), 3u);
-  EXPECT_EQ(*reopened.get(9), "after-compact");
-}
-
 TEST_F(LogStoreTest, ScanIsOrdered) {
   LogStore s(path_);
   s.put(5, "e");
@@ -252,7 +241,6 @@ TEST_F(LogStoreTest, FsyncModeRoundTrip) {
     s.put(1, "durable");
     s.put(2, "records");
     s.sync();
-    EXPECT_GT(s.compact(), 0u);  // exercises the fsync'd compaction path
     s.put(3, "after");
     s.sync();
   }

@@ -94,15 +94,14 @@ INSTANTIATE_TEST_SUITE_P(
 // ----------------------------------------------- replay invariant sweep --
 
 class ReplaySweep
-    : public ::testing::TestWithParam<std::tuple<CachePolicy, std::size_t>> {
-};
+    : public ::testing::TestWithParam<
+          std::tuple<testing::Eviction, std::size_t>> {};
 
 TEST_P(ReplaySweep, AccountingIdentitiesHold) {
-  const auto [policy, degree] = GetParam();
+  const std::size_t degree = std::get<1>(GetParam());
   const Trace& t = small_hp();
   ReplayConfig rc;
   rc.cache_capacity = 64;
-  rc.policy = policy;
   rc.prefetch_degree = degree;
   FpaPredictor fpa(FarmerConfig{}, t.dict);
   const auto r = replay_trace(t, fpa, rc);
@@ -125,13 +124,10 @@ TEST_P(ReplaySweep, AccountingIdentitiesHold) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, ReplaySweep,
-    ::testing::Combine(::testing::Values(CachePolicy::kLRU, CachePolicy::kLFU,
-                                         CachePolicy::kCLOCK,
-                                         CachePolicy::kARC),
+    ::testing::Combine(::testing::Values(testing::Eviction::kLRU),
                        ::testing::Values(0u, 1u, 4u, 8u)),
     [](const auto& info) {
-      return std::string(cache_policy_name(std::get<0>(info.param))) + "_d" +
-             std::to_string(std::get<1>(info.param));
+      return "LRU_d" + std::to_string(std::get<1>(info.param));
     });
 
 // --------------------------------------------------- similarity algebra --
@@ -297,75 +293,6 @@ TEST(ConcurrentMinerStress, SnapshotsConsistentWhileProducersIngest) {
   EXPECT_EQ(s.epoch, miner.epoch());
 }
 
-// The Correlator-List cache sits on the reader path, so it must uphold the
-// same invariants under concurrent ingest: hits and misses alike may only
-// surface sorted, capped, self-free, threshold-passing lists, and epochs
-// stay monotone per reader. This variant runs under the ThreadSanitizer CI
-// tier (ConcurrentMinerStress.* filter), racing the cache's stripe locks
-// and lazy invalidation against the drain's RCU publishes.
-TEST(ConcurrentMinerStress, CachedSnapshotsConsistentWhileProducersIngest) {
-  const Trace& t = small_hp();
-  const FarmerConfig cfg;
-  constexpr std::size_t kProducers = 4;
-  ConcurrentFarmer miner(cfg, t.dict, /*shards=*/4,
-                         /*ingest_queues=*/kProducers,
-                         ConcurrentFarmer::kDefaultMaxPending,
-                         /*query_cache_capacity=*/128);
-
-  const auto parts = testing::partition_by_process(t.records, kProducers);
-
-  std::atomic<bool> done{false};
-  std::vector<std::thread> readers;
-  for (int rdr = 0; rdr < 2; ++rdr) {
-    readers.emplace_back([&, rdr] {
-      Rng rng(static_cast<std::uint64_t>(400 + rdr));
-      std::uint64_t last_epoch = 0;
-      while (!done.load(std::memory_order_acquire)) {
-        // Small id range: readers collide on hot entries, exercising
-        // hit/invalidate/refill races rather than a cold-miss parade.
-        const FileId f(static_cast<std::uint32_t>(
-            rng.next_below(std::min<std::uint64_t>(t.file_count(), 64))));
-        const EpochSnapshot snap = miner.epoch_snapshot(f);
-        EXPECT_GE(snap.epoch, last_epoch) << "epoch went backwards";
-        last_epoch = snap.epoch;
-        ASSERT_LE(snap.view.size(), cfg.correlator_capacity);
-        for (std::size_t i = 0; i < snap.view.size(); ++i) {
-          EXPECT_NE(snap.view[i].file, f) << "self-correlation";
-          EXPECT_GE(snap.view[i].degree,
-                    static_cast<float>(cfg.max_strength) - 1e-4f)
-              << "torn/filtered degree surfaced";
-          if (i > 0) {
-            EXPECT_GE(snap.view[i - 1].degree, snap.view[i].degree)
-                << "snapshot not sorted";
-          }
-        }
-      }
-    });
-  }
-
-  testing::replay_partitioned(miner, parts, /*chunk=*/32);
-  miner.flush();
-  done.store(true, std::memory_order_release);
-  for (auto& r : readers) r.join();
-
-  const MinerStats s = miner.stats();
-  EXPECT_EQ(s.requests, t.records.size());
-  EXPECT_EQ(s.pending, 0u);
-  // The readers really went through the cache.
-  EXPECT_GT(s.cache_hits + s.cache_misses, 0u);
-  // After the final flush, a cached answer must equal a fresh merge.
-  for (std::uint32_t f = 0; f < std::min<std::uint32_t>(t.file_count(), 64);
-       ++f) {
-    const auto warm = miner.correlators(FileId(f));
-    const auto again = miner.correlators(FileId(f));
-    ASSERT_EQ(warm.size(), again.size()) << "file " << f;
-    for (std::size_t i = 0; i < warm.size(); ++i) {
-      EXPECT_EQ(warm[i].file, again[i].file);
-      EXPECT_EQ(warm[i].degree, again[i].degree);
-    }
-  }
-}
-
 // Publish coalescing under racing producers and readers: with a short
 // record interval and a tight staleness deadline the drain keeps switching
 // between coalesced and deadline-forced publishes while readers validate
@@ -380,7 +307,6 @@ TEST(ConcurrentMinerStress, CoalescedPublishesStayConsistent) {
   ConcurrentFarmer miner(cfg, t.dict, /*shards=*/4,
                          /*ingest_queues=*/kProducers,
                          ConcurrentFarmer::kDefaultMaxPending,
-                         /*query_cache_capacity=*/128,
                          /*publish_interval_records=*/512,
                          /*publish_max_delay_ms=*/1);
 
@@ -515,7 +441,6 @@ TEST(ParallelApplyStress, ConcurrentDrainWithWorkerLanesStaysConsistent) {
   ConcurrentFarmer miner(cfg, t.dict, /*shards=*/4,
                          /*ingest_queues=*/kProducers,
                          ConcurrentFarmer::kDefaultMaxPending,
-                         /*query_cache_capacity=*/0,
                          /*publish_interval_records=*/0,
                          /*publish_max_delay_ms=*/0,
                          /*persister=*/nullptr,

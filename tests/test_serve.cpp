@@ -572,6 +572,24 @@ TEST(RuntimeConfigTest, RejectsZeroAndOutOfRange) {
   }
 }
 
+// A misspelt variable, or one a past release read, must not run the
+// defaults unnoticed.
+TEST(RuntimeConfigTest, UnknownOrRetiredVariableThrows) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"FARMER_SHRADS", "8"}, {"FARMER_QUERY_CACHE", "2048"}};
+  for (const auto& [var, value] : cases) {
+    ScopedEnv bad(var, value);
+    try {
+      (void)RuntimeConfig::from_env();
+      ADD_FAILURE() << var << ": expected ConfigError";
+    } catch (const ConfigError& e) {
+      EXPECT_EQ(e.var(), var);
+      EXPECT_EQ(e.value(), value);
+      EXPECT_FALSE(e.reason().empty());
+    }
+  }
+}
+
 // ----------------------------------------------------------------- stress
 
 TEST(ServingStress, ConcurrentMinerUnderLiveReplay) {
