@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark): the per-operation costs behind
 // FARMER's "reasonable overhead" claim — similarity evaluation, graph
-// updates, full pipeline ingest, predictor prediction, cache and B+tree
+// updates, full pipeline ingest, predictor prediction and metadata-cache
 // operations.
 #include <benchmark/benchmark.h>
 
@@ -323,6 +323,27 @@ void BM_CacheAccess(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CacheAccess);
+
+void BM_CacheContains(benchmark::State& state) {
+  // serve()'s shape: the MDS cache holds 5% of the files, and most residency
+  // tests (FPA's fetchable gate, the MDS's needs-fetch check) ask about a
+  // file it lacks. Probes are drawn up front so the loop times contains().
+  constexpr std::uint32_t kFiles = 100'000;
+  MetadataCache cache(kFiles / 20);
+  Rng rng(7);
+  while (cache.size() < cache.capacity())
+    cache.insert_demand(
+        FileId(static_cast<std::uint32_t>(rng.next_below(kFiles))));
+  constexpr std::size_t kProbes = 1u << 16;
+  std::vector<FileId> probes(kProbes);
+  for (FileId& f : probes)
+    f = FileId(static_cast<std::uint32_t>(rng.next_below(kFiles)));
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cache.contains(probes[i++ % kProbes]));
+  }
+}
+BENCHMARK(BM_CacheContains);
 
 void BM_EndToEndReplay(benchmark::State& state) {
   // Whole-pipeline throughput: events per second through FPA + cache.

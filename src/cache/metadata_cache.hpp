@@ -9,11 +9,17 @@
 //   * prefetch accuracy      — prefetched entries that served a demand hit
 //                              before eviction / prefetched entries (Tab 3)
 //   * cache pollution        — prefetched entries evicted unused
+//
+// FileIds are dense, so the cache is one slot table indexed by
+// `FileId::value()`: each slot holds a resident flag, the unused-prefetch
+// flag and the prev/next links of an intrusive LRU list threaded through the
+// table. A residency test is a bounds check and one load, with no hashing;
+// the table costs 12 bytes per FileId up to the largest id ever inserted.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <list>
-#include <unordered_map>
+#include <vector>
 
 #include "common/stats.hpp"
 #include "common/types.hpp"
@@ -54,16 +60,18 @@ class MetadataCache {
   bool access(FileId f);
 
   /// Inserts a demand-fetched entry (no-op if present), evicting the least
-  /// recently used entry when full.
+  /// recently used entry when full. `f` must be valid.
   void insert_demand(FileId f);
 
   /// Inserts a prefetched entry. Returns false (and counts nothing) if the
   /// entry is already resident — an already-cached prediction costs nothing
-  /// and earns nothing. Evicts as needed.
+  /// and earns nothing. Evicts as needed. `f` must be valid.
   bool insert_prefetch(FileId f);
 
   /// Whether `f` is resident (no recency update, no stats).
-  [[nodiscard]] bool contains(FileId f) const noexcept;
+  [[nodiscard]] bool contains(FileId f) const noexcept {
+    return f.value() < slots_.size() && slots_[f.value()].resident;
+  }
 
   /// Invalidates an entry if resident (metadata updates in the MDS).
   void erase(FileId f);
@@ -71,24 +79,35 @@ class MetadataCache {
   /// Zeroes the counters without touching residency (warm-up support).
   void reset_stats() noexcept { stats_ = CacheStats{}; }
 
-  [[nodiscard]] std::size_t size() const noexcept { return slots_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] const CacheStats& stats() const noexcept { return stats_; }
 
  private:
+  /// End of the recency list; never a resident id, since `insert` rejects
+  /// the invalid FileId.
+  static constexpr std::uint32_t kNil = FileId::kInvalid;
+
   struct Slot {
-    std::list<FileId>::iterator pos;  ///< place in `order_`
-    bool unused_prefetch;  ///< came from prefetch, no demand hit yet
+    std::uint32_t prev = kNil;  ///< next more recently used entry
+    std::uint32_t next = kNil;  ///< next less recently used entry
+    bool resident = false;
+    bool unused_prefetch = false;  ///< came from prefetch, no demand hit yet
   };
+  static_assert(sizeof(Slot) <= 12);
 
   void insert(FileId f, bool prefetched);
   /// Removes a resident entry, counting it as polluting when it was an
   /// unused prefetch.
-  void remove(std::unordered_map<FileId, Slot>::iterator it);
+  void remove(std::uint32_t i) noexcept;
+  void unlink(std::uint32_t i) noexcept;
+  void push_front(std::uint32_t i) noexcept;
 
   std::size_t capacity_;
-  std::list<FileId> order_;  ///< front = most recently used
-  std::unordered_map<FileId, Slot> slots_;
+  std::vector<Slot> slots_;  ///< indexed by FileId; grows, never shrinks
+  std::uint32_t head_ = kNil;  ///< most recently used
+  std::uint32_t tail_ = kNil;  ///< least recently used, the next victim
+  std::size_t size_ = 0;
   CacheStats stats_;
 };
 

@@ -4,7 +4,6 @@
 
 #include <filesystem>
 #include <functional>
-#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -111,20 +110,13 @@ ServingResult serve(const ScenarioSpec& spec, const ScenarioWorkload& wl,
         nwin - 1, static_cast<std::size_t>(sim.now() / window_len));
     whist[idx].record(static_cast<std::uint64_t>(rt));
   };
-  // std::function must be copyable, so the recursive closure lives in a
-  // small heap cell it captures weakly: a strong capture would be a
-  // shared_ptr cycle (cell -> function -> cell) that outlives the run and
-  // leaks. The local `issue` keeps the cell alive until sim.run() returns,
-  // so lock() cannot fail while events remain.
-  auto issue = std::make_shared<std::function<void(std::size_t)>>();
-  *issue = [&, weak = std::weak_ptr(issue)](std::size_t i) {
+  std::function<void(std::size_t)> issue = [&](std::size_t i) {
     if (i + 1 < recs.size())
-      sim.schedule_at(scaled(recs[i + 1].timestamp), [weak, i] {
-        if (const auto self = weak.lock()) (*self)(i + 1);
-      });
+      sim.schedule_at(scaled(recs[i + 1].timestamp),
+                      [&issue, i] { issue(i + 1); });
     mds.handle_demand(recs[i], record_response);
   };
-  sim.schedule_at(0, [issue, begin] { (*issue)(begin); });
+  sim.schedule_at(0, [&issue, begin] { issue(begin); });
 
   sim.run();
 

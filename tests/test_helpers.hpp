@@ -15,11 +15,6 @@
 
 namespace farmer::testing {
 
-/// The one eviction order MetadataCache implements. The cache and replay
-/// suites stay parameterized by it, so their case names (`.../LRU`,
-/// `.../LRU_d4`) carry over from when the order was selectable.
-enum class Eviction { kLRU };
-
 /// Partitions records across `producers` ingest streams by process id
 /// (stream affinity, mirroring ShardedFarmer's routing), keeping each
 /// process's records in stream order within its partition.
