@@ -92,7 +92,7 @@ void BM_EvaluatePair(benchmark::State& state) {
   // records.
   const Trace& trace = hp();
   const FarmerConfig cfg = fpa_config(trace);
-  CorrelationGraph g({cfg.max_successors, cfg.correlator_capacity});
+  SignatureGraph g({cfg.max_successors, cfg.correlator_capacity});
   CoMiner miner(cfg, g);
   const Extractor ex(trace.dict);
   const TraceRecord& ra = trace.records[0];

@@ -68,10 +68,10 @@ struct MinerStats {
   std::uint64_t files_cloned = 0;  ///< COW blocks copied because a published
                                    ///< snapshot still shared them, cumulative
                                    ///< over all publishes (async backends).
-                                   ///< A dirtied file clones up to two
-                                   ///< blocks — graph node and semantic
-                                   ///< state — so this bounds the dirty
-                                   ///< file count from above, ≤ 2x over
+                                   ///< A file is one block (graph node and
+                                   ///< signature), so this counts each file
+                                   ///< a publish round dirtied once per
+                                   ///< shard that dirtied it
   std::uint64_t bytes_shared = 0;  ///< inline block bytes publishes reused
                                    ///< structurally instead of deep-copying
                                    ///< (async backends; heap spill of shared

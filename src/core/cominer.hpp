@@ -18,6 +18,10 @@
 
 namespace farmer {
 
+/// The graph FARMER mines: each node carries its file's Signature, built
+/// from the file's most recent request context.
+using SignatureGraph = BasicCorrelationGraph<Signature>;
+
 /// Counters exposed for the efficiency analysis (Section 3.3).
 struct CoMinerStats {
   std::uint64_t pairs_evaluated = 0;
@@ -34,14 +38,14 @@ struct CoMinerStats {
 
 class CoMiner {
  public:
-  CoMiner(const FarmerConfig& cfg, CorrelationGraph& graph)
+  CoMiner(const FarmerConfig& cfg, SignatureGraph& graph)
       : cfg_(cfg), graph_(graph) {}
 
   /// Rebinding copy: same counters, *different* config/graph. Used by
   /// Farmer's copy constructor, which must point the copied miner at the
   /// copy's own members (a defaulted copy would silently keep mining the
   /// source Farmer's graph).
-  CoMiner(const FarmerConfig& cfg, CorrelationGraph& graph, CoMinerStats stats)
+  CoMiner(const FarmerConfig& cfg, SignatureGraph& graph, CoMinerStats stats)
       : cfg_(cfg), graph_(graph), stats_(stats) {}
 
   /// Evaluates R(pred, succ) from the given signatures and the graph's
@@ -75,7 +79,7 @@ class CoMiner {
 
  private:
   const FarmerConfig& cfg_;
-  CorrelationGraph& graph_;
+  SignatureGraph& graph_;
   CoMinerStats stats_;
 };
 

@@ -40,7 +40,7 @@ ConcurrentFarmer::ConcurrentFarmer(FarmerConfig cfg,
     queues_.push_back(std::make_unique<MpscQueue<Batch>>());
 
   touched_since_publish_.assign(inner_->shard_count(), 0);
-  publish_baseline_.assign(inner_->shard_count(), {0, 0});
+  publish_baseline_.assign(inner_->shard_count(), 0);
   last_publish_ = std::chrono::steady_clock::now();
 
   if (persister_) {
@@ -96,8 +96,7 @@ void ConcurrentFarmer::republish_all_shards() {
   for (std::size_t s = 0; s < inner_->shard_count(); ++s) {
     next->shards.push_back(inner_->export_shard_snapshot(s));
     files_cloned += inner_->shard(s).cow_clones();
-    const auto acct = inner_->shard_cow_accounting(s);
-    publish_baseline_[s] = {acct[0].mutations, acct[1].mutations};
+    publish_baseline_[s] = inner_->shard_cow_accounting(s).mutations;
   }
   if (cur) {
     next->shard_epochs = cur->shard_epochs;
@@ -220,16 +219,13 @@ void ConcurrentFarmer::publish_pending() {
     // COW export: O(pages) pointer copies; the blocks this window dirtied
     // were already cloned by the live side at write time. Everything the
     // mutation deltas did NOT touch is structurally shared — account it.
-    const auto acct = inner_->shard_cow_accounting(s);
-    for (std::size_t st = 0; st < acct.size(); ++st) {
-      const std::uint64_t mutated =
-          acct[st].mutations - publish_baseline_[s][st];
-      const std::uint64_t shared_blocks =
-          acct[st].blocks > mutated ? acct[st].blocks - mutated : 0;
-      bytes_shared_total_ +=
-          shared_blocks * static_cast<std::uint64_t>(acct[st].block_bytes);
-      publish_baseline_[s][st] = acct[st].mutations;
-    }
+    const CowStoreAccounting acct = inner_->shard_cow_accounting(s);
+    const std::uint64_t mutated = acct.mutations - publish_baseline_[s];
+    const std::uint64_t shared_blocks =
+        acct.blocks > mutated ? acct.blocks - mutated : 0;
+    bytes_shared_total_ +=
+        shared_blocks * static_cast<std::uint64_t>(acct.block_bytes);
+    publish_baseline_[s] = acct.mutations;
     next->shards[s] = inner_->export_shard_snapshot(s);
     ++next->shard_epochs[s];
     touched_since_publish_[s] = 0;

@@ -59,7 +59,6 @@
 // plus the dirty deltas readers still hold (see footprint_bytes()).
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -288,10 +287,10 @@ class ConcurrentFarmer final : public CorrelationMiner {
   std::vector<std::uint8_t> touched_since_publish_;
   std::size_t unpublished_ = 0;
   std::chrono::steady_clock::time_point last_publish_;
-  /// Per shard, per store ([0] graph nodes, [1] semantic state): cumulative
-  /// COW mutations at this shard's previous publish — the delta is the
-  /// blocks the round actually copied, everything else was shared.
-  std::vector<std::array<std::uint64_t, 2>> publish_baseline_;
+  /// Per shard: cumulative COW mutations at this shard's previous publish —
+  /// the delta is the blocks the round actually copied, everything else was
+  /// shared.
+  std::vector<std::uint64_t> publish_baseline_;
   std::uint64_t bytes_shared_total_ = 0;
   std::uint64_t publishes_total_ = 0;
 

@@ -1,6 +1,7 @@
 #include "core/farmer.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <stdexcept>
 
 #include "persist/checkpoint.hpp"
@@ -23,7 +24,6 @@ Farmer::Farmer(const Farmer& other)
       // member copy would keep referencing the source's.
       miner_(cfg_, graph_, other.miner_.stats()),
       window_(other.window_),
-      state_(other.state_),
       requests_(other.requests_) {}
 
 Farmer::Farmer(CowShare, Farmer& other)
@@ -32,7 +32,6 @@ Farmer::Farmer(CowShare, Farmer& other)
       graph_(CowShare{}, other.graph_),
       miner_(cfg_, graph_, other.miner_.stats()),
       window_(other.window_),
-      state_(other.state_.share()),
       requests_(other.requests_) {}
 
 void Farmer::observe(const TraceRecord& rec) {
@@ -50,19 +49,6 @@ void Farmer::observe_batch(std::span<const TraceRecord> records) {
 
 namespace {
 
-/// Two extracted contexts are interchangeable when every token matches —
-/// the signature built from them is bit-identical, so rebuilding it would
-/// only reproduce the stored one.
-bool same_context(const SemanticVector& a, const SemanticVector& b) noexcept {
-  if (a.user != b.user || a.process != b.process || a.host != b.host ||
-      a.dev != b.dev || a.fid != b.fid ||
-      a.path_components.size() != b.path_components.size())
-    return false;
-  for (std::size_t i = 0; i < a.path_components.size(); ++i)
-    if (a.path_components[i] != b.path_components[i]) return false;
-  return true;
-}
-
 /// The Correlator-List order: degree descending, FileId ascending on ties.
 /// Over unique FileIds this is a strict total order, so the sorted
 /// permutation is unique — any correct sort produces the same bytes.
@@ -76,32 +62,22 @@ bool correlator_before(const Correlator& a, const Correlator& b) noexcept {
 void Farmer::observe_impl(const TraceRecord& rec) {
   const FileId file = rec.file;
 
-  // Stage 1 — Extracting. The stored vector/signature always reflect the
-  // most recent request context of the file. mutate() is the COW write
-  // gate: the file's block is cloned here iff a snapshot still shares it
-  // (always taken, so the clone accounting is independent of the
-  // memoization below). Extraction lands in a reusable scratch vector;
-  // when the context tokens are unchanged since the file's last access —
-  // the common case for a file hammered by one process — the stored
-  // signature is already exactly what build_signature would produce, so
-  // the gather-and-sort is skipped. A fresh block must always build: its
-  // default-constructed vector could coincidentally equal the extraction
-  // (all-invalid tokens under an empty dictionary) while its default
-  // signature does not match.
-  const bool fresh =
-      state_.find(static_cast<std::size_t>(file.value())) == nullptr;
-  FileState& st = state_.mutate(static_cast<std::size_t>(file.value()));
+  // Stage 1 — Extracting. The stored signature always reflects the most
+  // recent request context of the file: it is rebuilt from every record's
+  // extraction and written into the file's block. set_payload() goes
+  // through the COW write gate, so the block is cloned here iff a snapshot
+  // still shares it, and created on the file's first access — the only
+  // place ingest creates a block, which is what keeps "has a block" and
+  // "has a recorded context" the same thing.
   extractor_.extract(rec, scratch_vec_);
-  if (fresh || !same_context(scratch_vec_, st.vec)) {
-    const std::size_t heap_before = st.heap_bytes();
-    st.vec = scratch_vec_;
-    st.sig = build_signature(st.vec, cfg_.attributes, cfg_.path_mode);
-    state_.note_heap_change(heap_before, st.heap_bytes());
-  }
+  graph_.set_payload(
+      file, build_signature(scratch_vec_, cfg_.attributes, cfg_.path_mode));
 
   // Stage 2 — Constructing: N_file and LDA-weighted N_{pred,file} updates.
   graph_.record_access(file);
-  const Signature& file_sig = st.sig;
+  // Block addresses are stable and the block is already exclusively owned,
+  // so the reference survives the writes to other nodes below.
+  const Signature& file_sig = *graph_.payload(file);
 
   // Refresh the *frequency* component of `file`'s Correlator List: N_file
   // just grew, so F(file, succ) = N_AB / N_file shrank for every listed
@@ -122,7 +98,7 @@ void Farmer::observe_impl(const TraceRecord& rec) {
     const double freq_w = 1.0 - cfg_.p;
     for (std::size_t i = list.size(); i-- > 0;) {
       const FileId succ = list[i].file;
-      const double freq = CorrelationGraph::edge_weight_in(succs, succ) / n;
+      const double freq = SignatureGraph::edge_weight_in(succs, succ) / n;
       // Recover the semantic part from the stored degree under the
       // *previous* N (freq scaled by N/(N-1)); algebraically equivalent to
       // caching sim.
@@ -153,28 +129,31 @@ void Farmer::observe_impl(const TraceRecord& rec) {
   window_.for_each_predecessor(file, [&](FileId pred, std::size_t distance) {
     const double w = AccessWindow::lda_weight(distance, cfg_.lda_delta);
     if (w <= 0.0) return;
+    // Every file in the window was observed here (or restored with its
+    // signature), so add_transition never creates a signature-less block.
+    assert(graph_.has_node(pred));
     graph_.add_transition(pred, file, w);
     // Stages 3 + 4 — Mining & Evaluating, then Sorting: only pairs touched
     // by this request are (re-)evaluated; the Correlator List insert keeps
-    // the list ordered.
-    if (const FileState* ps = state_of(pred))
-      miner_.evaluate_pair(pred, ps->sig, file, file_sig);
+    // the list ordered. The payload is read after add_transition, whose
+    // write gate may just have cloned pred's block.
+    miner_.evaluate_pair(pred, *graph_.payload(pred), file, file_sig);
   });
   window_.push(file);
 }
 
 double Farmer::semantic_similarity(FileId a, FileId b) const {
-  const FileState* sa = state_of(a);
-  const FileState* sb = state_of(b);
+  const Signature* sa = signature_of(a);
+  const Signature* sb = signature_of(b);
   if (!sa || !sb) return 0.0;
-  return similarity(sa->sig, sb->sig);
+  return similarity(*sa, *sb);
 }
 
 double Farmer::correlation_degree(FileId a, FileId b) const {
-  const FileState* sa = state_of(a);
-  const FileState* sb = state_of(b);
+  const Signature* sa = signature_of(a);
+  const Signature* sb = signature_of(b);
   if (!sa || !sb) return 0.0;
-  return miner_.correlation_degree(a, sa->sig, b, sb->sig);
+  return miner_.correlation_degree(a, *sa, b, *sb);
 }
 
 void Farmer::save(const std::string& dir) {
@@ -202,36 +181,17 @@ void Farmer::restore_counters(std::uint64_t requests, CoMinerStats stats) {
   miner_.set_stats(stats);
 }
 
-void Farmer::restore_sizes(std::size_t state_size, std::size_t graph_nodes) {
-  state_.grow_to(state_size);
-  if (graph_nodes > 0)
-    graph_.touch(FileId(static_cast<std::uint32_t>(graph_nodes - 1)));
-}
-
-void Farmer::restore_file_state(FileId f, const SemanticVector& vec,
-                                const Signature& sig) {
-  FileState& st = state_.mutate(static_cast<std::size_t>(f.value()));
-  const std::size_t heap_before = st.heap_bytes();
-  st.vec = vec;
-  st.sig = sig;
-  state_.note_heap_change(heap_before, st.heap_bytes());
-}
-
 void Farmer::restore_window_push(FileId f) { window_.push(f); }
 
-void Farmer::restore_graph_node(FileId f, std::uint64_t access_count,
-                                std::span<const SuccessorEdge> succs,
-                                std::span<const Correlator> correlators) {
-  graph_.restore_node(f, access_count, succs, correlators);
+void Farmer::restore_node(FileId f, std::uint64_t access_count,
+                          std::span<const SuccessorEdge> succs,
+                          std::span<const Correlator> correlators,
+                          const Signature& sig) {
+  graph_.restore_node(f, access_count, succs, correlators, sig);
 }
 
-std::array<CowStoreAccounting, 2> Farmer::cow_accounting() const noexcept {
-  const CowStoreStats& g = graph_.cow_stats();
-  const CowStoreStats& s = state_.stats();
-  return {CowStoreAccounting{g.blocks, g.mutations(), g.clones,
-                             CorrelationGraph::node_block_bytes()},
-          CowStoreAccounting{s.blocks, s.mutations(), s.clones,
-                             StateStore::block_inline_bytes()}};
+void Farmer::restore_node_count(std::size_t nodes) {
+  if (nodes > 0) graph_.touch(FileId(static_cast<std::uint32_t>(nodes - 1)));
 }
 
 }  // namespace farmer

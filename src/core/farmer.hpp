@@ -11,15 +11,16 @@
 // `CorrelationMiner` interface by the prefetcher (Section 4.1), the layout
 // optimizer (Section 4.2) and policy propagation (Section 4.3).
 //
-// All per-file state — graph node (successors, Correlator List, N_f) and
-// semantic state (vector + signature) — lives in copy-on-write blocks
-// (`common/cow_store.hpp`). Snapshot publication (`CowShare` constructor)
-// therefore costs O(pages) + O(files touched since the last snapshot), not
-// O(shard size); the plain copy constructor keeps full deep-copy semantics
-// for explicit-copy callers.
+// All per-file state lives in one copy-on-write block per file
+// (`common/cow_store.hpp`): the graph node (successors, Correlator List, N_f)
+// with the file's Signature as its payload. A file has a block exactly when
+// it has a recorded context: only observe() and the checkpoint restore
+// create blocks, and both write the signature as they do. Snapshot
+// publication (`CowShare` constructor) therefore costs O(pages) + O(files
+// touched since the last snapshot), not O(shard size); the plain copy
+// constructor keeps full deep-copy semantics for explicit-copy callers.
 #pragma once
 
-#include <array>
 #include <memory>
 #include <vector>
 
@@ -34,11 +35,11 @@
 
 namespace farmer {
 
-/// Publish-side accounting of one COW store: how many blocks exist, how
-/// many write-path mutations (creates + clones) have ever happened, and the
-/// inline bytes of one block. A publisher that remembers `mutations` from
-/// the previous publish knows exactly how many blocks the round cloned and
-/// how many it structurally shared.
+/// Publish-side accounting of a Farmer's COW store: how many blocks exist,
+/// how many write-path mutations (creates + clones) have ever happened, and
+/// the inline bytes of one block. A publisher that remembers `mutations`
+/// from the previous publish knows exactly how many blocks the round cloned
+/// and how many it structurally shared.
 struct CowStoreAccounting {
   std::uint64_t blocks = 0;
   std::uint64_t mutations = 0;
@@ -50,11 +51,12 @@ class Farmer : public CorrelationMiner {
  public:
   Farmer(FarmerConfig cfg, std::shared_ptr<const TraceDictionary> dict);
 
-  /// Deep copy: duplicates the graph, window and per-file semantic state
-  /// (every COW block) and rebinds the internal CoMiner to the copy's own
-  /// members. Nothing is shared with the source, so both sides may keep
-  /// mutating freely — the explicit-copy semantics synchronous callers
-  /// expect. The trace dictionary is shared (immutable by construction).
+  /// Deep copy: duplicates the graph with its per-file signatures (every
+  /// COW block) and the window, and rebinds the internal CoMiner to the
+  /// copy's own members. Nothing is shared with the source, so both sides
+  /// may keep mutating freely — the explicit-copy semantics synchronous
+  /// callers expect. The trace dictionary is shared (immutable by
+  /// construction).
   Farmer(const Farmer& other);
   Farmer& operator=(const Farmer&) = delete;
 
@@ -111,11 +113,10 @@ class Farmer : public CorrelationMiner {
   /// first access. The per-shard input of the fused candidate-evidence
   /// pass (ShardedFarmer::merged_candidate_evidence).
   [[nodiscard]] const Signature* signature_of(FileId f) const noexcept {
-    const FileState* st = state_of(f);
-    return st ? &st->sig : nullptr;
+    return graph_.payload(f);
   }
 
-  [[nodiscard]] const CorrelationGraph& graph() const noexcept {
+  [[nodiscard]] const SignatureGraph& graph() const noexcept {
     return graph_;
   }
   [[nodiscard]] const FarmerConfig& config() const noexcept { return cfg_; }
@@ -132,33 +133,31 @@ class Farmer : public CorrelationMiner {
   [[nodiscard]] const char* name() const noexcept override { return "farmer"; }
 
   /// Total additional memory FARMER holds: graph + correlator lists +
-  /// per-active-file semantic state (Table 4 accounting). O(1): both COW
-  /// stores keep running counters, so the serving loop can sample it per
-  /// window. Shared COW blocks are counted in full (an upper bound while
-  /// snapshots are live).
+  /// per-active-file signatures (Table 4 accounting). O(1): the COW store
+  /// keeps running counters, so the serving loop can sample it per window.
+  /// Shared COW blocks are counted in full (an upper bound while snapshots
+  /// are live).
   [[nodiscard]] std::size_t footprint_bytes() const noexcept override {
-    return graph_.footprint_bytes() + state_.footprint_bytes();
+    return graph_.footprint_bytes();
   }
-  /// footprint_bytes() by walking every block of both stores — the test
-  /// oracle for the running counters.
+  /// footprint_bytes() by walking every block — the test oracle for the
+  /// running counters.
   [[nodiscard]] std::size_t recount_footprint_bytes() const {
-    return graph_.recount_footprint_bytes() +
-           state_.recount_footprint_bytes();
+    return graph_.recount_footprint_bytes();
   }
 
-  /// Per-store COW accounting ([0] = graph nodes, [1] = semantic state) for
-  /// publish-side stats: blocks, cumulative mutations, inline block bytes.
-  [[nodiscard]] std::array<CowStoreAccounting, 2> cow_accounting()
-      const noexcept;
-  /// Cumulative COW block clones across both stores — the total dirty-file
-  /// copies all snapshot publications have cost so far.
-  [[nodiscard]] std::uint64_t cow_clones() const noexcept {
-    return graph_.cow_stats().clones + state_.stats().clones;
+  /// COW accounting of the per-file blocks for publish-side stats: blocks,
+  /// cumulative mutations, inline block bytes.
+  [[nodiscard]] CowStoreAccounting cow_accounting() const noexcept {
+    const CowStoreStats& s = graph_.cow_stats();
+    return {s.blocks, s.mutations(), s.clones,
+            SignatureGraph::node_block_bytes()};
   }
-  /// Stable identity of f's semantic-state block (tests; see
-  /// CorrelationGraph::node_identity for the graph-side counterpart).
-  [[nodiscard]] const void* semantic_state_identity(FileId f) const noexcept {
-    return state_.block_identity(static_cast<std::size_t>(f.value()));
+  /// Cumulative COW block clones — one per file a snapshot publication
+  /// still shared when ingest dirtied it; the total dirty-file copies all
+  /// publications have cost so far.
+  [[nodiscard]] std::uint64_t cow_clones() const noexcept {
+    return graph_.cow_stats().clones;
   }
 
   // ---- persistence (src/persist) ----------------------------------------
@@ -183,68 +182,38 @@ class Farmer : public CorrelationMiner {
   [[nodiscard]] const AccessWindow& access_window() const noexcept {
     return window_;
   }
-  /// Logical size of the dense per-file semantic-state index (not the count
-  /// of populated entries).
-  [[nodiscard]] std::size_t state_size() const noexcept {
-    return state_.size();
-  }
-
-  /// Enumerates populated per-file semantic state in FileId order:
-  /// fn(FileId, const SemanticVector&, const Signature&).
-  template <typename Fn>
-  void for_each_file_state(Fn&& fn) const {
-    for (std::size_t i = 0; i < state_.size(); ++i)
-      if (const FileState* st = state_.find(i))
-        fn(FileId(static_cast<std::uint32_t>(i)), st->vec, st->sig);
-  }
 
   /// Restore seams — persist::deserialize_shard is the only intended caller.
   /// Byte-identical recovery depends on these reproducing internal state
   /// exactly (window order, successor order, Correlator-List order,
-  /// dense-index logical sizes).
+  /// the dense index's logical size).
   void restore_counters(std::uint64_t requests, CoMinerStats stats);
-  void restore_sizes(std::size_t state_size, std::size_t graph_nodes);
-  void restore_file_state(FileId f, const SemanticVector& vec,
-                          const Signature& sig);
   void restore_window_push(FileId f);
-  void restore_graph_node(FileId f, std::uint64_t access_count,
-                          std::span<const SuccessorEdge> succs,
-                          std::span<const Correlator> correlators);
+  /// Recreates f's block — signature and graph node together — exactly as
+  /// checkpointed.
+  void restore_node(FileId f, std::uint64_t access_count,
+                    std::span<const SuccessorEdge> succs,
+                    std::span<const Correlator> correlators,
+                    const Signature& sig);
+  /// Grows the dense per-file index to its checkpointed logical size.
+  void restore_node_count(std::size_t nodes);
 
  private:
-  /// Semantic state of one file as of its most recent access: the raw
-  /// vector and its prebuilt signature under (attributes, path_mode). Block
-  /// existence doubles as the has-state flag.
-  struct FileState {
-    SemanticVector vec;
-    Signature sig;
-
-    [[nodiscard]] std::size_t heap_bytes() const noexcept {
-      return vec.path_components.heap_bytes() + sig.items.heap_bytes() +
-             sig.path_sorted.heap_bytes();
-    }
-  };
-  using StateStore = CowBlockStore<FileState>;
-
   void observe_impl(const TraceRecord& rec);
-  [[nodiscard]] const FileState* state_of(FileId f) const noexcept {
-    return state_.find(static_cast<std::size_t>(f.value()));
-  }
 
   FarmerConfig cfg_;
   Extractor extractor_;
-  CorrelationGraph graph_;
+  /// Per-file blocks, dense by FileId: graph node + Signature.
+  SignatureGraph graph_;
   CoMiner miner_;
   AccessWindow window_;
-
-  /// Per-file semantic state, dense by FileId, in COW blocks.
-  StateStore state_;
   std::uint64_t requests_ = 0;
 
-  /// Extraction scratch for observe_impl: reused across records so the
-  /// unchanged-context fast path allocates nothing. Transient — both copy
-  /// constructors deliberately leave it default-constructed (it carries no
-  /// model state and is rewritten before every use).
+  /// Extraction scratch for observe_impl: reused across records so a deep
+  /// path's components spill to the heap once, not once per record.
+  /// Transient — both copy constructors deliberately leave it
+  /// default-constructed (it carries no model state and is rewritten
+  /// before every use).
   SemanticVector scratch_vec_;
 };
 

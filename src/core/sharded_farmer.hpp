@@ -22,7 +22,6 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <memory>
 #include <span>
@@ -138,8 +137,8 @@ class ShardedFarmer final : public CorrelationMiner {
     return std::make_shared<const Farmer>(CowShare{}, *shards_.at(i));
   }
 
-  /// Per-store COW accounting of shard `i` (see Farmer::cow_accounting).
-  [[nodiscard]] std::array<CowStoreAccounting, 2> shard_cow_accounting(
+  /// COW accounting of shard `i` (see Farmer::cow_accounting).
+  [[nodiscard]] CowStoreAccounting shard_cow_accounting(
       std::size_t i) const {
     return shards_.at(i)->cow_accounting();
   }
@@ -260,7 +259,7 @@ class ShardedFarmer final : public CorrelationMiner {
     for (std::size_t i = 0; i < n; ++i) out[i] = PairEvidence{};
     std::uint64_t na = 0;
     for (const auto& shard : shards) {
-      const CorrelationGraph& g = shard->graph();
+      const SignatureGraph& g = shard->graph();
       const std::uint64_t na_s = g.access_count(a);
       const auto& succs = g.successors(a);
       const Signature* sig_a = shard->signature_of(a);
@@ -269,7 +268,7 @@ class ShardedFarmer final : public CorrelationMiner {
       for (std::size_t i = 0; i < n; ++i) {
         const FileId b = candidates[i].file;
         PairEvidence& e = out[i];
-        const double nab = CorrelationGraph::edge_weight_in(succs, b);
+        const double nab = SignatureGraph::edge_weight_in(succs, b);
         e.access_count += g.access_count(b);
         e.frequency += nab;  // sum_s N_AB,s; divided by sum_s N_A,s below
         const Signature* sig_b = sig_a ? shard->signature_of(b) : nullptr;

@@ -160,7 +160,11 @@ void write_framed_atomic(const std::string& path, std::uint32_t magic,
 }
 
 /// Reads a file written by write_framed_atomic. Returns std::nullopt when
-/// the file is absent, torn, truncated, or fails its checksum.
+/// the file is absent, torn, truncated, or fails its checksum. Throws
+/// std::runtime_error when an intact file (magic matches, checksum
+/// verifies) carries another format version: that file is incompatible,
+/// not torn, and falling back past it would silently drop the records it
+/// covers.
 std::optional<std::string> read_framed(const std::string& path,
                                        std::uint32_t want_magic,
                                        std::uint32_t want_version) {
@@ -175,7 +179,7 @@ std::optional<std::string> read_framed(const std::string& path,
   std::uint32_t magic = 0, version = 0;
   std::uint64_t body_len = 0;
   if (!read_or(&magic, sizeof magic) || magic != want_magic ||
-      !read_or(&version, sizeof version) || version != want_version ||
+      !read_or(&version, sizeof version) ||
       !read_or(&body_len, sizeof body_len) || file_size < 0 ||
       body_len > static_cast<std::uint64_t>(file_size)) {
     std::fclose(f);
@@ -190,6 +194,11 @@ std::optional<std::string> read_framed(const std::string& path,
   }
   std::fclose(f);
   if (checksum_bytes(body) != stored_csum) return std::nullopt;
+  if (version != want_version)
+    throw std::runtime_error(path + " has format version " +
+                             std::to_string(version) +
+                             "; this build reads version " +
+                             std::to_string(want_version));
   return body;
 }
 
@@ -228,36 +237,11 @@ std::string serialize_shard(const Farmer& shard) {
   for (std::size_t i = w.size(); i-- > 0;)
     put_raw<std::uint32_t>(out, w.at(i).value());
 
-  // Per-file semantic state: logical index size, then populated entries.
-  put_raw<std::uint64_t>(out, shard.state_size());
-  std::uint64_t populated = 0;
-  shard.for_each_file_state(
-      [&](FileId, const SemanticVector&, const Signature&) { ++populated; });
-  put_raw<std::uint64_t>(out, populated);
-  shard.for_each_file_state([&](FileId f, const SemanticVector& vec,
-                                const Signature& sig) {
-    put_raw<std::uint32_t>(out, f.value());
-    put_raw<std::uint32_t>(out, vec.user.value());
-    put_raw<std::uint32_t>(out, vec.process.value());
-    put_raw<std::uint32_t>(out, vec.host.value());
-    put_raw<std::uint32_t>(out, vec.dev.value());
-    put_raw<std::uint32_t>(out, vec.fid.value());
-    put_raw<std::uint32_t>(out, static_cast<std::uint32_t>(
-                                    vec.path_components.size()));
-    for (TokenId t : vec.path_components)
-      put_raw<std::uint32_t>(out, t.value());
-    put_raw<std::uint32_t>(out, static_cast<std::uint32_t>(sig.items.size()));
-    for (TokenId t : sig.items) put_raw<std::uint32_t>(out, t.value());
-    put_raw<std::uint32_t>(out,
-                           static_cast<std::uint32_t>(sig.path_sorted.size()));
-    for (TokenId t : sig.path_sorted) put_raw<std::uint32_t>(out, t.value());
-    put_raw<std::uint8_t>(out, sig.ipa_path ? 1 : 0);
-  });
-
-  // Correlation graph: logical node-index size, then populated nodes with
-  // successor edges and Correlator Lists in stored order (edge order decides
-  // eviction ties; list order is the query output).
-  const CorrelationGraph& g = shard.graph();
+  // Per-file blocks: logical node-index size, then each populated file
+  // once — graph node (successor edges and Correlator List in stored order:
+  // edge order decides eviction ties, list order is the query output) and
+  // its signature together.
+  const SignatureGraph& g = shard.graph();
   put_raw<std::uint64_t>(out, g.node_count());
   std::uint64_t nodes = 0;
   for (std::size_t i = 0; i < g.node_count(); ++i)
@@ -280,6 +264,13 @@ std::string serialize_shard(const Farmer& shard) {
       put_raw<std::uint32_t>(out, c.file.value());
       put_raw<float>(out, c.degree);
     }
+    const Signature& sig = *g.payload(f);
+    put_raw<std::uint32_t>(out, static_cast<std::uint32_t>(sig.items.size()));
+    for (TokenId t : sig.items) put_raw<std::uint32_t>(out, t.value());
+    put_raw<std::uint32_t>(out,
+                           static_cast<std::uint32_t>(sig.path_sorted.size()));
+    for (TokenId t : sig.path_sorted) put_raw<std::uint32_t>(out, t.value());
+    put_raw<std::uint8_t>(out, sig.ipa_path ? 1 : 0);
   }
   return out;
 }
@@ -298,30 +289,6 @@ void deserialize_shard(std::string_view blob, Farmer& shard) {
   for (std::uint32_t i = 0; i < window_count; ++i)
     shard.restore_window_push(FileId(in.get<std::uint32_t>()));
 
-  const auto state_size = in.get<std::uint64_t>();
-  const auto populated = in.get<std::uint64_t>();
-  for (std::uint64_t i = 0; i < populated; ++i) {
-    const FileId f(in.get<std::uint32_t>());
-    SemanticVector vec;
-    vec.user = TokenId(in.get<std::uint32_t>());
-    vec.process = TokenId(in.get<std::uint32_t>());
-    vec.host = TokenId(in.get<std::uint32_t>());
-    vec.dev = TokenId(in.get<std::uint32_t>());
-    vec.fid = TokenId(in.get<std::uint32_t>());
-    const auto npath = in.get<std::uint32_t>();
-    for (std::uint32_t c = 0; c < npath; ++c)
-      vec.path_components.push_back(TokenId(in.get<std::uint32_t>()));
-    Signature sig;
-    const auto nitems = in.get<std::uint32_t>();
-    for (std::uint32_t c = 0; c < nitems; ++c)
-      sig.items.push_back(TokenId(in.get<std::uint32_t>()));
-    const auto nsorted = in.get<std::uint32_t>();
-    for (std::uint32_t c = 0; c < nsorted; ++c)
-      sig.path_sorted.push_back(TokenId(in.get<std::uint32_t>()));
-    sig.ipa_path = in.get<std::uint8_t>() != 0;
-    shard.restore_file_state(f, vec, sig);
-  }
-
   const auto node_index = in.get<std::uint64_t>();
   const auto nodes = in.get<std::uint64_t>();
   for (std::uint64_t i = 0; i < nodes; ++i) {
@@ -337,13 +304,21 @@ void deserialize_shard(std::string_view blob, Farmer& shard) {
       c.file = FileId(in.get<std::uint32_t>());
       c.degree = in.get<float>();
     }
-    shard.restore_graph_node(f, access_count, succs, corr);
+    Signature sig;
+    const auto nitems = in.get<std::uint32_t>();
+    for (std::uint32_t c = 0; c < nitems; ++c)
+      sig.items.push_back(TokenId(in.get<std::uint32_t>()));
+    const auto nsorted = in.get<std::uint32_t>();
+    for (std::uint32_t c = 0; c < nsorted; ++c)
+      sig.path_sorted.push_back(TokenId(in.get<std::uint32_t>()));
+    sig.ipa_path = in.get<std::uint8_t>() != 0;
+    shard.restore_node(f, access_count, succs, corr, sig);
   }
 
-  // Restore the dense-index logical sizes last: restore_* calls above grew
-  // both stores to the highest populated id; this grows them the rest of
-  // the way to the checkpointed logical sizes (touch()-only slots).
-  shard.restore_sizes(state_size, node_index);
+  // Restore the dense index's logical size last: restore_node above grew
+  // it to the highest populated id; this grows it the rest of the way to
+  // the checkpointed size (touch()-only slots).
+  shard.restore_node_count(node_index);
 
   if (!in.done())
     throw std::runtime_error("checkpoint shard blob has trailing bytes");

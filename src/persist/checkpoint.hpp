@@ -1,14 +1,14 @@
 // Checkpoint serialization for the durable persistence subsystem.
 //
 // A checkpoint is a versioned, checksummed, self-describing snapshot of the
-// full miner model: per-shard semantic vectors/signatures, correlation-graph
-// nodes (successor edges and Correlator Lists in stored order), CoMiner
-// counters, the access window, and the embedded trace dictionary. It is
-// written atomically (tmp file + flush + fsync + rename), so a crash during
-// a checkpoint leaves the previous one intact, and it captures enough state
-// that checkpoint-load followed by WAL-tail replay is byte-identical to
-// replaying the full record history (the kill-and-recover differential test
-// pins this down).
+// full miner model: per shard, each file's correlation-graph node
+// (successor edges and Correlator List in stored order) with its signature,
+// the CoMiner counters and the access window; plus the embedded trace
+// dictionary. It is written atomically (tmp file + flush + fsync + rename),
+// so a crash during a checkpoint leaves the previous one intact, and it
+// captures enough state that checkpoint-load followed by WAL-tail replay is
+// byte-identical to replaying the full record history (the kill-and-recover
+// differential test pins this down).
 //
 // File layout (little-endian):
 //
@@ -22,9 +22,23 @@
 //           u32 shard_count
 //           shard_count x (u64 blob_len, blob bytes)
 //
+//   blob := u64 requests, u64 pairs_evaluated, u64 pairs_accepted,
+//           u64 pairs_filtered     CoMiner counters
+//           u32 n, n x u32 file    access window, oldest first
+//           u64 node_index         logical size of the dense per-file index
+//           u64 nodes              populated files, then per file in
+//                                  FileId order:
+//             u32 file, u64 access_count,
+//             u32 n, n x (u32 successor, f32 nab)     stored edge order
+//             u32 n, n x (u32 file, f32 degree)       Correlator List order
+//             u32 n, n x u32 item                     Signature::items
+//             u32 n, n x u32 token                    Signature::path_sorted
+//             u8 ipa_path
+//
 // The checksum is a mix64 chain over the body, so torn or bit-flipped
 // checkpoints are detected on load and recovery falls back to the previous
-// checkpoint (see persist::recover_dir).
+// checkpoint (see persist::recover_dir). An intact checkpoint of another
+// format version is not torn: reading it throws.
 #pragma once
 
 #include <cstdint>
@@ -45,8 +59,11 @@ namespace persist {
 
 inline constexpr std::uint32_t kCheckpointMagic = 0xFA12C4E7;
 /// v2: the embedded dictionary moved from the legacy v2 stream codec to the
-/// shared v3 codec (u32 path-component counts). v1 files are rejected.
-inline constexpr std::uint32_t kCheckpointVersion = 2;
+/// shared v3 codec (u32 path-component counts).
+/// v3: the shard blob writes each populated file once, graph node and
+/// signature together, and no longer carries the raw semantic vector.
+/// Files of any other version are rejected with std::runtime_error.
+inline constexpr std::uint32_t kCheckpointVersion = 3;
 inline constexpr std::uint32_t kManifestMagic = 0xFA12B14D;
 inline constexpr std::uint32_t kManifestVersion = 2;
 
@@ -107,10 +124,10 @@ void write_checkpoint_dir(const std::string& dir, std::uint64_t seq,
 /// Reads and validates one checkpoint file. Returns std::nullopt when the
 /// file is torn, truncated, or fails its checksum (recovery then falls back
 /// to an older checkpoint). Throws std::runtime_error when the checkpoint is
-/// *valid but incompatible* — config hash mismatch, or an embedded
-/// dictionary that differs from `dict` — because silently ignoring those
-/// would corrupt the restored model. `dict == nullptr` skips the dictionary
-/// comparison.
+/// *valid but incompatible* — another format version, a config hash
+/// mismatch, or an embedded dictionary that differs from `dict` — because
+/// silently ignoring those would corrupt the restored model. `dict ==
+/// nullptr` skips the dictionary comparison.
 [[nodiscard]] std::optional<LoadedCheckpoint> read_checkpoint_file(
     const std::string& path, const FarmerConfig& cfg,
     const TraceDictionary* dict);

@@ -60,7 +60,8 @@ Recovery recover_dir(const std::string& dir, const FarmerConfig& cfg,
   check_manifest(dir, cfg, dict);
 
   // Newest checksum-valid checkpoint wins; torn/corrupt ones fall back to
-  // older (config or dictionary mismatch throws from read_checkpoint_file).
+  // older (another format version, or a config or dictionary mismatch,
+  // throws from read_checkpoint_file).
   auto checkpoints = list_family(dir, kCheckpointPrefix);
   for (std::size_t i = checkpoints.size(); i-- > 0;) {
     if (auto ckpt = read_checkpoint_file(checkpoints[i].second, cfg, dict)) {

@@ -52,6 +52,11 @@ struct Signature {
   [[nodiscard]] std::size_t item_count() const noexcept {
     return items.size() + (ipa_path ? 1 : 0);
   }
+
+  /// Heap the signature owns (item arrays spilled past their inline size).
+  [[nodiscard]] std::size_t heap_bytes() const noexcept {
+    return items.heap_bytes() + path_sorted.heap_bytes();
+  }
 };
 
 /// Builds the signature of `sv` under `mask`/`mode`.

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/farmer.hpp"
@@ -150,6 +152,95 @@ TEST(Farmer, SemanticVectorTracksLatestContext) {
   Farmer model(base_config(), mt.dict());
   for (const auto& r : mt.records()) model.observe(r);
   EXPECT_GT(model.correlation_degree(a, b), 0.6);
+}
+
+/// Field-by-field equality of two signatures.
+void expect_same_signature(const Signature& got, const Signature& want) {
+  ASSERT_EQ(got.items.size(), want.items.size());
+  for (std::size_t i = 0; i < got.items.size(); ++i)
+    EXPECT_EQ(got.items[i], want.items[i]) << "item " << i;
+  ASSERT_EQ(got.path_sorted.size(), want.path_sorted.size());
+  for (std::size_t i = 0; i < got.path_sorted.size(); ++i)
+    EXPECT_EQ(got.path_sorted[i], want.path_sorted[i]) << "path item " << i;
+  EXPECT_EQ(got.ipa_path, want.ipa_path);
+}
+
+/// `latest[f]` is the last record of file f the miner saw (nullptr: none).
+/// Every such file must hold exactly the signature build_signature makes
+/// from that record's extraction; every other file must hold no state.
+void expect_signatures_built_from(
+    const Farmer& miner, const std::vector<const TraceRecord*>& latest,
+    const Extractor& ex, const FarmerConfig& cfg) {
+  SemanticVector v;
+  for (std::size_t i = 0; i < latest.size(); ++i) {
+    const FileId f(static_cast<std::uint32_t>(i));
+    const Signature* sig = miner.signature_of(f);
+    if (latest[i] == nullptr) {
+      EXPECT_EQ(sig, nullptr) << "file " << i;
+      continue;
+    }
+    ASSERT_NE(sig, nullptr) << "file " << i;
+    ex.extract(*latest[i], v);
+    SCOPED_TRACE("file " + std::to_string(i));
+    expect_same_signature(*sig,
+                          build_signature(v, cfg.attributes, cfg.path_mode));
+  }
+}
+
+TEST(Farmer, StoredSignatureIsBuiltFromLatestRequest) {
+  // A micro trace whose middle request extracts to a default-constructed
+  // SemanticVector (no path, every token invalid): the file still has a
+  // recorded context, with an empty signature.
+  MicroTrace mt;
+  const FileId a = mt.file("a", "/home/u0/a");
+  mt.access(a);
+  TraceRecord& r = mt.access(mt.file("bare"));
+  r.user_token = r.process_token = r.host_token = TokenId();
+  r.dev_token = r.fid_token = TokenId();
+  mt.access(a, "u1", "pid1");
+  {
+    SemanticVector v;
+    Extractor(mt.dict()).extract(mt.records()[1], v);
+    ASSERT_TRUE(v.path_components.empty());
+    ASSERT_FALSE(v.user.valid() || v.process.valid() || v.host.valid() ||
+                 v.dev.valid() || v.fid.valid());
+  }
+  const Trace traces[] = {make_paper_trace(TraceKind::kHP, 19, 0.02),
+                          make_paper_trace(TraceKind::kINS, 19, 0.02),
+                          mt.build()};
+
+  FarmerConfig dpa;
+  dpa.path_mode = PathMode::kDivided;
+  FarmerConfig fileid;
+  fileid.attributes = AttributeMask::all_with_fileid();
+  const std::pair<const char*, FarmerConfig> configs[] = {
+      {"ipa", FarmerConfig{}}, {"dpa", dpa}, {"fileid", fileid}};
+
+  constexpr std::size_t kShards = 4;
+  for (const Trace& trace : traces) {
+    const Extractor ex(trace.dict);
+    const std::size_t files = trace.dict->files.size();
+    for (const auto& [name, cfg] : configs) {
+      SCOPED_TRACE(trace.name + std::string(" / ") + name);
+      Farmer farmer(cfg, trace.dict);
+      farmer.observe_batch(trace.records);
+      std::vector<const TraceRecord*> latest(files, nullptr);
+      for (const TraceRecord& rec : trace.records)
+        latest[rec.file.value()] = &rec;
+      expect_signatures_built_from(farmer, latest, ex, cfg);
+
+      ShardedFarmer sharded(cfg, trace.dict, kShards);
+      sharded.observe_batch(trace.records);
+      std::vector<std::vector<const TraceRecord*>> routed(
+          kShards, std::vector<const TraceRecord*>(files, nullptr));
+      for (const TraceRecord& rec : trace.records)
+        routed[sharded.shard_of(rec)][rec.file.value()] = &rec;
+      for (std::size_t s = 0; s < kShards; ++s) {
+        SCOPED_TRACE("shard " + std::to_string(s));
+        expect_signatures_built_from(sharded.shard(s), routed[s], ex, cfg);
+      }
+    }
+  }
 }
 
 TEST(Farmer, DegreeDecaysAsFrequencyDrops) {
@@ -357,7 +448,7 @@ TEST(ShardedFarmer, MergeSortsTiesByFileId) {
   ShardedFarmer sharded(cfg, mt.dict(), 4);
   const auto plant = [&](std::size_t shard,
                          std::vector<Correlator> correlators) {
-    sharded.shard_mut(shard).restore_graph_node(a, 1, {}, correlators);
+    sharded.shard_mut(shard).restore_node(a, 1, {}, correlators, {});
   };
   // Equal degrees with the larger FileId first, as upsert_correlator
   // leaves a tie; x2 listed by two shards at different degrees; ten

@@ -253,16 +253,12 @@ TEST(FarmerCowSnapshot, UntouchedBlocksArePointerIdenticalAcrossPublishes) {
   live.observe_batch(a_only);
   const Farmer snap2(CowShare{}, live);
 
-  // The quiet file's blocks are the very same heap objects in both
-  // snapshots; the touched file was cloned.
+  // The quiet file's block (node and signature) is the very same heap
+  // object in both snapshots; the touched file was cloned.
   EXPECT_NE(snap1.graph().node_identity(quiet), nullptr);
   EXPECT_EQ(snap1.graph().node_identity(quiet),
             snap2.graph().node_identity(quiet));
-  EXPECT_EQ(snap1.semantic_state_identity(quiet),
-            snap2.semantic_state_identity(quiet));
   EXPECT_NE(snap1.graph().node_identity(a), snap2.graph().node_identity(a));
-  EXPECT_NE(snap1.semantic_state_identity(a),
-            snap2.semantic_state_identity(a));
   // And pointer identity is visible at the list level too.
   EXPECT_EQ(&snap1.correlator_list(quiet), &snap2.correlator_list(quiet));
 }
@@ -315,8 +311,6 @@ TEST(FarmerCowSnapshot, ShardedExportSharesUntouchedBlocks) {
   const FileId a(0);
   EXPECT_EQ(snap1->graph().node_identity(a),
             snap2->graph().node_identity(a));
-  EXPECT_EQ(snap1->semantic_state_identity(a),
-            snap2->semantic_state_identity(a));
   // Snapshots answer like the live shard.
   const auto live_list = sharded.correlators(a);
   const auto& snap_list = snap1->correlator_list(a);

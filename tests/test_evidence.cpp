@@ -221,9 +221,9 @@ TEST(AnyListed, TrueForAnEntryTheMergeCutAtCapacity) {
   std::filesystem::remove_all(durable);
   {
     ShardedFarmer source(cfg, mt.dict(), 2);
-    source.shard_mut(0).restore_graph_node(a, 1, {}, strong);
+    source.shard_mut(0).restore_node(a, 1, {}, strong, {});
     const Correlator weak{cut, 0.5f};
-    source.shard_mut(1).restore_graph_node(a, 1, {}, {&weak, 1});
+    source.shard_mut(1).restore_node(a, 1, {}, {&weak, 1}, {});
     source.save(planted);
   }
   const auto is_cut = [&](FileId f) { return f == cut; };

@@ -192,6 +192,49 @@ TEST(CorrelationGraph, RemoveCorrelator) {
   EXPECT_EQ(g.correlators(FileId(0)).size(), 1u);
 }
 
+TEST(CorrelationGraph, EmptyPayloadTakesNoByte) {
+  // The baselines' node block stays at its payload-free size; a payload
+  // adds exactly its own size to each block.
+  struct Wide {
+    std::uint64_t words[5] = {};
+    [[nodiscard]] static std::size_t heap_bytes() noexcept { return 0; }
+  };
+  if constexpr (sizeof(void*) == 8) {
+    EXPECT_EQ(CorrelationGraph::node_block_bytes(), 160u);
+  }
+  EXPECT_EQ(BasicCorrelationGraph<Wide>::node_block_bytes(),
+            CorrelationGraph::node_block_bytes() + sizeof(Wide));
+}
+
+TEST(CorrelationGraph, PayloadLivesInTheNode) {
+  struct Tag {
+    int value = 0;
+    [[nodiscard]] static std::size_t heap_bytes() noexcept { return 0; }
+  };
+  BasicCorrelationGraph<Tag> g;
+  EXPECT_EQ(g.payload(FileId(2)), nullptr);
+  g.set_payload(FileId(2), Tag{7});
+  ASSERT_NE(g.payload(FileId(2)), nullptr);
+  EXPECT_EQ(g.payload(FileId(2))->value, 7);
+  EXPECT_TRUE(g.has_node(FileId(2)));
+  // Graph writes keep the payload; a snapshot keeps the old one.
+  g.record_access(FileId(2));
+  g.add_transition(FileId(2), FileId(3), 1.0);
+  EXPECT_EQ(g.payload(FileId(2))->value, 7);
+  const BasicCorrelationGraph<Tag> snap(CowShare{}, g);
+  g.set_payload(FileId(2), Tag{9});
+  EXPECT_EQ(g.payload(FileId(2))->value, 9);
+  EXPECT_EQ(snap.payload(FileId(2))->value, 7);
+  EXPECT_EQ(snap.access_count(FileId(2)), 1u);
+  // A restored node carries its payload.
+  BasicCorrelationGraph<Tag> restored;
+  const Correlator list[] = {{FileId(3), 0.5f}};
+  restored.restore_node(FileId(4), 2, {}, list, Tag{11});
+  ASSERT_NE(restored.payload(FileId(4)), nullptr);
+  EXPECT_EQ(restored.payload(FileId(4))->value, 11);
+  EXPECT_EQ(restored.access_count(FileId(4)), 2u);
+}
+
 TEST(CorrelationGraph, UnknownFileQueriesAreEmpty) {
   CorrelationGraph g;
   EXPECT_TRUE(g.successors(FileId(123)).empty());

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "api/miner_factory.hpp"
+#include "persist/checkpoint.hpp"
 #include "persist/persister.hpp"
 #include "trace/generator.hpp"
 
@@ -308,6 +309,54 @@ TEST(PersistReopen, CorruptNewestCheckpointFallsBackToOlder) {
                               persist_opts(dir.str()));
   const auto reference = reference_miner("sharded", trace().records);
   expect_identical(*recovered, *reference);
+}
+
+TEST(PersistReopen, CheckpointOfAnotherFormatVersionThrows) {
+  TempDir dir("persist_version_mismatch");
+  {
+    auto miner = make_miner("sharded", test_cfg(), trace().dict,
+                            persist_opts(dir.str()));
+    const auto& records = trace().records;
+    for (std::size_t i = 0; i < records.size(); i += 200)
+      miner->observe_batch(std::span<const TraceRecord>(
+          records.data() + i, std::min<std::size_t>(200, records.size() - i)));
+  }
+  // Stamp every checkpoint with the previous format version. The checksum
+  // covers the body only, so each frame stays intact: these are an older
+  // build's checkpoints, not torn ones, and recovery must refuse them
+  // instead of falling back past all of them to a WAL whose early segments
+  // were pruned.
+  const std::uint32_t old_version = persist::kCheckpointVersion - 1;
+  std::size_t patched = 0;
+  for (const auto& e : fs::directory_iterator(dir.str())) {
+    const std::string name = e.path().filename().string();
+    if (name.rfind("CHECKPOINT.", 0) != 0 ||
+        name.find(".tmp") != std::string::npos)
+      continue;
+    std::FILE* f = std::fopen(e.path().c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f, sizeof(std::uint32_t), SEEK_SET), 0);  // magic
+    ASSERT_EQ(std::fwrite(&old_version, sizeof old_version, 1, f), 1u);
+    std::fclose(f);
+    ++patched;
+  }
+  ASSERT_GE(patched, 2u);
+  try {
+    auto reopened = make_miner("sharded", test_cfg(), trace().dict,
+                               persist_opts(dir.str()));
+    FAIL() << "reopen accepted checkpoints of format version "
+           << old_version;
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("CHECKPOINT."), std::string::npos) << what;
+    EXPECT_NE(what.find("version " + std::to_string(old_version)),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("version " +
+                        std::to_string(persist::kCheckpointVersion)),
+              std::string::npos)
+        << what;
+  }
 }
 
 TEST(PersistReopen, ConfigMismatchThrows) {
