@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
     ServingResult res;
     try {
       res = run_scenario(spec_for(name), predictor,
-                         runtime().predictor_options);
+                         runtime().predictor_options());
     } catch (const std::invalid_argument& e) {
       std::cerr << e.what() << "\n";
       return 2;

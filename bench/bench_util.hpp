@@ -172,7 +172,7 @@ inline FpaPredictor make_fpa(const Trace& trace) {
 inline std::unique_ptr<Predictor> make_bench_predictor(
     const Trace& trace, std::string_view name = {}) {
   if (name.empty()) name = runtime().predictor;
-  PredictorOptions opts = runtime().predictor_options;
+  PredictorOptions opts = runtime().predictor_options();
   if (!opts.miner.persist_dir.empty() && !trace.name.empty())
     opts.miner.persist_dir += "/" + trace.name;
   try {

@@ -13,15 +13,11 @@
 #include "prefetch/fpa.hpp"
 #include "prefetch/replay.hpp"
 #include "trace/generator.hpp"
+#include "trace_args.hpp"
 
 int main(int argc, char** argv) {
   using namespace farmer;
-  const std::string kind_s = argc > 1 ? argv[1] : "HP";
-  const double scale = argc > 2 ? std::strtod(argv[2], nullptr) : 0.15;
-  const TraceKind kind = kind_s == "LLNL" ? TraceKind::kLLNL
-                         : kind_s == "INS" ? TraceKind::kINS
-                         : kind_s == "RES" ? TraceKind::kRES
-                                           : TraceKind::kHP;
+  const auto [kind, scale] = trace_args_or_exit(argc, argv, 0.15);
 
   const Trace trace = make_paper_trace(kind, kExperimentSeed, scale);
   const std::size_t capacity = default_cache_capacity(trace);

@@ -12,16 +12,12 @@
 #include "common/stats.hpp"
 #include "layout/layout.hpp"
 #include "trace/generator.hpp"
+#include "trace_args.hpp"
 
 int main(int argc, char** argv) {
   using namespace farmer;
-  const std::string kind_s = argc > 1 ? argv[1] : "HP";
-  const double scale = argc > 2 ? std::strtod(argv[2], nullptr) : 0.15;
+  const auto [kind, scale] = trace_args_or_exit(argc, argv, 0.15);
   const char* backend = argc > 3 ? argv[3] : "farmer";
-  const TraceKind kind = kind_s == "LLNL" ? TraceKind::kLLNL
-                         : kind_s == "INS" ? TraceKind::kINS
-                         : kind_s == "RES" ? TraceKind::kRES
-                                           : TraceKind::kHP;
 
   const Trace trace = make_paper_trace(kind, kExperimentSeed, scale);
   FarmerConfig cfg;

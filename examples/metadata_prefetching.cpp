@@ -1,14 +1,12 @@
-// Metadata-server prefetching shoot-out: every registered predictor on a
-// chosen paper trace, reporting hit ratio, prefetch accuracy, pollution and
-// DES response time.
+// Metadata-server prefetching shoot-out: the paper's three contenders (FPA,
+// Nexus and no prefetching) on a chosen paper trace, reporting hit ratio,
+// prefetch accuracy, pollution and DES response time.
 //
 //   ./metadata_prefetching [LLNL|INS|RES|HP] [scale]
 //
-// The contender list comes from the PredictorFactory registry
-// (api/predictor_factory.hpp), so a newly registered predictor shows up
-// here — and in CI's smoke loop — without touching this file. FARMER_MINER
-// and friends select the mining backend behind "fpa" as usual.
-#include <cstdlib>
+// Both tables list every name the PredictorFactory builds
+// (api/predictor_factory.hpp). FARMER_MINER and friends select the mining
+// backend behind "fpa" as usual.
 #include <iostream>
 #include <memory>
 #include <string>
@@ -20,23 +18,11 @@
 #include "prefetch/replay.hpp"
 #include "serve/harness.hpp"
 #include "trace/generator.hpp"
-
-namespace {
-
-farmer::TraceKind parse_kind(const std::string& s) {
-  using farmer::TraceKind;
-  if (s == "LLNL") return TraceKind::kLLNL;
-  if (s == "INS") return TraceKind::kINS;
-  if (s == "RES") return TraceKind::kRES;
-  return TraceKind::kHP;
-}
-
-}  // namespace
+#include "trace_args.hpp"
 
 int main(int argc, char** argv) {
   using namespace farmer;
-  const TraceKind kind = parse_kind(argc > 1 ? argv[1] : "HP");
-  const double scale = argc > 2 ? std::strtod(argv[2], nullptr) : 0.25;
+  const auto [kind, scale] = trace_args_or_exit(argc, argv, 0.25);
 
   const RuntimeConfig env = RuntimeConfig::from_env_or_exit();
   // The whole trace as a serving workload (no pretrain, no churn): the
@@ -54,7 +40,7 @@ int main(int argc, char** argv) {
                                        : AttributeMask::all_with_fileid();
   const auto build = [&](const std::string& name) {
     return make_predictor(name, fpa_cfg, trace.dict,
-                          env.predictor_options);
+                          env.predictor_options());
   };
 
   ReplayConfig rc;
@@ -75,14 +61,13 @@ int main(int argc, char** argv) {
   std::cout << "\nzero-latency replay (policy effects only):\n";
   table.print(std::cout);
 
-  // DES response-time comparison for the paper's three contenders.
   std::cout << "\ndiscrete-event MDS replay (latency effects):\n";
   Table rt({"algorithm", "mean RT", "p95 RT", "prefetch batches"});
   ScenarioSpec spec;
   spec.name = "des";
   spec.windows = 1;
   spec.cache_capacity = capacity;
-  for (const std::string name : {"fpa", "nexus", "none"}) {
+  for (const std::string& name : registered_predictors()) {
     const auto p = build(name);
     const ServingResult m = serve(spec, wl, *p);
     rt.add_row({name, fmt_double(m.response.mean() / 1000.0, 3) + " ms",

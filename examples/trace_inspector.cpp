@@ -1,7 +1,6 @@
 // Generate, persist, reload and summarise synthetic traces.
 //
 //   ./trace_inspector [LLNL|INS|RES|HP] [scale] [output.bin]
-#include <cstdlib>
 #include <iostream>
 #include <set>
 #include <unordered_map>
@@ -10,16 +9,12 @@
 #include "common/stats.hpp"
 #include "trace/generator.hpp"
 #include "trace/trace_io.hpp"
+#include "trace_args.hpp"
 
 int main(int argc, char** argv) {
   using namespace farmer;
-  const std::string kind_s = argc > 1 ? argv[1] : "HP";
-  const double scale = argc > 2 ? std::strtod(argv[2], nullptr) : 0.1;
+  const auto [kind, scale] = trace_args_or_exit(argc, argv, 0.1);
   const std::string out = argc > 3 ? argv[3] : "";
-  const TraceKind kind = kind_s == "LLNL" ? TraceKind::kLLNL
-                         : kind_s == "INS" ? TraceKind::kINS
-                         : kind_s == "RES" ? TraceKind::kRES
-                                           : TraceKind::kHP;
 
   const Trace trace = make_paper_trace(kind, 20080122, scale);
 

@@ -39,14 +39,17 @@ std::unique_ptr<CorrelationMiner> maybe_durable(
       persist_options(opts));
 }
 
-using Registry = std::map<std::string, MinerFactoryFn, std::less<>>;
+using Factory = std::unique_ptr<CorrelationMiner> (*)(
+    const FarmerConfig& cfg, std::shared_ptr<const TraceDictionary> dict,
+    const MinerOptions& opts);
 
-Registry& registry() {
-  static Registry r = [] {
-    Registry built_in;
+const std::map<std::string, Factory, std::less<>>& registry() {
+  static const std::map<std::string, Factory, std::less<>> r = [] {
+    std::map<std::string, Factory, std::less<>> built_in;
     built_in["farmer"] = [](const FarmerConfig& cfg,
                             std::shared_ptr<const TraceDictionary> dict,
-                            const MinerOptions& opts) {
+                            const MinerOptions& opts)
+        -> std::unique_ptr<CorrelationMiner> {
       auto miner = std::make_unique<Farmer>(cfg, dict);
       std::vector<Farmer*> view{miner.get()};
       return maybe_durable(std::move(miner), std::move(view), cfg,
@@ -54,7 +57,8 @@ Registry& registry() {
     };
     built_in["sharded"] = [](const FarmerConfig& cfg,
                              std::shared_ptr<const TraceDictionary> dict,
-                             const MinerOptions& opts) {
+                             const MinerOptions& opts)
+        -> std::unique_ptr<CorrelationMiner> {
       auto miner = std::make_unique<ShardedFarmer>(cfg, dict, opts.shards,
                                                    opts.apply_threads);
       std::vector<Farmer*> view;
@@ -66,7 +70,8 @@ Registry& registry() {
     };
     built_in["concurrent"] = [](const FarmerConfig& cfg,
                                 std::shared_ptr<const TraceDictionary> dict,
-                                const MinerOptions& opts) {
+                                const MinerOptions& opts)
+        -> std::unique_ptr<CorrelationMiner> {
       // max_pending / publish_max_delay_ms == 0 mean "backend default"; the
       // constructor resolves them so direct and factory construction cannot
       // diverge. Durability is embedded, not decorated: the WAL hooks must
@@ -91,12 +96,6 @@ Registry& registry() {
 }
 
 }  // namespace
-
-bool register_miner(const std::string& name, MinerFactoryFn factory) {
-  auto [it, inserted] = registry().insert_or_assign(name, std::move(factory));
-  (void)it;
-  return inserted;
-}
 
 std::vector<std::string> registered_miners() {
   std::vector<std::string> names;

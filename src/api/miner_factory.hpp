@@ -2,15 +2,15 @@
 //
 // `make_miner("farmer" | "sharded" | "concurrent", cfg, dict, opts)` turns
 // the backend choice into data: benches flip ablations (Table 2/3, Fig.
-// 3/6) with a string flag instead of a recompiled type, and a new backend
-// registers itself via `register_miner` without touching any consumer.
+// 3/6) with a string flag instead of a recompiled type. The table of
+// backends is fixed at compile time; a new backend is one more entry in it
+// (see docs/ARCHITECTURE.md, "Adding a backend").
 //
 // The configuration is validated (FarmerConfig::validate) before any
 // backend is constructed; a bad config or an unknown backend name throws
 // std::invalid_argument naming the problem and the registered backends.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -74,27 +74,7 @@ struct MinerOptions {
   std::size_t wal_group_commit = 0;
 };
 
-using MinerFactoryFn = std::function<std::unique_ptr<CorrelationMiner>(
-    const FarmerConfig& cfg, std::shared_ptr<const TraceDictionary> dict,
-    const MinerOptions& opts)>;
-
-/// Adds (or replaces) a backend under `name`. Returns true when `name` was
-/// new. Built-ins "farmer", "sharded" and "concurrent" are pre-registered.
-/// This is the extension seam for new backends — see docs/ARCHITECTURE.md.
-///
-/// A registered factory must return miners honoring the CorrelationMiner
-/// contracts (correlation_miner.hpp): in particular flush() must be a real
-/// ingest barrier on asynchronous backends, and stats() must follow the
-/// MinerStats field contract (zero epoch/pending and empty shard_epochs
-/// when the concept does not apply).
-///
-/// Thread-safety: registration is NOT synchronized against concurrent
-/// make_miner()/registered_miners() calls — register backends at startup,
-/// before mining threads exist (the registry is touched from one thread in
-/// every shipped consumer).
-bool register_miner(const std::string& name, MinerFactoryFn factory);
-
-/// Registered backend names, sorted.
+/// Backend names, sorted: "concurrent", "farmer" and "sharded".
 [[nodiscard]] std::vector<std::string> registered_miners();
 
 /// Constructs the backend registered under `name`. Throws

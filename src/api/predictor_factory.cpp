@@ -4,25 +4,24 @@
 #include <stdexcept>
 #include <utility>
 
-#include "graph/access_window.hpp"
 #include "prefetch/fpa.hpp"
 #include "prefetch/nexus.hpp"
-#include "prefetch/probability_graph.hpp"
-#include "prefetch/sd_graph.hpp"
-#include "prefetch/successor.hpp"
 
 namespace farmer {
 
 namespace {
 
-using Registry = std::map<std::string, PredictorFactoryFn, std::less<>>;
+using Factory = std::unique_ptr<Predictor> (*)(
+    const FarmerConfig& cfg, std::shared_ptr<const TraceDictionary> dict,
+    const PredictorOptions& opts);
 
-Registry& registry() {
-  static Registry r = [] {
-    Registry built_in;
+const std::map<std::string, Factory, std::less<>>& registry() {
+  static const std::map<std::string, Factory, std::less<>> r = [] {
+    std::map<std::string, Factory, std::less<>> built_in;
     built_in["fpa"] = [](const FarmerConfig& cfg,
                          std::shared_ptr<const TraceDictionary> dict,
-                         const PredictorOptions& opts) {
+                         const PredictorOptions& opts)
+        -> std::unique_ptr<Predictor> {
       // The miner factory re-validates cfg and resolves the backend name;
       // its std::invalid_argument carries the registered-miners listing.
       const std::string_view backend =
@@ -33,61 +32,14 @@ Registry& registry() {
     };
     built_in["nexus"] = [](const FarmerConfig&,
                            std::shared_ptr<const TraceDictionary>,
-                           const PredictorOptions& opts) {
-      NexusPredictor::Config c;
-      if (opts.window != 0) c.window = opts.window;
-      if (opts.min_weight >= 0.0) c.min_weight = opts.min_weight;
-      return std::make_unique<NexusPredictor>(c);
-    };
-    built_in["probgraph"] = [](const FarmerConfig&,
-                               std::shared_ptr<const TraceDictionary>,
-                               const PredictorOptions& opts) {
-      ProbabilityGraphPredictor::Config c;
-      if (opts.window != 0) c.window = opts.window;
-      if (opts.min_chance >= 0.0) c.min_chance = opts.min_chance;
-      return std::make_unique<ProbabilityGraphPredictor>(c);
-    };
-    built_in["sdgraph"] = [](const FarmerConfig&,
-                             std::shared_ptr<const TraceDictionary>,
-                             const PredictorOptions& opts) {
-      SdGraphPredictor::Config c;
-      if (opts.window != 0) c.window = opts.window;
-      if (opts.min_frequency >= 0.0) c.min_frequency = opts.min_frequency;
-      return std::make_unique<SdGraphPredictor>(c);
-    };
-    built_in["ls"] = [](const FarmerConfig&,
-                        std::shared_ptr<const TraceDictionary>,
-                        const PredictorOptions&) {
-      return std::make_unique<LastSuccessorPredictor>();
-    };
-    built_in["fs"] = [](const FarmerConfig&,
-                        std::shared_ptr<const TraceDictionary>,
-                        const PredictorOptions&) {
-      return std::make_unique<FirstSuccessorPredictor>();
-    };
-    built_in["recentpop"] = [](const FarmerConfig&,
-                               std::shared_ptr<const TraceDictionary>,
-                               const PredictorOptions& opts) {
-      RecentPopularityPredictor::Config c;
-      if (opts.recent_k != 0) c.k = opts.recent_k;
-      if (opts.recent_j != 0) c.j = opts.recent_j;
-      return std::make_unique<RecentPopularityPredictor>(c);
-    };
-    built_in["pbs"] = [](const FarmerConfig&,
-                         std::shared_ptr<const TraceDictionary>,
-                         const PredictorOptions&) {
-      return std::make_unique<ContextualLastSuccessorPredictor>(
-          ContextualLastSuccessorPredictor::Mode::kProgram);
-    };
-    built_in["puls"] = [](const FarmerConfig&,
-                          std::shared_ptr<const TraceDictionary>,
-                          const PredictorOptions&) {
-      return std::make_unique<ContextualLastSuccessorPredictor>(
-          ContextualLastSuccessorPredictor::Mode::kProgramUser);
+                           const PredictorOptions&)
+        -> std::unique_ptr<Predictor> {
+      return std::make_unique<NexusPredictor>();
     };
     built_in["none"] = [](const FarmerConfig&,
                           std::shared_ptr<const TraceDictionary>,
-                          const PredictorOptions&) {
+                          const PredictorOptions&)
+        -> std::unique_ptr<Predictor> {
       return std::make_unique<NoopPredictor>();
     };
     return built_in;
@@ -96,32 +48,6 @@ Registry& registry() {
 }
 
 }  // namespace
-
-std::string PredictorOptions::validate() const {
-  std::string errors;
-  auto fail = [&errors](const std::string& msg) {
-    if (!errors.empty()) errors += "; ";
-    errors += msg;
-  };
-  if (window > AccessWindow::kMaxWindow)
-    fail("window must be <= " + std::to_string(AccessWindow::kMaxWindow));
-  if (min_chance > 1.0) fail("min_chance must be in [0, 1]");
-  if (min_frequency > 1.0) fail("min_frequency must be in [0, 1]");
-  // k and j default independently, so validate the *effective* pair: an
-  // explicit j may not exceed the (defaulted) k it will run against.
-  const std::size_t k = recent_k != 0 ? recent_k : 4;
-  const std::size_t j = recent_j != 0 ? recent_j : 2;
-  if (j > k)
-    fail("recent_j (" + std::to_string(j) + ") must be <= recent_k (" +
-         std::to_string(k) + ")");
-  return errors;
-}
-
-bool register_predictor(const std::string& name, PredictorFactoryFn factory) {
-  auto [it, inserted] = registry().insert_or_assign(name, std::move(factory));
-  (void)it;
-  return inserted;
-}
 
 std::vector<std::string> registered_predictors() {
   std::vector<std::string> names;
@@ -134,10 +60,6 @@ std::unique_ptr<Predictor> make_predictor(
     std::string_view name, const FarmerConfig& cfg,
     std::shared_ptr<const TraceDictionary> dict,
     const PredictorOptions& opts) {
-  const std::string errors = opts.validate();
-  if (!errors.empty())
-    throw std::invalid_argument(
-        "make_predictor: invalid PredictorOptions: " + errors);
   const auto it = registry().find(name);
   if (it == registry().end()) {
     std::string known;

@@ -103,10 +103,6 @@ RuntimeConfig RuntimeConfig::from_env() {
            /*max_value=*/1u << 30);
 
   env.string("FARMER_PREDICTOR", rc.predictor);
-  // The predictor options mirror the miner selection so "fpa" built through
-  // the predictor factory mines on the env-selected backend.
-  rc.predictor_options.miner_backend = rc.miner_backend;
-  rc.predictor_options.miner = rc.miner;
 
   env.string("FARMER_SCENARIO", rc.scenario);
   env.size("FARMER_SERVE_WINDOWS", rc.serve_windows, /*max_value=*/4096);

@@ -4,8 +4,8 @@
 // Benches, examples and the serving harness all configure themselves from
 // the same environment surface (README "Configuration" table). Before this
 // loader each binary hand-rolled its own getenv/strtoul soup; now
-// `RuntimeConfig::from_env()` produces validated `MinerOptions`,
-// `PredictorOptions` and scenario knobs in one pass, and a malformed
+// `RuntimeConfig::from_env()` produces validated `MinerOptions`, the
+// predictor selection and scenario knobs in one pass, and a malformed
 // variable surfaces as a *typed* `ConfigError` naming the variable, the
 // raw value and the constraint it violated. So does any other set FARMER_*
 // variable, misspelt or retired — a typo can never silently select the
@@ -59,12 +59,8 @@ struct RuntimeConfig {
   /// MinerOptions field docs.
   MinerOptions miner;
   /// FARMER_PREDICTOR: prefetch policy name resolved through the
-  /// PredictorFactory ("fpa", "nexus", ..., "none").
+  /// PredictorFactory ("fpa", "nexus" or "none").
   std::string predictor = "fpa";
-  /// Options handed to make_predictor(); `predictor_options.miner_backend`
-  /// and `.miner` mirror `miner_backend`/`miner` above, so "fpa" built
-  /// through the predictor factory mines on the env-selected backend.
-  PredictorOptions predictor_options;
   /// FARMER_SCENARIO: serving-scenario name (serve/scenario.hpp); empty =
   /// the consumer's default.
   std::string scenario;
@@ -89,6 +85,13 @@ struct RuntimeConfig {
   /// malformed variable, or on a set FARMER_* variable this loader does not
   /// read; unset (or empty) variables keep the documented defaults.
   [[nodiscard]] static RuntimeConfig from_env();
+
+  /// Options for make_predictor(), built from `miner_backend` and `miner`
+  /// above, so "fpa" built through the predictor factory mines on the
+  /// env-selected backend.
+  [[nodiscard]] PredictorOptions predictor_options() const {
+    return {miner_backend, miner};
+  }
 
   /// from_env() with the classic CLI contract: on ConfigError, print the
   /// diagnostic to stderr and exit(2) so a typo never silently runs the

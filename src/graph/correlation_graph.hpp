@@ -256,8 +256,7 @@ class BasicCorrelationGraph {
   std::size_t edges_ = 0;
 };
 
-/// The graph of the baselines (Nexus and the other sequence predictors):
-/// nodes only, 160-byte blocks.
+/// The graph of the Nexus baseline: nodes only, 160-byte blocks.
 using CorrelationGraph = BasicCorrelationGraph<NoPayload>;
 
 template <typename Payload>

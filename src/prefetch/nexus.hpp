@@ -46,9 +46,6 @@ class NexusPredictor final : public Predictor {
   [[nodiscard]] std::size_t footprint_bytes() const override {
     return sizeof(*this) + graph_.footprint_bytes();
   }
-  [[nodiscard]] const CorrelationGraph& graph() const noexcept {
-    return graph_;
-  }
 
  private:
   Config cfg_;

@@ -2,9 +2,9 @@
 //
 // A predictor observes the demand request stream and, after each request,
 // proposes files whose metadata should be prefetched. The paper's FPA and
-// all baselines (Nexus, Probability Graph, SD graph, Last/First Successor,
-// Recent Popularity, PBS, PULS) implement this interface, which keeps the
-// replay engine and the MDS policy-agnostic.
+// its two baselines, Nexus and no prefetching at all (plain LRU), implement
+// this interface, which keeps the replay engine and the MDS
+// policy-agnostic.
 #pragma once
 
 #include <memory>

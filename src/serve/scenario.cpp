@@ -62,8 +62,8 @@ ScenarioSpec builtin(std::string name, std::string description) {
   return s;
 }
 
-Registry& registry() {
-  static Registry reg = [] {
+const Registry& registry() {
+  static const Registry reg = [] {
     Registry r;
     const auto put = [&r](ScenarioSpec s) { r.emplace(s.name, std::move(s)); };
     {
@@ -167,11 +167,6 @@ double warp(const ScenarioSpec& spec, double u, std::uint32_t tenant) {
 }
 
 }  // namespace
-
-bool register_scenario(ScenarioSpec spec) {
-  const std::string name = spec.name;
-  return registry().insert_or_assign(name, std::move(spec)).second;
-}
 
 std::vector<std::string> registered_scenarios() {
   std::vector<std::string> names;

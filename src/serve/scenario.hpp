@@ -14,9 +14,9 @@
 // Everything is derived from the spec's seed; the same spec always builds
 // the bit-identical workload (the determinism tests pin this down).
 //
-// Built-in scenarios mirror the registry idiom of MinerFactory and
-// PredictorFactory: look one up by name (`FARMER_SCENARIO=...`,
-// `bench_serving --scenario ...`), or register new ones at startup.
+// The built-in scenarios form a fixed table, like the MinerFactory and
+// PredictorFactory names: look one up by name (`FARMER_SCENARIO=...`,
+// `bench_serving --scenario ...`), or build a ScenarioSpec directly.
 #pragma once
 
 #include <cstdint>
@@ -90,13 +90,8 @@ struct ScenarioSpec {
   [[nodiscard]] std::string validate() const;
 };
 
-/// Adds (or replaces) `spec` under `spec.name`. Returns true when the name
-/// was new. Built-ins "steady", "diurnal", "flash_crowd", "tenant_shift",
-/// "churn", "cold_start", "warm_start" and "smoke" are pre-registered.
-/// Thread-safety: like the other registries, register at startup only.
-bool register_scenario(ScenarioSpec spec);
-
-/// Registered scenario names, sorted.
+/// Built-in scenario names, sorted: "churn", "cold_start", "diurnal",
+/// "flash_crowd", "smoke", "steady", "tenant_shift" and "warm_start".
 [[nodiscard]] std::vector<std::string> registered_scenarios();
 
 /// The spec registered under `name` (by value — callers tweak their copy).

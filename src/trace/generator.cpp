@@ -836,6 +836,13 @@ const char* trace_kind_name(TraceKind k) noexcept {
   return "?";
 }
 
+std::optional<TraceKind> parse_trace_kind(std::string_view name) noexcept {
+  for (const TraceKind k :
+       {TraceKind::kLLNL, TraceKind::kINS, TraceKind::kRES, TraceKind::kHP})
+    if (name == trace_kind_name(k)) return k;
+  return std::nullopt;
+}
+
 std::string TraceDictionary::path_string(PathId p) const {
   if (!p.valid()) return {};
   std::string out;

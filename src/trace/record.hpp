@@ -11,7 +11,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/interner.hpp"
@@ -33,6 +35,12 @@ enum class TraceKind : std::uint8_t { kLLNL, kINS, kRES, kHP, kCustom };
 
 [[nodiscard]] const char* trace_kind_name(TraceKind k) noexcept;
 
+/// The paper trace whose trace_kind_name() is `name`: "LLNL", "INS", "RES"
+/// or "HP", matched exactly. nullopt for any other string, "CUSTOM"
+/// included.
+[[nodiscard]] std::optional<TraceKind> parse_trace_kind(
+    std::string_view name) noexcept;
+
 /// One file request.
 struct TraceRecord {
   SimTime timestamp = 0;      ///< microseconds since trace start
@@ -47,7 +55,7 @@ struct TraceRecord {
   TokenId host_token;         ///< interned host name
   TokenId dev_token;          ///< interned device id ("File ID" locality)
   TokenId fid_token;          ///< interned per-file id ("File ID" identity)
-  TokenId program_token;      ///< interned program name (PBS/PULS input)
+  TokenId program_token;      ///< interned program name
   std::uint32_t size_bytes = 0;
   OpType op = OpType::kOpen;
 };

@@ -135,27 +135,6 @@ TEST(MinerFactory, InvalidConfigThrows) {
                std::invalid_argument);
 }
 
-TEST(MinerFactory, CustomBackendsPlugIn) {
-  MicroTrace mt;
-  const bool fresh = register_miner(
-      "custom-test-backend",
-      [](const FarmerConfig& cfg, std::shared_ptr<const TraceDictionary> dict,
-         const MinerOptions&) -> std::unique_ptr<CorrelationMiner> {
-        return std::make_unique<Farmer>(cfg, std::move(dict));
-      });
-  EXPECT_TRUE(fresh);
-  const auto miner = make_miner("custom-test-backend", FarmerConfig{},
-                                mt.dict());
-  ASSERT_NE(miner, nullptr);
-  // Re-registering the same name replaces, not duplicates.
-  EXPECT_FALSE(register_miner(
-      "custom-test-backend",
-      [](const FarmerConfig& cfg, std::shared_ptr<const TraceDictionary> dict,
-         const MinerOptions&) -> std::unique_ptr<CorrelationMiner> {
-        return std::make_unique<Farmer>(cfg, std::move(dict));
-      }));
-}
-
 TEST(MinerFactory, ShardOptionControlsShardCount) {
   MicroTrace mt;
   MinerOptions opts;

@@ -424,6 +424,13 @@ TEST(ServingWarmStart, NonPersistentBackendFallsBackWarm) {
 
 // ------------------------------------------------ predictor factory errors
 
+TEST(PredictorFactory, BuildsThePapersContenders) {
+  // FPA and its two baselines in the paper's evaluation: Nexus and plain
+  // LRU (no prefetching).
+  EXPECT_EQ(registered_predictors(),
+            (std::vector<std::string>{"fpa", "nexus", "none"}));
+}
+
 TEST(PredictorFactoryErrors, UnknownNameListsRegistered) {
   const Trace trace = make_paper_trace(TraceKind::kHP, 7, 0.02);
   try {
@@ -440,27 +447,9 @@ TEST(PredictorFactoryErrors, UnknownNameListsRegistered) {
 
 TEST(PredictorFactoryErrors, InvalidOptionsRejected) {
   const Trace trace = make_paper_trace(TraceKind::kHP, 7, 0.02);
-  const FarmerConfig cfg = cfg_for(trace);
-
   PredictorOptions opts;
-  opts.window = 4096;  // above AccessWindow::kMaxWindow
-  EXPECT_THROW((void)make_predictor("nexus", cfg, trace.dict, opts),
-               std::invalid_argument);
-
-  opts = {};
-  opts.min_chance = 1.5;  // probability above 1
-  EXPECT_THROW((void)make_predictor("probgraph", cfg, trace.dict, opts),
-               std::invalid_argument);
-
-  opts = {};
-  opts.recent_k = 2;
-  opts.recent_j = 5;  // j > k
-  EXPECT_THROW((void)make_predictor("recentpop", cfg, trace.dict, opts),
-               std::invalid_argument);
-
-  opts = {};
   opts.miner_backend = "not_a_backend";
-  EXPECT_THROW((void)make_predictor("fpa", cfg, trace.dict, opts),
+  EXPECT_THROW((void)make_predictor("fpa", cfg_for(trace), trace.dict, opts),
                std::invalid_argument);
 }
 
@@ -517,7 +506,7 @@ TEST(RuntimeConfigTest, DefaultsWithEmptyEnvironment) {
   EXPECT_EQ(rc.miner_backend, "farmer");
   EXPECT_EQ(rc.predictor, "fpa");
   EXPECT_DOUBLE_EQ(rc.bench_scale, 0.25);
-  EXPECT_TRUE(rc.predictor_options.validate().empty());
+  EXPECT_EQ(rc.predictor_options().miner_backend, "farmer");
 }
 
 TEST(RuntimeConfigTest, ParsesAndMirrorsIntoPredictorOptions) {
@@ -532,10 +521,10 @@ TEST(RuntimeConfigTest, ParsesAndMirrorsIntoPredictorOptions) {
   EXPECT_EQ(rc.predictor, "nexus");
   EXPECT_EQ(rc.scenario, "flash_crowd");
   EXPECT_EQ(rc.serve_windows, 9u);
-  // The predictor options mirror the miner selection so "fpa" mines on the
+  // The predictor options carry the miner selection so "fpa" mines on the
   // env-selected backend.
-  EXPECT_EQ(rc.predictor_options.miner_backend, "sharded");
-  EXPECT_EQ(rc.predictor_options.miner.shards, 4u);
+  EXPECT_EQ(rc.predictor_options().miner_backend, "sharded");
+  EXPECT_EQ(rc.predictor_options().miner.shards, 4u);
 }
 
 TEST(RuntimeConfigTest, TypedErrorNamesVarValueReason) {

@@ -146,6 +146,16 @@ TEST(TraceKindName, AllNamed) {
   EXPECT_STREQ(trace_kind_name(TraceKind::kHP), "HP");
 }
 
+TEST(TraceKindName, ParseInvertsTheFourPaperNames) {
+  for (const TraceKind kind :
+       {TraceKind::kLLNL, TraceKind::kINS, TraceKind::kRES, TraceKind::kHP})
+    EXPECT_EQ(parse_trace_kind(trace_kind_name(kind)), kind);
+  // Exact match only: another case, a prefix or extension, the synthetic
+  // kind's name or nothing at all names no trace.
+  for (const char* name : {"llnl", "Hp", "HPX", "IN", "CUSTOM", ""})
+    EXPECT_FALSE(parse_trace_kind(name).has_value()) << '"' << name << '"';
+}
+
 TEST(Dictionary, PathStringRebuilds) {
   TraceDictionary d;
   SmallVector<TokenId, 8> comps;
