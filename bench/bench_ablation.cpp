@@ -112,11 +112,10 @@ int main() {
     MinerOptions opts;
     opts.shards = 4;
     Table t({"miner", "ground-truth precision", "footprint"});
-    for (const char* backend : {"farmer", "sharded", "concurrent"}) {
+    for (const char* backend : {"farmer", "sharded"}) {
       const auto miner =
           make_miner(backend, fpa_config(trace), trace.dict, opts);
       miner->observe_batch(trace.records);
-      miner->flush();  // ingest barrier; no-op for the sync backends
       t.add_row({miner->name(), pct(precision(*miner)),
                  fmt_bytes(miner->footprint_bytes())});
     }

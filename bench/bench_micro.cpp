@@ -5,13 +5,11 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "common/rng.hpp"
-#include "common/zipf.hpp"
 #include "cache/metadata_cache.hpp"
 #include "core/cominer.hpp"
 #include "core/extractor.hpp"
@@ -130,7 +128,7 @@ BENCHMARK(BM_GraphTransition);
 
 void BM_FarmerObserve(benchmark::State& state) {
   // Backend comes from the factory (FARMER_MINER), so the same binary
-  // measures serial, sharded, and concurrent ingest.
+  // measures serial and sharded ingest.
   const Trace& trace = hp();
   const auto model = make_bench_miner(trace, fpa_config(trace));
   std::size_t i = 0;
@@ -158,89 +156,10 @@ void BM_ObserveKernel(benchmark::State& state) {
 }
 BENCHMARK(BM_ObserveKernel);
 
-void BM_ConcurrentIngest(benchmark::State& state) {
-  // Multi-threaded trace-replay driver: Arg = producer threads pushing
-  // process-partitioned streams into the async "concurrent" backend.
-  // Throughput (items/s) is ingest records/s including the final flush().
-  const Trace& trace = hp();
-  const auto producers = static_cast<std::size_t>(state.range(0));
-  const auto parts = partition_by_process(trace, producers);
-  for (auto _ : state) {
-    MinerOptions opts;
-    opts.ingest_threads = producers;
-    const auto miner =
-        make_miner("concurrent", fpa_config(trace), trace.dict, opts);
-    concurrent_replay(*miner, parts);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(trace.records.size()));
-  state.counters["producers"] = static_cast<double>(producers);
-}
-BENCHMARK(BM_ConcurrentIngest)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-void BM_SnapshotUnderIngest(benchmark::State& state) {
-  // Mixed ingest + query: every benchmark thread is a reader issuing
-  // snapshot() on Zipf-hot files while one background producer replays the
-  // trace in a loop, so the drain keeps publishing fresh shard tables the
-  // whole time. Measures the RCU read path under churn. Readers scaling
-  // with ->Threads() is the "no reader contention" claim made measurable.
-  struct Shared {
-    std::unique_ptr<CorrelationMiner> miner;
-    std::atomic<bool> stop{false};
-    std::thread producer;
-  };
-  static Shared* shared = nullptr;
-  const Trace& trace = hp();
-  if (state.thread_index() == 0) {
-    shared = new Shared;
-    shared->miner = make_miner("concurrent", fpa_config(trace), trace.dict);
-    shared->miner->observe_batch(trace.records);  // warm state
-    shared->miner->flush();
-    shared->producer = std::thread([s = shared, &trace] {
-      constexpr std::size_t kChunk = 256;
-      std::size_t i = 0;
-      while (!s->stop.load(std::memory_order_acquire)) {
-        const std::size_t n =
-            std::min(kChunk, trace.records.size() - i);
-        s->miner->observe_batch(
-            std::span<const TraceRecord>(&trace.records[i], n));
-        i = (i + n) % trace.records.size();
-      }
-    });
-  }
-  // google-benchmark's start barrier guarantees thread 0's setup above
-  // completed before any thread enters this loop.
-  Rng rng(0xBEEF + static_cast<std::uint64_t>(state.thread_index()));
-  const ZipfRejection zipf(trace.dict->files.size(), 1.1);
-  for (auto _ : state) {
-    const FileId f(static_cast<std::uint32_t>(zipf.sample(rng)));
-    benchmark::DoNotOptimize(shared->miner->snapshot(f).size());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  if (state.thread_index() == 0) {
-    shared->stop.store(true, std::memory_order_release);
-    shared->producer.join();
-    delete shared;
-    shared = nullptr;
-  }
-}
-BENCHMARK(BM_SnapshotUnderIngest)
-    ->Threads(1)
-    ->Threads(4)
-    ->Threads(8)
-    ->UseRealTime();
-
 void BM_FpaPredict(benchmark::State& state) {
   const Trace& trace = hp();
   auto fpa = make_fpa(trace);
   for (const auto& r : trace.records) fpa.observe(r);
-  fpa.flush();  // ingest barrier; no-op for synchronous backends
   std::size_t i = 0;
   PredictionList out;
   for (auto _ : state) {

@@ -77,14 +77,14 @@ int main(int argc, char** argv) {
             " predictor learns in the loop while the cache and two-priority "
             "disk queue score its prefetches",
         "hit ratio, prefetch precision and response percentiles react to "
-        "the scenario's load shape; ingest lag stays bounded");
+        "the scenario's load shape");
 
   Table summary({"scenario", "predictor", "requests", "demand_hit_ratio",
                  "prefetch_precision", "prefetch_waste", "p50_response_us",
-                 "p99_response_us", "mean_ingest_lag", "windows"});
+                 "p99_response_us", "windows"});
   Table windows_tbl({"window", "end_us", "requests", "hit_ratio",
-                     "prefetch_precision", "p50_us", "p99_us", "ingest_lag",
-                     "epoch", "footprint_bytes", "invalidations"});
+                     "prefetch_precision", "p50_us", "p99_us",
+                     "footprint_bytes", "invalidations"});
 
   for (const std::string& name : names) {
     ServingResult res;
@@ -95,13 +95,6 @@ int main(int argc, char** argv) {
       std::cerr << e.what() << "\n";
       return 2;
     }
-    double lag_sum = 0.0;
-    for (const WindowStats& w : res.windows)
-      lag_sum += static_cast<double>(w.ingest_pending);
-    const double mean_lag =
-        res.windows.empty()
-            ? 0.0
-            : lag_sum / static_cast<double>(res.windows.size());
     const CacheStats& c = res.cache;
     const double precision =
         c.prefetch_inserted ? static_cast<double>(c.prefetch_used) /
@@ -113,7 +106,6 @@ int main(int argc, char** argv) {
                      ratio4(c.pollution_ratio()),
                      std::to_string(res.response.p50()),
                      std::to_string(res.response.p99()),
-                     fmt_double(mean_lag, 1),
                      std::to_string(res.windows.size())});
     if (names.size() == 1) {
       for (const WindowStats& w : res.windows)
@@ -123,8 +115,6 @@ int main(int argc, char** argv) {
              ratio4(w.prefetch_precision()),
              std::to_string(w.p50_response_us),
              std::to_string(w.p99_response_us),
-             std::to_string(w.ingest_pending),
-             std::to_string(w.ingest_epoch),
              std::to_string(w.model_footprint_bytes),
              std::to_string(w.invalidations)});
     }

@@ -26,7 +26,6 @@ int main() {
     const Trace& trace = paper_trace(kind);
     auto fpa = make_fpa(trace);
     for (const auto& rec : trace.records) fpa.observe(rec);
-    fpa.flush();  // ingest barrier; no-op for synchronous backends
     const std::size_t bytes = fpa.footprint_bytes();
     table.add_row(
         {trace_kind_name(kind), std::to_string(trace.file_count()),

@@ -11,7 +11,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "analysis/experiment.hpp"
@@ -67,21 +66,13 @@ inline FarmerConfig fpa_config(const Trace& trace) {
 }
 
 /// Mining backend behind every bench's FPA, selected at runtime:
-///   FARMER_MINER=farmer|sharded|concurrent (default "farmer")
-///   FARMER_SHARDS=<n>           (default 4, "sharded"/"concurrent")
-///   FARMER_INGEST_THREADS=<n>   (default 4, "concurrent" producer slots)
+///   FARMER_MINER=farmer|sharded (default "farmer")
+///   FARMER_SHARDS=<n>           (default 4, "sharded")
 ///   FARMER_APPLY_THREADS=<n>    (default 0 = auto: worker lanes for the
 ///                                shard-disjoint parallel apply behind
-///                                observe_batch on "sharded"/"concurrent";
-///                                1 = serial apply, capped at the shard
-///                                count, byte-identical at every setting)
-///   FARMER_MAX_PENDING=<n>      (default backend, "concurrent" ingest
-///                                backpressure bound in records)
-///   FARMER_PUBLISH_INTERVAL=<n> (default 0/1 = publish every drain round,
-///                                "concurrent" publish-coalescing interval
-///                                in applied records)
-///   FARMER_PUBLISH_MAX_DELAY_MS=<n> (default backend = 4 ms, staleness
-///                                bound for coalesced publishes)
+///                                observe_batch on "sharded"; 1 = serial
+///                                apply, capped at the shard count,
+///                                byte-identical at every setting)
 ///   FARMER_PERSIST_DIR=<path>   (default off: durable persistence
 ///                                directory — WAL + checkpoints, recovered
 ///                                on construction; benches add a per-trace
@@ -146,9 +137,6 @@ inline std::unique_ptr<CorrelationMiner> make_bench_miner(
     std::cerr << "mining backend: " << miner->name();
     if (std::string_view(miner->name()) == "sharded")
       std::cerr << " (shards=" << opts.shards << ")";
-    if (std::string_view(miner->name()) == "concurrent")
-      std::cerr << " (shards=" << opts.shards
-                << ", ingest_threads=" << opts.ingest_threads << ")";
     std::cerr << "\n";
     return true;
   }();
@@ -183,46 +171,10 @@ inline std::unique_ptr<Predictor> make_bench_predictor(
   }
 }
 
-/// Partitions a trace's records across `producers` ingest streams by
-/// process id (stream affinity, mirroring ShardedFarmer's routing), keeping
-/// each process's records in trace order within its partition.
-inline std::vector<std::vector<TraceRecord>> partition_by_process(
-    const Trace& trace, std::size_t producers) {
-  std::vector<std::vector<TraceRecord>> parts(producers == 0 ? 1 : producers);
-  for (const TraceRecord& r : trace.records)
-    parts[static_cast<std::size_t>(r.process.value()) % parts.size()]
-        .push_back(r);
-  return parts;
-}
-
-/// Multi-threaded trace-replay driver: one thread per partition pushes its
-/// records into `miner` in `chunk`-sized observe_batch() calls, then the
-/// caller's thread flush()es. Returns wall-clock seconds for ingest+flush.
-inline double concurrent_replay(CorrelationMiner& miner,
-                                const std::vector<std::vector<TraceRecord>>&
-                                    parts,
-                                std::size_t chunk = 256) {
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<std::thread> producers;
-  producers.reserve(parts.size());
-  for (const auto& part : parts) {
-    producers.emplace_back([&miner, &part, chunk] {
-      for (std::size_t i = 0; i < part.size(); i += chunk) {
-        const std::size_t n = std::min(chunk, part.size() - i);
-        miner.observe_batch(std::span<const TraceRecord>(&part[i], n));
-      }
-    });
-  }
-  for (auto& t : producers) t.join();
-  miner.flush();
-  const auto end = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(end - start).count();
-}
-
-/// Single-threaded replay driver over a borrowed record span — the span
-/// can point straight into a TraceReader mapping, so disk replay feeds the
-/// miner without materializing a Trace. Returns wall-clock seconds for
-/// ingest+flush.
+/// Replay driver over a borrowed record span in `chunk`-sized
+/// observe_batch() calls — the span can point straight into a TraceReader
+/// mapping, so disk replay feeds the miner without materializing a Trace.
+/// Returns wall-clock seconds for ingest+flush.
 inline double span_replay(CorrelationMiner& miner,
                           std::span<const TraceRecord> records,
                           std::size_t chunk = 1024) {
@@ -230,40 +182,6 @@ inline double span_replay(CorrelationMiner& miner,
   for (std::size_t i = 0; i < records.size(); i += chunk)
     miner.observe_batch(records.subspan(i, std::min(chunk,
                                                     records.size() - i)));
-  miner.flush();
-  const auto end = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(end - start).count();
-}
-
-/// Multi-threaded replay driver over a borrowed record span: `producers`
-/// threads each scan the (shared, read-only) span and push the records of
-/// their process-id partition in `chunk`-sized batches — the same stream
-/// affinity as partition_by_process, without copying partitions out first.
-inline double span_replay_concurrent(CorrelationMiner& miner,
-                                     std::span<const TraceRecord> records,
-                                     std::size_t producers,
-                                     std::size_t chunk = 256) {
-  if (producers == 0) producers = 1;
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<std::thread> threads;
-  threads.reserve(producers);
-  for (std::size_t p = 0; p < producers; ++p) {
-    threads.emplace_back([&miner, records, producers, chunk, p] {
-      std::vector<TraceRecord> batch;
-      batch.reserve(chunk);
-      for (const TraceRecord& r : records) {
-        if (static_cast<std::size_t>(r.process.value()) % producers != p)
-          continue;
-        batch.push_back(r);
-        if (batch.size() == chunk) {
-          miner.observe_batch(batch);
-          batch.clear();
-        }
-      }
-      if (!batch.empty()) miner.observe_batch(batch);
-    });
-  }
-  for (auto& t : threads) t.join();
   miner.flush();
   const auto end = std::chrono::steady_clock::now();
   return std::chrono::duration<double>(end - start).count();

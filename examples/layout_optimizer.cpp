@@ -31,7 +31,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   model->observe_batch(trace.records);
-  model->flush();  // ingest barrier; no-op on synchronous backends
 
   GrouperConfig gc;
   const auto groups = build_groups(*model, *trace.dict, gc);

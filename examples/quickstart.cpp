@@ -9,7 +9,11 @@
 // build a validated configuration, construct a mining backend through the
 // factory, ingest the stream, query correlations. The --list flags print
 // the factory registries so scripts (CI's smoke loops) can exercise every
-// backend and predictor without hand-maintaining the lists.
+// backend and predictor without hand-maintaining the lists. A seed that is
+// not a decimal integer, or any other `--` flag, is a usage error: it is
+// reported on stderr with exit status 2 instead of running seed 0.
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -19,6 +23,18 @@
 #include "api/predictor_factory.hpp"
 #include "common/stats.hpp"
 #include "trace/generator.hpp"
+
+namespace {
+
+[[noreturn]] void usage_error(const char* program, const char* what,
+                              const char* arg) {
+  std::cerr << program << ": " << what << ": \"" << arg << "\"\nusage: "
+            << program
+            << " [seed] [backend] | --list-backends | --list-predictors\n";
+  std::exit(2);
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace farmer;
@@ -32,8 +48,19 @@ int main(int argc, char** argv) {
       std::cout << name << "\n";
     return 0;
   }
-  const std::uint64_t seed =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 7;
+  std::uint64_t seed = 7;
+  if (argc > 1) {
+    if (std::strncmp(argv[1], "--", 2) == 0)
+      usage_error(argv[0], "unknown option", argv[1]);
+    // strtoull alone would skip whitespace, negate a '-' and read "abc"
+    // as 0; a seed is digits only, and must fit in 64 bits.
+    char* end = nullptr;
+    errno = 0;
+    seed = std::strtoull(argv[1], &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(argv[1][0])) ||
+        *end != '\0' || errno == ERANGE)
+      usage_error(argv[0], "seed is not a 64-bit decimal integer", argv[1]);
+  }
   const char* backend = argc > 2 ? argv[2] : "farmer";
 
   // 1. A workload: the HP-style time-sharing trace at 5% scale.
@@ -51,8 +78,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // 3. The model, chosen at runtime: "farmer" (serial), "sharded"
-  //    (parallel ingest) or "concurrent" (async lock-free ingest).
+  // 3. The model, chosen at runtime: "farmer" (serial) or "sharded"
+  //    (streams partitioned by process, applied in parallel).
   std::unique_ptr<CorrelationMiner> model;
   try {
     model = make_miner(backend, cfg.value(), trace.dict);
@@ -62,11 +89,8 @@ int main(int argc, char** argv) {
   }
 
   // 4. Ingest: each request runs the four-stage pipeline (extract,
-  //    construct, mine & evaluate, sort). flush() is the ingest barrier —
-  //    a no-op on synchronous backends, a drain on "concurrent" — so
-  //    bulk-load-then-query code is backend-agnostic.
+  //    construct, mine & evaluate, sort) before observe_batch() returns.
   model->observe_batch(trace.records);
-  model->flush();
 
   const MinerStats stats = model->stats();
   std::cout << "backend: " << model->name() << ", requests: "

@@ -23,8 +23,8 @@ a CI gate plus a human trend table:
     consecutive PRs' committed baselines).
   * --hard-min TABLE:COLUMN=VALUE enforces a scale-independent floor: the
     named column must stay >= VALUE in every row. This is the CI gate for
-    ratio metrics ("publish_cost:speedup=1.0" pins "COW publish beats the
-    deep copy it replaced" at any scale).
+    "the bench still does real work" ("recovery:records/s=1000" pins every
+    persistence row above 1000 records/s at any scale).
   * --hard-row-ratio "TABLE:ROWA/ROWB:COLUMN>=VALUE" enforces a
     scale-independent *relative* gate inside the fresh run alone: the
     column's value in row ROWA divided by its value in row ROWB must be
@@ -44,7 +44,7 @@ a CI gate plus a human trend table:
 Usage:
     scripts/bench_diff.py --baseline BENCH_ingest.json \
         --fresh /tmp/ingest_smoke.json --tolerance 0.5 \
-        --hard-min publish_cost:speedup=1.0
+        --hard-min "recovery:records/s=1000"
 
 Exit status: 0 OK (warnings allowed), 1 hard metric regression,
 2 schema violation / malformed input. Stdlib only — no pip dependencies.

@@ -5,9 +5,9 @@
 // (Section 4.2), policy propagation (Section 4.3) — only ever consume the
 // lists plus a handful of evaluation queries. `CorrelationMiner` is that
 // boundary, mirroring the `Predictor` polymorphism in prefetch/predictor.hpp:
-// consumers bind to the interface and any backend (serial FARMER, sharded
-// FARMER, the async "concurrent" miner, future remote miners) plugs in
-// behind it without recompiling a single consumer.
+// consumers bind to the interface and either backend (serial FARMER or
+// sharded FARMER) plugs in behind it without recompiling a single
+// consumer.
 //
 // Queries go through `snapshot()`, which returns an immutable
 // `CorrelatorView`: backends whose lists are stable between `observe()`
@@ -34,61 +34,25 @@ namespace farmer {
 
 /// Backend-agnostic counters (Table 4 / Section 3.3 accounting).
 ///
-/// Field contract per backend class — every backend fills every field with
-/// a defined value, never garbage:
-///
-///   * Synchronous backends (farmer, sharded): `epoch` and `pending` are
-///     explicitly zero and `shard_epochs` is empty — state is always
-///     current, nothing is ever queued. Zero here *means* "not applicable",
-///     by contract (MinerStatsContract tests pin this down). The batch-apply
-///     counters (`apply_batches`, `apply_parallel_records`) are owned by the
-///     sharded apply path: "sharded" fills them, "farmer" keeps them at
-///     zero.
-///   * Asynchronous backends (concurrent): `requests`/`pairs_*` count
-///     *published* records (enqueued-but-unpublished records appear in
-///     `pending` instead), `epoch` is the global publish round,
-///     `shard_epochs[s]` is shard s's publish count, and the publish counters
-///     (`publishes`, `files_cloned`, `bytes_shared`) account the
-///     copy-on-write snapshot pipeline.
+/// Field contract — every backend fills every field with a defined value,
+/// never garbage. Both backends apply records inside observe(), so every
+/// counter is current when the call returns. The batch-apply counters
+/// (`apply_batches`, `apply_parallel_records`) are owned by the sharded
+/// apply path: "sharded" fills them, "farmer" keeps them at zero
+/// (MinerStatsContract tests pin this down).
 struct MinerStats {
   std::uint64_t requests = 0;         ///< observe() calls ingested
   std::uint64_t pairs_evaluated = 0;  ///< CoMiner R(x,y) evaluations
   std::uint64_t pairs_accepted = 0;   ///< R >= max_strength
   std::uint64_t pairs_filtered = 0;   ///< R <  max_strength
   std::size_t shards = 1;             ///< parallel mining partitions
-  std::uint64_t epoch = 0;   ///< published apply rounds (async backends; 0 =
-                             ///< synchronous, state is always current)
-  std::uint64_t pending = 0; ///< records accepted but not yet published —
-                             ///< invisible to queries (async backends;
-                             ///< always 0 after flush())
-  std::uint64_t publishes = 0;  ///< shard-table publications; with publish
-                                ///< coalescing one publication can cover
-                                ///< many drain rounds (== epoch on the
-                                ///< concurrent backend, 0 = synchronous)
-  std::uint64_t files_cloned = 0;  ///< COW blocks copied because a published
-                                   ///< snapshot still shared them, cumulative
-                                   ///< over all publishes (async backends).
-                                   ///< A file is one block (graph node and
-                                   ///< signature), so this counts each file
-                                   ///< a publish round dirtied once per
-                                   ///< shard that dirtied it
-  std::uint64_t bytes_shared = 0;  ///< inline block bytes publishes reused
-                                   ///< structurally instead of deep-copying
-                                   ///< (async backends; heap spill of shared
-                                   ///< blocks is additional savings not
-                                   ///< counted here)
   std::uint64_t apply_batches = 0;  ///< observe_batch spans the sharded
-                                    ///< apply path partitioned (sharded
-                                    ///< backend live; concurrent as of the
-                                    ///< published table; 0 = per-record
-                                    ///< ingest only)
+                                    ///< apply path partitioned (0 =
+                                    ///< per-record ingest only)
   std::uint64_t apply_parallel_records = 0;  ///< records applied through the
                                     ///< shard-disjoint worker pool (> 1
                                     ///< apply thread; 0 = every batch was
                                     ///< applied serially)
-  /// Per-shard publish counts (async backends; empty = synchronous). A
-  /// shard's entry advances exactly when an apply round touched it.
-  std::vector<std::uint64_t> shard_epochs;
 
   [[nodiscard]] double acceptance_rate() const noexcept {
     return pairs_evaluated
@@ -124,9 +88,6 @@ struct PairEvidence {
 ///     thread is safe; holding the view across further ingest is not.
 ///   * "sharded" — owning merged copy. Stable forever, across any amount of
 ///     observe()/flush(), and independent of the miner's lifetime.
-///   * "concurrent" — owning copy cut from an RCU-published immutable
-///     snapshot. Stable forever; concurrent ingest on other threads never
-///     mutates it (the stress tests pin this down under TSan).
 ///
 /// When in doubt, check owns_storage(): an owning view never goes stale.
 class CorrelatorView {
@@ -199,44 +160,32 @@ class CorrelatorView {
 
 /// Abstract producer of Correlator Lists.
 ///
-/// Thread-safety contract: the *interface* is single-threaded by default —
-/// synchronous backends ("farmer", "sharded") must not be called
-/// concurrently from multiple threads, in any method combination. The
-/// asynchronous "concurrent" backend strengthens every method's contract
-/// (noted per method below): ingest is safe from any number of threads,
-/// const queries are safe from any number of threads concurrently with
-/// ingest, and flush() may be called from any thread. Per-method notes
-/// state the stronger guarantee where one exists.
+/// Thread-safety contract: single-threaded. Neither backend ("farmer",
+/// "sharded") may be called concurrently from multiple threads, in any
+/// method combination; the caller synchronizes. "sharded" may run its own
+/// apply lanes inside observe_batch(), but they finish before the call
+/// returns.
 class CorrelationMiner {
  public:
   virtual ~CorrelationMiner() = default;
 
   /// Ingests one file request (the full mining pipeline of the backend).
-  ///
-  /// Thread-safety: synchronous backends — external synchronization
-  /// required; "concurrent" — lock-free, callable from any thread, and
-  /// never blocks on queries (soft backpressure only).
   /// Invalidates borrowed CorrelatorViews handed out by this miner
   /// (owning views are unaffected — see CorrelatorView).
   virtual void observe(const TraceRecord& rec) = 0;
 
   /// Ingests a batch. Backends with internal parallelism (sharding) override
-  /// this; the default is the serial loop. Same thread-safety and
-  /// view-invalidation contract as observe().
+  /// this; the default is the serial loop. Same view-invalidation contract
+  /// as observe().
   virtual void observe_batch(std::span<const TraceRecord> records) {
     for (const TraceRecord& r : records) observe(r);
   }
 
   /// Barrier: returns once every record accepted by observe()/observe_batch()
-  /// before this call is reflected in queries. Synchronous backends apply
-  /// records inside observe() and need do nothing; asynchronous backends
-  /// (the "concurrent" miner) drain their ingest queues *and publish the
-  /// result*, so a query issued after flush() returns answers from state
-  /// including every flushed record. Calling flush() while other threads
-  /// keep producing is allowed but only guarantees the records accepted
-  /// before the call. flush() never invalidates any CorrelatorView,
-  /// borrowed or owning. A durable asynchronous backend rethrows a failed
-  /// background checkpoint from here, after the barrier completed.
+  /// before this call is reflected in queries. Both backends apply records
+  /// inside observe(), so it is a no-op for them; the durability decorator
+  /// and instrumenting wrappers forward it. flush() never invalidates any
+  /// CorrelatorView, borrowed or owning.
   virtual void flush() {}
 
   /// Immutable snapshot of `f`'s Correlator List, sorted by descending
@@ -244,10 +193,7 @@ class CorrelationMiner {
   ///
   /// Lifetime: see the CorrelatorView class comment — borrowed for
   /// "farmer" (stale after the next observe()), owning and
-  /// permanently stable for "sharded"/"concurrent".
-  /// Thread-safety: "concurrent" serves this lock-free from RCU-published
-  /// state, safe from any thread at any time; synchronous backends require
-  /// external synchronization against ingest.
+  /// permanently stable for "sharded".
   [[nodiscard]] virtual CorrelatorView snapshot(FileId f) const = 0;
 
   /// Does some Correlator listed for `f` pass `test`? A false answer
@@ -257,11 +203,9 @@ class CorrelationMiner {
   /// A backend whose snapshot() merges per-shard lists should override it
   /// with a scan of those lists in place: the merged list is a subset of
   /// their union, so a false answer still holds, and a true one may come
-  /// from an entry the merge dedupes or cuts at capacity. "sharded" and
-  /// "concurrent" (one published shard table) do that; the durability
-  /// decorator forwards; "farmer" keeps the default — its snapshot is a
-  /// borrowed span. `test` must have no side effects. Same thread-safety
-  /// contract as snapshot().
+  /// from an entry the merge dedupes or cuts at capacity. "sharded" does
+  /// that; the durability decorator forwards; "farmer" keeps the default —
+  /// its snapshot is a borrowed span. `test` must have no side effects.
   [[nodiscard]] virtual bool any_listed(FileId f,
                                         FunctionRef<bool(FileId)> test) const {
     for (const Correlator& c : snapshot(f))
@@ -276,23 +220,19 @@ class CorrelationMiner {
   }
 
   /// R(a, b) under the current state (evaluation-only; no list updates).
-  /// Same thread-safety contract as snapshot().
   [[nodiscard]] virtual double correlation_degree(FileId a, FileId b) const = 0;
 
   /// Raw semantic distance sim(a, b); 0 for sequence-only backends or when
-  /// either file has no recorded context yet. Same thread-safety contract
-  /// as snapshot().
+  /// either file has no recorded context yet.
   [[nodiscard]] virtual double semantic_similarity(FileId /*a*/,
                                                    FileId /*b*/) const {
     return 0.0;
   }
 
-  /// N_f: total recorded accesses of `f` (0 if unknown). Same thread-safety
-  /// contract as snapshot().
+  /// N_f: total recorded accesses of `f` (0 if unknown).
   [[nodiscard]] virtual std::uint64_t access_count(FileId f) const = 0;
 
-  /// F(pred, succ) = N_AB / N_A; 0 when N_A == 0. Same thread-safety
-  /// contract as snapshot().
+  /// F(pred, succ) = N_AB / N_A; 0 when N_A == 0.
   [[nodiscard]] virtual double access_frequency(FileId pred,
                                                 FileId succ) const = 0;
 
@@ -304,11 +244,8 @@ class CorrelationMiner {
   /// Contract, every backend: each field equals the matching point query
   /// bit for bit when no ingest runs between this call and those queries.
   /// The default body is exactly those four calls. "sharded" overrides it
-  /// with one fused walk over its shards; "concurrent" runs the same walk
-  /// over a single published shard table, so all fields of one call come
-  /// from one epoch; the durability decorator forwards to the backend it
-  /// wraps. "farmer" keeps the default. Same thread-safety contract as
-  /// snapshot().
+  /// with one fused walk over its shards; the durability decorator forwards
+  /// to the backend it wraps. "farmer" keeps the default.
   virtual void candidate_evidence(FileId a,
                                   std::span<const Correlator> candidates,
                                   std::span<PairEvidence> out) const {
@@ -322,9 +259,7 @@ class CorrelationMiner {
   }
 
   /// Counter snapshot; see the MinerStats field contract for which fields
-  /// are meaningful per backend class. On "concurrent" this is safe from
-  /// any thread and internally consistent (one published state), though
-  /// `pending` is read separately and may lag by an in-flight apply round.
+  /// each backend fills.
   [[nodiscard]] virtual MinerStats stats() const = 0;
 
   /// Writes a durable checkpoint of the full model state into directory
@@ -333,8 +268,7 @@ class CorrelationMiner {
   /// Lists, CoMiner counters and the embedded trace dictionary — see
   /// docs/ARCHITECTURE.md "Durable persistence". `load(dir)` restores it.
   /// Backends without persistence support throw std::logic_error (the
-  /// default). Asynchronous backends flush() first, so the checkpoint covers
-  /// every record accepted before the call.
+  /// default).
   virtual void save(const std::string& dir) {
     (void)dir;
     throw std::logic_error(std::string(name()) +

@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/concurrent_farmer.hpp"
 #include "core/farmer.hpp"
 #include "core/sharded_farmer.hpp"
 #include "persist/durable_miner.hpp"
@@ -24,9 +23,9 @@ persist::Options persist_options(const MinerOptions& opts) {
   return p;
 }
 
-/// Synchronous backends become durable by decoration: the factory knows
-/// the concrete types, so it hands DurableMiner the Farmer shard view the
-/// checkpoint serializer needs. Recovery runs inside the decorator's
+/// Backends become durable by decoration: the factory knows the concrete
+/// types, so it hands DurableMiner the Farmer shard view the checkpoint
+/// serializer needs. Recovery runs inside the decorator's
 /// constructor, before the miner is returned. Without a persist_dir the
 /// miner comes back undecorated.
 std::unique_ptr<CorrelationMiner> maybe_durable(
@@ -67,28 +66,6 @@ const std::map<std::string, Factory, std::less<>>& registry() {
         view.push_back(&miner->shard_mut(s));
       return maybe_durable(std::move(miner), std::move(view), cfg,
                            std::move(dict), opts);
-    };
-    built_in["concurrent"] = [](const FarmerConfig& cfg,
-                                std::shared_ptr<const TraceDictionary> dict,
-                                const MinerOptions& opts)
-        -> std::unique_ptr<CorrelationMiner> {
-      // max_pending / publish_max_delay_ms == 0 mean "backend default"; the
-      // constructor resolves them so direct and factory construction cannot
-      // diverge. Durability is embedded, not decorated: the WAL hooks must
-      // live on the drain thread and the checkpoints off the published COW
-      // snapshots (see ConcurrentFarmer).
-      std::unique_ptr<persist::Persister> persister;
-      if (!opts.persist_dir.empty())
-        persister =
-            std::make_unique<persist::Persister>(persist_options(opts));
-      return std::make_unique<ConcurrentFarmer>(cfg, std::move(dict),
-                                                opts.shards,
-                                                opts.ingest_threads,
-                                                opts.max_pending,
-                                                opts.publish_interval_records,
-                                                opts.publish_max_delay_ms,
-                                                std::move(persister),
-                                                opts.apply_threads);
     };
     return built_in;
   }();

@@ -11,8 +11,8 @@
 // "fpa" is the only predictor that owns a mining backend: it builds its
 // CorrelationMiner through the MinerFactory from
 // `PredictorOptions::miner_backend` + `PredictorOptions::miner`, so the
-// full backend matrix (farmer/sharded/concurrent, with persistence and
-// publish knobs) is reachable behind the Predictor interface with zero
+// full backend matrix (farmer/sharded, with persistence and apply-lane
+// knobs) is reachable behind the Predictor interface with zero
 // predictor-specific plumbing. "nexus" runs NexusPredictor's own Config
 // defaults; "none" prefetches nothing.
 #pragma once

@@ -86,17 +86,10 @@ RuntimeConfig RuntimeConfig::from_env() {
   EnvReader env;
   env.string("FARMER_MINER", rc.miner_backend);
   env.size("FARMER_SHARDS", rc.miner.shards);
-  env.size("FARMER_INGEST_THREADS", rc.miner.ingest_threads);
   env.size("FARMER_APPLY_THREADS", rc.miner.apply_threads);
+  env.string("FARMER_PERSIST_DIR", rc.miner.persist_dir);
   // Capacity knobs get a generous ceiling; 0 stays "disabled"/"default"
   // (size() rejects 0, matching the defaults already meaning that).
-  env.size("FARMER_MAX_PENDING", rc.miner.max_pending,
-           /*max_value=*/1u << 30);
-  env.size("FARMER_PUBLISH_INTERVAL", rc.miner.publish_interval_records,
-           /*max_value=*/1u << 30);
-  env.size("FARMER_PUBLISH_MAX_DELAY_MS", rc.miner.publish_max_delay_ms,
-           /*max_value=*/60000);
-  env.string("FARMER_PERSIST_DIR", rc.miner.persist_dir);
   env.size("FARMER_CHECKPOINT_INTERVAL", rc.miner.checkpoint_interval_records,
            /*max_value=*/1u << 30);
   env.size("FARMER_WAL_GROUP_COMMIT", rc.miner.wal_group_commit,
@@ -109,7 +102,6 @@ RuntimeConfig RuntimeConfig::from_env() {
   env.size("FARMER_SERVE_CACHE", rc.serve_cache, /*max_value=*/1u << 24);
 
   env.fraction("FARMER_BENCH_SCALE", rc.bench_scale);
-  env.size("FARMER_BENCH_FILES", rc.bench_files, /*max_value=*/1u << 24);
   env.string("FARMER_TRACE_DIR", rc.trace_dir);
   env.size("FARMER_TRACE_TENANTS", rc.trace_tenants, /*max_value=*/4);
   env.size("FARMER_TRACE_ROUNDS", rc.trace_rounds, /*max_value=*/1u << 20);

@@ -52,9 +52,7 @@ class ConfigError : public std::runtime_error {
 struct RuntimeConfig {
   /// FARMER_MINER: mining backend name resolved through the MinerFactory.
   std::string miner_backend = "farmer";
-  /// FARMER_SHARDS / FARMER_INGEST_THREADS / FARMER_APPLY_THREADS /
-  /// FARMER_MAX_PENDING / FARMER_PUBLISH_INTERVAL /
-  /// FARMER_PUBLISH_MAX_DELAY_MS / FARMER_PERSIST_DIR /
+  /// FARMER_SHARDS / FARMER_APPLY_THREADS / FARMER_PERSIST_DIR /
   /// FARMER_CHECKPOINT_INTERVAL / FARMER_WAL_GROUP_COMMIT — see
   /// MinerOptions field docs.
   MinerOptions miner;
@@ -73,8 +71,6 @@ struct RuntimeConfig {
   /// FARMER_BENCH_SCALE: fraction of the full synthetic volume the benches
   /// replay, in (0, 1].
   double bench_scale = 0.25;
-  /// FARMER_BENCH_FILES: file population for the publish-cost bench table.
-  std::size_t bench_files = 100000;
   /// FARMER_TRACE_DIR / FARMER_TRACE_TENANTS / FARMER_TRACE_ROUNDS: the
   /// out-of-core trace pipeline knobs (bench_ingest_throughput).
   std::string trace_dir;

@@ -5,7 +5,7 @@
 // WindowStats is the *streaming* snapshot the serving harness
 // (serve/harness.hpp) emits once per reporting window, so a scenario run
 // reads as a time series: hit-ratio ramp after a cold start, precision
-// collapse under a flash crowd, lag growth when ingest falls behind.
+// collapse under a flash crowd, model growth as the predictor learns.
 //
 // Field contract (ServingWindowContract tests pin this down):
 //
@@ -17,10 +17,7 @@
 //     *completion* time (a request arriving in window i whose fetch
 //     completes in window i+1 counts demand in i, latency in i+1).
 //     Completions after the final boundary fold into the last window.
-//   * Gauges (`ingest_pending`, `ingest_epoch`, `model_footprint_bytes`)
-//     are sampled at the window's CLOSE. Predictors without a mining
-//     backend — and synchronous backends, per the MinerStats contract —
-//     report 0 pending and epoch 0; zero *means* "never stale" there.
+//   * The gauge `model_footprint_bytes` is sampled at the window's CLOSE.
 //   * Ratios are safe on empty windows: 0 denominator yields 0.
 #pragma once
 
@@ -49,8 +46,6 @@ struct WindowStats {
   std::uint64_t p95_response_us = 0;
   std::uint64_t p99_response_us = 0;
 
-  std::uint64_t ingest_pending = 0;  ///< miner records accepted, unpublished
-  std::uint64_t ingest_epoch = 0;    ///< miner publish round at close
   std::size_t model_footprint_bytes = 0;  ///< predictor state at close
 
   [[nodiscard]] double hit_ratio() const noexcept {

@@ -1,7 +1,6 @@
 #include "common/interner.hpp"
 
 #include <cassert>
-#include <functional>
 
 namespace farmer {
 
@@ -41,46 +40,6 @@ std::size_t Interner::footprint_bytes() const noexcept {
   }
   bytes += index_.bucket_count() * sizeof(void*);
   return bytes;
-}
-
-std::size_t SharedInterner::stripe_of(std::string_view s) noexcept {
-  return std::hash<std::string_view>{}(s) & (kStripes - 1);
-}
-
-TokenId SharedInterner::intern(std::string_view s) {
-  const std::size_t si = stripe_of(s);
-  Stripe& stripe = stripes_[si];
-  {
-    std::shared_lock lock(stripe.mu);
-    auto it = stripe.index.find(std::string(s));
-    if (it != stripe.index.end())
-      return TokenId(it->second * static_cast<std::uint32_t>(kStripes) +
-                     static_cast<std::uint32_t>(si));
-  }
-  std::unique_lock lock(stripe.mu);
-  auto [it, inserted] = stripe.index.try_emplace(
-      std::string(s), static_cast<std::uint32_t>(stripe.strings.size()));
-  if (inserted) stripe.strings.emplace_back(s);
-  return TokenId(it->second * static_cast<std::uint32_t>(kStripes) +
-                 static_cast<std::uint32_t>(si));
-}
-
-std::string SharedInterner::resolve(TokenId id) const {
-  const std::size_t si = id.value() % kStripes;
-  const std::size_t ordinal = id.value() / kStripes;
-  const Stripe& stripe = stripes_[si];
-  std::shared_lock lock(stripe.mu);
-  assert(ordinal < stripe.strings.size());
-  return stripe.strings[ordinal];
-}
-
-std::size_t SharedInterner::size() const {
-  std::size_t n = 0;
-  for (const auto& stripe : stripes_) {
-    std::shared_lock lock(stripe.mu);
-    n += stripe.strings.size();
-  }
-  return n;
 }
 
 }  // namespace farmer

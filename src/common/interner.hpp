@@ -5,13 +5,9 @@
 // tokens instead of strings turns every comparison into an integer compare
 // and every vector into a flat array of ints (Per.16, Per.19).
 //
-// `Interner` is the single-threaded building block; `SharedInterner` wraps it
-// with a shard-per-stripe lock for concurrent extraction pipelines.
 #pragma once
 
 #include <cstdint>
-#include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -44,29 +40,6 @@ class Interner {
  private:
   std::unordered_map<std::string, TokenId> index_;
   std::vector<std::string> strings_;
-};
-
-/// Striped thread-safe interner. Token ids remain globally unique: each
-/// stripe allocates ids from its own range (stripe index in the low bits),
-/// so ids from different stripes never collide.
-class SharedInterner {
- public:
-  static constexpr std::size_t kStripes = 16;  // power of two
-
-  TokenId intern(std::string_view s);
-  [[nodiscard]] std::string resolve(TokenId id) const;
-  [[nodiscard]] std::size_t size() const;
-
- private:
-  struct Stripe {
-    mutable std::shared_mutex mu;
-    std::unordered_map<std::string, std::uint32_t> index;  // local ordinal
-    std::vector<std::string> strings;
-  };
-
-  [[nodiscard]] static std::size_t stripe_of(std::string_view s) noexcept;
-
-  Stripe stripes_[kStripes];
 };
 
 }  // namespace farmer

@@ -77,7 +77,7 @@ template <typename T, typename Body>
 /// counter (dynamic scheduling — shard slices are skewed by routing).
 ///
 /// Thread-safety: run() is *not* reentrant — one job at a time, issued from
-/// one thread (the drain/apply thread in every shipped consumer). The
+/// one thread (the caller of ShardedFarmer::observe_batch). The
 /// workers are plain std::thread + mutex/condvar, so TSan instruments the
 /// pool directly (unlike the OpenMP path of parallel_for).
 class WorkerPool {

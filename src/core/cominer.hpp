@@ -41,13 +41,6 @@ class CoMiner {
   CoMiner(const FarmerConfig& cfg, SignatureGraph& graph)
       : cfg_(cfg), graph_(graph) {}
 
-  /// Rebinding copy: same counters, *different* config/graph. Used by
-  /// Farmer's copy constructor, which must point the copied miner at the
-  /// copy's own members (a defaulted copy would silently keep mining the
-  /// source Farmer's graph).
-  CoMiner(const FarmerConfig& cfg, SignatureGraph& graph, CoMinerStats stats)
-      : cfg_(cfg), graph_(graph), stats_(stats) {}
-
   /// Evaluates R(pred, succ) from the given signatures and the graph's
   /// current frequency state, then updates pred's Correlator List: the pair
   /// is inserted/updated when valid, removed when it has fallen below the

@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "graph/access_window.hpp"
 #include "vsm/attribute.hpp"
 #include "vsm/semantic_vector.hpp"
 
@@ -121,7 +122,7 @@ inline FarmerConfig::Builder FarmerConfig::builder() { return Builder(); }
 
 inline std::string FarmerConfig::validate() const {
   std::string errors;
-  auto fail = [&errors](const char* msg) {
+  auto fail = [&errors](const std::string& msg) {
     if (!errors.empty()) errors += "; ";
     errors += msg;
   };
@@ -129,6 +130,11 @@ inline std::string FarmerConfig::validate() const {
   if (!(max_strength >= 0.0 && max_strength <= 1.0))
     fail("max_strength must be in [0, 1]");
   if (window == 0) fail("window must be >= 1");
+  // The window is a fixed ring; a longer one would silently mine only the
+  // newest kMaxWindow files while size() reported the configured length.
+  if (window > AccessWindow::kMaxWindow)
+    fail("window must be <= " + std::to_string(AccessWindow::kMaxWindow) +
+         " (AccessWindow::kMaxWindow)");
   if (lda_delta < 0.0) fail("lda_delta must be >= 0");
   // Every distance inside the window must keep a nonnegative LDA
   // contribution: 1 - (window-1)*lda_delta >= 0, i.e. the configured window

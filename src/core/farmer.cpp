@@ -16,24 +16,6 @@ Farmer::Farmer(FarmerConfig cfg, std::shared_ptr<const TraceDictionary> dict)
       miner_(cfg_, graph_),
       window_(cfg.window) {}
 
-Farmer::Farmer(const Farmer& other)
-    : cfg_(other.cfg_),
-      extractor_(other.extractor_),
-      graph_(other.graph_),  // deep: CowBlockStore's copy duplicates blocks
-      // Rebind the miner to *this* copy's config and graph; a defaulted
-      // member copy would keep referencing the source's.
-      miner_(cfg_, graph_, other.miner_.stats()),
-      window_(other.window_),
-      requests_(other.requests_) {}
-
-Farmer::Farmer(CowShare, Farmer& other)
-    : cfg_(other.cfg_),
-      extractor_(other.extractor_),
-      graph_(CowShare{}, other.graph_),
-      miner_(cfg_, graph_, other.miner_.stats()),
-      window_(other.window_),
-      requests_(other.requests_) {}
-
 void Farmer::observe(const TraceRecord& rec) {
   ++requests_;
   observe_impl(rec);
@@ -64,19 +46,18 @@ void Farmer::observe_impl(const TraceRecord& rec) {
 
   // Stage 1 — Extracting. The stored signature always reflects the most
   // recent request context of the file: it is rebuilt from every record's
-  // extraction and written into the file's block. set_payload() goes
-  // through the COW write gate, so the block is cloned here iff a snapshot
-  // still shares it, and created on the file's first access — the only
-  // place ingest creates a block, which is what keeps "has a block" and
-  // "has a recorded context" the same thing.
+  // extraction and written into the file's block. set_payload() creates
+  // the block on the file's first access — the only place ingest creates a
+  // block, which is what keeps "has a block" and "has a recorded context"
+  // the same thing.
   extractor_.extract(rec, scratch_vec_);
   graph_.set_payload(
       file, build_signature(scratch_vec_, cfg_.attributes, cfg_.path_mode));
 
   // Stage 2 — Constructing: N_file and LDA-weighted N_{pred,file} updates.
   graph_.record_access(file);
-  // Block addresses are stable and the block is already exclusively owned,
-  // so the reference survives the writes to other nodes below.
+  // Block addresses are stable, so the reference survives the writes to
+  // other nodes below.
   const Signature& file_sig = *graph_.payload(file);
 
   // Refresh the *frequency* component of `file`'s Correlator List: N_file
@@ -135,8 +116,7 @@ void Farmer::observe_impl(const TraceRecord& rec) {
     graph_.add_transition(pred, file, w);
     // Stages 3 + 4 — Mining & Evaluating, then Sorting: only pairs touched
     // by this request are (re-)evaluated; the Correlator List insert keeps
-    // the list ordered. The payload is read after add_transition, whose
-    // write gate may just have cloned pred's block.
+    // the list ordered.
     miner_.evaluate_pair(pred, *graph_.payload(pred), file, file_sig);
   });
   window_.push(file);

@@ -11,21 +11,19 @@
 // `CorrelationMiner` interface by the prefetcher (Section 4.1), the layout
 // optimizer (Section 4.2) and policy propagation (Section 4.3).
 //
-// All per-file state lives in one copy-on-write block per file
-// (`common/cow_store.hpp`): the graph node (successors, Correlator List, N_f)
-// with the file's Signature as its payload. A file has a block exactly when
-// it has a recorded context: only observe() and the checkpoint restore
-// create blocks, and both write the signature as they do. Snapshot
-// publication (`CowShare` constructor) therefore costs O(pages) + O(files
-// touched since the last snapshot), not O(shard size); the plain copy
-// constructor keeps full deep-copy semantics for explicit-copy callers.
+// All per-file state lives in one block per file (`common/block_store.hpp`):
+// the graph node (successors, Correlator List, N_f) with the file's
+// Signature as its payload. A file has a block exactly when it has a
+// recorded context: only observe() and the checkpoint restore create
+// blocks, and both write the signature as they do. A Farmer owns its
+// blocks; it is neither copyable nor movable (its CoMiner holds references
+// to its own config and graph).
 #pragma once
 
 #include <memory>
 #include <vector>
 
 #include "api/correlation_miner.hpp"
-#include "common/cow_store.hpp"
 #include "core/cominer.hpp"
 #include "core/config.hpp"
 #include "core/extractor.hpp"
@@ -35,38 +33,11 @@
 
 namespace farmer {
 
-/// Publish-side accounting of a Farmer's COW store: how many blocks exist,
-/// how many write-path mutations (creates + clones) have ever happened, and
-/// the inline bytes of one block. A publisher that remembers `mutations`
-/// from the previous publish knows exactly how many blocks the round cloned
-/// and how many it structurally shared.
-struct CowStoreAccounting {
-  std::uint64_t blocks = 0;
-  std::uint64_t mutations = 0;
-  std::uint64_t clones = 0;
-  std::size_t block_bytes = 0;
-};
-
 class Farmer : public CorrelationMiner {
  public:
   Farmer(FarmerConfig cfg, std::shared_ptr<const TraceDictionary> dict);
-
-  /// Deep copy: duplicates the graph with its per-file signatures (every
-  /// COW block) and the window, and rebinds the internal CoMiner to the
-  /// copy's own members. Nothing is shared with the source, so both sides
-  /// may keep mutating freely — the explicit-copy semantics synchronous
-  /// callers expect. The trace dictionary is shared (immutable by
-  /// construction).
-  Farmer(const Farmer& other);
+  Farmer(const Farmer&) = delete;
   Farmer& operator=(const Farmer&) = delete;
-
-  /// Structurally sharing snapshot copy (RCU publication path): costs
-  /// O(pages) + nothing per untouched file. Every const query on the copy
-  /// answers exactly as `other` would have at copy time; `other` stays the
-  /// live side and lazily clones the blocks it touches from here on. The
-  /// copy is meant to be frozen behind `shared_ptr<const Farmer>` — see
-  /// ShardedFarmer::export_shard_snapshot.
-  Farmer(CowShare, Farmer& other);
 
   /// Ingests one file request (all four stages).
   void observe(const TraceRecord& rec) override;
@@ -111,7 +82,7 @@ class Farmer : public CorrelationMiner {
 
   /// Signature of `f`'s most recent request context; nullptr before its
   /// first access. The per-shard input of the fused candidate-evidence
-  /// pass (ShardedFarmer::merged_candidate_evidence).
+  /// pass (ShardedFarmer::candidate_evidence).
   [[nodiscard]] const Signature* signature_of(FileId f) const noexcept {
     return graph_.payload(f);
   }
@@ -133,10 +104,8 @@ class Farmer : public CorrelationMiner {
   [[nodiscard]] const char* name() const noexcept override { return "farmer"; }
 
   /// Total additional memory FARMER holds: graph + correlator lists +
-  /// per-active-file signatures (Table 4 accounting). O(1): the COW store
+  /// per-active-file signatures (Table 4 accounting). O(1): the block store
   /// keeps running counters, so the serving loop can sample it per window.
-  /// Shared COW blocks are counted in full (an upper bound while snapshots
-  /// are live).
   [[nodiscard]] std::size_t footprint_bytes() const noexcept override {
     return graph_.footprint_bytes();
   }
@@ -144,20 +113,6 @@ class Farmer : public CorrelationMiner {
   /// running counters.
   [[nodiscard]] std::size_t recount_footprint_bytes() const {
     return graph_.recount_footprint_bytes();
-  }
-
-  /// COW accounting of the per-file blocks for publish-side stats: blocks,
-  /// cumulative mutations, inline block bytes.
-  [[nodiscard]] CowStoreAccounting cow_accounting() const noexcept {
-    const CowStoreStats& s = graph_.cow_stats();
-    return {s.blocks, s.mutations(), s.clones,
-            SignatureGraph::node_block_bytes()};
-  }
-  /// Cumulative COW block clones — one per file a snapshot publication
-  /// still shared when ingest dirtied it; the total dirty-file copies all
-  /// publications have cost so far.
-  [[nodiscard]] std::uint64_t cow_clones() const noexcept {
-    return graph_.cow_stats().clones;
   }
 
   // ---- persistence (src/persist) ----------------------------------------
@@ -210,10 +165,8 @@ class Farmer : public CorrelationMiner {
   std::uint64_t requests_ = 0;
 
   /// Extraction scratch for observe_impl: reused across records so a deep
-  /// path's components spill to the heap once, not once per record.
-  /// Transient — both copy constructors deliberately leave it
-  /// default-constructed (it carries no model state and is rewritten
-  /// before every use).
+  /// path's components spill to the heap once, not once per record. It
+  /// carries no model state and is rewritten before every use.
   SemanticVector scratch_vec_;
 };
 

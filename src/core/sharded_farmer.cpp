@@ -1,11 +1,16 @@
 #include "core/sharded_farmer.hpp"
 
+#include <algorithm>
+#include <cassert>
 #include <stdexcept>
 
 #include "common/hash.hpp"
 #include "common/parallel.hpp"
+#include "common/small_vector.hpp"
+#include "core/cominer.hpp"
 #include "persist/checkpoint.hpp"
 #include "persist/persister.hpp"
+#include "vsm/similarity.hpp"
 
 namespace farmer {
 
@@ -69,32 +74,113 @@ void ShardedFarmer::observe_batch(std::span<const TraceRecord> records) {
 }
 
 std::vector<Correlator> ShardedFarmer::correlators(FileId f) const {
-  return merged_correlators(shards_, f, cfg_.correlator_capacity);
+  // The concatenation stays inline for up to four full default-capacity
+  // shard lists.
+  SmallVector<Correlator, 32> merged;
+  for (const auto& shard : shards_)
+    for (const Correlator& c : shard->correlator_list(f)) merged.push_back(c);
+  std::sort(merged.begin(), merged.end(),
+            [](const Correlator& a, const Correlator& b) {
+              if (a.degree != b.degree) return a.degree > b.degree;
+              return a.file < b.file;
+            });
+  // Deduplicate successors: the strongest shard wins.
+  const std::size_t capacity = cfg_.correlator_capacity;
+  std::vector<Correlator> out;
+  out.reserve(std::min(merged.size(), capacity));
+  for (const Correlator& c : merged) {
+    const bool seen =
+        std::any_of(out.begin(), out.end(),
+                    [&](const Correlator& o) { return o.file == c.file; });
+    if (!seen) out.push_back(c);
+    if (out.size() >= capacity) break;
+  }
+  return out;
+}
+
+bool ShardedFarmer::any_listed(FileId f,
+                               FunctionRef<bool(FileId)> test) const {
+  for (const auto& shard : shards_)
+    for (const Correlator& c : shard->correlator_list(f))
+      if (test(c.file)) return true;
+  return false;
 }
 
 double ShardedFarmer::correlation_degree(FileId a, FileId b) const {
-  return merged_correlation_degree(shards_, a, b);
+  double best = 0.0;
+  for (const auto& shard : shards_)
+    best = std::max(best, shard->correlation_degree(a, b));
+  return best;
 }
 
 double ShardedFarmer::semantic_similarity(FileId a, FileId b) const {
-  return merged_semantic_similarity(shards_, a, b);
+  double best = 0.0;
+  for (const auto& shard : shards_)
+    best = std::max(best, shard->semantic_similarity(a, b));
+  return best;
 }
 
 std::uint64_t ShardedFarmer::access_count(FileId f) const {
-  return merged_access_count(shards_, f);
+  std::uint64_t total = 0;
+  for (const auto& shard : shards_) total += shard->access_count(f);
+  return total;
 }
 
 double ShardedFarmer::access_frequency(FileId pred, FileId succ) const {
-  return merged_access_frequency(shards_, pred, succ);
+  double nab = 0.0;
+  std::uint64_t na = 0;
+  for (const auto& shard : shards_) {
+    nab += shard->graph().edge_weight(pred, succ);
+    na += shard->graph().access_count(pred);
+  }
+  return na == 0 ? 0.0 : nab / static_cast<double>(na);
+}
+
+void ShardedFarmer::candidate_evidence(FileId a,
+                                       std::span<const Correlator> candidates,
+                                       std::span<PairEvidence> out) const {
+  assert(out.size() >= candidates.size());
+  const std::size_t n = candidates.size();
+  for (std::size_t i = 0; i < n; ++i) out[i] = PairEvidence{};
+  std::uint64_t na = 0;
+  for (const auto& shard : shards_) {
+    const SignatureGraph& g = shard->graph();
+    const std::uint64_t na_s = g.access_count(a);
+    const auto& succs = g.successors(a);
+    const Signature* sig_a = shard->signature_of(a);
+    const double p = shard->config().p;
+    na += na_s;
+    for (std::size_t i = 0; i < n; ++i) {
+      const FileId b = candidates[i].file;
+      PairEvidence& e = out[i];
+      const double nab = SignatureGraph::edge_weight_in(succs, b);
+      e.access_count += g.access_count(b);
+      e.frequency += nab;  // sum_s N_AB,s; divided by sum_s N_A,s below
+      // A shard without state for a or b contributes 0 to a max that
+      // starts at 0, so skipping it changes nothing.
+      const Signature* sig_b = sig_a ? shard->signature_of(b) : nullptr;
+      if (!sig_b) continue;
+      const double sim = similarity(*sig_a, *sig_b);
+      const double freq = na_s == 0 ? 0.0 : nab / static_cast<double>(na_s);
+      e.similarity = std::max(e.similarity, sim);
+      e.degree = std::max(e.degree, CoMiner::degree(p, sim, freq));
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i)
+    out[i].frequency =
+        na == 0 ? 0.0 : out[i].frequency / static_cast<double>(na);
 }
 
 MinerStats ShardedFarmer::stats() const {
-  MinerStats total = merged_stats(shards_);
+  MinerStats total;
+  for (const auto& shard : shards_) {
+    const MinerStats s = shard->stats();
+    total.requests += s.requests;
+    total.pairs_evaluated += s.pairs_evaluated;
+    total.pairs_accepted += s.pairs_accepted;
+    total.pairs_filtered += s.pairs_filtered;
+  }
   total.shards = shards_.size();
-  // Synchronous backend: state is always current, nothing is ever queued.
-  // epoch/pending/cache counters stay at their explicit zero defaults and
-  // shard_epochs stays empty (see the MinerStats field contract). The batch
-  // apply path is the one async-looking thing this backend does own.
   total.apply_batches = apply_batches_;
   total.apply_parallel_records = apply_parallel_records_;
   return total;

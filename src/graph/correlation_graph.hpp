@@ -11,16 +11,12 @@
 // weight exceeds it. Bounding is what gives FARMER (and Nexus) their small
 // memory footprint; `footprint_bytes()` implements the Table-4 accounting.
 //
-// Per-file node state lives in refcounted copy-on-write blocks
-// (`common/cow_store.hpp`), one block per file: the node plus an optional
-// per-node payload, so a user that keeps more per-file state (FARMER keeps
-// each file's Signature) stores it in the same block instead of a second
-// store. The default payload is empty and takes no byte. A snapshot of the
-// graph (`CowShare` constructor) structurally shares every node and costs
-// O(pages), and subsequent writes clone exactly the nodes they touch. This
-// is what makes the concurrent backend's per-publish cost proportional to
-// the dirty set instead of the shard size. Copying a graph the ordinary way
-// remains a full deep copy.
+// Per-file node state lives in a paged block store (`common/block_store.hpp`),
+// one block per file: the node plus an optional per-node payload, so a user
+// that keeps more per-file state (FARMER keeps each file's Signature)
+// stores it in the same block instead of a second store. The default
+// payload is empty and takes no byte. The graph owns its blocks and is
+// move-only.
 //
 // The same structure serves as the sequence-mining substrate for both
 // FARMER's CoMiner and the Nexus baseline (which ranks successors purely by
@@ -32,7 +28,7 @@
 #include <span>
 #include <utility>
 
-#include "common/cow_store.hpp"
+#include "common/block_store.hpp"
 #include "common/small_vector.hpp"
 #include "common/types.hpp"
 
@@ -58,7 +54,7 @@ struct NoPayload {
 };
 
 /// `Payload` is per-node state stored inside the node's block. It must be
-/// default-constructible, copyable, and report the heap it owns through
+/// default-constructible and report the heap it owns through
 /// `std::size_t heap_bytes() const`.
 template <typename Payload>
 class BasicCorrelationGraph {
@@ -70,17 +66,6 @@ class BasicCorrelationGraph {
 
   BasicCorrelationGraph() : BasicCorrelationGraph(Config{}) {}
   explicit BasicCorrelationGraph(Config cfg) : cfg_(cfg) {}
-
-  /// Deep copy: every node block duplicated, nothing shared (the defaulted
-  /// members do exactly that — CowBlockStore's copy constructor is deep).
-  BasicCorrelationGraph(const BasicCorrelationGraph&) = default;
-  BasicCorrelationGraph& operator=(const BasicCorrelationGraph&) = default;
-
-  /// Structurally sharing snapshot copy: O(pages) pointer copies; `other`
-  /// stays live and clones the nodes it touches from here on. The new graph
-  /// answers every const query exactly as `other` would have at copy time.
-  BasicCorrelationGraph(CowShare, BasicCorrelationGraph& other)
-      : cfg_(other.cfg_), nodes_(other.nodes_.share()), edges_(other.edges_) {}
 
   /// Ensures a node slot exists for `f`; grows the dense index as needed.
   void touch(FileId f) {
@@ -135,9 +120,8 @@ class BasicCorrelationGraph {
     return n ? n->successors : no_successors();
   }
 
-  /// Mutable Correlator List of `f` (maintained sorted by CoMiner). Goes
-  /// through the COW write gate: the node is cloned first when a snapshot
-  /// still shares it.
+  /// Mutable Correlator List of `f` (maintained sorted by CoMiner); creates
+  /// the node when absent.
   [[nodiscard]] SmallVector<Correlator, 4>& correlators(FileId f) {
     return at(f).correlator_list;
   }
@@ -161,8 +145,8 @@ class BasicCorrelationGraph {
     return n ? &n->payload : nullptr;
   }
 
-  /// Replaces f's payload through the COW write gate (creating the node
-  /// when absent) and accounts the heap the payload owns.
+  /// Replaces f's payload (creating the node when absent) and accounts the
+  /// heap the payload owns.
   void set_payload(FileId f, Payload value) {
     Node& node = at(f);
     const std::size_t heap_before = node.payload.heap_bytes();
@@ -191,26 +175,15 @@ class BasicCorrelationGraph {
   [[nodiscard]] std::size_t edge_count() const noexcept { return edges_; }
   [[nodiscard]] const Config& config() const noexcept { return cfg_; }
 
-  /// COW write-path counters: populated nodes, creates, clones (the clones
-  /// since the last snapshot are exactly the publish-round dirty set).
-  [[nodiscard]] const CowStoreStats& cow_stats() const noexcept {
-    return nodes_.stats();
-  }
   /// Bytes of one node block as allocated (inline part with the payload,
   /// without heap spill).
   [[nodiscard]] static constexpr std::size_t node_block_bytes() noexcept {
-    return NodeStore::block_inline_bytes();
-  }
-  /// Stable block identity for COW-invariant tests: equal pointers across
-  /// two graphs certify the node is structurally shared.
-  [[nodiscard]] const void* node_identity(FileId f) const noexcept {
-    return nodes_.block_identity(static_cast<std::size_t>(f.value()));
+    return sizeof(Node);
   }
 
-  /// Approximate heap + table footprint in bytes (Table 4 accounting):
-  /// node index, blocks, successor sets, correlator lists, payload heap.
-  /// O(1) from the node store's running counters. Counts shared blocks in
-  /// full (an upper bound when snapshots are live).
+  /// Heap + table footprint in bytes (Table 4 accounting): node index,
+  /// blocks, successor sets, correlator lists, payload heap. O(1) from the
+  /// node store's running counters.
   [[nodiscard]] std::size_t footprint_bytes() const noexcept {
     return sizeof(*this) - sizeof(NodeStore) + nodes_.footprint_bytes();
   }
@@ -233,7 +206,7 @@ class BasicCorrelationGraph {
              payload.heap_bytes();
     }
   };
-  using NodeStore = CowBlockStore<Node>;
+  using NodeStore = BlockStore<Node>;
 
   static const SmallVector<SuccessorEdge, 8>& no_successors() noexcept {
     static const SmallVector<SuccessorEdge, 8> none{};
@@ -252,11 +225,11 @@ class BasicCorrelationGraph {
   }
 
   Config cfg_;
-  NodeStore nodes_;  // dense by FileId, COW blocks
+  NodeStore nodes_;  // dense by FileId, one block per populated node
   std::size_t edges_ = 0;
 };
 
-/// The graph of the Nexus baseline: nodes only, 160-byte blocks.
+/// The graph of the Nexus baseline: nodes only, 152-byte blocks.
 using CorrelationGraph = BasicCorrelationGraph<NoPayload>;
 
 template <typename Payload>

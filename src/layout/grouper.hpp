@@ -50,7 +50,7 @@ struct GroupingResult {
 };
 
 /// Derives groups from the miner's current Correlator Lists. Works with any
-/// CorrelationMiner backend (serial, sharded, concurrent).
+/// CorrelationMiner backend (serial or sharded).
 [[nodiscard]] GroupingResult build_groups(const CorrelationMiner& model,
                                           const TraceDictionary& dict,
                                           const GrouperConfig& cfg);

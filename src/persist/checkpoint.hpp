@@ -72,9 +72,8 @@ inline constexpr std::uint32_t kManifestVersion = 2;
 /// parameters would silently corrupt query results, so a mismatch throws.
 [[nodiscard]] std::uint64_t config_hash(const FarmerConfig& cfg);
 
-/// Serializes one Farmer shard's full model state. Safe on a live shard
-/// (single-threaded contract) or on an immutable published COW snapshot —
-/// the concurrent backend checkpoints the latter without stopping ingest.
+/// Serializes one Farmer shard's full model state (single-threaded
+/// contract: no ingest on the shard while it runs).
 [[nodiscard]] std::string serialize_shard(const Farmer& shard);
 
 /// Restores a blob produced by serialize_shard into `shard`, which must be

@@ -1,4 +1,4 @@
-// Durability decorator for synchronous backends ("farmer", "sharded"):
+// Durability decorator for both backends ("farmer", "sharded"):
 // WAL-append every record before applying it, checkpoint inline when the
 // interval elapses, auto-recover from the persist directory on
 // construction.
@@ -6,10 +6,7 @@
 // The decorator preserves the synchronous single-threaded contract — the
 // WAL append, the apply and the occasional inline checkpoint all run on the
 // caller's thread, so WAL order is apply order by construction and the
-// durable prefix is always a prefix of the applied history. The concurrent
-// backend does NOT use this decorator: its WAL hooks live on the drain
-// thread and its checkpoints run off published COW snapshots on a worker
-// (see ConcurrentFarmer).
+// durable prefix is always a prefix of the applied history.
 #pragma once
 
 #include <memory>

@@ -18,10 +18,9 @@
 //
 // Checkpoints rotate the WAL first (begin_checkpoint, cheap and synchronous
 // at a point where appended == applied), then the serialized state is
-// written atomically by whoever owns the shard snapshots — inline for
-// synchronous backends, on a background worker off the published COW
-// snapshot for the concurrent backend — and commit_checkpoint prunes
-// superseded checkpoints and fully-covered WAL segments.
+// written atomically on the caller's thread (DurableMiner checkpoints
+// inline) and commit_checkpoint prunes superseded checkpoints and
+// fully-covered WAL segments.
 //
 // Recovery (recover_dir): newest checksum-valid checkpoint + the contiguous
 // WAL tail above its sequence number, torn records truncated. Recovery time
@@ -99,8 +98,7 @@ class Persister {
   /// Appends records to the WAL in ingest order; crossing a group-commit
   /// boundary hands the group to the background sync thread (the appender
   /// does not wait for the fsync). Returns the sequence number of the last
-  /// record appended. Single appender at a time (the drain thread / the
-  /// synchronous caller); safe against a concurrent commit_checkpoint.
+  /// record appended. Single appender at a time.
   std::uint64_t append(std::span<const TraceRecord> records);
 
   /// Sequence number of the last appended record.
@@ -119,8 +117,7 @@ class Persister {
 
   /// Writes CHECKPOINT.<seq> atomically from pre-serialized shard blobs,
   /// then prunes: keeps the two newest checkpoints and deletes WAL segments
-  /// fully covered by the older retained one. Callable from a background
-  /// thread concurrently with append().
+  /// fully covered by the older retained one.
   void commit_checkpoint(std::uint64_t seq,
                          std::span<const std::string> shard_blobs);
 

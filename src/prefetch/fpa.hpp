@@ -6,8 +6,8 @@
 // separates FPA from aggressive sequence-only prefetchers — "successors that
 // are not up to the mustard will not be prefetched".
 //
-// FPA binds to the CorrelationMiner interface, not a concrete model: any
-// factory backend (serial, sharded, concurrent) drives it unchanged.
+// FPA binds to the CorrelationMiner interface, not a concrete model: either
+// factory backend (serial or sharded) drives it unchanged.
 #pragma once
 
 #include <algorithm>
@@ -40,8 +40,8 @@ class FpaPredictor final : public Predictor {
 
   void observe(const TraceRecord& rec) override { miner_->observe(rec); }
 
-  /// Ingest barrier of the underlying miner (no-op for synchronous
-  /// backends): bulk-load-then-predict callers flush before querying.
+  /// Ingest barrier of the underlying miner (a no-op on both backends,
+  /// which mine inside observe()); forwarded so a wrapping miner keeps it.
   void flush() override { miner_->flush(); }
 
   void predict(const TraceRecord& rec, std::size_t limit,

@@ -53,11 +53,9 @@ class Predictor {
   }
 
   /// Ingest barrier: returns once everything observe()d so far can inform
-  /// predict(). Only predictors over asynchronous miners (FPA on the
-  /// "concurrent" backend) do real work here; live replay deliberately does
-  /// NOT call it per record — an async miner predicting from slightly stale
-  /// epochs is the modelled behavior. Bulk-load-then-predict callers flush
-  /// once after ingest.
+  /// predict(). Both mining backends apply a record inside observe(), so
+  /// every predictor here is current without it; FPA forwards it to its
+  /// miner, and wrapping predictors forward it to what they wrap.
   virtual void flush() {}
 
   [[nodiscard]] virtual const char* name() const noexcept = 0;

@@ -78,11 +78,6 @@ ServingResult serve(const ScenarioSpec& spec, const ScenarioWorkload& wl,
     w.invalidations = invalidations - prev_inval;
     prev_cache = cur;
     prev_inval = invalidations;
-    if (const CorrelationMiner* m = std::as_const(predictor).miner()) {
-      const MinerStats ms = m->stats();
-      w.ingest_pending = ms.pending;
-      w.ingest_epoch = ms.epoch;
-    }
     w.model_footprint_bytes = predictor.footprint_bytes();
   };
   // Interior boundaries are simulation events so the gauges are sampled at

@@ -5,8 +5,9 @@
 // ahead of it), the predictor's prefetch decisions land in the metadata
 // cache through the two-priority disk queue, and the run streams out one
 // WindowStats row per reporting window — hit-ratio ramp, prefetch
-// precision/waste, response-time percentiles, ingest lag — so scenario
-// effects show up as a time series instead of one washed-out average.
+// precision/waste, response-time percentiles, model footprint — so
+// scenario effects show up as a time series instead of one washed-out
+// average.
 //
 //   trace ──▶ arrival chain ──▶ MdsServer ──▶ cache / disk queues
 //                 │                 │
@@ -17,8 +18,7 @@
 // `run_scenario` is the whole loop: realise the spec, build the predictor
 // by factory name, pretrain / checkpoint-restore when the spec says so,
 // serve, report. `serve` is the lower-level entry for callers that bring
-// their own predictor instance: the stress tests drive a concurrently
-// ingesting miner through it, and the paper's response-time experiments
+// their own predictor instance: the paper's response-time experiments
 // (Figs. 6 and 8) replay a whole trace through it — a ScenarioWorkload
 // with no pretrain and no churn, one window.
 #pragma once

@@ -3,18 +3,14 @@
 // MinerFactory registry.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "api/miner_factory.hpp"
 #include "core/farmer.hpp"
-#include "trace/generator.hpp"
 #include "test_helpers.hpp"
 
 namespace farmer {
@@ -64,6 +60,12 @@ TEST(ConfigBuilder, RejectsZeroWindow) {
   const auto r = FarmerConfig::builder().window(0).build();
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.error().find("window"), std::string::npos);
+  // Past the ring's capacity, even with an LDA step that keeps every slot
+  // positive: the window would silently mine only its newest 16 files.
+  const auto big = FarmerConfig::builder().window(17).lda_delta(0.05).build();
+  ASSERT_FALSE(big.ok());
+  EXPECT_NE(big.error().find("window must be <= 16"), std::string::npos);
+  EXPECT_TRUE(FarmerConfig::builder().window(16).lda_delta(0.05).build().ok());
 }
 
 TEST(ConfigBuilder, RejectsLdaDeltaDrivingWindowNegative) {
@@ -102,13 +104,13 @@ TEST(ConfigBuilder, ReportsEveryViolationAtOnce) {
 
 TEST(MinerFactory, BuiltInsAreRegistered) {
   EXPECT_EQ(registered_miners(),
-            (std::vector<std::string>{"concurrent", "farmer", "sharded"}));
+            (std::vector<std::string>{"farmer", "sharded"}));
 }
 
 TEST(MinerFactory, ConstructsEachBuiltInWithMatchingName) {
   MicroTrace mt;
   (void)mt.file("a", "/p/a");
-  for (const char* backend : {"farmer", "sharded", "concurrent"}) {
+  for (const char* backend : {"farmer", "sharded"}) {
     const auto miner = make_miner(backend, FarmerConfig{}, mt.dict());
     ASSERT_NE(miner, nullptr);
     EXPECT_STREQ(miner->name(), backend);
@@ -212,148 +214,18 @@ TEST(CorrelationMinerInterface, BatchAndSerialIngestAgreeBehindInterface) {
   }
 }
 
-// Differential tier: the async "concurrent" backend, once flush()ed, must
-// be indistinguishable from the synchronous "sharded" backend on the same
-// stream — byte-identical Correlator Lists and identical mining counters.
-// Single-producer replay keeps the applied order equal to trace order, so
-// the equality is exact, not statistical.
-TEST(CorrelationMinerInterface, ConcurrentAfterFlushMatchesSharded) {
-  const MicroTrace mt = fixed_trace();
-  MinerOptions opts;
-  opts.shards = 4;
-  const auto sharded = make_miner("sharded", FarmerConfig{}, mt.dict(), opts);
-  const auto concurrent =
-      make_miner("concurrent", FarmerConfig{}, mt.dict(), opts);
-  EXPECT_STREQ(concurrent->name(), "concurrent");
-
-  for (const auto& r : mt.records()) {
-    sharded->observe(r);
-    concurrent->observe(r);
-  }
-  concurrent->flush();
-
-  for (std::uint32_t f = 0; f < mt.dict()->files.size(); ++f) {
-    const auto ls = sharded->correlators(FileId(f));
-    const auto lc = concurrent->correlators(FileId(f));
-    ASSERT_EQ(ls.size(), lc.size()) << "file " << f;
-    for (std::size_t i = 0; i < ls.size(); ++i) {
-      EXPECT_EQ(ls[i].file, lc[i].file) << "file " << f << " slot " << i;
-      // Bitwise-equal degrees: identical arithmetic on identical order.
-      EXPECT_EQ(ls[i].degree, lc[i].degree) << "file " << f << " slot " << i;
-    }
-    EXPECT_EQ(sharded->access_count(FileId(f)),
-              concurrent->access_count(FileId(f)));
-    EXPECT_EQ(sharded->correlation_degree(FileId(f), FileId(0)),
-              concurrent->correlation_degree(FileId(f), FileId(0)));
-  }
-  const MinerStats ss = sharded->stats();
-  const MinerStats sc = concurrent->stats();
-  EXPECT_EQ(ss.requests, sc.requests);
-  EXPECT_EQ(ss.pairs_evaluated, sc.pairs_evaluated);
-  EXPECT_EQ(ss.pairs_accepted, sc.pairs_accepted);
-  EXPECT_EQ(ss.pairs_filtered, sc.pairs_filtered);
-  EXPECT_EQ(sc.pending, 0u);
-  EXPECT_GE(sc.epoch, 1u);
-}
-
-// The same differential on a generated trace: thousands of records exercise
-// batch splits inside the drain (multiple apply epochs) rather than the
-// single-epoch fast path of a micro trace.
-TEST(CorrelationMinerInterface, ConcurrentDifferentialOnGeneratedTrace) {
-  const Trace t = make_paper_trace(TraceKind::kHP, 17, 0.02);
-  MinerOptions opts;
-  opts.shards = 4;
-  const FarmerConfig cfg;
-  const auto sharded = make_miner("sharded", cfg, t.dict, opts);
-  const auto concurrent = make_miner("concurrent", cfg, t.dict, opts);
-
-  // Push in small batches from one thread: applied order == trace order.
-  constexpr std::size_t kChunk = 128;
-  for (std::size_t i = 0; i < t.records.size(); i += kChunk) {
-    const std::size_t n = std::min(kChunk, t.records.size() - i);
-    concurrent->observe_batch(
-        std::span<const TraceRecord>(&t.records[i], n));
-  }
-  sharded->observe_batch(t.records);
-  concurrent->flush();
-
-  for (std::uint32_t f = 0; f < t.file_count(); ++f) {
-    const auto ls = sharded->correlators(FileId(f));
-    const auto lc = concurrent->correlators(FileId(f));
-    ASSERT_EQ(ls.size(), lc.size()) << "file " << f;
-    for (std::size_t i = 0; i < ls.size(); ++i) {
-      EXPECT_EQ(ls[i].file, lc[i].file) << "file " << f << " slot " << i;
-      EXPECT_EQ(ls[i].degree, lc[i].degree) << "file " << f << " slot " << i;
-    }
-  }
-  EXPECT_EQ(sharded->stats().pairs_evaluated,
-            concurrent->stats().pairs_evaluated);
-}
-
-// Multi-producer ingest: cross-thread interleaving is relaxed, so exact
-// list equality is not promised — but flush() must still account for every
-// record, and order-insensitive aggregates must match the sync backend.
-TEST(CorrelationMinerInterface, ConcurrentMultiProducerFlushLosesNothing) {
-  const Trace t = make_paper_trace(TraceKind::kHP, 23, 0.02);
-  MinerOptions opts;
-  opts.shards = 4;
-  opts.ingest_threads = 4;
-  const auto sharded = make_miner("sharded", FarmerConfig{}, t.dict, opts);
-  const auto concurrent =
-      make_miner("concurrent", FarmerConfig{}, t.dict, opts);
-  sharded->observe_batch(t.records);
-
-  // Partition by process (stream affinity), one producer thread each.
-  const auto parts = testing::partition_by_process(t.records, 4);
-  testing::replay_partitioned(*concurrent, parts, /*chunk=*/64);
-  concurrent->flush();
-
-  const MinerStats sc = concurrent->stats();
-  EXPECT_EQ(sc.requests, t.records.size());
-  EXPECT_EQ(sc.pending, 0u);
-  // N_f is order-independent: must match the sync backend exactly.
-  for (std::uint32_t f = 0; f < t.file_count(); ++f)
-    EXPECT_EQ(sharded->access_count(FileId(f)),
-              concurrent->access_count(FileId(f)))
-        << "file " << f;
-}
-
-// Regression: a single batch larger than the backpressure bound must be
-// admitted once the drain catches up — refusing it would live-lock the
-// producer forever (pending_ can never shrink below an un-admitted batch).
-TEST(CorrelationMinerInterface, ConcurrentAdmitsBatchLargerThanMaxPending) {
-  const Trace t = make_paper_trace(TraceKind::kHP, 29, 0.01);
-  ASSERT_GT(t.records.size(), 64u);
-  MinerOptions opts;
-  opts.ingest_threads = 1;
-  opts.max_pending = 64;  // far smaller than the one batch below
-  const auto miner = make_miner("concurrent", FarmerConfig{}, t.dict, opts);
-  miner->observe_batch(t.records);
-  miner->flush();
-  EXPECT_EQ(miner->stats().requests, t.records.size());
-  EXPECT_EQ(miner->stats().pending, 0u);
-}
-
-// The MinerStats field contract: synchronous backends report the async-only
-// fields as explicit zeros (epoch, pending, publish counters) and an empty
-// shard_epochs; the async backend fills all of them. Pinning this down keeps
-// "0" meaning "not applicable" instead of "whatever the backend left there".
-TEST(MinerStatsContract, SyncBackendsZeroAsyncOnlyFields) {
+// The MinerStats field contract: the apply counters belong to the sharded
+// batch-apply path alone, and the unsharded backend reports them as
+// explicit zeros, so "0" means "not applicable" instead of "whatever the
+// backend left there".
+TEST(MinerStatsContract, FarmerKeepsApplyCountersAtZero) {
   const MicroTrace mt = fixed_trace();
   for (const char* backend : {"farmer", "sharded"}) {
     const auto miner = make_miner(backend, FarmerConfig{}, mt.dict());
     miner->observe_batch(mt.records());
     miner->flush();  // no-op, but the contract must hold after it too
     const MinerStats s = miner->stats();
-    EXPECT_GT(s.requests, 0u) << backend;
-    EXPECT_EQ(s.epoch, 0u) << backend;
-    EXPECT_EQ(s.pending, 0u) << backend;
-    EXPECT_EQ(s.publishes, 0u) << backend;
-    EXPECT_EQ(s.files_cloned, 0u) << backend;
-    EXPECT_EQ(s.bytes_shared, 0u) << backend;
-    EXPECT_TRUE(s.shard_epochs.empty()) << backend;
-    // Apply counters belong to the sharded batch-apply path alone:
-    // single-shard backends report them as explicit zeros.
+    EXPECT_EQ(s.requests, mt.records().size()) << backend;
     if (std::string_view(backend) == "sharded") {
       EXPECT_EQ(s.apply_batches, 1u) << backend;  // one observe_batch above
     } else {
@@ -385,62 +257,6 @@ TEST(MinerStatsContract, ShardedApplyCountersFollowLaneCount) {
   EXPECT_EQ(four->stats().apply_batches, 2u);
   EXPECT_EQ(four->stats().apply_parallel_records,
             2u * mt.records().size());
-}
-
-TEST(MinerStatsContract, ConcurrentReportsPerShardEpochs) {
-  const MicroTrace mt = fixed_trace();
-  MinerOptions opts;
-  opts.shards = 4;
-  const auto miner = make_miner("concurrent", FarmerConfig{}, mt.dict(),
-                                opts);
-  miner->observe_batch(mt.records());
-  miner->flush();
-  const MinerStats s = miner->stats();
-  ASSERT_EQ(s.shard_epochs.size(), 4u);
-  EXPECT_GE(s.epoch, 1u);
-  // Every apply round touches only the shards its records route to, so no
-  // shard can have published more often than the global round count —
-  // and at least one shard must have published.
-  std::uint64_t max_shard = 0;
-  for (const std::uint64_t e : s.shard_epochs)
-    max_shard = std::max(max_shard, e);
-  EXPECT_GE(max_shard, 1u);
-  EXPECT_LE(max_shard, s.epoch);
-  // Publish accounting is live on the async backend: every epoch is one
-  // table publication (with coalescing off by default they are identical).
-  EXPECT_EQ(s.publishes, s.epoch);
-}
-
-// "concurrent" after flush() must answer exactly as "sharded" fed the same
-// batches, mid-trace as well as at the end: both take the trace in
-// 512-record chunks, "concurrent" is flushed after each one, and every
-// seventh file's Correlator List must match entry for entry.
-TEST(CorrelationMinerInterface, ConcurrentMatchesShardedAfterEveryFlush) {
-  const Trace t = make_paper_trace(TraceKind::kHP, 31, 0.02);
-  MinerOptions opts;
-  opts.shards = 4;
-  const auto concurrent = make_miner("concurrent", FarmerConfig{}, t.dict,
-                                     opts);
-  const auto sharded = make_miner("sharded", FarmerConfig{}, t.dict, opts);
-
-  constexpr std::size_t kChunk = 512;
-  for (std::size_t i = 0; i < t.records.size(); i += kChunk) {
-    const std::size_t n = std::min(kChunk, t.records.size() - i);
-    const std::span<const TraceRecord> chunk(&t.records[i], n);
-    concurrent->observe_batch(chunk);
-    sharded->observe_batch(chunk);
-    concurrent->flush();
-    for (std::uint32_t f = 0; f < t.file_count(); f += 7) {
-      const auto lc = concurrent->correlators(FileId(f));
-      const auto ls = sharded->correlators(FileId(f));
-      ASSERT_EQ(lc.size(), ls.size()) << "file " << f << " at record " << i;
-      for (std::size_t k = 0; k < lc.size(); ++k) {
-        EXPECT_EQ(lc[k].file, ls[k].file) << "file " << f << " slot " << k;
-        EXPECT_EQ(lc[k].degree, ls[k].degree)
-            << "file " << f << " slot " << k;
-      }
-    }
-  }
 }
 
 // --------------------------------------------------------------- snapshot --

@@ -5,15 +5,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <memory>
 #include <set>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/hash.hpp"
 #include "common/interner.hpp"
-#include "common/mpsc_queue.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/small_vector.hpp"
@@ -225,28 +222,6 @@ TEST(Interner, FootprintGrows) {
   const auto before = in.footprint_bytes();
   for (int i = 0; i < 100; ++i) (void)in.intern("token" + std::to_string(i));
   EXPECT_GT(in.footprint_bytes(), before);
-}
-
-TEST(SharedInterner, ConcurrentInternConsistent) {
-  SharedInterner in;
-  constexpr int kThreads = 4;
-  constexpr int kStrings = 200;
-  std::vector<std::vector<TokenId>> ids(kThreads,
-                                        std::vector<TokenId>(kStrings));
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < kStrings; ++i)
-        ids[t][i] = in.intern("shared" + std::to_string(i));
-    });
-  }
-  for (auto& th : threads) th.join();
-  // All threads must agree on every string's id.
-  for (int t = 1; t < kThreads; ++t)
-    for (int i = 0; i < kStrings; ++i) EXPECT_EQ(ids[t][i], ids[0][i]);
-  EXPECT_EQ(in.size(), static_cast<std::size_t>(kStrings));
-  for (int i = 0; i < kStrings; ++i)
-    EXPECT_EQ(in.resolve(ids[0][i]), "shared" + std::to_string(i));
 }
 
 // ---------------------------------------------------------------- Stats --
@@ -501,67 +476,6 @@ TEST(Parallel, WorkerPoolMoreItemsThanThreads) {
   std::vector<std::atomic<int>> hits(1000);
   pool.run(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-// ------------------------------------------------------------ MpscQueue --
-
-TEST(MpscQueue, FifoForSingleProducer) {
-  MpscQueue<int> q;
-  EXPECT_TRUE(q.empty());
-  for (int i = 0; i < 100; ++i) q.push(i);
-  EXPECT_FALSE(q.empty());
-  int v = -1;
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(q.pop(v));
-    EXPECT_EQ(v, i);
-  }
-  EXPECT_FALSE(q.pop(v));
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(MpscQueue, MoveOnlyPayloads) {
-  MpscQueue<std::unique_ptr<int>> q;
-  q.push(std::make_unique<int>(42));
-  std::unique_ptr<int> out;
-  ASSERT_TRUE(q.pop(out));
-  ASSERT_NE(out, nullptr);
-  EXPECT_EQ(*out, 42);
-}
-
-TEST(MpscQueue, DestructionReleasesUnpoppedNodes) {
-  // Covered by LeakSanitizer/valgrind runs; structurally: destructor walks
-  // and frees whatever was never popped.
-  MpscQueue<std::unique_ptr<int>> q;
-  for (int i = 0; i < 16; ++i) q.push(std::make_unique<int>(i));
-}
-
-TEST(MpscQueue, ConcurrentProducersLoseNothingAndKeepPerProducerOrder) {
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 2000;
-  MpscQueue<std::pair<int, int>> q;  // (producer, seq)
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&q, p] {
-      for (int s = 0; s < kPerProducer; ++s) q.push({p, s});
-    });
-  }
-  // Consume concurrently with the producers (the interesting interleaving).
-  std::vector<int> next_seq(kProducers, 0);
-  int received = 0;
-  std::pair<int, int> v;
-  while (received < kProducers * kPerProducer) {
-    if (q.pop(v)) {
-      ASSERT_EQ(v.second, next_seq[v.first])
-          << "producer " << v.first << " reordered";
-      ++next_seq[v.first];
-      ++received;
-    } else {
-      std::this_thread::yield();
-    }
-  }
-  for (auto& t : producers) t.join();
-  EXPECT_FALSE(q.pop(v));
-  for (int p = 0; p < kProducers; ++p) EXPECT_EQ(next_seq[p], kPerProducer);
 }
 
 // ----------------------------------------------------------------- Hash --

@@ -1,8 +1,8 @@
 // CorrelationMiner::candidate_evidence: the batched form of the four point
 // queries FPA re-checks per Correlator. Every backend must answer each
 // field bit for bit like the matching point query when no ingest runs in
-// between — the fused sharded walk, the concurrent backend's single-table
-// walk, the durability decorator's forwarding and the default body alike.
+// between — the fused sharded walk, the durability decorator's forwarding
+// and the default body alike.
 // FPA's predictions through the batched query must match the per-query
 // loop it replaced.
 //
@@ -227,10 +227,10 @@ TEST(AnyListed, TrueForAnEntryTheMergeCutAtCapacity) {
     source.save(planted);
   }
   const auto is_cut = [&](FileId f) { return f == cut; };
-  // Every backend whose snapshot merges: the sharded scan, the concurrent
-  // scan over its published table, and the durability decorator.
-  const std::pair<const char*, bool> backends[] = {
-      {"sharded", false}, {"concurrent", false}, {"sharded", true}};
+  // Every backend whose snapshot merges: the sharded scan, and the
+  // durability decorator over it.
+  const std::pair<const char*, bool> backends[] = {{"sharded", false},
+                                                   {"sharded", true}};
   for (const auto& [backend, persist] : backends) {
     SCOPED_TRACE(std::string(backend) + (persist ? " durable" : ""));
     MinerOptions opts;

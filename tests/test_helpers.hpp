@@ -1,12 +1,10 @@
 // Shared helpers for constructing hand-crafted micro-traces in tests.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "api/correlation_miner.hpp"
@@ -14,38 +12,6 @@
 #include "trace/record.hpp"
 
 namespace farmer::testing {
-
-/// Partitions records across `producers` ingest streams by process id
-/// (stream affinity, mirroring ShardedFarmer's routing), keeping each
-/// process's records in stream order within its partition.
-inline std::vector<std::vector<TraceRecord>> partition_by_process(
-    const std::vector<TraceRecord>& records, std::size_t producers) {
-  std::vector<std::vector<TraceRecord>> parts(producers == 0 ? 1 : producers);
-  for (const TraceRecord& r : records)
-    parts[static_cast<std::size_t>(r.process.value()) % parts.size()]
-        .push_back(r);
-  return parts;
-}
-
-/// One producer thread per partition, each pushing chunked observe_batch()
-/// calls. Returns the joined threads' work; the caller decides when (and
-/// whether) to flush().
-inline void replay_partitioned(CorrelationMiner& miner,
-                               const std::vector<std::vector<TraceRecord>>&
-                                   parts,
-                               std::size_t chunk) {
-  std::vector<std::thread> producers;
-  producers.reserve(parts.size());
-  for (const auto& part : parts) {
-    producers.emplace_back([&miner, &part, chunk] {
-      for (std::size_t i = 0; i < part.size(); i += chunk) {
-        const std::size_t n = std::min(chunk, part.size() - i);
-        miner.observe_batch(std::span<const TraceRecord>(&part[i], n));
-      }
-    });
-  }
-  for (auto& t : producers) t.join();
-}
 
 /// Forwards to a wrapped predictor but overrides only predict(), so
 /// predict_fetchable() takes the base default and calls predict(): the

@@ -130,31 +130,6 @@ TEST_P(ParallelApplyDifferential, ShardedBatchMatchesSerialObserve) {
   }
 }
 
-// "concurrent": the drain hands every collected batch to the same parallel
-// apply; after flush() the published model must match the serial sharded
-// twin bitwise at every lane count.
-TEST_P(ParallelApplyDifferential, ConcurrentDrainMatchesSerialObserve) {
-  const MultiTenantTrace mt = tenant_trace(GetParam());
-  const FarmerConfig cfg;
-  MinerOptions serial;
-  serial.shards = 4;
-  serial.apply_threads = 1;
-  const auto ref = make_miner("sharded", cfg, mt.trace.dict, serial);
-  for (const TraceRecord& r : mt.trace.records) ref->observe(r);
-
-  const auto files = static_cast<std::uint32_t>(mt.trace.dict->files.size());
-  for (const std::size_t lanes : {1u, 2u, 4u}) {
-    MinerOptions opts = serial;
-    opts.apply_threads = lanes;
-    const auto miner = make_miner("concurrent", cfg, mt.trace.dict, opts);
-    chunked_batches(*miner, mt.trace.records, /*chunk=*/97);
-    expect_same_query_surface(*ref, *miner, files,
-                              "concurrent x" + std::to_string(lanes));
-    EXPECT_EQ(miner->stats().requests, mt.trace.records.size());
-    EXPECT_EQ(miner->stats().pending, 0u);
-  }
-}
-
 // "farmer": the single-shard backend has no parallel path, but its
 // observe_batch runs the same rewritten kernel — batches must equal
 // record-at-a-time ingestion exactly.

@@ -135,34 +135,11 @@ TEST(PersistSaveLoad, ShardedRoundTrip) {
   auto loaded = make_miner("sharded", test_cfg(), trace().dict);
   loaded->load(dir.str());
   expect_identical(*loaded, *source);
-}
-
-TEST(PersistSaveLoad, ConcurrentRoundTrip) {
-  TempDir dir("persist_concurrent_rt");
-  auto source = reference_miner("concurrent", trace().records);
-  source->save(dir.str());
-  auto loaded = make_miner("concurrent", test_cfg(), trace().dict);
-  loaded->load(dir.str());
-  expect_identical(*loaded, *source);
   // The loaded miner keeps mining: further ingest lands on top of the
   // loaded model exactly as it would have on the original.
-  loaded->observe_batch(std::span<const TraceRecord>(trace().records.data(),
-                                                     64));
-  loaded->flush();
-  source->observe_batch(std::span<const TraceRecord>(trace().records.data(),
-                                                     64));
-  source->flush();
-  expect_identical(*loaded, *source);
-}
-
-TEST(PersistSaveLoad, ShardedCheckpointLoadsIntoConcurrent) {
-  // Same shard count + the deterministic shard_of routing make a "sharded"
-  // checkpoint directly loadable by "concurrent" (and vice versa).
-  TempDir dir("persist_cross_backend");
-  const auto source = reference_miner("sharded", trace().records);
-  source->save(dir.str());
-  auto loaded = make_miner("concurrent", test_cfg(), trace().dict);
-  loaded->load(dir.str());
+  const std::span<const TraceRecord> more(trace().records.data(), 64);
+  loaded->observe_batch(more);
+  source->observe_batch(more);
   expect_identical(*loaded, *source);
 }
 
@@ -173,10 +150,9 @@ TEST(PersistSaveLoad, LoadRequiresFreshMiner) {
   auto dirty = make_miner("farmer", test_cfg(), trace().dict);
   dirty->observe(trace().records.front());
   EXPECT_THROW(dirty->load(dir.str()), std::logic_error);
-  auto dirty_conc = make_miner("concurrent", test_cfg(), trace().dict);
-  dirty_conc->observe(trace().records.front());
-  dirty_conc->flush();
-  EXPECT_THROW(dirty_conc->load(dir.str()), std::logic_error);
+  auto dirty_sharded = make_miner("sharded", test_cfg(), trace().dict);
+  dirty_sharded->observe(trace().records.front());
+  EXPECT_THROW(dirty_sharded->load(dir.str()), std::logic_error);
 }
 
 // Regression: checkpoints embed the dictionary with the shared v3 codec.
@@ -243,24 +219,6 @@ TEST(PersistReopen, ShardedRecoversAcrossProcessLifetime) {
                               persist_opts(dir.str()));
   const auto reference = reference_miner("sharded", trace().records);
   expect_identical(*recovered, *reference);
-}
-
-TEST(PersistReopen, ConcurrentRecoversAcrossProcessLifetime) {
-  TempDir dir("persist_reopen_concurrent");
-  {
-    auto miner = make_miner("concurrent", test_cfg(), trace().dict,
-                            persist_opts(dir.str()));
-    miner->observe_batch(trace().records);
-    miner->flush();
-  }
-  auto recovered = make_miner("concurrent", test_cfg(), trace().dict,
-                              persist_opts(dir.str()));
-  const auto reference = reference_miner("concurrent", trace().records);
-  expect_identical(*recovered, *reference);
-  // Recovered state accepts further ingest seamlessly.
-  recovered->observe_batch(
-      std::span<const TraceRecord>(trace().records.data(), 128));
-  recovered->flush();
 }
 
 TEST(PersistReopen, CorruptNewestCheckpointFallsBackToOlder) {
@@ -467,91 +425,6 @@ TEST(PersistSaveLoad, FailedWriteIsNotPublished) {
       << "a failed save() left a checkpoint file behind";
 }
 
-/// Feeds `miner` the trace in 100-record observe_batch chunks with a
-/// flush() after each; returns how many of those flush() calls threw
-/// std::runtime_error (any other exception propagates).
-std::size_t chunked_ingest_with_flushes(CorrelationMiner& miner) {
-  constexpr std::size_t kChunk = 100;
-  const auto& records = trace().records;
-  std::size_t threw = 0;
-  for (std::size_t i = 0; i < records.size(); i += kChunk) {
-    miner.observe_batch(std::span<const TraceRecord>(
-        &records[i], std::min(kChunk, records.size() - i)));
-    try {
-      miner.flush();
-    } catch (const std::runtime_error&) {
-      ++threw;
-    }
-  }
-  return threw;
-}
-
-/// Size of the committed checkpoint with the highest sequence in `dir`.
-std::uintmax_t newest_checkpoint_size(const std::string& dir) {
-  std::uint64_t newest = 0;
-  std::uintmax_t size = 0;
-  for (const std::string& name : checkpoint_entries(dir)) {
-    if (name.find(".tmp") != std::string::npos) continue;
-    const std::uint64_t seq =
-        std::stoull(name.substr(sizeof("CHECKPOINT.") - 1));
-    if (seq < newest) continue;
-    newest = seq;
-    size = fs::file_size(dir + "/" + name);
-  }
-  return size;
-}
-
-TEST(PersistReopen, ConcurrentCheckpointFailureSurfacesAtFlush) {
-  // Regression: the concurrent backend's checkpoint worker let a failed
-  // commit_checkpoint throw on its own thread, so a short checkpoint write
-  // killed the process through std::terminate. A file-size limit of half
-  // the last checkpoint lets the early checkpoints commit and fails the
-  // later ones; each failure must come back from a flush() as the original
-  // std::runtime_error, and the directory must still recover everything.
-  TempDir sizing("persist_ckpt_fail_sizing");
-  TempDir dir("persist_ckpt_fail");
-  {
-    auto miner = make_miner("concurrent", test_cfg(), trace().dict,
-                            persist_opts(sizing.str()));
-    EXPECT_EQ(chunked_ingest_with_flushes(*miner), 0u);
-  }
-  const std::uintmax_t full = newest_checkpoint_size(sizing.str());
-  ASSERT_GT(full, 0u);
-
-  const pid_t pid = ::fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    // Child: past the limit a write fails with EFBIG instead of raising
-    // SIGXFSZ. Exit 0 only when some flush() threw std::runtime_error.
-    std::signal(SIGXFSZ, SIG_IGN);
-    const auto cap = static_cast<rlim_t>(full / 2);
-    const rlimit lim{cap, cap};
-    if (::setrlimit(RLIMIT_FSIZE, &lim) != 0) ::_exit(4);
-    std::size_t threw = 0;
-    try {
-      auto miner = make_miner("concurrent", test_cfg(), trace().dict,
-                              persist_opts(dir.str()));
-      threw = chunked_ingest_with_flushes(*miner);
-    } catch (...) {
-      ::_exit(2);
-    }
-    ::_exit(threw > 0 ? 0 : 1);
-  }
-  int status = 0;
-  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-  ASSERT_FALSE(WIFSIGNALED(status))
-      << "child killed by signal " << WTERMSIG(status);
-  ASSERT_TRUE(WIFEXITED(status));
-  ASSERT_EQ(WEXITSTATUS(status), 0)
-      << "1: no flush() reported a failed checkpoint; 2: an exception "
-         "escaped outside flush(); 4: setrlimit failed";
-
-  auto recovered = make_miner("concurrent", test_cfg(), trace().dict,
-                              persist_opts(dir.str()));
-  const auto reference = reference_miner("concurrent", trace().records);
-  expect_identical(*recovered, *reference);
-}
-
 // --------------------------------------------------- kill-and-recover ----
 
 /// Forks a child that ingests the trace on repeat (single producer, so WAL
@@ -594,7 +467,7 @@ void kill_after_first_checkpoint(pid_t child, const std::string& dir) {
   ASSERT_EQ(WTERMSIG(status), SIGKILL);
 }
 
-/// The shared sharded/concurrent crash differential: kill mid-append, read
+/// The crash differential: kill mid-append, read
 /// the durable record count, replay exactly that prefix of the (repeated)
 /// trace into a fresh reference miner, and demand byte-identical queries
 /// from the recovered miner.
@@ -623,10 +496,6 @@ void run_kill_and_recover(const char* backend) {
 }
 
 TEST(PersistKillAndRecover, Sharded) { run_kill_and_recover("sharded"); }
-
-TEST(PersistKillAndRecover, Concurrent) {
-  run_kill_and_recover("concurrent");
-}
 
 }  // namespace
 }  // namespace farmer

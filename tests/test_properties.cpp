@@ -3,20 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <span>
-#include <thread>
 #include <tuple>
 #include <vector>
 
 #include "analysis/experiment.hpp"
-#include "api/miner_factory.hpp"
 #include "common/rng.hpp"
-#include "core/concurrent_farmer.hpp"
+#include "core/sharded_farmer.hpp"
 #include "prefetch/fpa.hpp"
 #include "prefetch/nexus.hpp"
 #include "prefetch/replay.hpp"
-#include "test_helpers.hpp"
 #include "trace/generator.hpp"
 #include "vsm/similarity.hpp"
 
@@ -231,161 +227,6 @@ INSTANTIATE_TEST_SUITE_P(AllTraces, GeneratorSweep,
                            return std::string(trace_kind_name(info.param));
                          });
 
-// ------------------------------------- concurrent ingest stress/property --
-
-// Readers hammer epoch snapshots while producers ingest: every snapshot
-// must be internally consistent — sorted by descending degree, above the
-// validity threshold, self-free, capacity-capped (a torn degree or a
-// mid-merge read would violate one of these with high probability) — and
-// the epoch stamps each reader observes must be monotone non-decreasing.
-// This is the test the ThreadSanitizer CI job runs race detection on.
-TEST(ConcurrentMinerStress, SnapshotsConsistentWhileProducersIngest) {
-  const Trace& t = small_hp();
-  const FarmerConfig cfg;
-  constexpr std::size_t kProducers = 4;
-  ConcurrentFarmer miner(cfg, t.dict, /*shards=*/4,
-                         /*ingest_queues=*/kProducers);
-
-  const auto parts = testing::partition_by_process(t.records, kProducers);
-
-  std::atomic<bool> done{false};
-  std::vector<std::thread> readers;
-  for (int rdr = 0; rdr < 2; ++rdr) {
-    readers.emplace_back([&, rdr] {
-      Rng rng(static_cast<std::uint64_t>(100 + rdr));
-      std::uint64_t last_epoch = 0;
-      while (!done.load(std::memory_order_acquire)) {
-        const FileId f(
-            static_cast<std::uint32_t>(rng.next_below(t.file_count())));
-        const EpochSnapshot snap = miner.epoch_snapshot(f);
-        EXPECT_GE(snap.epoch, last_epoch) << "epoch went backwards";
-        last_epoch = snap.epoch;
-        ASSERT_LE(snap.view.size(), cfg.correlator_capacity);
-        for (std::size_t i = 0; i < snap.view.size(); ++i) {
-          EXPECT_NE(snap.view[i].file, f) << "self-correlation";
-          EXPECT_GE(snap.view[i].degree,
-                    static_cast<float>(cfg.max_strength) - 1e-4f)
-              << "torn/filtered degree surfaced";
-          if (i > 0) {
-            EXPECT_GE(snap.view[i - 1].degree, snap.view[i].degree)
-                << "snapshot not sorted";
-          }
-        }
-      }
-    });
-  }
-
-  // Blocks until every producer thread has pushed its partition; the
-  // readers above keep hammering snapshots the whole time.
-  testing::replay_partitioned(miner, parts, /*chunk=*/32);
-  miner.flush();
-  done.store(true, std::memory_order_release);
-  for (auto& r : readers) r.join();
-
-  const MinerStats s = miner.stats();
-  EXPECT_EQ(s.requests, t.records.size());
-  EXPECT_EQ(s.pending, 0u);
-  EXPECT_GE(miner.epoch(), 1u);
-  EXPECT_EQ(s.epoch, miner.epoch());
-}
-
-// Publish coalescing under racing producers and readers: with a short
-// record interval and a tight staleness deadline the drain keeps switching
-// between coalesced and deadline-forced publishes while readers validate
-// every snapshot invariant. COW sharing means each published table
-// structurally shares per-file blocks with its predecessors — a torn or
-// in-place-mutated shared block would surface here (and under the TSan CI
-// tier, which runs this via the ConcurrentMinerStress.* filter).
-TEST(ConcurrentMinerStress, CoalescedPublishesStayConsistent) {
-  const Trace& t = small_hp();
-  const FarmerConfig cfg;
-  constexpr std::size_t kProducers = 4;
-  ConcurrentFarmer miner(cfg, t.dict, /*shards=*/4,
-                         /*ingest_queues=*/kProducers,
-                         ConcurrentFarmer::kDefaultMaxPending,
-                         /*publish_interval_records=*/512,
-                         /*publish_max_delay_ms=*/1);
-
-  const auto parts = testing::partition_by_process(t.records, kProducers);
-
-  std::atomic<bool> done{false};
-  std::vector<std::thread> readers;
-  for (int rdr = 0; rdr < 2; ++rdr) {
-    readers.emplace_back([&, rdr] {
-      Rng rng(static_cast<std::uint64_t>(700 + rdr));
-      std::uint64_t last_epoch = 0;
-      while (!done.load(std::memory_order_acquire)) {
-        const FileId f(
-            static_cast<std::uint32_t>(rng.next_below(t.file_count())));
-        const EpochSnapshot snap = miner.epoch_snapshot(f);
-        EXPECT_GE(snap.epoch, last_epoch) << "epoch went backwards";
-        last_epoch = snap.epoch;
-        ASSERT_LE(snap.view.size(), cfg.correlator_capacity);
-        for (std::size_t i = 0; i < snap.view.size(); ++i) {
-          EXPECT_NE(snap.view[i].file, f) << "self-correlation";
-          EXPECT_GE(snap.view[i].degree,
-                    static_cast<float>(cfg.max_strength) - 1e-4f)
-              << "torn/filtered degree surfaced";
-          if (i > 0) {
-            EXPECT_GE(snap.view[i - 1].degree, snap.view[i].degree)
-                << "snapshot not sorted";
-          }
-        }
-      }
-    });
-  }
-
-  testing::replay_partitioned(miner, parts, /*chunk=*/32);
-  miner.flush();
-  done.store(true, std::memory_order_release);
-  for (auto& r : readers) r.join();
-
-  const MinerStats s = miner.stats();
-  EXPECT_EQ(s.requests, t.records.size());
-  EXPECT_EQ(s.pending, 0u);
-  EXPECT_GE(s.publishes, 1u);
-  EXPECT_EQ(s.publishes, s.epoch);
-}
-
-// An owning snapshot cut before further ingest must never change, and
-// flush() must be an effective barrier even when called repeatedly.
-TEST(ConcurrentMinerStress, SnapshotsAreImmutableAndFlushIsIdempotent) {
-  const Trace& t = small_hp();
-  ConcurrentFarmer miner(FarmerConfig{}, t.dict, /*shards=*/2,
-                         /*ingest_queues=*/2);
-  const std::size_t half = t.records.size() / 2;
-  miner.observe_batch(
-      std::span<const TraceRecord>(t.records.data(), half));
-  miner.flush();
-  const std::uint64_t epoch_after_half = miner.epoch();
-
-  // Find a file with a non-empty list and pin its snapshot.
-  FileId pinned;
-  EpochSnapshot snap;
-  for (std::uint32_t f = 0; f < t.file_count(); ++f) {
-    snap = miner.epoch_snapshot(FileId(f));
-    if (!snap.view.empty()) {
-      pinned = FileId(f);
-      break;
-    }
-  }
-  ASSERT_TRUE(pinned.valid()) << "no correlations mined in half a trace";
-  ASSERT_TRUE(snap.view.owns_storage());
-  const FileId first = snap.view[0].file;
-  const float degree = snap.view[0].degree;
-
-  miner.observe_batch(std::span<const TraceRecord>(
-      t.records.data() + half, t.records.size() - half));
-  miner.flush();
-  miner.flush();  // idempotent: nothing pending, returns immediately
-
-  EXPECT_EQ(snap.view[0].file, first);
-  EXPECT_EQ(snap.view[0].degree, degree);
-  EXPECT_GE(miner.epoch(), epoch_after_half);
-  EXPECT_EQ(miner.stats().requests, t.records.size());
-  EXPECT_EQ(miner.stats().pending, 0u);
-}
-
 // ------------------------------------------- parallel-apply stress --
 
 // The shard-disjoint worker pool under repetition: a 4-lane ShardedFarmer
@@ -394,7 +235,7 @@ TEST(ConcurrentMinerStress, SnapshotsAreImmutableAndFlushIsIdempotent) {
 // the ParallelApplyStress.* filter with --gtest_repeat) races the pool's
 // generation handshake, work-stealing counter and completion accounting;
 // the bitwise compare catches any cross-shard write the race detector
-// misses. Sync backends permit no concurrent queries, so the stress here
+// misses. Neither backend permits concurrent queries, so the stress here
 // is dispatch-side, not reader-side.
 TEST(ParallelApplyStress, ShardedWorkerLanesRepeatedBatchesStayIdentical) {
   const Trace& t = small_hp();
@@ -426,58 +267,75 @@ TEST(ParallelApplyStress, ShardedWorkerLanesRepeatedBatchesStayIdentical) {
   EXPECT_EQ(lanes.stats().apply_parallel_records, t.records.size());
 }
 
-// The full async stack with the pool underneath: producers enqueue,
-// the drain hands batches to the 4-lane parallel apply, readers validate
-// snapshot invariants throughout — three thread populations racing the
-// RCU publish path AND the worker pool at once.
+// The stream as several producers hand it in: per-process streams cut into
+// small chunks and interleaved round-robin, each chunk one observe_batch
+// whose shard slices the four lanes drain concurrently. Between batches
+// every list the model answers must stay well-formed (bounded, self-free,
+// sorted) and the counters must account for every record; at the end the
+// model must equal a serial twin fed the same interleaved batches.
 TEST(ParallelApplyStress, ConcurrentDrainWithWorkerLanesStaysConsistent) {
   const Trace& t = small_hp();
   const FarmerConfig cfg;
-  constexpr std::size_t kProducers = 4;
-  ConcurrentFarmer miner(cfg, t.dict, /*shards=*/4,
-                         /*ingest_queues=*/kProducers,
-                         ConcurrentFarmer::kDefaultMaxPending,
-                         /*publish_interval_records=*/0,
-                         /*publish_max_delay_ms=*/0,
-                         /*persister=*/nullptr,
-                         /*apply_threads=*/4);
+  ShardedFarmer serial(cfg, t.dict, /*shards=*/4, /*apply_threads=*/1);
+  ShardedFarmer lanes(cfg, t.dict, /*shards=*/4, /*apply_threads=*/4);
+  ASSERT_EQ(lanes.apply_thread_count(), 4u);
 
-  const auto parts = testing::partition_by_process(t.records, kProducers);
-  std::atomic<bool> done{false};
-  std::vector<std::thread> readers;
-  for (int rdr = 0; rdr < 2; ++rdr) {
-    readers.emplace_back([&, rdr] {
-      Rng rng(static_cast<std::uint64_t>(2100 + rdr));
-      std::uint64_t last_epoch = 0;
-      while (!done.load(std::memory_order_acquire)) {
+  constexpr std::size_t kProducers = 4;
+  std::vector<std::vector<TraceRecord>> parts(kProducers);
+  for (const TraceRecord& r : t.records)
+    parts[static_cast<std::size_t>(r.process.value()) % kProducers]
+        .push_back(r);
+
+  Rng rng(2100);
+  constexpr std::size_t kChunk = 32;
+  std::vector<std::size_t> next(kProducers, 0);
+  std::uint64_t applied = 0;
+  std::uint64_t batches = 0;
+  for (bool more = true; more;) {
+    more = false;
+    for (std::size_t p = 0; p < kProducers; ++p) {
+      const std::size_t n = std::min(kChunk, parts[p].size() - next[p]);
+      if (n == 0) continue;
+      more = true;
+      const std::span<const TraceRecord> chunk(parts[p].data() + next[p], n);
+      serial.observe_batch(chunk);
+      lanes.observe_batch(chunk);
+      next[p] += n;
+      applied += n;
+      ++batches;
+      ASSERT_EQ(lanes.stats().requests, applied);
+      for (int q = 0; q < 4; ++q) {
         const FileId f(
             static_cast<std::uint32_t>(rng.next_below(t.file_count())));
-        const EpochSnapshot snap = miner.epoch_snapshot(f);
-        EXPECT_GE(snap.epoch, last_epoch) << "epoch went backwards";
-        last_epoch = snap.epoch;
-        ASSERT_LE(snap.view.size(), cfg.correlator_capacity);
-        for (std::size_t i = 0; i < snap.view.size(); ++i) {
-          EXPECT_NE(snap.view[i].file, f) << "self-correlation";
+        const CorrelatorView snap = lanes.snapshot(f);
+        ASSERT_LE(snap.size(), cfg.correlator_capacity);
+        for (std::size_t i = 0; i < snap.size(); ++i) {
+          EXPECT_NE(snap[i].file, f) << "self-correlation";
           if (i > 0) {
-            EXPECT_GE(snap.view[i - 1].degree, snap.view[i].degree)
+            EXPECT_GE(snap[i - 1].degree, snap[i].degree)
                 << "snapshot not sorted";
           }
         }
       }
-    });
+    }
   }
 
-  testing::replay_partitioned(miner, parts, /*chunk=*/32);
-  miner.flush();
-  done.store(true, std::memory_order_release);
-  for (auto& r : readers) r.join();
-
-  const MinerStats s = miner.stats();
+  const MinerStats s = lanes.stats();
   EXPECT_EQ(s.requests, t.records.size());
-  EXPECT_EQ(s.pending, 0u);
-  // The drain really applied through the pool: multi-shard batches were
-  // counted by the inner sharded miner's parallel path.
-  EXPECT_GE(s.apply_batches, 1u);
+  EXPECT_EQ(s.apply_batches, batches);
+  EXPECT_EQ(s.apply_parallel_records, t.records.size());
+  for (std::uint32_t f = 0; f < t.file_count(); ++f) {
+    const FileId id(f);
+    ASSERT_EQ(serial.access_count(id), lanes.access_count(id))
+        << "file " << f;
+    const auto a = serial.correlators(id);
+    const auto b = lanes.correlators(id);
+    ASSERT_EQ(a.size(), b.size()) << "file " << f;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].file, b[i].file) << "file " << f << " slot " << i;
+      EXPECT_EQ(a[i].degree, b[i].degree) << "file " << f << " slot " << i;
+    }
+  }
 }
 
 // ------------------------------------------------------- LDA properties --

@@ -2,18 +2,15 @@
 // API surface that feeds it: scenario registry + validation, bit-identical
 // determinism of scenario runs, the WindowStats field contract,
 // cold-start-vs-checkpoint-restore differential, the PredictorFactory's
-// validation errors, RuntimeConfig's typed ConfigError, the honest
-// footprint sweep, and a TSan stress case serving a concurrently ingesting
-// miner.
+// validation errors, RuntimeConfig's typed ConfigError, and the honest
+// footprint sweep.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdlib>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -180,8 +177,6 @@ void expect_windows_identical(const std::vector<WindowStats>& a,
     EXPECT_EQ(a[i].p50_response_us, b[i].p50_response_us);
     EXPECT_EQ(a[i].p95_response_us, b[i].p95_response_us);
     EXPECT_EQ(a[i].p99_response_us, b[i].p99_response_us);
-    EXPECT_EQ(a[i].ingest_pending, b[i].ingest_pending);
-    EXPECT_EQ(a[i].ingest_epoch, b[i].ingest_epoch);
     EXPECT_EQ(a[i].model_footprint_bytes, b[i].model_footprint_bytes);
   }
 }
@@ -215,13 +210,12 @@ TEST(ServingDeterminism, SeedChangesWorkload) {
 
 // ------------------------------------------------------- fetch gate
 
-/// Serves `scenario` through FPA over each synchronous backend twice: once
+/// Serves `scenario` through FPA over each backend twice: once
 /// through FPA's residency-gated predict_fetchable(), once through a
 /// forwarder that overrides only predict(), so the MDS gets the ungated
 /// reference. Every observable must match, and the gated run must skip
-/// some (not all) of FPA's evidence passes. "concurrent" is left out: its
-/// serving results are not bit-repeatable from one run to the next. The
-/// third leg is a sequence-only model: the paper's p = 0 reduction to
+/// some (not all) of FPA's evidence passes. The third leg is a
+/// sequence-only model: the paper's p = 0 reduction to
 /// Nexus, with no validity threshold. Scale 0.08, not tiny_spec's 0.04: at
 /// 0.04 "steady"'s cache holds the whole working set, so no candidate is
 /// ever fetchable and the comparison would never reach the ranking.
@@ -349,12 +343,9 @@ TEST(ServingWindowContract, GaugesSampledPerWindow) {
   ScenarioSpec spec = tiny_spec();
   const ServingResult res = run_scenario(spec, "fpa");
   // "fpa" on the default serial backend: footprint grows with the model and
-  // is sampled at every close; epoch/pending stay 0 (synchronous contract).
-  for (const WindowStats& w : res.windows) {
+  // is sampled at every close.
+  for (const WindowStats& w : res.windows)
     EXPECT_GT(w.model_footprint_bytes, 0u);
-    EXPECT_EQ(w.ingest_pending, 0u);
-    EXPECT_EQ(w.ingest_epoch, 0u);
-  }
   EXPECT_GE(res.windows.back().model_footprint_bytes,
             res.windows.front().model_footprint_bytes);
 }
@@ -577,51 +568,6 @@ TEST(RuntimeConfigTest, UnknownOrRetiredVariableThrows) {
       EXPECT_FALSE(e.reason().empty());
     }
   }
-}
-
-// ----------------------------------------------------------------- stress
-
-TEST(ServingStress, ConcurrentMinerUnderLiveReplay) {
-  // The serving loop drives an FPA predictor whose miner ingests
-  // asynchronously ("concurrent" backend) while a reader thread hammers the
-  // published snapshots through the same miner pointer the harness samples
-  // stats from. TSan builds verify the data-race freedom of the
-  // serve-path + snapshot-path interleaving.
-  ScenarioSpec spec = tiny_spec();
-  spec.windows = 4;
-  const ScenarioWorkload wl = build_workload(spec);
-
-  PredictorOptions opts;
-  opts.miner_backend = "concurrent";
-  const FarmerConfig cfg = cfg_for(wl.trace);
-  const auto predictor = make_predictor("fpa", cfg, wl.trace.dict, opts);
-  CorrelationMiner* miner = predictor->miner();
-  ASSERT_NE(miner, nullptr);
-
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> queries{0};
-  std::thread reader([&] {
-    const std::uint32_t files =
-        static_cast<std::uint32_t>(wl.trace.file_count());
-    std::uint32_t f = 0;
-    while (!stop.load(std::memory_order_relaxed)) {
-      const CorrelatorView view = miner->snapshot(FileId(f % files));
-      queries += view.size();
-      (void)miner->stats();
-      ++f;
-    }
-  });
-
-  const ServingResult res = serve(spec, wl, *predictor);
-  stop.store(true);
-  reader.join();
-  predictor->flush();
-
-  EXPECT_EQ(res.requests, wl.trace.records.size() - wl.pretrain_records);
-  EXPECT_GT(miner->stats().requests, 0u);
-  // Async backend: the per-window epoch gauge may be non-zero; pending
-  // drains to 0 only after the explicit flush above.
-  EXPECT_EQ(miner->stats().pending, 0u);
 }
 
 }  // namespace
