@@ -23,19 +23,16 @@ persist::Options persist_options(const MinerOptions& opts) {
   return p;
 }
 
-/// Backends become durable by decoration: the factory knows the concrete
-/// types, so it hands DurableMiner the Farmer shard view the checkpoint
-/// serializer needs. Recovery runs inside the decorator's
+/// Backends become durable by decoration: DurableMiner persists through
+/// the backend's own save()/load(), and recovery runs inside its
 /// constructor, before the miner is returned. Without a persist_dir the
 /// miner comes back undecorated.
 std::unique_ptr<CorrelationMiner> maybe_durable(
-    std::unique_ptr<CorrelationMiner> miner, std::vector<Farmer*> shards,
-    const FarmerConfig& cfg, std::shared_ptr<const TraceDictionary> dict,
-    const MinerOptions& opts) {
+    std::unique_ptr<CorrelationMiner> miner, const FarmerConfig& cfg,
+    const TraceDictionary* dict, const MinerOptions& opts) {
   if (opts.persist_dir.empty()) return miner;
-  return std::make_unique<persist::DurableMiner>(
-      std::move(miner), std::move(shards), cfg, std::move(dict),
-      persist_options(opts));
+  return std::make_unique<persist::DurableMiner>(std::move(miner), cfg, dict,
+                                                 persist_options(opts));
 }
 
 using Factory = std::unique_ptr<CorrelationMiner> (*)(
@@ -49,23 +46,16 @@ const std::map<std::string, Factory, std::less<>>& registry() {
                             std::shared_ptr<const TraceDictionary> dict,
                             const MinerOptions& opts)
         -> std::unique_ptr<CorrelationMiner> {
-      auto miner = std::make_unique<Farmer>(cfg, dict);
-      std::vector<Farmer*> view{miner.get()};
-      return maybe_durable(std::move(miner), std::move(view), cfg,
-                           std::move(dict), opts);
+      return maybe_durable(std::make_unique<Farmer>(cfg, dict), cfg,
+                           dict.get(), opts);
     };
     built_in["sharded"] = [](const FarmerConfig& cfg,
                              std::shared_ptr<const TraceDictionary> dict,
                              const MinerOptions& opts)
         -> std::unique_ptr<CorrelationMiner> {
-      auto miner = std::make_unique<ShardedFarmer>(cfg, dict, opts.shards,
-                                                   opts.apply_threads);
-      std::vector<Farmer*> view;
-      view.reserve(miner->shard_count());
-      for (std::size_t s = 0; s < miner->shard_count(); ++s)
-        view.push_back(&miner->shard_mut(s));
-      return maybe_durable(std::move(miner), std::move(view), cfg,
-                           std::move(dict), opts);
+      return maybe_durable(std::make_unique<ShardedFarmer>(
+                               cfg, dict, opts.shards, opts.apply_threads),
+                           cfg, dict.get(), opts);
     };
     return built_in;
   }();

@@ -102,9 +102,9 @@ class ShardedFarmer final : public CorrelationMiner {
   [[nodiscard]] const Farmer& shard(std::size_t i) const {
     return *shards_.at(i);
   }
-  /// Mutable shard access — the recovery path (src/persist) deserializes
-  /// checkpoint blobs straight into the shards; nothing else should mutate
-  /// a shard from outside.
+  /// Mutable shard access, for tests that seed one shard's state directly
+  /// (restore_node). Recovery goes through load(); nothing else should
+  /// mutate a shard from outside.
   [[nodiscard]] Farmer& shard_mut(std::size_t i) { return *shards_.at(i); }
 
   /// Checkpoints every shard into directory `dir`.

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <sstream>
 #include <stdexcept>
 #include <type_traits>
 
@@ -15,6 +14,7 @@
 
 #include "common/hash.hpp"
 #include "core/farmer.hpp"
+#include "persist/io_error.hpp"
 #include "trace/trace_io.hpp"
 
 namespace farmer::persist {
@@ -27,61 +27,13 @@ void put_raw(std::string& out, const T& v) {
   out.append(reinterpret_cast<const char*>(&v), sizeof v);
 }
 
-/// Bounds-checked forward reader over a serialized blob; any overrun means
-/// the blob is torn or malformed, which surfaces as std::runtime_error.
-class Cursor {
- public:
-  explicit Cursor(std::string_view bytes)
-      : p_(bytes.data()), end_(bytes.data() + bytes.size()) {}
-
-  template <typename T>
-  T get() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    if (static_cast<std::size_t>(end_ - p_) < sizeof(T))
-      throw std::runtime_error("checkpoint blob truncated");
-    T v;
-    std::memcpy(&v, p_, sizeof v);
-    p_ += sizeof v;
-    return v;
-  }
-
-  void get_bytes(char* dst, std::size_t len) {
-    if (static_cast<std::size_t>(end_ - p_) < len)
-      throw std::runtime_error("checkpoint blob truncated");
-    std::memcpy(dst, p_, len);
-    p_ += len;
-  }
-
-  [[nodiscard]] bool done() const noexcept { return p_ == end_; }
-
- private:
-  const char* p_;
-  const char* end_;
-};
-
-/// mix64 chain over arbitrary bytes, folding whole words then the tail.
+/// mix64 chain over arbitrary bytes, folding whole words, then the tail
+/// and the length together.
 std::uint64_t checksum_bytes(std::string_view bytes) {
-  std::uint64_t h = 0x9E3779B97F4A7C15ull;
-  const char* p = bytes.data();
-  std::size_t n = bytes.size();
-  while (n >= sizeof(std::uint64_t)) {
-    std::uint64_t word;
-    std::memcpy(&word, p, sizeof word);
-    h = mix64(h ^ word);
-    p += sizeof word;
-    n -= sizeof word;
-  }
-  std::uint64_t tail = 0;
-  if (n > 0) std::memcpy(&tail, p, n);
+  std::uint64_t tail;
+  const std::uint64_t h =
+      mix_words(0x9E3779B97F4A7C15ull, bytes.data(), bytes.size(), tail);
   return mix64(h ^ tail ^ bytes.size());
-}
-
-/// Throws "checkpoint: <what> <path>: <strerror> (errno N)".
-[[noreturn]] void fail_io(const char* what, const std::string& path,
-                          int err) {
-  throw std::runtime_error("checkpoint: " + std::string(what) + " " + path +
-                           ": " + std::strerror(err) + " (errno " +
-                           std::to_string(err) + ")");
 }
 
 void put_file(std::FILE* f, const void* data, std::size_t len,
@@ -122,7 +74,7 @@ std::string serialize_dictionary(const TraceDictionary* dict) {
 /// the tmp is renamed over `path` (with a parent-directory fsync). The
 /// shared framing behind checkpoints and the manifest. Every write, flush,
 /// fsync and close is checked: on any failure the tmp file is removed, the
-/// rename is skipped and std::runtime_error names the path and errno, so a
+/// rename is skipped and std::system_error names the path and errno, so a
 /// torn file is never published.
 void write_framed_atomic(const std::string& path, std::uint32_t magic,
                          std::uint32_t version, std::string_view body) {
@@ -276,7 +228,7 @@ std::string serialize_shard(const Farmer& shard) {
 }
 
 void deserialize_shard(std::string_view blob, Farmer& shard) {
-  Cursor in(blob);
+  ByteReader in(blob, "checkpoint blob");
 
   const auto requests = in.get<std::uint64_t>();
   CoMinerStats stats;
@@ -324,24 +276,6 @@ void deserialize_shard(std::string_view blob, Farmer& shard) {
     throw std::runtime_error("checkpoint shard blob has trailing bytes");
 }
 
-void write_checkpoint_file(const std::string& path, std::uint64_t seq,
-                           const FarmerConfig& cfg,
-                           const TraceDictionary* dict,
-                           std::span<const std::string> shard_blobs) {
-  std::string body;
-  put_raw<std::uint64_t>(body, seq);
-  put_raw<std::uint64_t>(body, config_hash(cfg));
-  const std::string dict_bytes = serialize_dictionary(dict);
-  put_raw<std::uint64_t>(body, dict_bytes.size());
-  body += dict_bytes;
-  put_raw<std::uint32_t>(body, static_cast<std::uint32_t>(shard_blobs.size()));
-  for (const std::string& blob : shard_blobs) {
-    put_raw<std::uint64_t>(body, blob.size());
-    body += blob;
-  }
-  write_framed_atomic(path, kCheckpointMagic, kCheckpointVersion, body);
-}
-
 void write_manifest(const std::string& dir, const FarmerConfig& cfg,
                     const TraceDictionary* dict) {
   const std::string path = dir + "/MANIFEST";
@@ -367,7 +301,7 @@ void check_manifest(const std::string& dir, const FarmerConfig& cfg,
       read_framed(path, kManifestMagic, kManifestVersion);
   if (!body)
     throw std::runtime_error("persist manifest " + path + " is unreadable");
-  Cursor in(*body);
+  ByteReader in(*body, "checkpoint blob");
   const auto stored_cfg_hash = in.get<std::uint64_t>();
   const auto has_dict = in.get<std::uint8_t>();
   const auto stored_dict_hash = in.get<std::uint64_t>();
@@ -387,11 +321,20 @@ void write_checkpoint_dir(const std::string& dir, std::uint64_t seq,
                           const FarmerConfig& cfg, const TraceDictionary* dict,
                           std::span<const Farmer* const> shards) {
   std::filesystem::create_directories(dir);
-  std::vector<std::string> blobs;
-  blobs.reserve(shards.size());
-  for (const Farmer* shard : shards) blobs.push_back(serialize_shard(*shard));
-  write_checkpoint_file(dir + "/CHECKPOINT." + std::to_string(seq), seq, cfg,
-                        dict, blobs);
+  std::string body;
+  put_raw<std::uint64_t>(body, seq);
+  put_raw<std::uint64_t>(body, config_hash(cfg));
+  const std::string dict_bytes = serialize_dictionary(dict);
+  put_raw<std::uint64_t>(body, dict_bytes.size());
+  body += dict_bytes;
+  put_raw<std::uint32_t>(body, static_cast<std::uint32_t>(shards.size()));
+  for (const Farmer* shard : shards) {
+    const std::string blob = serialize_shard(*shard);
+    put_raw<std::uint64_t>(body, blob.size());
+    body += blob;
+  }
+  write_framed_atomic(dir + "/CHECKPOINT." + std::to_string(seq),
+                      kCheckpointMagic, kCheckpointVersion, body);
 }
 
 std::optional<LoadedCheckpoint> read_checkpoint_file(
@@ -403,7 +346,7 @@ std::optional<LoadedCheckpoint> read_checkpoint_file(
 
   // The body verified: from here on mismatches are deliberate incompat, not
   // torn writes, so they throw instead of falling back.
-  Cursor in(*body);
+  ByteReader in(*body, "checkpoint blob");
   LoadedCheckpoint out;
   out.seq = in.get<std::uint64_t>();
   const auto stored_cfg_hash = in.get<std::uint64_t>();

@@ -105,17 +105,12 @@ struct LoadedCheckpoint {
   std::vector<std::string> shard_blobs;  ///< one blob per shard, in order
 };
 
-/// Writes the checkpoint file at `path` atomically: the bytes land in
-/// `path + ".tmp"`, are flushed and fsync'd, and the tmp is renamed over
-/// `path` (with a directory fsync so the rename itself is durable). Throws
-/// std::runtime_error on I/O failure.
-void write_checkpoint_file(const std::string& path, std::uint64_t seq,
-                           const FarmerConfig& cfg,
-                           const TraceDictionary* dict,
-                           std::span<const std::string> shard_blobs);
-
-/// save()-path convenience: creates `dir` if needed, serializes the given
-/// live shards and writes `dir + "/CHECKPOINT.<seq>"` atomically.
+/// The one checkpoint writer, behind every backend's save(): creates `dir`
+/// if needed, serializes the given live shards and writes
+/// `dir + "/CHECKPOINT.<seq>"` atomically — the bytes land in a `.tmp`
+/// file, are flushed and fsync'd, and the tmp is renamed over the target
+/// (with a directory fsync so the rename itself is durable). Throws
+/// std::system_error on I/O failure and publishes nothing.
 void write_checkpoint_dir(const std::string& dir, std::uint64_t seq,
                           const FarmerConfig& cfg, const TraceDictionary* dict,
                           std::span<const Farmer* const> shards);

@@ -1,33 +1,23 @@
 #include "persist/durable_miner.hpp"
 
-#include <stdexcept>
-
-#include "core/farmer.hpp"
-#include "persist/checkpoint.hpp"
-
 namespace farmer::persist {
 
-DurableMiner::DurableMiner(std::unique_ptr<CorrelationMiner> inner,
-                           std::vector<Farmer*> shard_view, FarmerConfig cfg,
-                           std::shared_ptr<const TraceDictionary> dict,
-                           Options opts)
-    : inner_(std::move(inner)),
-      shard_view_(std::move(shard_view)),
-      persister_(std::move(opts)) {
-  if (shard_view_.empty())
-    throw std::invalid_argument("DurableMiner: empty shard view");
-  Recovery rec = persister_.open(cfg, std::move(dict));
-  if (!rec.shard_blobs.empty()) {
-    if (rec.shard_blobs.size() != shard_view_.size())
-      throw std::runtime_error(
-          "DurableMiner: checkpoint shard count mismatch (got " +
-          std::to_string(rec.shard_blobs.size()) + ", want " +
-          std::to_string(shard_view_.size()) + ")");
-    for (std::size_t s = 0; s < shard_view_.size(); ++s)
-      deserialize_shard(rec.shard_blobs[s], *shard_view_[s]);
-  }
-  if (!rec.tail.empty()) inner_->observe_batch(rec.tail);
+namespace {
+
+/// Loads the persist directory into the fresh `miner` and returns the
+/// sequence number the WAL resumes at: every recovered record was applied.
+std::uint64_t recover(CorrelationMiner& miner, const std::string& dir) {
+  miner.load(dir);
+  return miner.stats().requests;
 }
+
+}  // namespace
+
+DurableMiner::DurableMiner(std::unique_ptr<CorrelationMiner> inner,
+                           const FarmerConfig& cfg,
+                           const TraceDictionary* dict, const Options& opts)
+    : inner_(std::move(inner)),
+      persister_(opts, cfg, dict, recover(*inner_, opts.dir)) {}
 
 void DurableMiner::observe(const TraceRecord& rec) {
   persister_.append(std::span<const TraceRecord>(&rec, 1));
@@ -45,20 +35,19 @@ void DurableMiner::load(const std::string& dir) {
   inner_->load(dir);
   const std::uint64_t seq = inner_->stats().requests;
   persister_.rebase(seq);
-  checkpoint_now(seq);
+  checkpoint(seq);
 }
 
 void DurableMiner::maybe_checkpoint() {
   if (!persister_.checkpoint_due()) return;
-  checkpoint_now(persister_.begin_checkpoint());
+  checkpoint(persister_.begin_checkpoint());
 }
 
-void DurableMiner::checkpoint_now(std::uint64_t seq) {
-  std::vector<std::string> blobs;
-  blobs.reserve(shard_view_.size());
-  for (const Farmer* shard : shard_view_)
-    blobs.push_back(serialize_shard(*shard));
-  persister_.commit_checkpoint(seq, blobs);
+void DurableMiner::checkpoint(std::uint64_t seq) {
+  // The backend names the file by its request count, which equals the WAL
+  // sequence here: every appended record has been applied.
+  inner_->save(persister_.options().dir);
+  persister_.prune(seq);
 }
 
 }  // namespace farmer::persist

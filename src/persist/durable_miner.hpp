@@ -1,7 +1,9 @@
 // Durability decorator for both backends ("farmer", "sharded"):
 // WAL-append every record before applying it, checkpoint inline when the
 // interval elapses, auto-recover from the persist directory on
-// construction.
+// construction. It persists only through the wrapped backend's own
+// save()/load(): recovery is `inner->load(dir)`, a checkpoint is
+// `inner->save(dir)`, and the Persister adds the WAL around them.
 //
 // The decorator preserves the synchronous single-threaded contract — the
 // WAL append, the apply and the occasional inline checkpoint all run on the
@@ -10,28 +12,21 @@
 #pragma once
 
 #include <memory>
-#include <vector>
 
 #include "api/correlation_miner.hpp"
 #include "persist/persister.hpp"
 
-namespace farmer {
-
-class Farmer;
-
-namespace persist {
+namespace farmer::persist {
 
 class DurableMiner final : public CorrelationMiner {
  public:
-  /// `shard_view` lists the Farmer shards inside `inner` in shard order
-  /// (one entry for an unsharded backend) — the factory knows the concrete
-  /// types and builds the view; this class only needs the serialization
-  /// surface. Construction runs recovery: the newest valid checkpoint is
-  /// deserialized into the shards and the WAL tail replayed through
-  /// `inner`, so the miner resumes exactly where the durable prefix ended.
+  /// Construction runs recovery: `inner` (fresh, mining under `cfg` over
+  /// `dict`) loads the persist directory — newest valid checkpoint plus the
+  /// WAL tail — so the miner resumes exactly where the durable prefix
+  /// ended, and the WAL reopens there.
   DurableMiner(std::unique_ptr<CorrelationMiner> inner,
-               std::vector<Farmer*> shard_view, FarmerConfig cfg,
-               std::shared_ptr<const TraceDictionary> dict, Options opts);
+               const FarmerConfig& cfg, const TraceDictionary* dict,
+               const Options& opts);
 
   void observe(const TraceRecord& rec) override;
   void observe_batch(std::span<const TraceRecord> records) override;
@@ -77,8 +72,8 @@ class DurableMiner final : public CorrelationMiner {
 
   /// Loads external state, then re-bases the persist directory on it: the
   /// WAL rotates to the loaded sequence and a covering checkpoint is
-  /// committed, so subsequent crash recovery reproduces the loaded model
-  /// plus whatever was ingested after.
+  /// written, so subsequent crash recovery reproduces the loaded model plus
+  /// whatever was ingested after.
   void load(const std::string& dir) override;
 
   /// The wrapped backend (tests).
@@ -88,12 +83,11 @@ class DurableMiner final : public CorrelationMiner {
 
  private:
   void maybe_checkpoint();
-  void checkpoint_now(std::uint64_t seq);
+  /// Writes CHECKPOINT.<seq> through inner_->save(), then prunes.
+  void checkpoint(std::uint64_t seq);
 
   std::unique_ptr<CorrelationMiner> inner_;
-  std::vector<Farmer*> shard_view_;
   Persister persister_;
 };
 
-}  // namespace persist
-}  // namespace farmer
+}  // namespace farmer::persist

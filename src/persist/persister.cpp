@@ -6,7 +6,7 @@
 #include <stdexcept>
 
 #include "persist/checkpoint.hpp"
-#include "trace/trace_io.hpp"
+#include "persist/wal.hpp"
 
 namespace farmer::persist {
 
@@ -71,31 +71,30 @@ Recovery recover_dir(const std::string& dir, const FarmerConfig& cfg,
     }
   }
 
-  // Replay the contiguous WAL tail above the checkpoint. Segments are keyed
-  // by absolute record sequence; opening a LogStore truncates its torn tail,
-  // and the first sequence gap ends the durable prefix (a gap can only mean
-  // a lost segment — appends are strictly sequential).
+  // Replay the contiguous WAL tail above the checkpoint. Segments are named
+  // by absolute record sequence and read front to back, which cuts each
+  // one's torn tail; the first sequence gap ends the durable prefix (a gap
+  // can only mean a lost segment — appends are strictly sequential).
   std::uint64_t expected = out.checkpoint_seq + 1;
   bool gap = false;
   for (const auto& [base, path] : list_family(dir, kWalPrefix)) {
     if (gap) break;
-    LogStore segment(path);
-    segment.scan(0, UINT64_MAX,
-                 [&](std::uint64_t key, std::string_view value) {
-                   if (key <= out.checkpoint_seq) return true;
-                   if (key != expected) {
-                     gap = true;
-                     return false;
-                   }
-                   out.tail.push_back(decode_record(value));
-                   ++expected;
-                   return true;
-                 });
+    read_wal_segment(path, [&](std::uint64_t seq, const TraceRecord& rec) {
+      if (gap || seq <= out.checkpoint_seq) return;
+      if (seq != expected) {
+        gap = true;
+        return;
+      }
+      out.tail.push_back(rec);
+      ++expected;
+    });
   }
   return out;
 }
 
-Persister::Persister(Options opts) : opts_(std::move(opts)) {
+Persister::Persister(Options opts, const FarmerConfig& cfg,
+                     const TraceDictionary* dict, std::uint64_t seq)
+    : opts_(std::move(opts)), appended_(seq), last_ckpt_(seq) {
   if (opts_.dir.empty())
     throw std::invalid_argument("Persister: empty persist directory");
   if (opts_.checkpoint_interval_records == 0)
@@ -103,6 +102,9 @@ Persister::Persister(Options opts) : opts_(std::move(opts)) {
   if (opts_.wal_group_commit == 0)
     opts_.wal_group_commit = kDefaultWalGroupCommit;
   fs::create_directories(opts_.dir);
+  write_manifest(opts_.dir, cfg, dict);
+  open_segment_locked(seq);  // no other thread exists yet
+  sync_thread_ = std::thread(&Persister::sync_loop, this);
 }
 
 Persister::~Persister() {
@@ -113,57 +115,51 @@ Persister::~Persister() {
   sync_cv_.notify_one();
   if (sync_thread_.joinable()) sync_thread_.join();
   std::lock_guard<std::mutex> lock(mu_);
-  if (wal_) wal_->sync();
+  if (error_) return;
+  try {
+    wal_->sync();
+  } catch (...) {  // best effort: nobody is left to report to
+  }
 }
 
-Recovery Persister::open(const FarmerConfig& cfg,
-                         std::shared_ptr<const TraceDictionary> dict) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (opened_) throw std::logic_error("Persister::open called twice");
-  opened_ = true;
-  cfg_ = cfg;
-  dict_ = std::move(dict);
-  Recovery rec = recover_dir(opts_.dir, cfg_, dict_.get());
-  write_manifest(opts_.dir, cfg_, dict_.get());
-  appended_ = rec.durable_records();
-  last_ckpt_ = appended_;
-  open_segment_locked(appended_);
-  sync_thread_ = std::thread(&Persister::sync_loop, this);
-  return rec;
+/// Runs `step` (WAL I/O under mu_, which the caller holds). A Persister
+/// stays failed: a stored error is rethrown before any further I/O, and a
+/// new one is stored before it propagates.
+void Persister::checked_locked(FunctionRef<void()> step) {
+  if (error_) std::rethrow_exception(error_);
+  try {
+    step();
+  } catch (...) {
+    error_ = std::current_exception();
+    throw;
+  }
 }
 
-std::uint64_t Persister::append(std::span<const TraceRecord> records) {
+void Persister::append(std::span<const TraceRecord> records) {
   bool group_closed = false;
-  std::uint64_t last;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    std::string value;
-    for (const TraceRecord& rec : records) {
-      value.clear();
-      encode_record(rec, value);
-      wal_->put(++appended_, value);
-      ++unsynced_;
-    }
+    checked_locked([&] { wal_->append(appended_ + 1, records); });
+    appended_ += records.size();
+    unsynced_ += records.size();
     if (unsynced_ >= opts_.wal_group_commit) {
       sync_goal_ = appended_;
       unsynced_ = 0;
       group_closed = true;
     }
-    last = appended_;
   }
   if (group_closed) sync_cv_.notify_one();
-  return last;
 }
 
 void Persister::sync_loop() {
   std::uint64_t synced = 0;
   for (;;) {
-    std::shared_ptr<LogStore> wal;
+    std::shared_ptr<WalWriter> wal;
     std::uint64_t goal = 0;
     {
       std::unique_lock<std::mutex> lk(mu_);
       sync_cv_.wait(lk, [&] { return sync_stop_ || sync_goal_ > synced; });
-      if (sync_goal_ <= synced) break;  // stop requested, nothing pending
+      if (sync_goal_ <= synced || error_) break;  // stopped, or failed
       goal = sync_goal_;
       wal = wal_;
     }
@@ -171,14 +167,17 @@ void Persister::sync_loop() {
     // group hits the disk. If the segment rotated since the goal was set,
     // the rotation already synced the old segment inline — syncing the
     // current one is at worst extra durability.
-    if (wal) wal->sync();
+    try {
+      wal->sync();
+    } catch (...) {
+      // Kept for the appender to rethrow. A failed fsync is never retried:
+      // the kernel may already have dropped the dirty pages it failed on.
+      std::lock_guard<std::mutex> lock(mu_);
+      if (!error_) error_ = std::current_exception();
+      return;
+    }
     synced = goal;
   }
-}
-
-std::uint64_t Persister::appended_seq() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return appended_;
 }
 
 bool Persister::checkpoint_due() const {
@@ -188,50 +187,34 @@ bool Persister::checkpoint_due() const {
 
 std::uint64_t Persister::begin_checkpoint() {
   std::lock_guard<std::mutex> lock(mu_);
-  wal_->sync();
+  checked_locked([&] { open_segment_locked(appended_); });
   unsynced_ = 0;
   last_ckpt_ = appended_;
-  open_segment_locked(appended_);
   return appended_;
-}
-
-void Persister::commit_checkpoint(std::uint64_t seq,
-                                  std::span<const std::string> shard_blobs) {
-  // The file write happens outside the lock — it is a fresh file nothing
-  // else touches, and serialization-heavy checkpoints must not stall the
-  // appender. Only the prune walks shared directory state.
-  write_checkpoint_file(
-      opts_.dir + "/CHECKPOINT." + std::to_string(seq), seq, cfg_,
-      dict_.get(), shard_blobs);
-  std::lock_guard<std::mutex> lock(mu_);
-  prune_locked(seq);
 }
 
 void Persister::rebase(std::uint64_t seq) {
   std::lock_guard<std::mutex> lock(mu_);
+  checked_locked([&] { open_segment_locked(seq); });
   appended_ = seq;
   last_ckpt_ = seq;
   unsynced_ = 0;
-  open_segment_locked(seq);
-}
-
-std::uint64_t Persister::last_checkpoint_seq() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return last_ckpt_;
 }
 
 void Persister::open_segment_locked(std::uint64_t base) {
   if (wal_) wal_->sync();
+  // A segment starts empty. A file already at this name holds records past
+  // the durable end, from a history recovery cut short at a gap; left in
+  // place they would sit in front of the new records with the same
+  // sequence numbers, and the next recovery would replay them instead.
+  const std::string path = opts_.dir + "/wal." + std::to_string(base);
+  fs::remove(path);
+  wal_ = std::make_shared<WalWriter>(path);
   wal_base_ = base;
-  // Append-only: the writing process never reads a live segment back (the
-  // readable index is rebuilt by recover_dir's own indexed open), so the
-  // segment skips the per-record index copy on the append path.
-  wal_ = std::make_shared<LogStore>(
-      opts_.dir + "/wal." + std::to_string(base), opts_.durability,
-      LogStore::IndexMode::kAppendOnly);
 }
 
-void Persister::prune_locked(std::uint64_t committed_seq) {
+void Persister::prune(std::uint64_t committed_seq) {
+  std::lock_guard<std::mutex> lock(mu_);
   // Keep the two newest committed checkpoints: the new one and one
   // predecessor, so a crash mid-prune (or a latent corruption in the new
   // file) still has a fallback with its WAL tail intact.

@@ -1,26 +1,29 @@
-// The durable persistence driver: record WAL with group commit, checkpoint
-// lifecycle, and bounded-time recovery.
+// The durable persistence layer: the record WAL with group commit, the
+// checkpoint cadence and pruning, and the directory reader recovery uses.
 //
 // Directory layout (one directory per miner, `MinerOptions::persist_dir`):
 //
 //   MANIFEST           config + dictionary binding, written at first open
 //   CHECKPOINT.<seq>   checkpoint covering records [1, seq] (checkpoint.hpp)
-//   wal.<base>         LogStore segment holding records base+1, base+2, ...
+//   wal.<base>         WAL segment holding records base+1, base+2, ...
+//                      (wal.hpp)
 //
-// WAL keys are absolute 1-based record sequence numbers; values are the raw
-// TraceRecord encoding (trace_io). Appends batch through one LogStore;
-// every `wal_group_commit` records close a commit group whose fsync runs on
-// a dedicated group-sync thread (Pomegranate-style transaction groups: the
-// appender opens the next group while the previous one syncs), so the
-// ingest path never blocks on the disk and the crash-loss window stays
-// bounded to the groups still in flight. Checkpoint rotation, rebase and
-// shutdown sync inline — those are the points that need a durable cut.
+// Appends go to the current segment; every `wal_group_commit` records
+// close a commit group whose fsync runs on a dedicated group-sync thread
+// (Pomegranate-style transaction groups: the appender opens the next group
+// while the previous one syncs), so the ingest path never blocks on the
+// disk and the crash-loss window stays bounded to the groups still in
+// flight. Checkpoint rotation, rebase and shutdown sync inline — those are
+// the points that need a durable cut. A failed WAL write or sync stops
+// ingest: the error is rethrown by the call that hit it or, for the
+// group-sync thread, by the next append/begin_checkpoint/rebase, and every
+// later one.
 //
-// Checkpoints rotate the WAL first (begin_checkpoint, cheap and synchronous
-// at a point where appended == applied), then the serialized state is
-// written atomically on the caller's thread (DurableMiner checkpoints
-// inline) and commit_checkpoint prunes superseded checkpoints and
-// fully-covered WAL segments.
+// The Persister neither reads nor writes checkpoints. Its owner
+// (DurableMiner) recovers through the backend's load() (recover_dir below)
+// and checkpoints through its save(): begin_checkpoint rotates the WAL at a
+// point where appended == applied, the owner writes CHECKPOINT.<seq>, and
+// prune drops superseded checkpoints and fully-covered WAL segments.
 //
 // Recovery (recover_dir): newest checksum-valid checkpoint + the contiguous
 // WAL tail above its sequence number, torn records truncated. Recovery time
@@ -29,6 +32,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -36,11 +40,13 @@
 #include <thread>
 #include <vector>
 
+#include "common/function_ref.hpp"
 #include "core/config.hpp"
-#include "kvstore/log_store.hpp"
 #include "trace/record.hpp"
 
 namespace farmer::persist {
+
+class WalWriter;
 
 /// Defaults applied when MinerOptions leaves the knobs at 0.
 inline constexpr std::size_t kDefaultCheckpointInterval = 1u << 16;
@@ -53,8 +59,6 @@ struct Options {
   /// fsync the WAL every N appended records (0 = kDefaultWalGroupCommit;
   /// 1 = every record).
   std::size_t wal_group_commit = 0;
-  /// kFsync for real durability; kBuffered keeps tests fast.
-  LogStore::Durability durability = LogStore::Durability::kFsync;
 };
 
 /// Everything recovery found in a persist directory.
@@ -62,11 +66,6 @@ struct Recovery {
   std::uint64_t checkpoint_seq = 0;      ///< 0 when no valid checkpoint
   std::vector<std::string> shard_blobs;  ///< empty when no valid checkpoint
   std::vector<TraceRecord> tail;         ///< WAL records after checkpoint_seq
-
-  /// Records the directory durably holds: checkpoint + contiguous tail.
-  [[nodiscard]] std::uint64_t durable_records() const noexcept {
-    return checkpoint_seq + tail.size();
-  }
 };
 
 /// Reads a persist directory: validates the MANIFEST binding, then the
@@ -81,28 +80,27 @@ struct Recovery {
 
 class Persister {
  public:
-  explicit Persister(Options opts);
+  /// Opens the directory at the durable end `seq` (the record count its
+  /// owner recovered): creates the directory, writes the MANIFEST binding
+  /// `cfg`/`dict` if absent (`dict` may be null), starts a fresh WAL
+  /// segment based at `seq` and the group-sync thread.
+  Persister(Options opts, const FarmerConfig& cfg,
+            const TraceDictionary* dict, std::uint64_t seq);
+  /// Stops the group-sync thread and syncs the open segment, best effort:
+  /// a failure here has no caller to report to, and a Persister that
+  /// already failed does not sync again.
   ~Persister();
   Persister(const Persister&) = delete;
   Persister& operator=(const Persister&) = delete;
 
   [[nodiscard]] const Options& options() const noexcept { return opts_; }
 
-  /// Opens the directory: runs recovery, positions the append cursor at the
-  /// durable end, and starts a fresh WAL segment. Must be called exactly
-  /// once, before any append. `cfg`/`dict` are retained for checkpoint
-  /// writing (`dict` may be null — the dictionary check is then skipped).
-  [[nodiscard]] Recovery open(const FarmerConfig& cfg,
-                              std::shared_ptr<const TraceDictionary> dict);
-
   /// Appends records to the WAL in ingest order; crossing a group-commit
   /// boundary hands the group to the background sync thread (the appender
-  /// does not wait for the fsync). Returns the sequence number of the last
-  /// record appended. Single appender at a time.
-  std::uint64_t append(std::span<const TraceRecord> records);
-
-  /// Sequence number of the last appended record.
-  [[nodiscard]] std::uint64_t appended_seq() const;
+  /// does not wait for the fsync). Single appender at a time. Throws
+  /// std::system_error on a failed write, or on a group sync that failed
+  /// since the last call.
+  void append(std::span<const TraceRecord> records);
 
   /// True once a checkpoint interval of records accumulated since the last
   /// initiated checkpoint.
@@ -111,46 +109,41 @@ class Persister {
   /// Initiates a checkpoint at the current appended sequence: syncs and
   /// rotates the WAL (new segment based at the returned seq). Call at a
   /// point where every appended record is also applied to the model, then
-  /// serialize the shards and finish with commit_checkpoint. Cheap —
-  /// serialization happens outside.
+  /// write CHECKPOINT.<seq> and finish with prune(seq).
   std::uint64_t begin_checkpoint();
 
-  /// Writes CHECKPOINT.<seq> atomically from pre-serialized shard blobs,
-  /// then prunes: keeps the two newest checkpoints and deletes WAL segments
-  /// fully covered by the older retained one.
-  void commit_checkpoint(std::uint64_t seq,
-                         std::span<const std::string> shard_blobs);
+  /// Call once CHECKPOINT.<committed_seq> is written: keeps the two newest
+  /// checkpoints and deletes WAL segments fully covered by the older
+  /// retained one.
+  void prune(std::uint64_t committed_seq);
 
   /// Re-bases the WAL after the model was replaced externally (load()):
   /// the append cursor jumps to `seq` and a fresh segment starts there.
-  /// Follow with commit_checkpoint(seq, ...) so the directory covers the
-  /// loaded state.
+  /// Follow with a checkpoint at `seq` and prune(seq) so the directory
+  /// covers the loaded state.
   void rebase(std::uint64_t seq);
 
-  /// Sequence covered by the last *initiated* checkpoint (or rebase).
-  [[nodiscard]] std::uint64_t last_checkpoint_seq() const;
-
  private:
+  void checked_locked(FunctionRef<void()> step);
   void open_segment_locked(std::uint64_t base);
-  void prune_locked(std::uint64_t committed_seq);
   void sync_loop();
 
   Options opts_;
-  FarmerConfig cfg_;
-  std::shared_ptr<const TraceDictionary> dict_;
-  bool opened_ = false;
 
   mutable std::mutex mu_;
   // shared_ptr: the group-sync thread syncs outside the lock while a
   // checkpoint rotation may concurrently swap in a fresh segment (the old
   // one stays alive until the in-flight sync drops its reference).
-  std::shared_ptr<LogStore> wal_;  // current segment
+  std::shared_ptr<WalWriter> wal_;  // current segment
   std::uint64_t wal_base_ = 0;
   std::uint64_t appended_ = 0;      // absolute seq of the last append
   std::size_t unsynced_ = 0;        // records since the last group boundary
   std::uint64_t last_ckpt_ = 0;     // last initiated checkpoint seq
   std::uint64_t sync_goal_ = 0;     // newest group boundary to fsync
   bool sync_stop_ = false;
+  // The first WAL failure, from either thread. Once set, every further
+  // append/begin_checkpoint/rebase rethrows it and no sync is retried.
+  std::exception_ptr error_;
   std::condition_variable sync_cv_;
   std::thread sync_thread_;
 };

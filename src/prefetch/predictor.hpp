@@ -69,11 +69,10 @@ class Predictor {
 
   /// The mining backend this predictor learns through, when it has one
   /// (FPA); nullptr for self-contained baselines. The serving harness
-  /// samples stats()/footprint through it for the per-window ingest-lag /
-  /// epoch-staleness columns, and drives save()/load() through it for the
-  /// checkpoint-restore scenarios, without knowing the concrete predictor
-  /// type. The miner stays owned by the predictor; the pointer is valid
-  /// for the predictor's lifetime.
+  /// drives save()/load() through it for the warm_start scenario's
+  /// checkpoint restore, without knowing the concrete predictor type. The
+  /// miner stays owned by the predictor; the pointer is valid for the
+  /// predictor's lifetime.
   [[nodiscard]] virtual CorrelationMiner* miner() noexcept { return nullptr; }
   [[nodiscard]] const CorrelationMiner* miner() const noexcept {
     return const_cast<Predictor*>(this)->miner();

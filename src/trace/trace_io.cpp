@@ -1,5 +1,6 @@
 #include "trace/trace_io.hpp"
 
+#include <cstddef>
 #include <cstring>
 #include <ostream>
 #include <span>
@@ -138,17 +139,31 @@ void validate_record(const TraceRecord& rec, const TraceDictionary& dict) {
   validate_token(rec.program_token, dict, "record program");
 }
 
-void encode_record(const TraceRecord& rec, std::string& out) {
-  static_assert(std::is_trivially_copyable_v<TraceRecord>);
-  out.append(reinterpret_cast<const char*>(&rec), sizeof rec);
-}
-
-TraceRecord decode_record(std::string_view bytes) {
-  if (bytes.size() != kTraceRecordBytes)
-    throw std::runtime_error("trace record blob has wrong size");
-  TraceRecord rec;
-  std::memcpy(&rec, bytes.data(), sizeof rec);
-  return rec;
+// This must go through raw byte writes: zeroing a TraceRecord and
+// assigning members looks equivalent, but the compiler may fuse that into a
+// whole-struct copy (destination padding is indeterminate after member
+// assignment) and drag the source's padding along — memset + per-field
+// memcpy into a byte buffer has no such latitude.
+void canonical_bytes(const TraceRecord& r, unsigned char* out) noexcept {
+  std::memset(out, 0, sizeof(TraceRecord));
+  const auto put = [out](std::size_t off, const auto& v) {
+    std::memcpy(out + off, &v, sizeof v);
+  };
+  put(offsetof(TraceRecord, timestamp), r.timestamp);
+  put(offsetof(TraceRecord, file), r.file);
+  put(offsetof(TraceRecord, user), r.user);
+  put(offsetof(TraceRecord, process), r.process);
+  put(offsetof(TraceRecord, host), r.host);
+  put(offsetof(TraceRecord, job), r.job);
+  put(offsetof(TraceRecord, path), r.path);
+  put(offsetof(TraceRecord, user_token), r.user_token);
+  put(offsetof(TraceRecord, process_token), r.process_token);
+  put(offsetof(TraceRecord, host_token), r.host_token);
+  put(offsetof(TraceRecord, dev_token), r.dev_token);
+  put(offsetof(TraceRecord, fid_token), r.fid_token);
+  put(offsetof(TraceRecord, program_token), r.program_token);
+  put(offsetof(TraceRecord, size_bytes), r.size_bytes);
+  put(offsetof(TraceRecord, op), r.op);
 }
 
 void write_trace_binary(const Trace& trace, const std::string& path) {

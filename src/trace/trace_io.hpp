@@ -100,16 +100,12 @@ void decode_dictionary(ByteReader& in, TraceDictionary& dict);
 /// in range. Throws std::runtime_error naming the offending field.
 void validate_record(const TraceRecord& rec, const TraceDictionary& dict);
 
-/// Fixed-size raw encoding of one TraceRecord — the same layout
-/// `write_trace_binary` streams and the layout WAL values use.
-inline constexpr std::size_t kTraceRecordBytes = sizeof(TraceRecord);
-
-/// Appends the raw encoding of `rec` to `out`.
-void encode_record(const TraceRecord& rec, std::string& out);
-
-/// Decodes a record encoded by `encode_record`. Throws std::runtime_error
-/// when `bytes` is not exactly `kTraceRecordBytes` long.
-[[nodiscard]] TraceRecord decode_record(std::string_view bytes);
+/// Serializes one record into `out` (sizeof(TraceRecord) bytes) with its
+/// padding bytes zeroed: the one on-disk record encoding, shared by v3
+/// trace files and WAL records. Padding is indeterminate in in-memory
+/// records, but files must be byte-stable (checksums cover every byte, and
+/// the differential tests compare whole files).
+void canonical_bytes(const TraceRecord& r, unsigned char* out) noexcept;
 
 /// Writes `trace` in the v3 binary format (see trace_stream.hpp). Throws
 /// std::runtime_error on I/O failure.

@@ -48,28 +48,6 @@ std::uint64_t mix_word(std::uint64_t h, std::uint64_t w) noexcept {
   return mix64(h ^ w);
 }
 
-/// Folds `len` bytes into the chain, 8 at a time; the trailing partial
-/// word (only the metadata footer can have one) is zero-padded. The total
-/// byte length is folded separately by finish_checksum, so zero padding
-/// cannot alias a genuinely longer stream.
-std::uint64_t mix_bytes(std::uint64_t h, const void* data,
-                        std::size_t len) noexcept {
-  const auto* p = static_cast<const unsigned char*>(data);
-  while (len >= 8) {
-    std::uint64_t w;
-    std::memcpy(&w, p, 8);
-    h = mix_word(h, w);
-    p += 8;
-    len -= 8;
-  }
-  if (len > 0) {
-    std::uint64_t w = 0;
-    std::memcpy(&w, p, len);
-    h = mix_word(h, w);
-  }
-  return h;
-}
-
 /// Finishes the chain over a file's payload: the total payload length plus
 /// every header field the payload does not already pin down. A flip in any
 /// header byte (or any payload byte, via the chain in `h`) changes the
@@ -98,37 +76,6 @@ T load(const char* base, std::size_t off) noexcept {
   T v;
   std::memcpy(&v, base + off, sizeof v);
   return v;
-}
-
-/// Serializes one record into `out` (sizeof(TraceRecord) bytes) with its
-/// padding bytes canonicalized to zero. Padding is indeterminate in
-/// in-memory records, but files must be byte-stable (the checksum covers
-/// every byte, and the differential tests compare whole files). This must
-/// go through raw byte writes: zeroing a TraceRecord and assigning members
-/// looks equivalent, but the compiler may fuse that into a whole-struct
-/// copy (destination padding is indeterminate after member assignment) and
-/// drag the source's padding along — memset + per-field memcpy into a byte
-/// buffer has no such latitude.
-void canonical_bytes(const TraceRecord& r, unsigned char* out) noexcept {
-  std::memset(out, 0, sizeof(TraceRecord));
-  const auto put = [out](std::size_t off, const auto& v) {
-    std::memcpy(out + off, &v, sizeof v);
-  };
-  put(offsetof(TraceRecord, timestamp), r.timestamp);
-  put(offsetof(TraceRecord, file), r.file);
-  put(offsetof(TraceRecord, user), r.user);
-  put(offsetof(TraceRecord, process), r.process);
-  put(offsetof(TraceRecord, host), r.host);
-  put(offsetof(TraceRecord, job), r.job);
-  put(offsetof(TraceRecord, path), r.path);
-  put(offsetof(TraceRecord, user_token), r.user_token);
-  put(offsetof(TraceRecord, process_token), r.process_token);
-  put(offsetof(TraceRecord, host_token), r.host_token);
-  put(offsetof(TraceRecord, dev_token), r.dev_token);
-  put(offsetof(TraceRecord, fid_token), r.fid_token);
-  put(offsetof(TraceRecord, program_token), r.program_token);
-  put(offsetof(TraceRecord, size_bytes), r.size_bytes);
-  put(offsetof(TraceRecord, op), r.op);
 }
 
 [[noreturn]] void fail(const std::string& path, const char* what) {

@@ -1,6 +1,7 @@
-// Tests for the durable persistence subsystem (src/persist/): checkpoint
-// save/load round-trips on every backend, factory-level auto-recovery from
-// a persist directory, corrupt-checkpoint fallback, config binding, and the
+// Tests for the durable persistence subsystem (src/persist/): the WAL
+// segment format and its torn-tail repair, checkpoint save/load round-trips
+// on every backend, factory-level auto-recovery from a persist directory,
+// corrupt-checkpoint fallback, config binding, WAL write failures, and the
 // crash-consistency contract — a subprocess is SIGKILLed mid-WAL-append and
 // the reopened miner must answer queries byte-identically to a reference
 // miner replayed over the durable prefix.
@@ -14,20 +15,29 @@
 #include <bit>
 #include <chrono>
 #include <csignal>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <limits>
 #include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/miner_factory.hpp"
+#include "common/hash.hpp"
 #include "persist/checkpoint.hpp"
 #include "persist/persister.hpp"
+#include "persist/wal.hpp"
 #include "trace/generator.hpp"
+#include "trace/trace_io.hpp"
 
 namespace farmer {
 namespace {
@@ -115,6 +125,328 @@ std::unique_ptr<CorrelationMiner> reference_miner(
   miner->observe_batch(records);
   miner->flush();
   return miner;
+}
+
+/// Runs `body` in a forked child whose file-size limit is `cap` bytes, so a
+/// write past it fails with EFBIG instead of raising SIGXFSZ. Returns the
+/// child's exit status: what `body` returned, 2 when it threw, 4 when
+/// setrlimit failed, -1 when the child did not exit normally (a throwing
+/// destructor, say).
+template <typename Body>
+int exit_status_under_file_size_limit(std::uintmax_t cap, Body body) {
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    std::signal(SIGXFSZ, SIG_IGN);
+    const rlimit lim{static_cast<rlim_t>(cap), static_cast<rlim_t>(cap)};
+    if (::setrlimit(RLIMIT_FSIZE, &lim) != 0) ::_exit(4);
+    try {
+      ::_exit(body());
+    } catch (...) {
+      ::_exit(2);
+    }
+  }
+  int status = 0;
+  if (pid < 0 || ::waitpid(pid, &status, 0) != pid || !WIFEXITED(status))
+    return -1;
+  return WEXITSTATUS(status);
+}
+
+// ------------------------------------------------------ WAL segments ----
+
+/// Bytes of one WAL record frame: [u32 checksum][u8 op][u64 seq][u32 len]
+/// header, then the record.
+constexpr std::size_t kWalHeaderBytes = 17;
+constexpr std::size_t kWalFrameBytes = kWalHeaderBytes + sizeof(TraceRecord);
+
+/// The record checksum as wal.hpp specifies it, computed independently of
+/// the writer.
+std::uint32_t wal_checksum(std::uint64_t seq, const void* body,
+                           std::uint32_t len) {
+  const std::uint64_t seed =
+      mix64(seq ^ (std::uint64_t{1} << 56) ^ (len * 0x9E3779B97F4A7C15ull));
+  return static_cast<std::uint32_t>(mix_bytes(seed, body, len));
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), {}};
+}
+
+template <typename T>
+T field_at(const std::string& bytes, std::size_t off) {
+  T v;
+  std::memcpy(&v, bytes.data() + off, sizeof v);
+  return v;
+}
+
+/// A record's canonical bytes: what the WAL stores for it.
+std::string canonical(const TraceRecord& r) {
+  std::string out(sizeof(TraceRecord), '\0');
+  canonical_bytes(r, reinterpret_cast<unsigned char*>(out.data()));
+  return out;
+}
+
+using SeqRecord = std::pair<std::uint64_t, TraceRecord>;
+
+std::vector<SeqRecord> read_segment(const std::string& path) {
+  std::vector<SeqRecord> out;
+  persist::read_wal_segment(path,
+                            [&](std::uint64_t seq, const TraceRecord& r) {
+                              out.emplace_back(seq, r);
+                            });
+  return out;
+}
+
+/// Appends trace records [first, first + n) as sequence numbers first + 1,
+/// ..., then syncs.
+void write_segment(const std::string& path, std::size_t first,
+                   std::size_t n) {
+  persist::WalWriter w(path);
+  w.append(first + 1, std::span<const TraceRecord>(
+                          trace().records.data() + first, n));
+  w.sync();
+}
+
+/// True when `got` holds exactly trace records [0, n) as seqs 1..n.
+::testing::AssertionResult is_trace_prefix(const std::vector<SeqRecord>& got,
+                                           std::size_t n) {
+  if (got.size() != n)
+    return ::testing::AssertionFailure()
+           << got.size() << " records, want " << n;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (got[i].first != i + 1)
+      return ::testing::AssertionFailure()
+             << "record " << i << " has seq " << got[i].first;
+    if (canonical(got[i].second) != canonical(trace().records[i]))
+      return ::testing::AssertionFailure() << "record " << i << " differs";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+void append_junk(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "ab");
+  ASSERT_NE(f, nullptr);
+  const char junk[] = {0x13, 0x37, 0x00, 0x42};
+  ASSERT_EQ(std::fwrite(junk, 1, sizeof junk, f), sizeof junk);
+  std::fclose(f);
+}
+
+class PersistWal : public ::testing::Test {
+ protected:
+  void TearDown() override { std::remove(path_.c_str()); }
+  // Per-test file name: ctest runs each test as its own process, so a
+  // shared name would race under a parallel ctest invocation.
+  std::string path_ =
+      ::testing::TempDir() + "farmer_wal_test_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+};
+
+// Two records through the factory's persist path: every field of each
+// frame sits at its documented offset, and the checksum is the documented
+// mix64 chain.
+TEST_F(PersistWal, RecordFieldsSitAtTheirOffsets) {
+  TempDir dir("persist_wal_layout");
+  const std::span<const TraceRecord> two(trace().records.data(), 2);
+  make_miner("farmer", test_cfg(), trace().dict, persist_opts(dir.str()))
+      ->observe_batch(two);
+  const std::string bytes = file_bytes(dir.str() + "/wal.0");
+  ASSERT_EQ(bytes.size(), 2 * kWalFrameBytes);
+  for (std::size_t i = 0; i < 2; ++i) {
+    const std::size_t at = i * kWalFrameBytes;
+    const std::string body = bytes.substr(at + 17, sizeof(TraceRecord));
+    EXPECT_EQ(field_at<std::uint32_t>(bytes, at),
+              wal_checksum(i + 1, body.data(), sizeof(TraceRecord)));
+    EXPECT_EQ(field_at<std::uint8_t>(bytes, at + 4), 1u);
+    EXPECT_EQ(field_at<std::uint64_t>(bytes, at + 5), i + 1);
+    EXPECT_EQ(field_at<std::uint32_t>(bytes, at + 13), 64u);
+    EXPECT_EQ(body, canonical(two[i]));
+  }
+}
+
+// Regression: the WAL copied TraceRecord's three padding bytes (record
+// offsets 78-80 of a frame) from memory, so two runs over the same trace
+// could write different bytes. The WAL stores the canonical encoding the
+// v3 trace writer uses, padding zeroed.
+TEST_F(PersistWal, RecordPaddingIsWrittenAsZeros) {
+  TempDir dir("persist_wal_padding");
+  std::vector<TraceRecord> records(trace().records.begin(),
+                                   trace().records.begin() + 8);
+  constexpr std::size_t kPadAt = offsetof(TraceRecord, op) + 1;
+  static_assert(sizeof(TraceRecord) - kPadAt == 3);
+  for (TraceRecord& r : records)
+    std::memset(reinterpret_cast<unsigned char*>(&r) + kPadAt, 0xAB,
+                sizeof(TraceRecord) - kPadAt);
+  make_miner("farmer", test_cfg(), trace().dict, persist_opts(dir.str()))
+      ->observe_batch(records);
+  const std::string bytes = file_bytes(dir.str() + "/wal.0");
+  ASSERT_EQ(bytes.size(), records.size() * kWalFrameBytes);
+  for (std::size_t i = 0; i < records.size(); ++i)
+    for (std::size_t off = 78; off <= 80; ++off)
+      EXPECT_EQ(bytes[i * kWalFrameBytes + off], 0)
+          << "record " << i << " offset " << off;
+}
+
+TEST_F(PersistWal, RecoversFromTornTail) {
+  write_segment(path_, 0, 2);
+  append_junk(path_);
+  EXPECT_TRUE(is_trace_prefix(read_segment(path_), 2));
+  // The segment keeps working after its torn tail is cut.
+  write_segment(path_, 2, 1);
+  EXPECT_TRUE(is_trace_prefix(read_segment(path_), 3));
+}
+
+// Regression: replay cut a torn tail by reopening the log "wb" (length 0)
+// and writing the valid prefix back with an unchecked fwrite, so a failed
+// write, or a crash between the two, lost records that were already
+// durable. A child whose file-size limit is half the valid prefix makes
+// that rewrite fail with EFBIG; repairing in place never rewrites a byte.
+TEST_F(PersistWal, TornTailRepairKeepsEveryValidRecord) {
+  constexpr std::size_t kRecords = 64;
+  write_segment(path_, 0, kRecords);
+  const std::uintmax_t valid_size = fs::file_size(path_);
+  append_junk(path_);
+
+  // Reading the segment runs the torn-tail repair.
+  const int status = exit_status_under_file_size_limit(valid_size / 2, [&] {
+    persist::read_wal_segment(path_, [](std::uint64_t, const TraceRecord&) {});
+    return 0;
+  });
+  EXPECT_EQ(status, 0) << "2: reading the segment threw; 4: setrlimit failed";
+
+  EXPECT_TRUE(is_trace_prefix(read_segment(path_), kRecords));
+  EXPECT_EQ(fs::file_size(path_), valid_size);
+}
+
+/// The calling process's virtual size in bytes, read from
+/// /proc/self/status; 0 when it cannot be read.
+std::uintmax_t vm_size_bytes() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmSize:") {
+      std::uintmax_t kb = 0;
+      status >> kb;
+      return kb * 1024;
+    }
+    status.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+  }
+  return 0;
+}
+
+// A record's stored length must be checked against the file before the
+// reader allocates or reads its body: one flipped byte in the last record's
+// length field would otherwise ask for up to 4 GiB, and under an
+// address-space limit std::bad_alloc would leave the segment unreadable. A
+// child with 1 GiB of address space to spare must still recover every
+// intact record.
+TEST_F(PersistWal, CorruptLengthIsBoundedBeforeAllocation) {
+  constexpr std::size_t kRecords = 8;
+  write_segment(path_, 0, kRecords);
+  const std::uintmax_t valid_size = fs::file_size(path_);
+  write_segment(path_, kRecords, 1);
+  {
+    // The last record's length field sits 13 bytes past its start.
+    std::FILE* f = std::fopen(path_.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f, static_cast<long>(valid_size) + 13, SEEK_SET),
+              0);
+    const std::uint32_t corrupt_len = 0xFFFFFFF0u;
+    ASSERT_EQ(std::fwrite(&corrupt_len, sizeof corrupt_len, 1, f), 1u);
+    std::fclose(f);
+  }
+
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    // Child: the limit leaves 1 GiB above what is already mapped, so
+    // sanitizer reservations still fit but a 4 GiB buffer does not.
+    const std::uintmax_t vm = vm_size_bytes();
+    if (vm == 0) ::_exit(5);
+    const rlim_t cap = static_cast<rlim_t>(vm + (std::uintmax_t{1} << 30));
+    const rlimit lim{cap, cap};
+    if (::setrlimit(RLIMIT_AS, &lim) != 0) ::_exit(4);
+    std::size_t recovered = 0;
+    try {
+      persist::read_wal_segment(
+          path_, [&](std::uint64_t, const TraceRecord&) { ++recovered; });
+    } catch (...) {
+      ::_exit(2);
+    }
+    ::_exit(recovered == kRecords ? 0 : 3);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0)
+      << "2: reading the segment threw; 3: wrong record count; "
+         "4: setrlimit failed; 5: VmSize unreadable";
+  EXPECT_EQ(fs::file_size(path_), valid_size);
+}
+
+// sync() is flush + fdatasync; records appended on either side of a sync
+// read back in order.
+TEST_F(PersistWal, FsyncModeRoundTrip) {
+  {
+    persist::WalWriter w(path_);
+    w.append(1, std::span<const TraceRecord>(trace().records.data(), 2));
+    w.sync();
+    w.append(3, std::span<const TraceRecord>(trace().records.data() + 2, 1));
+    w.sync();
+  }
+  EXPECT_TRUE(is_trace_prefix(read_segment(path_), 3));
+}
+
+// A record whose checksum verifies but whose length is not one TraceRecord
+// is not torn: it belongs to another format, and reading it throws.
+TEST_F(PersistWal, VerifiedRecordOfAnotherLengthThrows) {
+  const std::string body(sizeof(TraceRecord) - 1, 'x');
+  const auto len = static_cast<std::uint32_t>(body.size());
+  const std::uint32_t csum = wal_checksum(1, body.data(), len);
+  const std::uint8_t op = 1;
+  const std::uint64_t seq = 1;
+  std::string frame;
+  frame.append(reinterpret_cast<const char*>(&csum), sizeof csum);
+  frame.append(reinterpret_cast<const char*>(&op), sizeof op);
+  frame.append(reinterpret_cast<const char*>(&seq), sizeof seq);
+  frame.append(reinterpret_cast<const char*>(&len), sizeof len);
+  frame += body;
+  std::FILE* f = std::fopen(path_.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(frame.data(), 1, frame.size(), f), frame.size());
+  std::fclose(f);
+  EXPECT_THROW(read_segment(path_), std::runtime_error);
+}
+
+// Torn-write fuzz: truncate a valid segment at EVERY byte offset and assert
+// reading it always recovers the longest prefix of fully contained records
+// — never more, never fewer, never a crash — and leaves it appendable.
+TEST_F(PersistWal, TruncationAtEveryOffsetRecoversLongestValidPrefix) {
+  constexpr std::size_t kRecords = 6;
+  write_segment(path_, 0, kRecords);
+  const std::string image = file_bytes(path_);
+  ASSERT_EQ(image.size(), kRecords * kWalFrameBytes);
+
+  const std::string cut_path = path_ + ".cut";
+  for (std::size_t cut = 0; cut <= image.size(); ++cut) {
+    {
+      std::FILE* f = std::fopen(cut_path.c_str(), "wb");
+      ASSERT_NE(f, nullptr);
+      if (cut > 0) {
+        ASSERT_EQ(std::fwrite(image.data(), 1, cut, f), cut);
+      }
+      std::fclose(f);
+    }
+    const std::size_t expect = cut / kWalFrameBytes;
+    ASSERT_TRUE(is_trace_prefix(read_segment(cut_path), expect))
+        << "cut at " << cut;
+    EXPECT_EQ(fs::file_size(cut_path), expect * kWalFrameBytes)
+        << "cut at " << cut;
+    // The truncated segment must stay appendable.
+    write_segment(cut_path, expect, 1);
+    EXPECT_TRUE(is_trace_prefix(read_segment(cut_path), expect + 1))
+        << "cut at " << cut;
+  }
+  std::remove(cut_path.c_str());
 }
 
 // ------------------------------------------------------ save()/load() ----
@@ -206,6 +538,19 @@ TEST(PersistSaveLoad, DeepPathDictionaryRoundTrips) {
 
 // ------------------------------------------- factory-level persistence ----
 
+/// Inverts the byte in the middle of the file at `path`.
+void flip_middle_byte(const std::string& path) {
+  const auto middle = static_cast<long>(fs::file_size(path) / 2);
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fseek(f, middle, SEEK_SET), 0);
+  const int c = std::fgetc(f);
+  ASSERT_NE(c, EOF);
+  ASSERT_EQ(std::fseek(f, middle, SEEK_SET), 0);
+  std::fputc(c ^ 0xFF, f);
+  std::fclose(f);
+}
+
 TEST(PersistReopen, ShardedRecoversAcrossProcessLifetime) {
   TempDir dir("persist_reopen_sharded");
   {
@@ -251,21 +596,43 @@ TEST(PersistReopen, CorruptNewestCheckpointFallsBackToOlder) {
   // Flip one byte in the middle of the newest checkpoint: its checksum
   // fails, recovery falls back to the older one and replays the longer WAL
   // tail — ending at exactly the same durable state.
-  {
-    const fs::path& victim = checkpoints.back();
-    const auto size = fs::file_size(victim);
-    std::FILE* f = std::fopen(victim.c_str(), "r+b");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fseek(f, static_cast<long>(size / 2), SEEK_SET), 0);
-    const int c = std::fgetc(f);
-    ASSERT_NE(c, EOF);
-    ASSERT_EQ(std::fseek(f, static_cast<long>(size / 2), SEEK_SET), 0);
-    std::fputc(c ^ 0xFF, f);
-    std::fclose(f);
-  }
+  flip_middle_byte(checkpoints.back().string());
   auto recovered = make_miner("sharded", test_cfg(), trace().dict,
                               persist_opts(dir.str()));
   const auto reference = reference_miner("sharded", trace().records);
+  expect_identical(*recovered, *reference);
+}
+
+// Regression: a corrupt sole checkpoint leaves a gap — its prune already
+// dropped wal.0 — so the directory recovers to no records, and the segment
+// past the gap (wal.100: records 101-150 of the first history) stays
+// behind. A second history checkpoints at the same sequence number and
+// rotates to the same segment name; had it appended there, behind the
+// stale records, the next recovery would replay those in place of its own.
+TEST(PersistReopen, StaleSegmentPastAGapIsNotReplayed) {
+  TempDir dir("persist_stale_segment");
+  MinerOptions opts = persist_opts(dir.str());
+  opts.checkpoint_interval_records = 100;
+  constexpr std::size_t kRecords = 150;
+  constexpr std::size_t kSecondHistory = 1000;
+  ASSERT_GE(trace().records.size(), kSecondHistory + kRecords);
+  const auto ingest = [&](CorrelationMiner& miner, std::size_t first) {
+    for (std::size_t i = first; i < first + kRecords; i += 50)
+      miner.observe_batch(
+          std::span<const TraceRecord>(trace().records.data() + i, 50));
+  };
+  ingest(*make_miner("farmer", test_cfg(), trace().dict, opts), 0);
+  ASSERT_TRUE(fs::exists(dir.str() + "/wal.100"));
+  flip_middle_byte(dir.str() + "/CHECKPOINT.100");
+  {
+    auto miner = make_miner("farmer", test_cfg(), trace().dict, opts);
+    ASSERT_EQ(miner->stats().requests, 0u);
+    ingest(*miner, kSecondHistory);
+  }
+  auto recovered = make_miner("farmer", test_cfg(), trace().dict, opts);
+  const auto reference = reference_miner(
+      "farmer", std::span<const TraceRecord>(
+                    trace().records.data() + kSecondHistory, kRecords));
   expect_identical(*recovered, *reference);
 }
 
@@ -369,7 +736,7 @@ TEST(PersistReopen, WalOnlyDirIsBoundToItsDictionary) {
   expect_identical(*recovered, *reference);
 }
 
-// ------------------------------------------------- failed publish ----
+// -------------------------------------------------- failed writes ----
 
 /// Names of the CHECKPOINT.* entries (committed or .tmp) in `dir`.
 std::vector<std::string> checkpoint_entries(const std::string& dir) {
@@ -397,32 +764,115 @@ TEST(PersistSaveLoad, FailedWriteIsNotPublished) {
   const auto size = fs::file_size(ok_dir.str() + "/" + saved.front());
   ASSERT_GT(size, 8u);
 
-  const pid_t pid = ::fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    // Child: past the limit a write fails with EFBIG instead of raising
-    // SIGXFSZ. Exit 0 only when save() throws std::runtime_error.
-    std::signal(SIGXFSZ, SIG_IGN);
-    const rlim_t cap = static_cast<rlim_t>(size - 8);
-    const rlimit lim{cap, cap};
-    if (::setrlimit(RLIMIT_FSIZE, &lim) != 0) ::_exit(4);
+  // Exit 0 only when save() throws std::runtime_error.
+  const int status = exit_status_under_file_size_limit(size - 8, [&] {
     try {
       model->save(bad_dir.str());
     } catch (const std::runtime_error&) {
-      ::_exit(0);
-    } catch (...) {
-      ::_exit(2);
+      return 0;
     }
-    ::_exit(1);
-  }
-  int status = 0;
-  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-  ASSERT_TRUE(WIFEXITED(status));
-  EXPECT_EQ(WEXITSTATUS(status), 0)
-      << "1: save() reported success on a failed write; 2: wrong "
-         "exception type; 4: setrlimit failed";
+    return 1;
+  });
+  EXPECT_EQ(status, 0) << "1: save() reported success on a failed write; "
+                          "2: wrong exception type; 4: setrlimit failed";
   EXPECT_TRUE(checkpoint_entries(bad_dir.str()).empty())
       << "a failed save() left a checkpoint file behind";
+}
+
+constexpr const char* kWalFailureCodes =
+    "1: ingest never failed; 2: wrong exception type; 3: the call after the "
+    "failure succeeded; 4: setrlimit failed; 5: not EFBIG; -1: the child "
+    "crashed";
+
+/// The persist directory recovers to a model identical to a reference fed
+/// exactly the records it durably holds.
+void expect_recovers_to_durable_prefix(const std::string& dir) {
+  auto recovered =
+      make_miner("sharded", test_cfg(), trace().dict, persist_opts(dir));
+  const std::uint64_t durable = recovered->stats().requests;
+  ASSERT_LT(durable, trace().records.size());
+  const auto reference = reference_miner(
+      "sharded",
+      std::span<const TraceRecord>(trace().records.data(), durable));
+  expect_identical(*recovered, *reference);
+}
+
+// Regression: the WAL discarded the results of fwrite, fflush and
+// fdatasync, so a WAL that stopped growing was still acknowledged as
+// durable and ingest ran on. With a file-size limit at half the WAL's
+// final size (no checkpoint is due, so only the WAL grows), ingest must
+// throw EFBIG before the trace ends, and every later call throw too.
+TEST(PersistReopen, WalWriteFailureStopsIngest) {
+  TempDir dir("persist_wal_efbig");
+  const auto& records = trace().records;
+  MinerOptions opts = persist_opts(dir.str());
+  opts.checkpoint_interval_records = records.size() + 1;
+  constexpr std::size_t kBatch = 64;
+  const auto batch = [&](std::size_t i) {
+    return std::span<const TraceRecord>(
+        records.data() + i, std::min(kBatch, records.size() - i));
+  };
+
+  const int status = exit_status_under_file_size_limit(
+      records.size() * kWalFrameBytes / 2, [&] {
+        auto miner = make_miner("sharded", test_cfg(), trace().dict, opts);
+        std::size_t i = 0;
+        try {
+          for (; i < records.size(); i += kBatch)
+            miner->observe_batch(batch(i));
+          return 1;
+        } catch (const std::system_error& e) {
+          if (e.code() != std::errc::file_too_large) return 5;
+        }
+        try {
+          miner->observe_batch(batch(i));
+        } catch (const std::system_error&) {
+          return 0;
+        }
+        return 3;
+      });
+  ASSERT_EQ(status, 0) << kWalFailureCodes;
+  expect_recovers_to_durable_prefix(dir.str());
+}
+
+// The group-sync thread's half of the same contract: one commit group
+// fits in the stdio buffer, so only that thread's flush writes to the
+// file, and it hits the limit. Appends of no records do no I/O of their
+// own, yet one must rethrow the thread's EFBIG, and so must the call after
+// it. The directory keeps the five records that fit.
+TEST(PersistReopen, WalSyncFailureStopsIngest) {
+  TempDir dir("persist_wal_sync_efbig");
+  constexpr std::size_t kGroup = 8;
+  MinerOptions opts = persist_opts(dir.str());
+  opts.wal_group_commit = kGroup;
+
+  const int status = exit_status_under_file_size_limit(
+      5 * kWalFrameBytes + 40, [&] {
+        auto miner = make_miner("sharded", test_cfg(), trace().dict, opts);
+        miner->observe_batch(
+            std::span<const TraceRecord>(trace().records.data(), kGroup));
+        const std::span<const TraceRecord> none;
+        bool failed = false;
+        for (int tries = 0; tries < 10000 && !failed; ++tries) {
+          try {
+            miner->observe_batch(none);
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          } catch (const std::system_error& e) {
+            if (e.code() != std::errc::file_too_large) return 5;
+            failed = true;
+          }
+        }
+        if (!failed) return 1;
+        try {
+          miner->observe_batch(none);
+        } catch (const std::system_error&) {
+          return 0;
+        }
+        return 3;
+      });
+  ASSERT_EQ(status, 0) << kWalFailureCodes;
+  expect_recovers_to_durable_prefix(dir.str());
+  EXPECT_EQ(fs::file_size(dir.str() + "/wal.0"), 5 * kWalFrameBytes);
 }
 
 // --------------------------------------------------- kill-and-recover ----
@@ -480,7 +930,7 @@ void run_kill_and_recover(const char* backend) {
 
   const persist::Recovery rec =
       persist::recover_dir(dir.str(), test_cfg(), trace().dict.get());
-  const std::uint64_t durable = rec.durable_records();
+  const std::uint64_t durable = rec.checkpoint_seq + rec.tail.size();
   ASSERT_GT(durable, 0u);
 
   const auto& records = trace().records;
