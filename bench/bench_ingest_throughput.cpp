@@ -1,10 +1,9 @@
-// Ingest throughput of the sharded apply path, durable persistence and the
-// out-of-core disk replay.
+// Ingest throughput of the sharded apply path and durable persistence.
 //
 // FARMER's premise is mining live metadata-server request streams, so the
 // numbers that matter at peta-scale are sustained ingest records/s, what
 // durability costs on top of it, and how fast a model comes back after a
-// crash. This bench reports three tables:
+// crash. This bench reports two tables:
 //
 //   1. Parallel apply lanes: the HP trace in 256-record chunks through the
 //      shard-disjoint worker pool behind the "sharded" backend's
@@ -15,16 +14,10 @@
 //      full-model checkpoint save, and recovery wall-clock from a
 //      checkpoint alone vs a checkpoint plus a WAL tail (~40% of the trace)
 //      that must be replayed.
-//   3. Disk replay (the out-of-core pipeline): a multi-tenant trace is
-//      streamed to per-tenant v3 part files (stream_multi_tenant_trace),
-//      externally merged by timestamp (merge_trace_streams), then the
-//      merged file is mmap'd and its record span fed to the sharded
-//      backend, with and without WAL + checkpoints, next to an in-memory
-//      sharded baseline over the materialized trace.
-//      FARMER_TRACE_DIR / FARMER_TRACE_TENANTS / FARMER_TRACE_ROUNDS size
-//      and place the trace (see bench_util.hpp); with FARMER_TRACE_DIR set
-//      an existing merged trace is reused and the generate/merge rows are
-//      skipped, so a multi-GB trace is built once and replayed many times.
+//
+// The out-of-core pipeline (streamed generation, k-way merge, mmap replay
+// into "sharded") is measured by bench/e2e: its set-up times the first two
+// stages and its `ingest` workload is the replay.
 //
 // `--json` replaces the human tables with one machine-readable JSON
 // document (scripts/bench_to_json.py validates/normalizes it into the
@@ -32,8 +25,6 @@
 #include "bench_util.hpp"
 
 #include <filesystem>
-
-#include "trace/trace_stream.hpp"
 
 int main(int argc, char** argv) {
   using namespace farmer;
@@ -146,98 +137,12 @@ int main(int argc, char** argv) {
     fs::remove_all(base, ec);
   }
 
-  // ------------------------------------------------------------ disk replay --
-  // The out-of-core pipeline end to end. Replay rows feed the miner straight
-  // from the merged file's mmap'd record span (no Trace materialized); the
-  // in-memory row is the same chunked sharded ingest over a materialized
-  // Trace, so the pair isolates the cost of reading records off the mapping.
-  Table disk_replay({"scenario", "records", "seconds", "records/s"});
-  {
-    namespace fs = std::filesystem;
-    const std::string custom_dir = trace_dir();
-    const bool keep = !custom_dir.empty();
-    const fs::path dir = keep ? fs::path(custom_dir)
-                              : fs::temp_directory_path() /
-                                    "farmer_bench_trace";
-    std::error_code ec;
-    if (!keep) fs::remove_all(dir, ec);
-    fs::create_directories(dir);
-    const fs::path merged_path = dir / "merged.ftrace";
-
-    const auto add_replay_row = [&](const std::string& label,
-                                    std::uint64_t records, double secs) {
-      disk_replay.add_row({label, std::to_string(records),
-                           fmt_double(secs, 3),
-                           fmt_double(static_cast<double>(records) / secs,
-                                      0)});
-    };
-
-    if (!keep || !fs::exists(merged_path)) {
-      static const TraceKind kTenantKinds[] = {TraceKind::kHP,
-                                               TraceKind::kINS,
-                                               TraceKind::kRES,
-                                               TraceKind::kLLNL};
-      StreamedTraceSpec spec;
-      const std::size_t ntenants = trace_tenants();
-      for (std::size_t t = 0; t < ntenants; ++t)
-        spec.tenants.push_back(kTenantKinds[t % 4]);
-      spec.seed = kExperimentSeed;
-      spec.scale = bench_scale();
-      spec.rounds = trace_rounds();
-
-      auto t0 = std::chrono::steady_clock::now();
-      const StreamedMultiTenantTrace streamed =
-          stream_multi_tenant_trace(spec, dir.string());
-      auto t1 = std::chrono::steady_clock::now();
-      add_replay_row("generate (streamed)", streamed.records_written,
-                     std::chrono::duration<double>(t1 - t0).count());
-
-      t0 = std::chrono::steady_clock::now();
-      const std::uint64_t merged = merge_trace_streams(
-          streamed.part_paths, merged_path.string(), streamed.name);
-      t1 = std::chrono::steady_clock::now();
-      add_replay_row("merge (k-way)", merged,
-                     std::chrono::duration<double>(t1 - t0).count());
-    }
-
-    const TraceReader reader(merged_path.string());
-    const std::span<const TraceRecord> records = reader.records();
-    const std::uint64_t n = records.size();
-    FarmerConfig rcfg;
-    rcfg.attributes = reader.has_paths() ? AttributeMask::all_with_path()
-                                         : AttributeMask::all_with_fileid();
-    const fs::path pbase = dir / "persist";
-    fs::remove_all(pbase, ec);
-
-    {
-      const Trace mem = reader.materialize();
-      const auto miner = make_miner("sharded", rcfg, mem.dict, opts);
-      add_replay_row("ingest sharded (in-memory)", n,
-                     span_replay(*miner, mem.records));
-    }
-    {
-      const auto miner = make_miner("sharded", rcfg, reader.dict(), opts);
-      add_replay_row("replay sharded (mmap)", n, span_replay(*miner, records));
-    }
-    {
-      MinerOptions durable = opts;
-      durable.persist_dir = (pbase / "sharded").string();
-      const auto miner = make_miner("sharded", rcfg, reader.dict(), durable);
-      add_replay_row("replay sharded (wal+ckpt)", n,
-                     span_replay(*miner, records));
-    }
-    fs::remove_all(pbase, ec);
-    if (!keep) fs::remove_all(dir, ec);
-  }
-
   if (json) {
     std::cout << "{\"bench\": \"bench_ingest_throughput\", \"scale\": "
               << bench_scale() << ", \"tables\": [";
     parallel_apply.print_json(std::cout, "parallel_apply");
     std::cout << ", ";
     recovery.print_json(std::cout, "recovery");
-    std::cout << ", ";
-    disk_replay.print_json(std::cout, "disk_replay");
     std::cout << "]}\n";
     return 0;
   }
@@ -248,16 +153,9 @@ int main(int argc, char** argv) {
                "WAL replay):\n\n";
   recovery.print(std::cout);
 
-  std::cout << "\nDisk replay: streamed generate → external k-way merge → "
-               "mmap replay of the merged v3 trace into the sharded backend, "
-               "vs the same ingest over an in-memory Trace (FARMER_TRACE_DIR "
-               "/ FARMER_TRACE_TENANTS / FARMER_TRACE_ROUNDS size and place "
-               "the trace):\n\n";
-  disk_replay.print(std::cout);
-
   std::cout << "\nNote: the parallel-apply table fixes 8 shards; "
                "FARMER_SHARDS (default 4) sets the mining partitions of the "
-               "persistence and disk-replay rows. Lane counts above the "
-               "machine's cores measure scheduling, not mining.\n";
+               "persistence rows. Lane counts above the machine's cores "
+               "measure scheduling, not mining.\n";
   return 0;
 }

@@ -8,10 +8,9 @@
 //   bench_serving --list-scenarios      registered scenario names
 //   bench_serving --json                machine-readable (bench_to_json.py)
 //
-// FARMER_SCENARIO picks the scenario without a flag; FARMER_SERVE_WINDOWS
-// and FARMER_SERVE_CACHE override the spec's reporting windows and MDS
-// cache capacity. The trace volume follows FARMER_BENCH_SCALE like every
-// other bench (scenario scales are tuned for the default 0.25).
+// Each scenario's spec fixes its reporting windows and MDS cache capacity.
+// The trace volume follows FARMER_BENCH_SCALE like every other bench
+// (scenario scales are tuned for the default 0.25).
 #include <algorithm>
 #include <cstring>
 #include <iostream>
@@ -34,8 +33,6 @@ ScenarioSpec spec_for(const std::string& name) {
   // Scenario scales are tuned for the default bench scale; FARMER_BENCH_SCALE
   // shrinks or grows them proportionally (CI smoke runs tiny).
   spec.scale = std::min(1.0, spec.scale * bench_scale() / 0.25);
-  if (runtime().serve_windows) spec.windows = runtime().serve_windows;
-  if (runtime().serve_cache) spec.cache_capacity = runtime().serve_cache;
   return spec;
 }
 
@@ -64,7 +61,6 @@ int main(int argc, char** argv) {
     return 0;
   }
   const bool json = json_output_requested(argc, argv);
-  if (only.empty()) only = runtime().scenario;
 
   const std::vector<std::string> names =
       only.empty() ? registered_scenarios() : std::vector<std::string>{only};

@@ -87,23 +87,6 @@ inline FarmerConfig fpa_config(const Trace& trace) {
 /// parsing lives in RuntimeConfig.
 inline const std::string& miner_backend() { return runtime().miner_backend; }
 
-/// Disk-replay controls for bench_ingest_throughput's disk_replay table
-/// (the out-of-core generate→merge→replay pipeline):
-///   FARMER_TRACE_DIR=<path>   (default: a fresh temp directory, removed
-///                              afterwards. When set, the directory is kept
-///                              and an existing merged trace is reused, so
-///                              a multi-GB trace is generated once and
-///                              replayed by every subsequent run.)
-///   FARMER_TRACE_TENANTS=<n>  (default 2, max 4: tenant streams mixed into
-///                              the replayed trace, cycling LLNL/INS/RES/HP)
-///   FARMER_TRACE_ROUNDS=<n>   (default 1: workload rounds per tenant;
-///                              record volume scales linearly, generator
-///                              memory does not — raise this to build
-///                              multi-GB traces)
-inline const std::string& trace_dir() { return runtime().trace_dir; }
-inline std::size_t trace_tenants() { return runtime().trace_tenants; }
-inline std::size_t trace_rounds() { return runtime().trace_rounds; }
-
 inline const MinerOptions& miner_options() { return runtime().miner; }
 
 /// True when argv carries `--json`: the bench emits one machine-readable
@@ -171,10 +154,8 @@ inline std::unique_ptr<Predictor> make_bench_predictor(
   }
 }
 
-/// Replay driver over a borrowed record span in `chunk`-sized
-/// observe_batch() calls — the span can point straight into a TraceReader
-/// mapping, so disk replay feeds the miner without materializing a Trace.
-/// Returns wall-clock seconds for ingest+flush.
+/// Feeds `records` to `miner` in `chunk`-sized observe_batch() calls, then
+/// flushes. Returns wall-clock seconds for ingest+flush.
 inline double span_replay(CorrelationMiner& miner,
                           std::span<const TraceRecord> records,
                           std::size_t chunk = 1024) {

@@ -1,13 +1,12 @@
 // The mining API boundary.
 //
 // The paper's FARMER model is one *producer* of Correlator Lists; the
-// downstream optimizers — metadata prefetching (Section 4.1), data layout
-// (Section 4.2), policy propagation (Section 4.3) — only ever consume the
-// lists plus a handful of evaluation queries. `CorrelationMiner` is that
-// boundary, mirroring the `Predictor` polymorphism in prefetch/predictor.hpp:
-// consumers bind to the interface and either backend (serial FARMER or
-// sharded FARMER) plugs in behind it without recompiling a single
-// consumer.
+// downstream optimizers — metadata prefetching (Section 4.1) and data
+// layout (Section 4.2) — only ever consume the lists plus a handful of
+// evaluation queries. `CorrelationMiner` is that boundary, mirroring the
+// `Predictor` polymorphism in prefetch/predictor.hpp: consumers bind to the
+// interface and either backend (serial FARMER or sharded FARMER) plugs in
+// behind it without recompiling a single consumer.
 //
 // Queries go through `snapshot()`, which returns an immutable
 // `CorrelatorView`: backends whose lists are stable between `observe()`
@@ -183,9 +182,11 @@ class CorrelationMiner {
 
   /// Barrier: returns once every record accepted by observe()/observe_batch()
   /// before this call is reflected in queries. Both backends apply records
-  /// inside observe(), so it is a no-op for them; the durability decorator
-  /// and instrumenting wrappers forward it. flush() never invalidates any
-  /// CorrelatorView, borrowed or owning.
+  /// inside observe(), so it is a no-op for them; instrumenting wrappers
+  /// forward it. The durability decorator also fsyncs its WAL, so on return
+  /// those records are durable, and throws std::system_error when that
+  /// sync fails. flush() never invalidates any CorrelatorView, borrowed or
+  /// owning.
   virtual void flush() {}
 
   /// Immutable snapshot of `f`'s Correlator List, sorted by descending

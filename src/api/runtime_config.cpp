@@ -96,15 +96,7 @@ RuntimeConfig RuntimeConfig::from_env() {
            /*max_value=*/1u << 30);
 
   env.string("FARMER_PREDICTOR", rc.predictor);
-
-  env.string("FARMER_SCENARIO", rc.scenario);
-  env.size("FARMER_SERVE_WINDOWS", rc.serve_windows, /*max_value=*/4096);
-  env.size("FARMER_SERVE_CACHE", rc.serve_cache, /*max_value=*/1u << 24);
-
   env.fraction("FARMER_BENCH_SCALE", rc.bench_scale);
-  env.string("FARMER_TRACE_DIR", rc.trace_dir);
-  env.size("FARMER_TRACE_TENANTS", rc.trace_tenants, /*max_value=*/4);
-  env.size("FARMER_TRACE_ROUNDS", rc.trace_rounds, /*max_value=*/1u << 20);
   env.reject_unread();
   return rc;
 }

@@ -5,7 +5,7 @@
 // the same environment surface (README "Configuration" table). Before this
 // loader each binary hand-rolled its own getenv/strtoul soup; now
 // `RuntimeConfig::from_env()` produces validated `MinerOptions`, the
-// predictor selection and scenario knobs in one pass, and a malformed
+// predictor selection and the bench scale in one pass, and a malformed
 // variable surfaces as a *typed* `ConfigError` naming the variable, the
 // raw value and the constraint it violated. So does any other set FARMER_*
 // variable, misspelt or retired — a typo can never silently select the
@@ -16,7 +16,6 @@
 // `ConfigError`.
 #pragma once
 
-#include <cstddef>
 #include <stdexcept>
 #include <string>
 
@@ -59,23 +58,9 @@ struct RuntimeConfig {
   /// FARMER_PREDICTOR: prefetch policy name resolved through the
   /// PredictorFactory ("fpa", "nexus" or "none").
   std::string predictor = "fpa";
-  /// FARMER_SCENARIO: serving-scenario name (serve/scenario.hpp); empty =
-  /// the consumer's default.
-  std::string scenario;
-  /// FARMER_SERVE_WINDOWS: reporting windows per scenario run (0 = the
-  /// scenario's own default).
-  std::size_t serve_windows = 0;
-  /// FARMER_SERVE_CACHE: metadata-cache capacity override for scenario
-  /// runs (0 = the scenario's own default).
-  std::size_t serve_cache = 0;
   /// FARMER_BENCH_SCALE: fraction of the full synthetic volume the benches
   /// replay, in (0, 1].
   double bench_scale = 0.25;
-  /// FARMER_TRACE_DIR / FARMER_TRACE_TENANTS / FARMER_TRACE_ROUNDS: the
-  /// out-of-core trace pipeline knobs (bench_ingest_throughput).
-  std::string trace_dir;
-  std::size_t trace_tenants = 2;
-  std::size_t trace_rounds = 1;
 
   /// Parses the process environment. Throws ConfigError on the first
   /// malformed variable, or on a set FARMER_* variable this loader does not

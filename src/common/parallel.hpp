@@ -3,10 +3,13 @@
 //
 // The library parallelises three embarrassingly parallel stages: synthetic
 // trace generation (per-process streams), parameter sweeps in the benches,
-// and sharded mining. `parallel_for` uses OpenMP when available and falls
-// back to a plain loop otherwise, so the build never requires OpenMP.
+// and sharded mining. All of them run on `WorkerPool`: the sharded apply
+// keeps one pool per miner, and `parallel_for` builds one per call. The
+// workers are plain std::thread + mutex/condvar, so ThreadSanitizer
+// instruments every parallel loop the library runs.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -16,56 +19,12 @@
 #include <thread>
 #include <vector>
 
-#if defined(FARMER_HAVE_OPENMP)
-#include <omp.h>
-#endif
-
 namespace farmer {
 
 /// Number of worker threads the helpers will use.
 [[nodiscard]] inline unsigned hardware_parallelism() noexcept {
   const unsigned n = std::thread::hardware_concurrency();
   return n == 0 ? 1 : n;
-}
-
-/// Runs body(i) for i in [0, n). `body` must be safe to run concurrently
-/// for distinct i. Exceptions must not escape `body` (OpenMP constraint);
-/// our bodies write into pre-sized slots and do not throw.
-template <typename Body>
-void parallel_for(std::size_t n, Body&& body) {
-  // Early out: with n == 0 the std::thread fallback would compute
-  // workers == 0 and fall into the serial branch only by accident of the
-  // `workers <= 1` comparison; make the no-op case explicit for both paths.
-  if (n == 0) return;
-#if defined(FARMER_HAVE_OPENMP)
-#pragma omp parallel for schedule(dynamic, 1)
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(n); ++i)
-    body(static_cast<std::size_t>(i));
-#else
-  // Fallback: hand-rolled static partitioning over std::thread.
-  const unsigned workers =
-      static_cast<unsigned>(std::min<std::size_t>(hardware_parallelism(), n));
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < n; ++i) body(i);
-    return;
-  }
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (unsigned w = 0; w < workers; ++w) {
-    pool.emplace_back([&, w] {
-      for (std::size_t i = w; i < n; i += workers) body(i);
-    });
-  }
-  for (auto& t : pool) t.join();
-#endif
-}
-
-/// Maps body(i) -> T over [0, n) into a pre-sized vector, in parallel.
-template <typename T, typename Body>
-[[nodiscard]] std::vector<T> parallel_map(std::size_t n, Body&& body) {
-  std::vector<T> out(n);
-  parallel_for(n, [&](std::size_t i) { out[i] = body(i); });
-  return out;
 }
 
 /// A persistent worker pool for repeated small fan-outs (the sharded apply
@@ -77,9 +36,7 @@ template <typename T, typename Body>
 /// counter (dynamic scheduling — shard slices are skewed by routing).
 ///
 /// Thread-safety: run() is *not* reentrant — one job at a time, issued from
-/// one thread (the caller of ShardedFarmer::observe_batch). The
-/// workers are plain std::thread + mutex/condvar, so TSan instruments the
-/// pool directly (unlike the OpenMP path of parallel_for).
+/// one thread (the caller of ShardedFarmer::observe_batch or parallel_for).
 class WorkerPool {
  public:
   /// Spawns `threads - 1` helper threads (the caller is the last lane).
@@ -189,5 +146,14 @@ class WorkerPool {
   bool stop_ = false;
   std::atomic<std::size_t> next_{0};
 };
+
+/// Runs body(i) for i in [0, n) on a pool of up to hardware_parallelism()
+/// lanes, one of them the calling thread; items are claimed one at a time,
+/// so unequal items balance across lanes. `body` must be safe to run
+/// concurrently for distinct i and must not throw (WorkerPool::run).
+template <typename Body>
+void parallel_for(std::size_t n, Body&& body) {
+  WorkerPool(std::min<std::size_t>(hardware_parallelism(), n)).run(n, body);
+}
 
 }  // namespace farmer

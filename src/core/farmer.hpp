@@ -8,8 +8,8 @@
 // `observe()` runs all four stages for one request; the model is fully
 // incremental ("iterative process that repeats itself for each incoming
 // request"). Correlator Lists are the public product, consumed through the
-// `CorrelationMiner` interface by the prefetcher (Section 4.1), the layout
-// optimizer (Section 4.2) and policy propagation (Section 4.3).
+// `CorrelationMiner` interface by the prefetcher (Section 4.1) and the
+// layout optimizer (Section 4.2).
 //
 // All per-file state lives in one block per file (`common/block_store.hpp`):
 // the graph node (successors, Correlator List, N_f) with the file's

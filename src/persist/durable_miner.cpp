@@ -31,6 +31,11 @@ void DurableMiner::observe_batch(std::span<const TraceRecord> records) {
   maybe_checkpoint();
 }
 
+void DurableMiner::flush() {
+  inner_->flush();
+  persister_.sync();
+}
+
 void DurableMiner::load(const std::string& dir) {
   inner_->load(dir);
   const std::uint64_t seq = inner_->stats().requests;

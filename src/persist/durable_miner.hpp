@@ -30,7 +30,10 @@ class DurableMiner final : public CorrelationMiner {
 
   void observe(const TraceRecord& rec) override;
   void observe_batch(std::span<const TraceRecord> records) override;
-  void flush() override { inner_->flush(); }
+  /// Flushes the backend, then fsyncs the WAL: on return every record
+  /// accepted so far is durable. Throws std::system_error when the sync
+  /// fails (the destructor's final sync stays best effort).
+  void flush() override;
 
   [[nodiscard]] CorrelatorView snapshot(FileId f) const override {
     return inner_->snapshot(f);

@@ -151,6 +151,11 @@ void Persister::append(std::span<const TraceRecord> records) {
   if (group_closed) sync_cv_.notify_one();
 }
 
+void Persister::sync() {
+  std::lock_guard<std::mutex> lock(mu_);
+  checked_locked([&] { wal_->sync(); });
+}
+
 void Persister::sync_loop() {
   std::uint64_t synced = 0;
   for (;;) {
@@ -203,12 +208,13 @@ void Persister::rebase(std::uint64_t seq) {
 
 void Persister::open_segment_locked(std::uint64_t base) {
   if (wal_) wal_->sync();
-  // A segment starts empty. A file already at this name holds records past
-  // the durable end, from a history recovery cut short at a gap; left in
-  // place they would sit in front of the new records with the same
-  // sequence numbers, and the next recovery would replay them instead.
+  // The new segment continues the history that ends at `base`. A segment
+  // based at or past `base` holds records beyond that end, from a history
+  // recovery cut short at a gap; left in place, the next recovery would
+  // replay them in place of the new records with the same sequence numbers.
+  for (const auto& [seg_base, seg_path] : list_family(opts_.dir, kWalPrefix))
+    if (seg_base >= base) fs::remove(seg_path);
   const std::string path = opts_.dir + "/wal." + std::to_string(base);
-  fs::remove(path);
   wal_ = std::make_shared<WalWriter>(path);
   wal_base_ = base;
 }

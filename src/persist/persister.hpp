@@ -13,11 +13,11 @@
 // (Pomegranate-style transaction groups: the appender opens the next group
 // while the previous one syncs), so the ingest path never blocks on the
 // disk and the crash-loss window stays bounded to the groups still in
-// flight. Checkpoint rotation, rebase and shutdown sync inline — those are
-// the points that need a durable cut. A failed WAL write or sync stops
-// ingest: the error is rethrown by the call that hit it or, for the
-// group-sync thread, by the next append/begin_checkpoint/rebase, and every
-// later one.
+// flight. Checkpoint rotation, rebase, sync() and shutdown sync inline —
+// those are the points that need a durable cut. A failed WAL write or sync
+// stops ingest: the error is rethrown by the call that hit it or, for the
+// group-sync thread, by the next append/sync/begin_checkpoint/rebase, and
+// every later one.
 //
 // The Persister neither reads nor writes checkpoints. Its owner
 // (DurableMiner) recovers through the backend's load() (recover_dir below)
@@ -82,8 +82,9 @@ class Persister {
  public:
   /// Opens the directory at the durable end `seq` (the record count its
   /// owner recovered): creates the directory, writes the MANIFEST binding
-  /// `cfg`/`dict` if absent (`dict` may be null), starts a fresh WAL
-  /// segment based at `seq` and the group-sync thread.
+  /// `cfg`/`dict` if absent (`dict` may be null), removes every WAL segment
+  /// based at or past `seq` (records recovery did not take, stranded past a
+  /// gap), starts a fresh segment based at `seq` and the group-sync thread.
   Persister(Options opts, const FarmerConfig& cfg,
             const TraceDictionary* dict, std::uint64_t seq);
   /// Stops the group-sync thread and syncs the open segment, best effort:
@@ -101,6 +102,11 @@ class Persister {
   /// std::system_error on a failed write, or on a group sync that failed
   /// since the last call.
   void append(std::span<const TraceRecord> records);
+
+  /// Makes every appended record durable: fsyncs the open segment inline,
+  /// whatever its commit group. Throws std::system_error on a failed sync,
+  /// or on a group sync that failed since the last call.
+  void sync();
 
   /// True once a checkpoint interval of records accumulated since the last
   /// initiated checkpoint.
@@ -142,7 +148,7 @@ class Persister {
   std::uint64_t sync_goal_ = 0;     // newest group boundary to fsync
   bool sync_stop_ = false;
   // The first WAL failure, from either thread. Once set, every further
-  // append/begin_checkpoint/rebase rethrows it and no sync is retried.
+  // append/sync/begin_checkpoint/rebase rethrows it and no sync is retried.
   std::exception_ptr error_;
   std::condition_variable sync_cv_;
   std::thread sync_thread_;

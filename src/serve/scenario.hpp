@@ -15,8 +15,8 @@
 // the bit-identical workload (the determinism tests pin this down).
 //
 // The built-in scenarios form a fixed table, like the MinerFactory and
-// PredictorFactory names: look one up by name (`FARMER_SCENARIO=...`,
-// `bench_serving --scenario ...`), or build a ScenarioSpec directly.
+// PredictorFactory names: look one up by name (`bench_serving --scenario
+// ...`), or build a ScenarioSpec directly.
 #pragma once
 
 #include <cstdint>

@@ -606,34 +606,44 @@ TEST(PersistReopen, CorruptNewestCheckpointFallsBackToOlder) {
 // Regression: a corrupt sole checkpoint leaves a gap — its prune already
 // dropped wal.0 — so the directory recovers to no records, and the segment
 // past the gap (wal.100: records 101-150 of the first history) stays
-// behind. A second history checkpoints at the same sequence number and
-// rotates to the same segment name; had it appended there, behind the
-// stale records, the next recovery would replay those in place of its own.
+// behind. The second history's checkpoint interval decides how a
+// surviving wal.100 would be replayed: at 100 the second history rotates
+// to that very name and appends behind the stale records, which the next
+// recovery would then replay in place of its own; at 120 it keeps its
+// tail in wal.120, and recovery would read records 121-150 of the first
+// history out of wal.100 as that tail.
 TEST(PersistReopen, StaleSegmentPastAGapIsNotReplayed) {
-  TempDir dir("persist_stale_segment");
-  MinerOptions opts = persist_opts(dir.str());
-  opts.checkpoint_interval_records = 100;
   constexpr std::size_t kRecords = 150;
+  constexpr std::size_t kBatch = 10;  // a checkpoint lands on any multiple
   constexpr std::size_t kSecondHistory = 1000;
   ASSERT_GE(trace().records.size(), kSecondHistory + kRecords);
   const auto ingest = [&](CorrelationMiner& miner, std::size_t first) {
-    for (std::size_t i = first; i < first + kRecords; i += 50)
+    for (std::size_t i = first; i < first + kRecords; i += kBatch)
       miner.observe_batch(
-          std::span<const TraceRecord>(trace().records.data() + i, 50));
+          std::span<const TraceRecord>(trace().records.data() + i, kBatch));
   };
-  ingest(*make_miner("farmer", test_cfg(), trace().dict, opts), 0);
-  ASSERT_TRUE(fs::exists(dir.str() + "/wal.100"));
-  flip_middle_byte(dir.str() + "/CHECKPOINT.100");
-  {
-    auto miner = make_miner("farmer", test_cfg(), trace().dict, opts);
-    ASSERT_EQ(miner->stats().requests, 0u);
-    ingest(*miner, kSecondHistory);
+  for (const std::size_t second_interval : {100u, 120u}) {
+    SCOPED_TRACE("second history's checkpoint interval " +
+                 std::to_string(second_interval));
+    TempDir dir("persist_stale_segment_" + std::to_string(second_interval));
+    MinerOptions opts = persist_opts(dir.str());
+    opts.checkpoint_interval_records = 100;
+    ingest(*make_miner("farmer", test_cfg(), trace().dict, opts), 0);
+    ASSERT_TRUE(fs::exists(dir.str() + "/wal.100"));
+    ASSERT_FALSE(fs::exists(dir.str() + "/wal.0"));
+    flip_middle_byte(dir.str() + "/CHECKPOINT.100");
+    opts.checkpoint_interval_records = second_interval;
+    {
+      auto miner = make_miner("farmer", test_cfg(), trace().dict, opts);
+      ASSERT_EQ(miner->stats().requests, 0u);
+      ingest(*miner, kSecondHistory);
+    }
+    auto recovered = make_miner("farmer", test_cfg(), trace().dict, opts);
+    const auto reference = reference_miner(
+        "farmer", std::span<const TraceRecord>(
+                      trace().records.data() + kSecondHistory, kRecords));
+    expect_identical(*recovered, *reference);
   }
-  auto recovered = make_miner("farmer", test_cfg(), trace().dict, opts);
-  const auto reference = reference_miner(
-      "farmer", std::span<const TraceRecord>(
-                    trace().records.data() + kSecondHistory, kRecords));
-  expect_identical(*recovered, *reference);
 }
 
 TEST(PersistReopen, CheckpointOfAnotherFormatVersionThrows) {
@@ -873,6 +883,34 @@ TEST(PersistReopen, WalSyncFailureStopsIngest) {
   ASSERT_EQ(status, 0) << kWalFailureCodes;
   expect_recovers_to_durable_prefix(dir.str());
   EXPECT_EQ(fs::file_size(dir.str() + "/wal.0"), 5 * kWalFrameBytes);
+}
+
+// Regression: flush() did not touch the WAL, and the destructor's final
+// sync is best effort, so a commit group that never closed could fail to
+// reach the disk with no error anywhere. With commit groups of 1000
+// records, the 40 ingested records wait in the stdio buffer until flush()
+// writes them, and a limit of 20 frames stops that write halfway: flush()
+// must throw EFBIG, and the directory keeps the 20 records that fit.
+TEST(PersistReopen, FlushReportsAFailedWalSync) {
+  TempDir dir("persist_flush_efbig");
+  MinerOptions opts = persist_opts(dir.str());
+  opts.wal_group_commit = 1000;
+
+  const int status =
+      exit_status_under_file_size_limit(20 * kWalFrameBytes, [&] {
+        auto miner = make_miner("sharded", test_cfg(), trace().dict, opts);
+        miner->observe_batch(
+            std::span<const TraceRecord>(trace().records.data(), 40));
+        try {
+          miner->flush();
+        } catch (const std::system_error& e) {
+          return e.code() == std::errc::file_too_large ? 0 : 5;
+        }
+        return 1;
+      });
+  ASSERT_EQ(status, 0) << kWalFailureCodes;
+  expect_recovers_to_durable_prefix(dir.str());
+  EXPECT_EQ(fs::file_size(dir.str() + "/wal.0"), 20 * kWalFrameBytes);
 }
 
 // --------------------------------------------------- kill-and-recover ----

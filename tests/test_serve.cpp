@@ -504,14 +504,10 @@ TEST(RuntimeConfigTest, ParsesAndMirrorsIntoPredictorOptions) {
   ScopedEnv e1("FARMER_MINER", "sharded");
   ScopedEnv e2("FARMER_SHARDS", "4");
   ScopedEnv e3("FARMER_PREDICTOR", "nexus");
-  ScopedEnv e4("FARMER_SCENARIO", "flash_crowd");
-  ScopedEnv e5("FARMER_SERVE_WINDOWS", "9");
   const RuntimeConfig rc = RuntimeConfig::from_env();
   EXPECT_EQ(rc.miner_backend, "sharded");
   EXPECT_EQ(rc.miner.shards, 4u);
   EXPECT_EQ(rc.predictor, "nexus");
-  EXPECT_EQ(rc.scenario, "flash_crowd");
-  EXPECT_EQ(rc.serve_windows, 9u);
   // The predictor options carry the miner selection so "fpa" mines on the
   // env-selected backend.
   EXPECT_EQ(rc.predictor_options().miner_backend, "sharded");
@@ -547,7 +543,7 @@ TEST(RuntimeConfigTest, RejectsZeroAndOutOfRange) {
     EXPECT_THROW((void)RuntimeConfig::from_env(), ConfigError);
   }
   {
-    ScopedEnv bad("FARMER_SERVE_WINDOWS", "99999");
+    ScopedEnv bad("FARMER_APPLY_THREADS", "99999");
     EXPECT_THROW((void)RuntimeConfig::from_env(), ConfigError);
   }
 }
@@ -556,7 +552,14 @@ TEST(RuntimeConfigTest, RejectsZeroAndOutOfRange) {
 // defaults unnoticed.
 TEST(RuntimeConfigTest, UnknownOrRetiredVariableThrows) {
   const std::pair<const char*, const char*> cases[] = {
-      {"FARMER_SHRADS", "8"}, {"FARMER_QUERY_CACHE", "2048"}};
+      {"FARMER_SHRADS", "8"},
+      {"FARMER_QUERY_CACHE", "2048"},
+      {"FARMER_SCENARIO", "flash_crowd"},
+      {"FARMER_SERVE_WINDOWS", "9"},
+      {"FARMER_SERVE_CACHE", "4096"},
+      {"FARMER_TRACE_DIR", "traces"},
+      {"FARMER_TRACE_TENANTS", "4"},
+      {"FARMER_TRACE_ROUNDS", "8"}};
   for (const auto& [var, value] : cases) {
     ScopedEnv bad(var, value);
     try {
