@@ -10,9 +10,13 @@
 //
 // Each scenario's spec fixes its reporting windows and MDS cache capacity.
 // The trace volume follows FARMER_BENCH_SCALE like every other bench
-// (scenario scales are tuned for the default 0.25).
+// (scenario scales are tuned for the default 0.25). Under
+// FARMER_PERSIST_DIR each scenario persists into <dir>/<scenario>. Any
+// error a scenario raises is printed and exits 2 — among them a warm start
+// over a directory an earlier run already filled.
 #include <algorithm>
 #include <cstring>
+#include <exception>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -83,11 +87,14 @@ int main(int argc, char** argv) {
                      "footprint_bytes", "invalidations"});
 
   for (const std::string& name : names) {
+    // One persist directory per scenario, as make_bench_predictor gives
+    // one per trace: each is bound to its own trace and configuration.
+    PredictorOptions opts = runtime().predictor_options();
+    if (!opts.miner.persist_dir.empty()) opts.miner.persist_dir += "/" + name;
     ServingResult res;
     try {
-      res = run_scenario(spec_for(name), predictor,
-                         runtime().predictor_options());
-    } catch (const std::invalid_argument& e) {
+      res = run_scenario(spec_for(name), predictor, opts);
+    } catch (const std::exception& e) {
       std::cerr << e.what() << "\n";
       return 2;
     }

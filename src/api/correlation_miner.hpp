@@ -8,23 +8,22 @@
 // interface and either backend (serial FARMER or sharded FARMER) plugs in
 // behind it without recompiling a single consumer.
 //
-// Queries go through `snapshot()`, which returns an immutable
-// `CorrelatorView`: backends whose lists are stable between `observe()`
-// calls hand out a zero-copy span, backends that merge on demand (sharded)
-// hand out an owning snapshot — either way the caller never observes a
-// Correlator List mid-resort. `any_listed()` is the cheap question a
-// caller asks before paying for that merge: does any listed Correlator pass
-// a test? A merging backend answers it from its per-shard lists in place.
+// Queries go through `snapshot()`, which returns a `CorrelatorView`: a
+// copy of one Correlator List that further ingest never changes, so the
+// caller never observes a list mid-resort. `any_listed()` is the cheap
+// question a caller asks before paying for that copy (or, on "sharded",
+// the merge behind it): does any listed Correlator pass a test? Both
+// backends answer it from their own lists in place.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
 #include <span>
-#include <stdexcept>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include "common/function_ref.hpp"
+#include "common/small_vector.hpp"
 #include "common/types.hpp"
 #include "graph/correlation_graph.hpp"
 #include "trace/record.hpp"
@@ -71,90 +70,35 @@ struct PairEvidence {
   double degree = 0.0;             ///< correlation_degree(a, b): R(a, b)
 };
 
-/// An immutable snapshot of one file's Correlator List.
-///
-/// Either *borrows* storage owned by the backend (valid until the next
-/// non-const call on the miner — the usual query-then-act pattern) or *owns*
-/// a merged copy (sharded backends). Move-only: copying an owning view would
-/// silently re-point the span at the source's buffer.
-///
-/// Lifetime contract by backend ("is the view stable across observe()?
-/// across flush()?"):
-///
-///   * "farmer" — borrowed (`owns_storage() == false`). Stable
-///     only until the next observe()/observe_batch() on the miner; flush()
-///     is a no-op and does not invalidate it. Query-then-act within one
-///     thread is safe; holding the view across further ingest is not.
-///   * "sharded" — owning merged copy. Stable forever, across any amount of
-///     observe()/flush(), and independent of the miner's lifetime.
-///
-/// When in doubt, check owns_storage(): an owning view never goes stale.
+/// A snapshot of one file's Correlator List: a value that holds its own
+/// copy of the entries, so no later call on the miner (observe(),
+/// observe_batch(), flush(), or destroying the miner) changes it. Up to 8
+/// entries, the default correlator_capacity, are stored inline.
 class CorrelatorView {
  public:
-  CorrelatorView() = default;
-  explicit CorrelatorView(std::span<const Correlator> borrowed)
-      : view_(borrowed) {}
-  explicit CorrelatorView(std::vector<Correlator> owned)
-      : owned_(std::move(owned)), view_(owned_), owns_(true) {}
+  using List = SmallVector<Correlator, 8>;
 
-  // std::vector's move transfers the heap buffer, so the destination's span
-  // stays valid; the source is emptied so it cannot alias that buffer.
-  CorrelatorView(CorrelatorView&& other) noexcept
-      : owned_(std::move(other.owned_)),
-        view_(other.view_),
-        owns_(other.owns_) {
-    other.view_ = {};
-    other.owns_ = false;
-  }
-  CorrelatorView& operator=(CorrelatorView&& other) noexcept {
-    if (this != &other) {
-      owned_ = std::move(other.owned_);
-      view_ = other.view_;
-      owns_ = other.owns_;
-      other.view_ = {};
-      other.owns_ = false;
-    }
-    return *this;
-  }
-  CorrelatorView(const CorrelatorView&) = delete;
-  CorrelatorView& operator=(const CorrelatorView&) = delete;
+  CorrelatorView() = default;
+  explicit CorrelatorView(List entries) noexcept
+      : entries_(std::move(entries)) {}
 
   [[nodiscard]] std::span<const Correlator> entries() const noexcept {
-    return view_;
+    return {entries_.data(), entries_.size()};
   }
   [[nodiscard]] const Correlator* begin() const noexcept {
-    return view_.data();
+    return entries_.begin();
   }
   [[nodiscard]] const Correlator* end() const noexcept {
-    return view_.data() + view_.size();
+    return entries_.end();
   }
-  [[nodiscard]] std::size_t size() const noexcept { return view_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return view_.empty(); }
+  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
+  [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }
   [[nodiscard]] const Correlator& operator[](std::size_t i) const noexcept {
-    return view_[i];
-  }
-  [[nodiscard]] const Correlator& front() const noexcept {
-    return view_.front();
-  }
-  /// True when this view carries its own storage (merged snapshot) —
-  /// including an empty one; borrowed views depend on the miner's lifetime.
-  [[nodiscard]] bool owns_storage() const noexcept { return owns_; }
-
-  /// Moves the owned storage out (owning views only; borrowed views copy).
-  [[nodiscard]] std::vector<Correlator> take() && {
-    if (owns_) {
-      std::vector<Correlator> out = std::move(owned_);
-      view_ = {};
-      owns_ = false;
-      return out;
-    }
-    return std::vector<Correlator>(begin(), end());
+    return entries_[i];
   }
 
  private:
-  std::vector<Correlator> owned_;
-  std::span<const Correlator> view_;
-  bool owns_ = false;
+  List entries_;
 };
 
 /// Abstract producer of Correlator Lists.
@@ -169,44 +113,34 @@ class CorrelationMiner {
   virtual ~CorrelationMiner() = default;
 
   /// Ingests one file request (the full mining pipeline of the backend).
-  /// Invalidates borrowed CorrelatorViews handed out by this miner
-  /// (owning views are unaffected — see CorrelatorView).
   virtual void observe(const TraceRecord& rec) = 0;
 
-  /// Ingests a batch. Backends with internal parallelism (sharding) override
-  /// this; the default is the serial loop. Same view-invalidation contract
-  /// as observe().
-  virtual void observe_batch(std::span<const TraceRecord> records) {
-    for (const TraceRecord& r : records) observe(r);
-  }
+  /// Ingests a batch; the model ends exactly as after one observe() per
+  /// record, in order. "sharded" applies the per-shard slices in parallel.
+  virtual void observe_batch(std::span<const TraceRecord> records) = 0;
 
   /// Barrier: returns once every record accepted by observe()/observe_batch()
   /// before this call is reflected in queries. Both backends apply records
   /// inside observe(), so it is a no-op for them; instrumenting wrappers
   /// forward it. The durability decorator also fsyncs its WAL, so on return
   /// those records are durable, and throws std::system_error when that
-  /// sync fails. flush() never invalidates any CorrelatorView, borrowed or
-  /// owning.
+  /// sync fails.
   virtual void flush() {}
 
-  /// Immutable snapshot of `f`'s Correlator List, sorted by descending
-  /// degree. Every entry passed the backend's validity threshold.
-  ///
-  /// Lifetime: see the CorrelatorView class comment — borrowed for
-  /// "farmer" (stale after the next observe()), owning and
-  /// permanently stable for "sharded".
+  /// A copy of `f`'s Correlator List, sorted by descending degree. Every
+  /// entry passed the backend's validity threshold.
   [[nodiscard]] virtual CorrelatorView snapshot(FileId f) const = 0;
 
   /// Does some Correlator listed for `f` pass `test`? A false answer
   /// certifies that no entry of snapshot(f) passes `test`, when no ingest
   /// runs between the two calls; a true answer promises nothing about the
-  /// snapshot. The default body scans snapshot(f), so it answers exactly.
-  /// A backend whose snapshot() merges per-shard lists should override it
-  /// with a scan of those lists in place: the merged list is a subset of
-  /// their union, so a false answer still holds, and a true one may come
-  /// from an entry the merge dedupes or cuts at capacity. "sharded" does
-  /// that; the durability decorator forwards; "farmer" keeps the default —
-  /// its snapshot is a borrowed span. `test` must have no side effects.
+  /// snapshot. The default body scans snapshot(f), so it answers exactly,
+  /// but pays for the copy. Both backends override it with a scan of their
+  /// own lists in place, and the durability decorator forwards. "sharded"
+  /// scans its per-shard lists: the merged list is a subset of their union,
+  /// so a false answer still holds, and a true one may come from an entry
+  /// the merge dedupes or cuts at capacity. `test` must have no side
+  /// effects.
   [[nodiscard]] virtual bool any_listed(FileId f,
                                         FunctionRef<bool(FileId)> test) const {
     for (const Correlator& c : snapshot(f))
@@ -214,21 +148,13 @@ class CorrelationMiner {
     return false;
   }
 
-  /// Materialized Correlator List (convenience over snapshot()). Owning
-  /// snapshots are moved out, not re-copied.
-  [[nodiscard]] std::vector<Correlator> correlators(FileId f) const {
-    return snapshot(f).take();
-  }
-
   /// R(a, b) under the current state (evaluation-only; no list updates).
   [[nodiscard]] virtual double correlation_degree(FileId a, FileId b) const = 0;
 
-  /// Raw semantic distance sim(a, b); 0 for sequence-only backends or when
-  /// either file has no recorded context yet.
-  [[nodiscard]] virtual double semantic_similarity(FileId /*a*/,
-                                                   FileId /*b*/) const {
-    return 0.0;
-  }
+  /// Raw semantic distance sim(a, b); 0 when either file has no recorded
+  /// context yet.
+  [[nodiscard]] virtual double semantic_similarity(FileId a,
+                                                   FileId b) const = 0;
 
   /// N_f: total recorded accesses of `f` (0 if unknown).
   [[nodiscard]] virtual std::uint64_t access_count(FileId f) const = 0;
@@ -268,25 +194,15 @@ class CorrelationMiner {
   /// every shard's semantic vectors/signatures, correlation graph, Correlator
   /// Lists, CoMiner counters and the embedded trace dictionary — see
   /// docs/ARCHITECTURE.md "Durable persistence". `load(dir)` restores it.
-  /// Backends without persistence support throw std::logic_error (the
-  /// default).
-  virtual void save(const std::string& dir) {
-    (void)dir;
-    throw std::logic_error(std::string(name()) +
-                           ": save() not supported by this backend");
-  }
+  /// Throws std::system_error on I/O failure.
+  virtual void save(const std::string& dir) = 0;
 
   /// Restores state previously written by save() — or accumulated in a
   /// `MinerOptions::persist_dir` directory (newest valid checkpoint plus the
   /// WAL tail). Only valid on a miner that has not ingested anything yet;
   /// throws std::logic_error otherwise, std::runtime_error on corrupt or
-  /// configuration-incompatible state. Backends without persistence support
-  /// throw std::logic_error (the default).
-  virtual void load(const std::string& dir) {
-    (void)dir;
-    throw std::logic_error(std::string(name()) +
-                           ": load() not supported by this backend");
-  }
+  /// configuration-incompatible state.
+  virtual void load(const std::string& dir) = 0;
 
   /// Additional memory the miner holds (Table 4 accounting).
   [[nodiscard]] virtual std::size_t footprint_bytes() const = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <stdexcept>
 
 #include "persist/checkpoint.hpp"
 #include "persist/persister.hpp"
@@ -143,17 +142,9 @@ void Farmer::save(const std::string& dir) {
 }
 
 void Farmer::load(const std::string& dir) {
-  if (requests_ != 0)
-    throw std::logic_error("Farmer::load: miner has already ingested");
-  persist::Recovery rec =
-      persist::recover_dir(dir, cfg_, extractor_.dictionary());
-  if (!rec.shard_blobs.empty()) {
-    if (rec.shard_blobs.size() != 1)
-      throw std::runtime_error(
-          "Farmer::load: checkpoint has more than one shard");
-    persist::deserialize_shard(rec.shard_blobs[0], *this);
-  }
-  for (const TraceRecord& r : rec.tail) observe(r);
+  Farmer* self = this;
+  persist::restore_dir(dir, cfg_, extractor_.dictionary(),
+                       std::span<Farmer* const>(&self, 1), *this);
 }
 
 void Farmer::restore_counters(std::uint64_t requests, CoMinerStats stats) {

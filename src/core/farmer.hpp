@@ -55,13 +55,19 @@ class Farmer : public CorrelationMiner {
     return graph_.correlators(f);
   }
 
-  /// Borrowed view over the live list: the list only changes inside
-  /// observe(), so the snapshot is stable for the whole query-then-act
-  /// step of any consumer.
+  /// A copy of the live list.
   [[nodiscard]] CorrelatorView snapshot(FileId f) const override {
-    const auto& list = graph_.correlators(f);
-    return CorrelatorView(std::span<const Correlator>(list.data(),
-                                                      list.size()));
+    CorrelatorView::List copy;
+    for (const Correlator& c : graph_.correlators(f)) copy.push_back(c);
+    return CorrelatorView(std::move(copy));
+  }
+
+  /// Scans the live list in place, without the copy snapshot() makes.
+  [[nodiscard]] bool any_listed(FileId f,
+                                FunctionRef<bool(FileId)> test) const override {
+    for (const Correlator& c : graph_.correlators(f))
+      if (test(c.file)) return true;
+    return false;
   }
 
   /// Correlation degree between two files under the current state

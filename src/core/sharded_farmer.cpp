@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <stdexcept>
 
 #include "common/hash.hpp"
 #include "common/parallel.hpp"
@@ -73,7 +72,7 @@ void ShardedFarmer::observe_batch(std::span<const TraceRecord> records) {
   }
 }
 
-std::vector<Correlator> ShardedFarmer::correlators(FileId f) const {
+CorrelatorView ShardedFarmer::snapshot(FileId f) const {
   // The concatenation stays inline for up to four full default-capacity
   // shard lists.
   SmallVector<Correlator, 32> merged;
@@ -86,8 +85,7 @@ std::vector<Correlator> ShardedFarmer::correlators(FileId f) const {
             });
   // Deduplicate successors: the strongest shard wins.
   const std::size_t capacity = cfg_.correlator_capacity;
-  std::vector<Correlator> out;
-  out.reserve(std::min(merged.size(), capacity));
+  CorrelatorView::List out;
   for (const Correlator& c : merged) {
     const bool seen =
         std::any_of(out.begin(), out.end(),
@@ -95,7 +93,7 @@ std::vector<Correlator> ShardedFarmer::correlators(FileId f) const {
     if (!seen) out.push_back(c);
     if (out.size() >= capacity) break;
   }
-  return out;
+  return CorrelatorView(std::move(out));
 }
 
 bool ShardedFarmer::any_listed(FileId f,
@@ -195,18 +193,11 @@ void ShardedFarmer::save(const std::string& dir) {
 }
 
 void ShardedFarmer::load(const std::string& dir) {
-  if (stats().requests != 0)
-    throw std::logic_error("ShardedFarmer::load: miner has already ingested");
-  persist::Recovery rec =
-      persist::recover_dir(dir, cfg_, shards_.front()->dictionary());
-  if (!rec.shard_blobs.empty()) {
-    if (rec.shard_blobs.size() != shards_.size())
-      throw std::runtime_error(
-          "ShardedFarmer::load: checkpoint shard count mismatch");
-    for (std::size_t s = 0; s < shards_.size(); ++s)
-      persist::deserialize_shard(rec.shard_blobs[s], *shards_[s]);
-  }
-  observe_batch(rec.tail);
+  std::vector<Farmer*> shards;
+  shards.reserve(shards_.size());
+  for (const auto& s : shards_) shards.push_back(s.get());
+  persist::restore_dir(dir, cfg_, shards_.front()->dictionary(), shards,
+                       *this);
 }
 
 std::size_t ShardedFarmer::footprint_bytes() const noexcept {

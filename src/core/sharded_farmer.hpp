@@ -55,18 +55,12 @@ class ShardedFarmer final : public CorrelationMiner {
   /// is needed even though each shard list is sorted by degree: a shard can
   /// hold equal degrees in insertion order, not file id order
   /// (CorrelationGraph::upsert_correlator).
-  [[nodiscard]] std::vector<Correlator> correlators(FileId f) const;
-
-  /// Owning snapshot: the merge materializes a fresh list, so the view is
-  /// immutable by construction.
-  [[nodiscard]] CorrelatorView snapshot(FileId f) const override {
-    return CorrelatorView(correlators(f));
-  }
+  [[nodiscard]] CorrelatorView snapshot(FileId f) const override;
 
   /// Scans each shard's list in place, no merge: true as soon as one shard
-  /// lists an entry passing `test`. correlators() keeps a subset of the
-  /// union of the shard lists, so a false answer certifies that no merged
-  /// entry passes either.
+  /// lists an entry passing `test`. snapshot() keeps a subset of the union
+  /// of the shard lists, so a false answer certifies that no merged entry
+  /// passes either.
   [[nodiscard]] bool any_listed(FileId f,
                                 FunctionRef<bool(FileId)> test) const override;
 

@@ -7,10 +7,8 @@
 #include <stdexcept>
 #include <type_traits>
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
 #include <unistd.h>
-#endif
 
 #include "common/hash.hpp"
 #include "core/farmer.hpp"
@@ -44,7 +42,6 @@ void put_file(std::FILE* f, const void* data, std::size_t len,
 
 /// fsync the directory containing `path` so a rename inside it is durable.
 void fsync_parent_dir(const std::string& path) {
-#if defined(__unix__) || defined(__APPLE__)
   const std::filesystem::path parent =
       std::filesystem::path(path).parent_path();
   const std::string dir = parent.empty() ? "." : parent.string();
@@ -54,9 +51,6 @@ void fsync_parent_dir(const std::string& path) {
   const int close_err = ::close(fd) == 0 ? 0 : errno;
   if (sync_err != 0) fail_io("fsync failed for directory", dir, sync_err);
   if (close_err != 0) fail_io("close failed for directory", dir, close_err);
-#else
-  (void)path;
-#endif
 }
 
 /// Checkpoints embed the dictionary through the shared v3 codec
@@ -90,9 +84,7 @@ void write_framed_atomic(const std::string& path, std::uint32_t magic,
     const std::uint64_t csum = checksum_bytes(body);
     put_file(f, &csum, sizeof csum, tmp);
     if (std::fflush(f) != 0) fail_io("flush failed for", tmp, errno);
-#if defined(__unix__) || defined(__APPLE__)
     if (::fsync(::fileno(f)) != 0) fail_io("fsync failed for", tmp, errno);
-#endif
   } catch (...) {
     std::fclose(f);
     std::remove(tmp.c_str());

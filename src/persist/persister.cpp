@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <stdexcept>
 
+#include "api/correlation_miner.hpp"
 #include "persist/checkpoint.hpp"
 #include "persist/wal.hpp"
 
@@ -90,6 +91,25 @@ Recovery recover_dir(const std::string& dir, const FarmerConfig& cfg,
     });
   }
   return out;
+}
+
+void restore_dir(const std::string& dir, const FarmerConfig& cfg,
+                 const TraceDictionary* dict, std::span<Farmer* const> shards,
+                 CorrelationMiner& owner) {
+  if (owner.stats().requests != 0)
+    throw std::logic_error(std::string(owner.name()) +
+                           ": load() on a miner that has already ingested");
+  const Recovery rec = recover_dir(dir, cfg, dict);
+  if (!rec.shard_blobs.empty()) {
+    if (rec.shard_blobs.size() != shards.size())
+      throw std::runtime_error(
+          std::string(owner.name()) + ": checkpoint holds " +
+          std::to_string(rec.shard_blobs.size()) + " shards, the miner " +
+          std::to_string(shards.size()));
+    for (std::size_t s = 0; s < shards.size(); ++s)
+      deserialize_shard(rec.shard_blobs[s], *shards[s]);
+  }
+  owner.observe_batch(rec.tail);
 }
 
 Persister::Persister(Options opts, const FarmerConfig& cfg,

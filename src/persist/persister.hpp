@@ -20,7 +20,7 @@
 // every later one.
 //
 // The Persister neither reads nor writes checkpoints. Its owner
-// (DurableMiner) recovers through the backend's load() (recover_dir below)
+// (DurableMiner) recovers through the backend's load() (restore_dir below)
 // and checkpoints through its save(): begin_checkpoint rotates the WAL at a
 // point where appended == applied, the owner writes CHECKPOINT.<seq>, and
 // prune drops superseded checkpoints and fully-covered WAL segments.
@@ -43,6 +43,13 @@
 #include "common/function_ref.hpp"
 #include "core/config.hpp"
 #include "trace/record.hpp"
+
+namespace farmer {
+
+class CorrelationMiner;
+class Farmer;
+
+}  // namespace farmer
 
 namespace farmer::persist {
 
@@ -77,6 +84,16 @@ struct Recovery {
 [[nodiscard]] Recovery recover_dir(const std::string& dir,
                                    const FarmerConfig& cfg,
                                    const TraceDictionary* dict);
+
+/// The one load() of both backends: recovers `dir` under `cfg`/`dict`,
+/// restores the checkpoint's blobs into `shards` in order, then replays
+/// the WAL tail through `owner.observe_batch()`. `shards` are `owner`'s
+/// own. Throws std::logic_error when `owner` has already ingested and
+/// std::runtime_error when the checkpoint holds another number of shards,
+/// and passes on what recover_dir throws.
+void restore_dir(const std::string& dir, const FarmerConfig& cfg,
+                 const TraceDictionary* dict, std::span<Farmer* const> shards,
+                 CorrelationMiner& owner);
 
 class Persister {
  public:

@@ -7,9 +7,7 @@
 #include <stdexcept>
 #include <system_error>
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
-#endif
 
 #include "common/hash.hpp"
 #include "persist/io_error.hpp"
@@ -81,7 +79,7 @@ void WalWriter::sync() {
 #if defined(__linux__)
   if (::fdatasync(::fileno(file_)) != 0)
     fail_io("fdatasync failed for", path_, errno);
-#elif defined(__unix__) || defined(__APPLE__)
+#else
   if (::fsync(::fileno(file_)) != 0) fail_io("fsync failed for", path_, errno);
 #endif
 }

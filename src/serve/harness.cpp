@@ -146,7 +146,11 @@ ServingResult run_scenario(const ScenarioSpec& spec,
   auto serving = make_predictor(predictor_name, cfg, wl.trace.dict, opts);
   bool restored = false;
   if (spec.warm_start && wl.pretrain_records > 0) {
-    auto pre = make_predictor(predictor_name, cfg, wl.trace.dict, opts);
+    // The pretrain model lives only until its checkpoint is loaded, so it
+    // gets no persist directory: only the serving miner opens opts' one.
+    PredictorOptions pre_opts = opts;
+    pre_opts.miner.persist_dir.clear();
+    auto pre = make_predictor(predictor_name, cfg, wl.trace.dict, pre_opts);
     for (std::size_t i = 0; i < wl.pretrain_records; ++i)
       pre->observe(wl.trace.records[i]);
     pre->flush();
@@ -158,16 +162,16 @@ ServingResult run_scenario(const ScenarioSpec& spec,
           fs::temp_directory_path() /
           ("farmer-serve-" + spec.name + "-" + std::to_string(spec.seed) +
            "-" + std::to_string(static_cast<long>(::getpid())));
+      std::error_code ec;
       try {
         warmed->save(dir.string());
         fresh->load(dir.string());
-        restored = true;
-      } catch (const std::logic_error&) {
-        // Backend without persistence: serve with the in-memory warm model.
-        serving = std::move(pre);
+      } catch (...) {
+        fs::remove_all(dir, ec);
+        throw;
       }
-      std::error_code ec;
       fs::remove_all(dir, ec);
+      restored = true;
     } else {
       // Self-contained baseline predictor: nothing to checkpoint, carry the
       // pretrained instance into serving directly.

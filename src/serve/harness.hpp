@@ -52,8 +52,8 @@ struct ServingResult {
   SimTime sim_duration = 0;
   std::size_t model_footprint_bytes = 0;
   /// Warm-start runs only: the model reached serving through a real
-  /// save()/load() checkpoint round-trip (false = warmed in memory because
-  /// the backend has no persistence, or not a warm start at all).
+  /// save()/load() checkpoint round-trip (false = not a warm start, or a
+  /// predictor without a miner, such as "nexus", warmed in memory).
   bool checkpoint_restored = false;
 
   [[nodiscard]] double demand_hit_ratio() const noexcept {
@@ -72,8 +72,12 @@ struct ServingResult {
 /// The full closed loop: build_workload(spec), construct `predictor_name`
 /// through the PredictorFactory, apply the spec's cold/warm-start policy
 /// (warm: pretrain on the prefix, checkpoint-restore via the miner's
-/// save()/load() when supported), then serve. Throws std::invalid_argument
-/// on a bad spec, unknown predictor or invalid options.
+/// save()/load(); a predictor without a miner keeps its pretrained
+/// instance), then serve. Throws std::invalid_argument on a bad spec,
+/// unknown predictor or invalid options, and passes on what the miner's
+/// construction, save() and load() throw. A warm start whose
+/// `opts.miner.persist_dir` already holds a model throws std::logic_error:
+/// the serving miner recovered that model, and load() needs an empty one.
 [[nodiscard]] ServingResult run_scenario(const ScenarioSpec& spec,
                                          std::string_view predictor_name,
                                          const PredictorOptions& opts = {});

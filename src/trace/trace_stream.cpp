@@ -12,13 +12,10 @@
 #include "common/hash.hpp"
 #include "trace/trace_io.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define FARMER_TRACE_MMAP 1
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
 
 namespace farmer {
 
@@ -171,9 +168,6 @@ void TraceWriter::finish(std::string_view name,
 // TraceReader
 
 TraceReader::TraceReader(const std::string& path) : path_(path) {
-  std::uint64_t actual_size = 0;
-
-#ifdef FARMER_TRACE_MMAP
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) fail(path_, "cannot open trace for read");
   struct stat st{};
@@ -181,7 +175,7 @@ TraceReader::TraceReader(const std::string& path) : path_(path) {
     ::close(fd);
     fail(path_, "cannot stat trace");
   }
-  actual_size = static_cast<std::uint64_t>(st.st_size);
+  const auto actual_size = static_cast<std::uint64_t>(st.st_size);
   if (actual_size < kTraceV3HeaderBytes) {
     ::close(fd);
     fail(path_, "trace file truncated (no header)");
@@ -192,28 +186,8 @@ TraceReader::TraceReader(const std::string& path) : path_(path) {
   map_ = map;
   map_len_ = actual_size;
   ::madvise(map_, map_len_, MADV_SEQUENTIAL);
-#else
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) fail(path_, "cannot open trace for read");
-  std::fseek(f, 0, SEEK_END);
-  const long end = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  if (end < static_cast<long>(kTraceV3HeaderBytes)) {
-    std::fclose(f);
-    fail(path_, "trace file truncated (no header)");
-  }
-  actual_size = static_cast<std::uint64_t>(end);
-  // u64 backing keeps the record section 8-byte aligned, matching mmap's
-  // page alignment guarantee.
-  buffer_ = std::make_unique<std::uint64_t[]>((actual_size + 7) / 8);
-  const std::size_t got =
-      std::fread(buffer_.get(), 1, actual_size, f);
-  std::fclose(f);
-  if (got != actual_size) fail(path_, "short read from trace");
-  map_len_ = actual_size;
-#endif
 
-  const char* b = base();
+  const char* b = static_cast<const char*>(map_);
   if (load<std::uint32_t>(b, kOffMagic) != kTraceMagic)
     fail(path_, "not a farmer trace");
   if (load<std::uint32_t>(b, kOffVersion) != kTraceVersion3)
@@ -272,17 +246,7 @@ TraceReader::TraceReader(const std::string& path) : path_(path) {
 }
 
 TraceReader::~TraceReader() {
-#ifdef FARMER_TRACE_MMAP
   if (map_ != nullptr) ::munmap(map_, map_len_);
-#endif
-}
-
-const char* TraceReader::base() const noexcept {
-#ifdef FARMER_TRACE_MMAP
-  return static_cast<const char*>(map_);
-#else
-  return reinterpret_cast<const char*>(buffer_.get());
-#endif
 }
 
 Trace TraceReader::materialize() const {

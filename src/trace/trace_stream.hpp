@@ -135,12 +135,9 @@ class TraceReader {
   [[nodiscard]] Trace materialize() const;
 
  private:
-  [[nodiscard]] const char* base() const noexcept;
-
   std::string path_;
-  void* map_ = nullptr;            ///< mmap on POSIX…
+  void* map_ = nullptr;  ///< the whole file, mapped read-only
   std::size_t map_len_ = 0;
-  std::unique_ptr<std::uint64_t[]> buffer_;  ///< …aligned buffer elsewhere
   const TraceRecord* records_ = nullptr;
   std::uint64_t count_ = 0;
   std::string name_;

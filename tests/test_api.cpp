@@ -3,7 +3,10 @@
 // MinerFactory registry.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -178,8 +181,8 @@ TEST(CorrelationMinerInterface, FarmerAndSingleShardShardedAgree) {
   }
 
   for (std::uint32_t f = 0; f < mt.dict()->files.size(); ++f) {
-    const auto ls = serial->correlators(FileId(f));
-    const auto lm = sharded->correlators(FileId(f));
+    const CorrelatorView ls = serial->snapshot(FileId(f));
+    const CorrelatorView lm = sharded->snapshot(FileId(f));
     ASSERT_EQ(ls.size(), lm.size()) << "file " << f;
     for (std::size_t i = 0; i < ls.size(); ++i) {
       EXPECT_EQ(ls[i].file, lm[i].file) << "file " << f << " slot " << i;
@@ -204,8 +207,8 @@ TEST(CorrelationMinerInterface, BatchAndSerialIngestAgreeBehindInterface) {
   batched->observe_batch(mt.records());
   for (const auto& r : mt.records()) serial->observe(r);
   for (std::uint32_t f = 0; f < mt.dict()->files.size(); ++f) {
-    const auto lb = batched->correlators(FileId(f));
-    const auto ls = serial->correlators(FileId(f));
+    const CorrelatorView lb = batched->snapshot(FileId(f));
+    const CorrelatorView ls = serial->snapshot(FileId(f));
     ASSERT_EQ(lb.size(), ls.size());
     for (std::size_t i = 0; i < lb.size(); ++i) {
       EXPECT_EQ(lb[i].file, ls[i].file);
@@ -261,60 +264,51 @@ TEST(MinerStatsContract, ShardedApplyCountersFollowLaneCount) {
 
 // --------------------------------------------------------------- snapshot --
 
-TEST(CorrelatorView, FarmerSnapshotBorrowsShardedSnapshotOwns) {
-  const MicroTrace mt = fixed_trace();
-  const auto serial = make_miner("farmer", FarmerConfig{}, mt.dict());
-  MinerOptions opts;
-  opts.shards = 4;
-  const auto sharded = make_miner("sharded", FarmerConfig{}, mt.dict(), opts);
-  serial->observe_batch(mt.records());
-  sharded->observe_batch(mt.records());
-
-  const CorrelatorView borrowed = serial->snapshot(FileId(0));
-  ASSERT_FALSE(borrowed.empty());
-  EXPECT_FALSE(borrowed.owns_storage());
-
-  const CorrelatorView owned = sharded->snapshot(FileId(0));
-  ASSERT_FALSE(owned.empty());
-  EXPECT_TRUE(owned.owns_storage());
+bool same_entries(const CorrelatorView& got,
+                  const std::vector<Correlator>& want) {
+  return std::equal(got.begin(), got.end(), want.begin(), want.end(),
+                    [](const Correlator& x, const Correlator& y) {
+                      return x.file == y.file && x.degree == y.degree;
+                    });
 }
 
-TEST(CorrelatorView, OwningSnapshotIsImmutableUnderFurtherIngest) {
+// A snapshot is a value: it keeps the entries snapshot() returned however
+// much the miner ingests afterwards, on every backend and behind the
+// durability decorator.
+TEST(CorrelatorView, SnapshotKeepsItsEntriesAcrossFurtherIngest) {
   MicroTrace mt;
   const FileId a = mt.file("a", "/p/a");
   const FileId b = mt.file("b", "/p/b");
+  const FileId c = mt.file("c", "/p/c");
   for (int i = 0; i < 6; ++i) {
     mt.access(a);
     mt.access(b);
   }
-  const auto miner = make_miner("sharded", FarmerConfig{}, mt.dict());
-  miner->observe_batch(mt.records());
-  const CorrelatorView snap = miner->snapshot(a);
-  ASSERT_FALSE(snap.empty());
-  const FileId first = snap[0].file;
-  const float degree = snap[0].degree;
-  // Keep mining; the held snapshot must not change underneath the reader.
-  for (const auto& r : mt.records()) miner->observe(r);
-  EXPECT_EQ(snap[0].file, first);
-  EXPECT_FLOAT_EQ(snap[0].degree, degree);
-}
-
-TEST(CorrelatorView, MoveTransfersOwnedStorage) {
-  MicroTrace mt;
-  const FileId a = mt.file("a", "/p/a");
-  const FileId b = mt.file("b", "/p/b");
-  for (int i = 0; i < 4; ++i) {
+  const std::size_t before = mt.records().size();
+  for (int i = 0; i < 6; ++i) {
     mt.access(a);
-    mt.access(b);
+    mt.access(c);
   }
-  const auto miner = make_miner("sharded", FarmerConfig{}, mt.dict());
-  miner->observe_batch(mt.records());
-  CorrelatorView snap = miner->snapshot(a);
-  ASSERT_FALSE(snap.empty());
-  const std::size_t n = snap.size();
-  const CorrelatorView moved = std::move(snap);
-  EXPECT_EQ(moved.size(), n);
-  EXPECT_TRUE(moved.owns_storage());
+  const std::span<const TraceRecord> records(mt.records());
+  const std::string dir = ::testing::TempDir() + "snapshot_value_durable";
+  for (const std::string& name : registered_miners()) {
+    for (const bool durable : {false, true}) {
+      SCOPED_TRACE(name + (durable ? " behind the durability decorator" : ""));
+      std::filesystem::remove_all(dir);
+      MinerOptions opts;
+      if (durable) opts.persist_dir = dir;
+      const auto miner = make_miner(name, FarmerConfig{}, mt.dict(), opts);
+      miner->observe_batch(records.first(before));
+      const CorrelatorView held = miner->snapshot(a);
+      ASSERT_FALSE(held.empty());
+      const std::vector<Correlator> want(held.begin(), held.end());
+      for (const TraceRecord& r : records.subspan(before)) miner->observe(r);
+      // a's live list changed, so a view into it would have changed too.
+      ASSERT_FALSE(same_entries(miner->snapshot(a), want));
+      EXPECT_TRUE(same_entries(held, want));
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

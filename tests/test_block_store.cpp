@@ -195,18 +195,15 @@ Trace deep_path_trace() {
 }
 
 /// Hands out every file's Correlator List both ways a reader gets it: the
-/// borrowed snapshot, which shares the model's own list, and the
-/// materialized copy. Neither may move the counters off the walk.
+/// model's own list, shared in place by correlator_list(), and the copy
+/// snapshot() makes. Neither may move the counters off the walk.
 void expect_shares_and_copies_keep_counters(const Farmer& model,
                                             std::uint32_t files,
                                             const std::string& what) {
   const std::size_t before = model.footprint_bytes();
   for (std::uint32_t f = 0; f < files; ++f) {
-    const CorrelatorView shared = model.snapshot(FileId(f));
-    ASSERT_FALSE(shared.owns_storage()) << what << " file " << f;
-    EXPECT_EQ(shared.begin(), model.correlator_list(FileId(f)).data())
-        << what << " file " << f;
-    const std::vector<Correlator> copy = model.correlators(FileId(f));
+    const auto& shared = model.correlator_list(FileId(f));
+    const CorrelatorView copy = model.snapshot(FileId(f));
     ASSERT_EQ(copy.size(), shared.size()) << what << " file " << f;
   }
   EXPECT_EQ(model.footprint_bytes(), before) << what;
@@ -308,8 +305,8 @@ TEST(FarmerFootprint, ShardedCountersMatchWalkWithExportsAndRestore) {
 }
 
 // A snapshot belongs to its reader, not to the model: holding every file's
-// snapshot — borrowed spans from Farmer, owning merged copies from
-// ShardedFarmer — leaves each model's footprint where it was.
+// snapshot — a copy of Farmer's list, a merge of ShardedFarmer's — leaves
+// each model's footprint where it was.
 TEST(FarmerFootprint, SnapshotFootprintIsStable) {
   const Trace t = make_paper_trace(TraceKind::kHP, 59, 0.02);
   Farmer farmer(FarmerConfig{}, t.dict);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -37,7 +38,7 @@ TEST(Farmer, MinesAdjacentPairInSameContext) {
   Farmer model(base_config(), mt.dict());
   for (const auto& r : mt.records()) model.observe(r);
 
-  const auto& list = model.correlators(a);
+  const CorrelatorView list = model.snapshot(a);
   ASSERT_FALSE(list.empty());
   EXPECT_EQ(list[0].file, b);
   EXPECT_GE(list[0].degree, 0.4f);
@@ -70,7 +71,7 @@ TEST(Farmer, UnrelatedContextFilteredByThreshold) {
   Farmer model(base_config(), mt.dict());
   for (const auto& r : mt.records()) model.observe(r);
 
-  for (const auto& c : model.correlators(a)) EXPECT_NE(c.file, x);
+  for (const auto& c : model.snapshot(a)) EXPECT_NE(c.file, x);
 }
 
 TEST(Farmer, ZeroThresholdKeepsWeakPairs) {
@@ -87,7 +88,7 @@ TEST(Farmer, ZeroThresholdKeepsWeakPairs) {
   for (const auto& r : mt.records()) model.observe(r);
 
   bool found = false;
-  for (const auto& c : model.correlators(a)) found |= (c.file == x);
+  for (const auto& c : model.snapshot(a)) found |= (c.file == x);
   EXPECT_TRUE(found);
 }
 
@@ -298,7 +299,7 @@ TEST(Farmer, CorrelatorListStaysSorted) {
   }
   Farmer model(base_config(), mt.dict());
   for (const auto& r : mt.records()) model.observe(r);
-  const auto& list = model.correlators(a);
+  const CorrelatorView list = model.snapshot(a);
   for (std::size_t i = 1; i < list.size(); ++i)
     EXPECT_GE(list[i - 1].degree, list[i].degree);
 }
@@ -316,7 +317,7 @@ TEST(Farmer, FileIdAttributesWorkWithoutPaths) {
   cfg.attributes = AttributeMask::all_with_fileid();
   Farmer model(cfg, mt.dict());
   for (const auto& r : mt.records()) model.observe(r);
-  const auto& list = model.correlators(a);
+  const CorrelatorView list = model.snapshot(a);
   ASSERT_FALSE(list.empty());
   EXPECT_EQ(list[0].file, b);
 }
@@ -337,8 +338,8 @@ TEST(ShardedFarmer, SingleShardMatchesSerialFarmer) {
     serial.observe(r);
     sharded.observe(r);
   }
-  const auto& sl = serial.correlators(a);
-  const auto ml = sharded.correlators(a);
+  const CorrelatorView sl = serial.snapshot(a);
+  const CorrelatorView ml = sharded.snapshot(a);
   ASSERT_EQ(ml.size(), sl.size());
   for (std::size_t i = 0; i < sl.size(); ++i) {
     EXPECT_EQ(ml[i].file, sl[i].file);
@@ -360,8 +361,8 @@ TEST(ShardedFarmer, BatchIngestEqualsSerialIngest) {
   ShardedFarmer two(base_config(), mt.dict(), 4);
   for (const auto& r : mt.records()) one.observe(r);
   two.observe_batch(mt.records());
-  const auto la = one.correlators(a);
-  const auto lb = two.correlators(a);
+  const CorrelatorView la = one.snapshot(a);
+  const CorrelatorView lb = two.snapshot(a);
   ASSERT_EQ(la.size(), lb.size());
   for (std::size_t i = 0; i < la.size(); ++i) {
     EXPECT_EQ(la[i].file, lb[i].file);
@@ -382,7 +383,7 @@ TEST(ShardedFarmer, MergedListSortedAndDeduplicated) {
   }
   ShardedFarmer sharded(base_config(), mt.dict(), 4);
   for (const auto& r : mt.records()) sharded.observe(r);
-  const auto list = sharded.correlators(a);
+  const CorrelatorView list = sharded.snapshot(a);
   // No duplicate successors.
   for (std::size_t i = 0; i < list.size(); ++i)
     for (std::size_t j = i + 1; j < list.size(); ++j)
@@ -415,8 +416,8 @@ std::vector<Correlator> reference_merge(const ShardedFarmer& sharded,
   return out;
 }
 
-void expect_same_list(const std::vector<Correlator>& got,
-                      const std::vector<Correlator>& want, FileId f) {
+void expect_same_list(std::span<const Correlator> got,
+                      std::span<const Correlator> want, FileId f) {
   ASSERT_EQ(got.size(), want.size()) << "file " << f.value();
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i].file, want[i].file)
@@ -458,12 +459,12 @@ TEST(ShardedFarmer, MergeSortsTiesByFileId) {
   plant(3, {{x[12], 0.5f}, {x[11], 0.5f}, {x[10], 0.5f}, {x[8], 0.4f}});
   ASSERT_TRUE(has_tie_out_of_order(sharded.shard(0), a));
 
-  const std::vector<Correlator> merged = sharded.correlators(a);
-  expect_same_list(merged, reference_merge(sharded, a, 8), a);
+  const CorrelatorView merged = sharded.snapshot(a);
+  expect_same_list(merged.entries(), reference_merge(sharded, a, 8), a);
   const std::vector<Correlator> want = {
       {x[2], 0.95f}, {x[5], 0.9f}, {x[1], 0.7f}, {x[9], 0.7f},
       {x[3], 0.6f},  {x[7], 0.6f}, {x[10], 0.5f}, {x[11], 0.5f}};
-  expect_same_list(merged, want, a);
+  expect_same_list(merged.entries(), want, a);
 }
 
 TEST(ShardedFarmer, MergeMatchesReferenceOnEveryFileOfAPaperTrace) {
@@ -476,9 +477,9 @@ TEST(ShardedFarmer, MergeMatchesReferenceOnEveryFileOfAPaperTrace) {
   std::size_t listed = 0, tied = 0;
   for (std::uint32_t i = 0; i < trace.file_count(); ++i) {
     const FileId f(i);
-    const std::vector<Correlator> merged = sharded.correlators(f);
-    expect_same_list(
-        merged, reference_merge(sharded, f, cfg.correlator_capacity), f);
+    const CorrelatorView merged = sharded.snapshot(f);
+    expect_same_list(merged.entries(),
+                     reference_merge(sharded, f, cfg.correlator_capacity), f);
     listed += merged.empty() ? 0 : 1;
     for (std::size_t s = 0; s < sharded.shard_count(); ++s)
       tied += has_tie_out_of_order(sharded.shard(s), f) ? 1 : 0;

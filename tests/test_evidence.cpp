@@ -132,7 +132,8 @@ TEST(CandidateEvidence, DurableDecoratorForwardsToTheFusedWalk) {
 /// Checks any_listed against the snapshot for every file (and one never
 /// seen) under five tests: accept all, reject all and `id % 3 == r`. A
 /// false answer must mean no snapshot entry passes; with `exact` the answer
-/// must equal that scan.
+/// must equal that scan. The interface's default body, a scan of
+/// snapshot(f), must equal it on every backend.
 void expect_any_listed_contract(const CorrelationMiner& miner,
                                 std::uint32_t files, bool exact) {
   std::size_t yes = 0, no = 0;
@@ -152,6 +153,9 @@ void expect_any_listed_contract(const CorrelationMiner& miner,
         ASSERT_EQ(listed, in_snapshot)
             << miner.name() << " file " << i << " test " << which;
       }
+      ASSERT_EQ(miner.CorrelationMiner::any_listed(f, test), in_snapshot)
+          << miner.name() << " file " << i << " test " << which
+          << " (default body)";
       ++(listed ? yes : no);
     };
     check([](FileId) { return true; }, 0);

@@ -104,7 +104,7 @@ TEST(Integration, MiningRecoversGroundTruthGroups) {
   for (std::uint32_t f = 0; f < t.file_count(); ++f) {
     const auto g = t.dict->files[f].group;
     if (g == kNoGroup) continue;
-    for (const auto& c : model.correlators(FileId(f))) {
+    for (const auto& c : model.snapshot(FileId(f))) {
       if (t.dict->files[c.file.value()].group == g)
         ++intra;
       else
@@ -136,8 +136,8 @@ TEST(Integration, ThresholdShrinksFootprint) {
   }
   std::size_t strict_entries = 0, loose_entries = 0;
   for (std::uint32_t f = 0; f < t.file_count(); ++f) {
-    strict_entries += strict.model().correlators(FileId(f)).size();
-    loose_entries += loose.model().correlators(FileId(f)).size();
+    strict_entries += strict.model().snapshot(FileId(f)).size();
+    loose_entries += loose.model().snapshot(FileId(f)).size();
   }
   EXPECT_LT(strict_entries, loose_entries);
 }
@@ -168,7 +168,7 @@ TEST(Integration, ShardedMiningKeepsPrecision) {
   for (std::uint32_t f = 0; f < t.file_count(); ++f) {
     const auto g = t.dict->files[f].group;
     if (g == kNoGroup) continue;
-    for (const auto& c : sharded.correlators(FileId(f))) {
+    for (const auto& c : sharded.snapshot(FileId(f))) {
       if (t.dict->files[c.file.value()].group == g)
         ++intra;
       else

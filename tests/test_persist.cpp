@@ -487,6 +487,21 @@ TEST(PersistSaveLoad, LoadRequiresFreshMiner) {
   EXPECT_THROW(dirty_sharded->load(dir.str()), std::logic_error);
 }
 
+// Shard i's blob restores shard i, so a checkpoint restores only into a
+// miner with as many shards as the one that saved it.
+TEST(PersistSaveLoad, LoadRejectsAnotherShardCount) {
+  TempDir dir("persist_shard_count");
+  const auto source = reference_miner("sharded", trace().records);
+  ASSERT_EQ(source->stats().shards, 4u);
+  source->save(dir.str());
+  auto farmer = make_miner("farmer", test_cfg(), trace().dict);
+  EXPECT_THROW(farmer->load(dir.str()), std::runtime_error);
+  MinerOptions two;
+  two.shards = 2;
+  auto sharded = make_miner("sharded", test_cfg(), trace().dict, two);
+  EXPECT_THROW(sharded->load(dir.str()), std::runtime_error);
+}
+
 // Regression: checkpoints embed the dictionary with the shared v3 codec.
 // The legacy v2 codec stored path-component counts in a uint8_t, so a path
 // deeper than 255 components silently truncated on save and the reloaded

@@ -39,7 +39,7 @@ TEST_P(FarmerConfigSweep, CorrelatorInvariantsHold) {
   for (const auto& rec : t.records) model.observe(rec);
 
   for (std::uint32_t f = 0; f < t.file_count(); ++f) {
-    const auto& list = model.correlators(FileId(f));
+    const CorrelatorView list = model.snapshot(FileId(f));
     ASSERT_LE(list.size(), cfg.correlator_capacity);
     for (std::size_t i = 0; i < list.size(); ++i) {
       // Every entry passed the validity threshold at its last evaluation.
@@ -216,7 +216,7 @@ TEST_P(GeneratorSweep, MinableStructureExists) {
   for (const auto& rec : t.records) model.observe(rec);
   std::size_t entries = 0;
   for (std::uint32_t f = 0; f < t.file_count(); ++f)
-    entries += model.correlators(FileId(f)).size();
+    entries += model.snapshot(FileId(f)).size();
   EXPECT_GT(entries, t.file_count() / 20);
 }
 
@@ -256,8 +256,8 @@ TEST(ParallelApplyStress, ShardedWorkerLanesRepeatedBatchesStayIdentical) {
     const FileId id(f);
     ASSERT_EQ(serial.access_count(id), lanes.access_count(id))
         << "file " << f;
-    const auto a = serial.correlators(id);
-    const auto b = lanes.correlators(id);
+    const CorrelatorView a = serial.snapshot(id);
+    const CorrelatorView b = lanes.snapshot(id);
     ASSERT_EQ(a.size(), b.size()) << "file " << f;
     for (std::size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].file, b[i].file) << "file " << f << " slot " << i;
@@ -328,8 +328,8 @@ TEST(ParallelApplyStress, ConcurrentDrainWithWorkerLanesStaysConsistent) {
     const FileId id(f);
     ASSERT_EQ(serial.access_count(id), lanes.access_count(id))
         << "file " << f;
-    const auto a = serial.correlators(id);
-    const auto b = lanes.correlators(id);
+    const CorrelatorView a = serial.snapshot(id);
+    const CorrelatorView b = lanes.snapshot(id);
     ASSERT_EQ(a.size(), b.size()) << "file " << f;
     for (std::size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].file, b[i].file) << "file " << f << " slot " << i;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
@@ -411,6 +412,20 @@ TEST(ServingWarmStart, NonPersistentBackendFallsBackWarm) {
   const ServingResult res = run_scenario(warm, "nexus");
   EXPECT_FALSE(res.checkpoint_restored);
   EXPECT_GT(res.cache.prefetch_used, 0u) << "pretrained model never fired";
+}
+
+TEST(ServingWarmStart, PersistDirRestoresOnceThenRefusesAFilledDirectory) {
+  ScenarioSpec warm = scenario_spec("warm_start");
+  warm.scale = 0.04;
+  warm.windows = 4;
+  PredictorOptions opts;
+  opts.miner.persist_dir = ::testing::TempDir() + "serve_warm_persist";
+  std::filesystem::remove_all(opts.miner.persist_dir);
+  EXPECT_TRUE(run_scenario(warm, "fpa", opts).checkpoint_restored);
+  // The serving miner of a second run recovers the first run's model, so
+  // the warm start's load() must refuse it, not serve something else.
+  EXPECT_THROW((void)run_scenario(warm, "fpa", opts), std::logic_error);
+  std::filesystem::remove_all(opts.miner.persist_dir);
 }
 
 // ------------------------------------------------ predictor factory errors
