@@ -5,6 +5,16 @@
 // mining hot path (Core Guidelines Per.14: minimize allocations, Per.15: do
 // not allocate on a critical branch).
 //
+// Layout: the inline buffer and the heap pointer share one union, followed
+// by a 32-bit size and a 32-bit capacity, so the header beside the N inline
+// elements is 8 bytes, not the 24 a pointer-size-capacity triple takes. Every
+// per-file block holds several of these, so the header is paid per array per
+// file. The vector is inline exactly while `capacity() == N`: the first
+// spill allocates at least 2N, and from then on the pointer occupies the
+// first bytes of the buffer. That is why `push_back` and `resize` copy their
+// argument before they grow: it may alias an element the growth overwrites
+// or frees. Capacities past 2^32 - 1 throw `std::length_error`.
+//
 // Only the operations the library needs are implemented; the element type is
 // required to be trivially copyable, which all our interned-token and id
 // types are. This keeps the grow path a single memcpy.
@@ -13,9 +23,12 @@
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <initializer_list>
+#include <limits>
 #include <new>
+#include <stdexcept>
 #include <type_traits>
 
 namespace farmer {
@@ -25,6 +38,8 @@ class SmallVector {
   static_assert(std::is_trivially_copyable_v<T>,
                 "SmallVector requires trivially copyable elements");
   static_assert(N > 0, "inline capacity must be positive");
+  static_assert(N <= std::numeric_limits<std::uint32_t>::max() / 2,
+                "the first spill's capacity 2N must fit the 32-bit capacity");
 
  public:
   using value_type = T;
@@ -65,20 +80,22 @@ class SmallVector {
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] bool is_inline() const noexcept {
-    return data_ == inline_data();
-  }
+  [[nodiscard]] bool is_inline() const noexcept { return capacity_ == N; }
 
-  [[nodiscard]] T* data() noexcept { return data_; }
-  [[nodiscard]] const T* data() const noexcept { return data_; }
+  [[nodiscard]] T* data() noexcept {
+    return is_inline() ? inline_data() : heap_;
+  }
+  [[nodiscard]] const T* data() const noexcept {
+    return is_inline() ? inline_data() : heap_;
+  }
 
   [[nodiscard]] T& operator[](std::size_t i) noexcept {
     assert(i < size_);
-    return data_[i];
+    return data()[i];
   }
   [[nodiscard]] const T& operator[](std::size_t i) const noexcept {
     assert(i < size_);
-    return data_[i];
+    return data()[i];
   }
 
   [[nodiscard]] T& front() noexcept { return (*this)[0]; }
@@ -86,14 +103,15 @@ class SmallVector {
   [[nodiscard]] T& back() noexcept { return (*this)[size_ - 1]; }
   [[nodiscard]] const T& back() const noexcept { return (*this)[size_ - 1]; }
 
-  [[nodiscard]] iterator begin() noexcept { return data_; }
-  [[nodiscard]] iterator end() noexcept { return data_ + size_; }
-  [[nodiscard]] const_iterator begin() const noexcept { return data_; }
-  [[nodiscard]] const_iterator end() const noexcept { return data_ + size_; }
+  [[nodiscard]] iterator begin() noexcept { return data(); }
+  [[nodiscard]] iterator end() noexcept { return data() + size_; }
+  [[nodiscard]] const_iterator begin() const noexcept { return data(); }
+  [[nodiscard]] const_iterator end() const noexcept { return data() + size_; }
 
   void push_back(const T& v) {
-    if (size_ == capacity_) grow(capacity_ * 2);
-    data_[size_++] = v;
+    const T value = v;  // `v` may alias the storage grow() replaces
+    if (size_ == capacity_) grow(std::size_t{capacity_} * 2);
+    data()[size_++] = value;
   }
 
   void pop_back() noexcept {
@@ -108,15 +126,18 @@ class SmallVector {
   }
 
   void resize(std::size_t n, const T& fill = T{}) {
+    const T value = fill;  // `fill` may alias the storage grow() replaces
     reserve(n);
-    for (std::size_t i = size_; i < n; ++i) data_[i] = fill;
-    size_ = n;
+    T* d = data();
+    for (std::size_t i = size_; i < n; ++i) d[i] = value;
+    size_ = static_cast<std::uint32_t>(n);
   }
 
   /// Removes the element at index i by shifting the tail left. O(size).
   void erase_at(std::size_t i) noexcept {
     assert(i < size_);
-    std::memmove(data_ + i, data_ + i + 1, (size_ - i - 1) * sizeof(T));
+    T* d = data();
+    std::memmove(d + i, d + i + 1, (size_ - i - 1) * sizeof(T));
     --size_;
   }
 
@@ -140,44 +161,45 @@ class SmallVector {
 
   void grow(std::size_t new_cap) {
     new_cap = std::max<std::size_t>(new_cap, N * 2);
+    if (new_cap > std::numeric_limits<std::uint32_t>::max())
+      throw std::length_error("SmallVector capacity exceeds 2^32 - 1");
     T* heap = static_cast<T*>(::operator new(new_cap * sizeof(T)));
-    std::memcpy(heap, data_, size_ * sizeof(T));
-    if (!is_inline()) ::operator delete(data_);
-    data_ = heap;
-    capacity_ = new_cap;
+    std::memcpy(heap, data(), size_ * sizeof(T));
+    if (!is_inline()) ::operator delete(heap_);
+    heap_ = heap;  // overwrites the first inline bytes, copied above
+    capacity_ = static_cast<std::uint32_t>(new_cap);
   }
 
   void clear_storage() noexcept {
-    if (!is_inline()) ::operator delete(data_);
-    data_ = inline_data();
+    if (!is_inline()) ::operator delete(heap_);
     capacity_ = N;
     size_ = 0;
   }
 
   void copy_from(const SmallVector& other) {
     reserve(other.size_);
-    std::memcpy(data_, other.data_, other.size_ * sizeof(T));
+    std::memcpy(data(), other.data(), other.size_ * sizeof(T));
     size_ = other.size_;
   }
 
   void move_from(SmallVector&& other) noexcept {
     if (other.is_inline()) {
-      std::memcpy(data_, other.data_, other.size_ * sizeof(T));
-      size_ = other.size_;
+      std::memcpy(inline_data(), other.inline_data(), other.size_ * sizeof(T));
     } else {
-      data_ = other.data_;
+      heap_ = other.heap_;
       capacity_ = other.capacity_;
-      size_ = other.size_;
-      other.data_ = other.inline_data();
       other.capacity_ = N;
-      other.size_ = 0;
     }
+    size_ = other.size_;
+    other.size_ = 0;
   }
 
-  alignas(T) std::byte inline_storage_[N * sizeof(T)];
-  T* data_ = inline_data();
-  std::size_t capacity_ = N;
-  std::size_t size_ = 0;
+  union {
+    alignas(T) std::byte inline_storage_[N * sizeof(T)];
+    T* heap_;  ///< the elements once spilled (capacity_ > N)
+  };
+  std::uint32_t size_ = 0;
+  std::uint32_t capacity_ = N;
 };
 
 }  // namespace farmer

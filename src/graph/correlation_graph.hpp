@@ -229,7 +229,7 @@ class BasicCorrelationGraph {
   std::size_t edges_ = 0;
 };
 
-/// The graph of the Nexus baseline: nodes only, 152-byte blocks.
+/// The graph of the Nexus baseline: nodes only, 120-byte blocks on LP64.
 using CorrelationGraph = BasicCorrelationGraph<NoPayload>;
 
 template <typename Payload>

@@ -209,12 +209,12 @@ std::string serialize_shard(const Farmer& shard) {
       put_raw<float>(out, c.degree);
     }
     const Signature& sig = *g.payload(f);
-    put_raw<std::uint32_t>(out, static_cast<std::uint32_t>(sig.items.size()));
-    for (TokenId t : sig.items) put_raw<std::uint32_t>(out, t.value());
-    put_raw<std::uint32_t>(out,
-                           static_cast<std::uint32_t>(sig.path_sorted.size()));
-    for (TokenId t : sig.path_sorted) put_raw<std::uint32_t>(out, t.value());
-    put_raw<std::uint8_t>(out, sig.ipa_path ? 1 : 0);
+    for (const std::span<const TokenId> run :
+         {sig.items(), sig.path_sorted()}) {
+      put_raw<std::uint32_t>(out, static_cast<std::uint32_t>(run.size()));
+      for (TokenId t : run) put_raw<std::uint32_t>(out, t.value());
+    }
+    put_raw<std::uint8_t>(out, sig.ipa_path() ? 1 : 0);
   }
   return out;
 }
@@ -251,11 +251,16 @@ void deserialize_shard(std::string_view blob, Farmer& shard) {
     Signature sig;
     const auto nitems = in.get<std::uint32_t>();
     for (std::uint32_t c = 0; c < nitems; ++c)
-      sig.items.push_back(TokenId(in.get<std::uint32_t>()));
-    const auto nsorted = in.get<std::uint32_t>();
-    for (std::uint32_t c = 0; c < nsorted; ++c)
-      sig.path_sorted.push_back(TokenId(in.get<std::uint32_t>()));
-    sig.ipa_path = in.get<std::uint8_t>() != 0;
+      sig.tokens.push_back(TokenId(in.get<std::uint32_t>()));
+    const auto npath = in.get<std::uint32_t>();
+    for (std::uint32_t c = 0; c < npath; ++c)
+      sig.tokens.push_back(TokenId(in.get<std::uint32_t>()));
+    sig.path_len = npath;
+    // The flag is redundant with the path run: a signature has an IPA
+    // path exactly when its path run is non-empty.
+    if ((in.get<std::uint8_t>() != 0) != sig.ipa_path())
+      throw std::runtime_error(
+          "checkpoint signature's IPA flag disagrees with its path run");
     shard.restore_node(f, access_count, succs, corr, sig);
   }
 

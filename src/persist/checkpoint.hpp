@@ -31,9 +31,9 @@
 //             u32 file, u64 access_count,
 //             u32 n, n x (u32 successor, f32 nab)     stored edge order
 //             u32 n, n x (u32 file, f32 degree)       Correlator List order
-//             u32 n, n x u32 item                     Signature::items
-//             u32 n, n x u32 token                    Signature::path_sorted
-//             u8 ipa_path
+//             u32 n, n x u32 item                     Signature::items()
+//             u32 n, n x u32 token                    Signature::path_sorted()
+//             u8 ipa_path                             Signature::ipa_path()
 //
 // The checksum is a mix64 chain over the body, so torn or bit-flipped
 // checkpoints are detected on load and recovery falls back to the previous

@@ -183,11 +183,10 @@ TraceReader::TraceReader(const std::string& path) : path_(path) {
   void* map = ::mmap(nullptr, actual_size, PROT_READ, MAP_PRIVATE, fd, 0);
   ::close(fd);
   if (map == MAP_FAILED) fail(path_, "cannot map trace");
-  map_ = map;
-  map_len_ = actual_size;
-  ::madvise(map_, map_len_, MADV_SEQUENTIAL);
+  map_ = std::unique_ptr<void, Unmap>(map, Unmap{actual_size});
+  ::madvise(map, actual_size, MADV_SEQUENTIAL);
 
-  const char* b = static_cast<const char*>(map_);
+  const char* b = static_cast<const char*>(map);
   if (load<std::uint32_t>(b, kOffMagic) != kTraceMagic)
     fail(path_, "not a farmer trace");
   if (load<std::uint32_t>(b, kOffVersion) != kTraceVersion3)
@@ -245,8 +244,8 @@ TraceReader::TraceReader(const std::string& path) : path_(path) {
     fail(path_, "trailing bytes after trace dictionary");
 }
 
-TraceReader::~TraceReader() {
-  if (map_ != nullptr) ::munmap(map_, map_len_);
+void TraceReader::Unmap::operator()(void* addr) const noexcept {
+  ::munmap(addr, len);
 }
 
 Trace TraceReader::materialize() const {

@@ -104,7 +104,6 @@ class TraceWriter {
 class TraceReader {
  public:
   explicit TraceReader(const std::string& path);
-  ~TraceReader();
 
   TraceReader(const TraceReader&) = delete;
   TraceReader& operator=(const TraceReader&) = delete;
@@ -135,9 +134,15 @@ class TraceReader {
   [[nodiscard]] Trace materialize() const;
 
  private:
+  /// Unmaps the file: when the reader dies, and when the constructor
+  /// rejects a file it has already mapped.
+  struct Unmap {
+    std::size_t len;
+    void operator()(void* addr) const noexcept;
+  };
+
   std::string path_;
-  void* map_ = nullptr;  ///< the whole file, mapped read-only
-  std::size_t map_len_ = 0;
+  std::unique_ptr<void, Unmap> map_;  ///< the whole file, mapped read-only
   const TraceRecord* records_ = nullptr;
   std::uint64_t count_ = 0;
   std::string name_;

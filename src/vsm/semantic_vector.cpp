@@ -6,8 +6,8 @@ namespace farmer {
 
 namespace {
 
-void push_if_valid(SmallVector<TokenId, 12>& items, TokenId t) {
-  if (t.valid()) items.push_back(t);
+void push_if_valid(SmallVector<TokenId, 12>& tokens, TokenId t) {
+  if (t.valid()) tokens.push_back(t);
 }
 
 }  // namespace
@@ -15,24 +15,27 @@ void push_if_valid(SmallVector<TokenId, 12>& items, TokenId t) {
 Signature build_signature(const SemanticVector& sv, AttributeMask mask,
                           PathMode mode) {
   Signature sig;
-  if (mask.has(Attribute::kUser)) push_if_valid(sig.items, sv.user);
-  if (mask.has(Attribute::kProcess)) push_if_valid(sig.items, sv.process);
-  if (mask.has(Attribute::kHost)) push_if_valid(sig.items, sv.host);
+  auto& tokens = sig.tokens;
+  if (mask.has(Attribute::kUser)) push_if_valid(tokens, sv.user);
+  if (mask.has(Attribute::kProcess)) push_if_valid(tokens, sv.process);
+  if (mask.has(Attribute::kHost)) push_if_valid(tokens, sv.host);
   if (mask.has(Attribute::kFileId)) {
-    push_if_valid(sig.items, sv.dev);
-    push_if_valid(sig.items, sv.fid);
+    push_if_valid(tokens, sv.dev);
+    push_if_valid(tokens, sv.fid);
   }
-  if (mask.has(Attribute::kPath) && sv.has_path()) {
-    if (mode == PathMode::kDivided) {
-      // DPA: every component is an ordinary item.
-      for (TokenId t : sv.path_components) sig.items.push_back(t);
-    } else {
-      sig.ipa_path = true;
-      sig.path_sorted = sv.path_components;
-      std::sort(sig.path_sorted.begin(), sig.path_sorted.end());
-    }
+  const bool with_path = mask.has(Attribute::kPath) && sv.has_path();
+  // DPA: every path component is an ordinary item.
+  if (with_path && mode == PathMode::kDivided)
+    for (TokenId t : sv.path_components) tokens.push_back(t);
+  std::sort(tokens.begin(), tokens.end());
+  if (with_path && mode == PathMode::kIntegrated) {
+    // IPA: the components follow the items as their own sorted run.
+    const std::size_t items = tokens.size();
+    for (TokenId t : sv.path_components) tokens.push_back(t);
+    std::sort(tokens.begin() + static_cast<std::ptrdiff_t>(items),
+              tokens.end());
+    sig.path_len = static_cast<std::uint32_t>(sv.path_components.size());
   }
-  std::sort(sig.items.begin(), sig.items.end());
   return sig;
 }
 

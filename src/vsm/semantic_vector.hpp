@@ -8,6 +8,8 @@
 // paper's Table 1 example.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <string_view>
 
 #include "common/interner.hpp"
@@ -43,19 +45,35 @@ enum class PathMode {
 /// sorted once so pairwise similarity is a linear merge. Building signatures
 /// once per access (instead of per pair) keeps CoMiner's per-request cost at
 /// O(window * tokens).
+///
+/// One token array holds both runs: the sorted scalar (and DPA path) items,
+/// then the sorted IPA path components, the last `path_len` tokens. Every
+/// file's block stores its signature, so one array (a 56-byte SmallVector)
+/// instead of two keeps the block small; a signature without an IPA path,
+/// such as any signature of a trace without paths, stores no path array.
 struct Signature {
-  SmallVector<TokenId, 12> items;       ///< sorted scalar (and DPA path) items
-  SmallVector<TokenId, 8> path_sorted;  ///< sorted path components (IPA only)
-  bool ipa_path = false;                ///< path participates as one item
+  SmallVector<TokenId, 12> tokens;  ///< items(), then path_sorted()
+  std::uint32_t path_len = 0;       ///< IPA path components at the end
+
+  /// Sorted scalar (and DPA path) items.
+  [[nodiscard]] std::span<const TokenId> items() const noexcept {
+    return {tokens.data(), tokens.size() - path_len};
+  }
+  /// Sorted IPA path components; empty unless the path is one item.
+  [[nodiscard]] std::span<const TokenId> path_sorted() const noexcept {
+    return {tokens.data() + (tokens.size() - path_len), path_len};
+  }
+  /// True when the path participates as one (fractional) item (IPA).
+  [[nodiscard]] bool ipa_path() const noexcept { return path_len != 0; }
 
   /// Total item count, with the IPA path counting as a single item.
   [[nodiscard]] std::size_t item_count() const noexcept {
-    return items.size() + (ipa_path ? 1 : 0);
+    return items().size() + (ipa_path() ? 1 : 0);
   }
 
-  /// Heap the signature owns (item arrays spilled past their inline size).
+  /// Heap the signature owns (the token array spilled past its inline size).
   [[nodiscard]] std::size_t heap_bytes() const noexcept {
-    return items.heap_bytes() + path_sorted.heap_bytes();
+    return tokens.heap_bytes();
   }
 };
 

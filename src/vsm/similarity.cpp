@@ -59,8 +59,8 @@ std::size_t multiset_intersection(const TokenId* a, std::size_t na,
   return common;
 }
 
-double path_similarity(const SmallVector<TokenId, 8>& a,
-                       const SmallVector<TokenId, 8>& b) noexcept {
+double path_similarity(std::span<const TokenId> a,
+                       std::span<const TokenId> b) noexcept {
   if (a.empty() || b.empty()) return 0.0;
   const std::size_t common =
       multiset_intersection(a.data(), a.size(), b.data(), b.size());
@@ -72,10 +72,12 @@ double similarity(const Signature& a, const Signature& b) noexcept {
   const std::size_t ca = a.item_count();
   const std::size_t cb = b.item_count();
   if (ca == 0 || cb == 0) return 0.0;
-  double common = static_cast<double>(multiset_intersection(
-      a.items.data(), a.items.size(), b.items.data(), b.items.size()));
-  if (a.ipa_path && b.ipa_path)
-    common += path_similarity(a.path_sorted, b.path_sorted);
+  const std::span<const TokenId> ia = a.items();
+  const std::span<const TokenId> ib = b.items();
+  double common = static_cast<double>(
+      multiset_intersection(ia.data(), ia.size(), ib.data(), ib.size()));
+  if (a.ipa_path() && b.ipa_path())
+    common += path_similarity(a.path_sorted(), b.path_sorted());
   const auto denom = static_cast<double>(std::max(ca, cb));
   return common / denom;
 }

@@ -12,6 +12,8 @@
 //   IPA: sim(A,B) = 2.75/4, sim(A,C) = sim(B,C) = 0.25/4
 #pragma once
 
+#include <span>
+
 #include "vsm/semantic_vector.hpp"
 
 namespace farmer {
@@ -24,8 +26,8 @@ namespace farmer {
 
 /// Directory similarity used by IPA: multiset intersection of path
 /// components divided by the larger component count. Both inputs sorted.
-[[nodiscard]] double path_similarity(const SmallVector<TokenId, 8>& a,
-                                     const SmallVector<TokenId, 8>& b) noexcept;
+[[nodiscard]] double path_similarity(std::span<const TokenId> a,
+                                     std::span<const TokenId> b) noexcept;
 
 /// Semantic Distance between two prebuilt signatures (same mask/mode).
 /// Returns a value in [0, 1]; 0 when either signature is empty.

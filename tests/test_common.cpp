@@ -6,6 +6,8 @@
 #include <atomic>
 #include <cmath>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -379,18 +381,182 @@ TEST(SmallVector, AssignmentSelfAndCross) {
   EXPECT_EQ(w.size(), 3u);
 }
 
+/// A std::vector model of one SmallVector<T, N>: its contents and the
+/// capacity the growth policy must give it (N inline; a spill allocates the
+/// larger of the request and 2N; a full push_back doubles).
+template <typename T, std::size_t N>
+struct SmallVectorModel {
+  std::vector<T> items;
+  std::size_t capacity = N;
+
+  void grow_to(std::size_t n) {
+    if (n > capacity) capacity = std::max(n, 2 * N);
+  }
+  /// The state a copy of `other` starts in.
+  static SmallVectorModel copy_of(const SmallVectorModel& other) {
+    SmallVectorModel m;
+    m.items = other.items;
+    m.grow_to(other.items.size());
+    return m;
+  }
+};
+
+template <typename T, std::size_t N>
+void expect_matches(const SmallVector<T, N>& v,
+                    const SmallVectorModel<T, N>& m) {
+  ASSERT_EQ(v.size(), m.items.size());
+  EXPECT_EQ(v.empty(), m.items.empty());
+  EXPECT_EQ(static_cast<std::size_t>(v.end() - v.begin()), v.size());
+  EXPECT_TRUE(std::equal(v.begin(), v.end(), m.items.begin()));
+  EXPECT_EQ(v.capacity(), m.capacity);
+  EXPECT_EQ(v.is_inline(), v.capacity() == N);
+  EXPECT_EQ(v.heap_bytes(), v.is_inline() ? 0 : m.capacity * sizeof(T));
+}
+
+/// Drives two vectors through random operations, copies and moves between
+/// them included, and checks both against their models after every one.
+/// Whenever a vector is full, the next operation grows it from one of its
+/// own elements: push_back(v[0]) or resize(n, v[0]), whose argument lives
+/// in the storage the growth replaces.
+template <typename T, std::size_t N>
+void run_random_ops(std::uint64_t seed) {
+  SCOPED_TRACE("N = " + std::to_string(N) + ", sizeof(T) = " +
+               std::to_string(sizeof(T)));
+  using Vec = SmallVector<T, N>;
+  using Model = SmallVectorModel<T, N>;
+  Rng rng(seed);
+  const auto value = [&] { return static_cast<T>(rng.next_u64()); };
+  Vec v[2];
+  Model m[2];
+  for (int op = 0; op < 4000; ++op) {
+    SCOPED_TRACE("op " + std::to_string(op));
+    const std::size_t i = rng.next_below(2);
+    const std::size_t j = 1 - i;
+    Vec& a = v[i];
+    Model& ma = m[i];
+    if (!a.empty() && a.size() == a.capacity()) {
+      const T first = ma.items.front();
+      if (rng.next_below(2) == 0) {
+        a.push_back(a[0]);
+        ma.grow_to(ma.capacity * 2);
+        ma.items.push_back(first);
+      } else {
+        const std::size_t n = a.size() + 1 + rng.next_below(N + 2);
+        a.resize(n, a[0]);
+        ma.grow_to(n);
+        ma.items.resize(n, first);
+      }
+    } else {
+      // Past 4N + 8 elements, shrinking ops keep the sizes small.
+      const bool large = a.size() > 4 * N + 8;
+      switch (rng.next_below(13)) {
+        case 0:
+        case 1: {
+          const T x = value();
+          a.push_back(x);
+          if (ma.items.size() == ma.capacity) ma.grow_to(ma.capacity * 2);
+          ma.items.push_back(x);
+          break;
+        }
+        case 2:
+          if (!a.empty()) {
+            a.pop_back();
+            ma.items.pop_back();
+          }
+          break;
+        case 3:
+          if (!a.empty()) {
+            const std::size_t k = rng.next_below(a.size());
+            a.erase_at(k);
+            ma.items.erase(ma.items.begin() + static_cast<std::ptrdiff_t>(k));
+          }
+          break;
+        case 4: {
+          const std::size_t n = rng.next_below(
+              large ? a.size() + 1 : a.size() + 2 * N + 2);
+          const T x = value();
+          a.resize(n, x);
+          ma.grow_to(n);
+          ma.items.resize(n, x);
+          break;
+        }
+        case 5: {
+          const std::size_t n = rng.next_below(a.capacity() + 2 * N + 2);
+          a.reserve(n);
+          ma.grow_to(n);
+          break;
+        }
+        case 6:
+          a.clear();
+          ma.items.clear();
+          break;
+        case 7: {  // copy construction
+          Vec c(a);
+          Model mc = Model::copy_of(ma);
+          expect_matches(c, mc);
+          v[j] = std::move(c);  // move assignment steals c's heap
+          m[j] = mc;
+          expect_matches(c, Model{});  // NOLINT(bugprone-use-after-move)
+          break;
+        }
+        case 8:  // copy assignment
+          v[j] = a;
+          m[j] = Model::copy_of(ma);
+          break;
+        case 9: {  // move construction
+          Vec c(std::move(a));
+          expect_matches(c, ma);
+          v[j] = std::move(c);
+          m[j] = ma;
+          ma = Model{};
+          break;
+        }
+        case 10:  // move assignment
+          v[j] = std::move(a);
+          m[j] = ma;
+          ma = Model{};
+          break;
+        case 11: {  // self copy assignment
+          const Vec& self = a;
+          a = self;
+          break;
+        }
+        case 12: {  // self move assignment
+          Vec& self = a;
+          a = std::move(self);
+          break;
+        }
+        default:
+          break;
+      }
+    }
+    expect_matches(v[0], m[0]);
+    expect_matches(v[1], m[1]);
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+TEST(SmallVector, MatchesStdVectorUnderRandomOps) {
+  run_random_ops<std::uint32_t, 1>(1);
+  run_random_ops<std::uint32_t, 4>(2);
+  run_random_ops<std::uint32_t, 12>(3);
+  run_random_ops<std::uint64_t, 1>(4);
+  run_random_ops<std::uint64_t, 4>(5);
+  run_random_ops<std::uint64_t, 12>(6);
+  // The capacity is 32 bits: a larger request throws before allocating
+  // and leaves the vector as it was.
+  SmallVector<std::uint32_t, 4> v{1, 2};
+  EXPECT_THROW(v.reserve(std::size_t{1} << 32), std::length_error);
+  EXPECT_EQ(v, (SmallVector<std::uint32_t, 4>{1, 2}));
+  EXPECT_TRUE(v.is_inline());
+}
+
 // ------------------------------------------------------------- Parallel --
 
 TEST(Parallel, ForCoversAllIndices) {
   std::vector<std::atomic<int>> hits(257);
   parallel_for(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(Parallel, ZeroIterationsIsNoop) {
-  bool touched = false;
-  parallel_for(0, [&](std::size_t) { touched = true; });
-  EXPECT_FALSE(touched);
 }
 
 TEST(Parallel, ZeroIterationsEarlyReturnsBeforeWorkerSetup) {

@@ -157,13 +157,10 @@ TEST(Farmer, SemanticVectorTracksLatestContext) {
 
 /// Field-by-field equality of two signatures.
 void expect_same_signature(const Signature& got, const Signature& want) {
-  ASSERT_EQ(got.items.size(), want.items.size());
-  for (std::size_t i = 0; i < got.items.size(); ++i)
-    EXPECT_EQ(got.items[i], want.items[i]) << "item " << i;
-  ASSERT_EQ(got.path_sorted.size(), want.path_sorted.size());
-  for (std::size_t i = 0; i < got.path_sorted.size(); ++i)
-    EXPECT_EQ(got.path_sorted[i], want.path_sorted[i]) << "path item " << i;
-  EXPECT_EQ(got.ipa_path, want.ipa_path);
+  ASSERT_EQ(got.tokens.size(), want.tokens.size());
+  for (std::size_t i = 0; i < got.tokens.size(); ++i)
+    EXPECT_EQ(got.tokens[i], want.tokens[i]) << "token " << i;
+  EXPECT_EQ(got.path_len, want.path_len);
 }
 
 /// `latest[f]` is the last record of file f the miner saw (nullptr: none).

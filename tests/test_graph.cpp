@@ -1,6 +1,7 @@
 // Unit tests for the correlation graph and the access window (LDA).
 #include <gtest/gtest.h>
 
+#include "core/cominer.hpp"
 #include "graph/access_window.hpp"
 #include "graph/correlation_graph.hpp"
 
@@ -200,7 +201,10 @@ TEST(CorrelationGraph, EmptyPayloadTakesNoByte) {
     [[nodiscard]] static std::size_t heap_bytes() noexcept { return 0; }
   };
   if constexpr (sizeof(void*) == 8) {
-    EXPECT_EQ(CorrelationGraph::node_block_bytes(), 152u);
+    // access count 8 + successors 8 x 8 + 8 + Correlator List 4 x 8 + 8.
+    EXPECT_EQ(CorrelationGraph::node_block_bytes(), 120u);
+    // FARMER's block adds its Signature: 12 x 4 tokens + 8, path_len 4 + 4.
+    EXPECT_EQ(SignatureGraph::node_block_bytes(), 184u);
   }
   EXPECT_EQ(BasicCorrelationGraph<Wide>::node_block_bytes(),
             CorrelationGraph::node_block_bytes() + sizeof(Wide));

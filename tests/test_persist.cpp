@@ -33,6 +33,7 @@
 
 #include "api/miner_factory.hpp"
 #include "common/hash.hpp"
+#include "core/farmer.hpp"
 #include "persist/checkpoint.hpp"
 #include "persist/persister.hpp"
 #include "persist/wal.hpp"
@@ -177,6 +178,17 @@ T field_at(const std::string& bytes, std::size_t off) {
   T v;
   std::memcpy(&v, bytes.data() + off, sizeof v);
   return v;
+}
+
+/// Names of the CHECKPOINT.* entries (committed or .tmp) in `dir`.
+std::vector<std::string> checkpoint_entries(const std::string& dir) {
+  std::vector<std::string> out;
+  std::error_code ec;
+  for (fs::directory_iterator it(dir, ec), end; !ec && it != end; ++it) {
+    const std::string name = it->path().filename().string();
+    if (name.rfind("CHECKPOINT.", 0) == 0) out.push_back(name);
+  }
+  return out;
 }
 
 /// A record's canonical bytes: what the WAL stores for it.
@@ -551,6 +563,72 @@ TEST(PersistSaveLoad, DeepPathDictionaryRoundTrips) {
   }
 }
 
+// Checkpoint format 3, pinned: save() of a "farmer" model over HP (IPA path
+// tokens) and over INS (FileId items) writes exactly these bytes, checked by
+// length and by the trailing body checksum. An in-memory layout change
+// (Signature, SmallVector) must leave them alone; a change that moves them
+// changes the on-disk format, so it bumps kCheckpointVersion and re-records
+// both pins together.
+TEST(PersistSaveLoad, CheckpointBytesArePinned) {
+  static_assert(persist::kCheckpointVersion == 3,
+                "re-record the pinned checkpoints for the new version");
+  struct Pin {
+    TraceKind kind;
+    const char* name;
+    std::size_t bytes;
+    std::uint64_t checksum;
+  };
+  const Pin pins[] = {
+      {TraceKind::kHP, "HP", 70230, 0xb4a9a61c459c2c46ull},
+      {TraceKind::kINS, "INS", 5230, 0x1fc0b4891c10c05cull},
+  };
+  for (const Pin& pin : pins) {
+    const Trace t = make_paper_trace(pin.kind, 42, 0.02);
+    FarmerConfig cfg;
+    cfg.attributes = t.has_paths ? AttributeMask::all_with_path()
+                                 : AttributeMask::all_with_fileid();
+    TempDir dir(std::string("persist_pinned_") + pin.name);
+    auto miner = make_miner("farmer", cfg, t.dict);
+    miner->observe_batch(t.records);
+    miner->flush();
+    miner->save(dir.str());
+    const std::vector<std::string> entries = checkpoint_entries(dir.str());
+    ASSERT_EQ(entries.size(), 1u) << pin.name;
+    const std::string bytes = file_bytes(dir.str() + "/" + entries.front());
+    ASSERT_GE(bytes.size(), sizeof(std::uint64_t)) << pin.name;
+    EXPECT_EQ(bytes.size(), pin.bytes) << pin.name;
+    const auto checksum =
+        field_at<std::uint64_t>(bytes, bytes.size() - sizeof(std::uint64_t));
+    EXPECT_EQ(checksum, pin.checksum)
+        << pin.name << " checksum 0x" << std::hex << checksum;
+  }
+}
+
+// A shard blob stores each signature's IPA flag after its path run, and the
+// flag is redundant with that run: a signature has an IPA path exactly when
+// the run is non-empty. A flag that disagrees describes a signature no
+// ingest builds, so deserialize_shard rejects it with a typed error.
+TEST(PersistSaveLoad, IpaFlagThatDisagreesWithThePathRunThrows) {
+  for (const TraceKind kind : {TraceKind::kHP, TraceKind::kINS}) {
+    const Trace t = make_paper_trace(kind, 42, 0.02);
+    FarmerConfig cfg;
+    cfg.attributes = t.has_paths ? AttributeMask::all_with_path()
+                                 : AttributeMask::all_with_fileid();
+    Farmer source(cfg, t.dict);
+    source.observe_batch(t.records);
+    std::string blob = persist::serialize_shard(source);
+    Farmer intact(cfg, t.dict);
+    ASSERT_NO_THROW(persist::deserialize_shard(blob, intact));
+    // The blob ends with the last file's flag: 1 under HP's IPA paths, 0
+    // for INS, which has none.
+    ASSERT_EQ(blob.back(), t.has_paths ? 1 : 0);
+    blob.back() = static_cast<char>(blob.back() ^ 1);
+    Farmer flipped(cfg, t.dict);
+    EXPECT_THROW(persist::deserialize_shard(blob, flipped),
+                 std::runtime_error);
+  }
+}
+
 // ------------------------------------------- factory-level persistence ----
 
 /// Inverts the byte in the middle of the file at `path`.
@@ -762,17 +840,6 @@ TEST(PersistReopen, WalOnlyDirIsBoundToItsDictionary) {
 }
 
 // -------------------------------------------------- failed writes ----
-
-/// Names of the CHECKPOINT.* entries (committed or .tmp) in `dir`.
-std::vector<std::string> checkpoint_entries(const std::string& dir) {
-  std::vector<std::string> out;
-  std::error_code ec;
-  for (fs::directory_iterator it(dir, ec), end; !ec && it != end; ++it) {
-    const std::string name = it->path().filename().string();
-    if (name.rfind("CHECKPOINT.", 0) == 0) out.push_back(name);
-  }
-  return out;
-}
 
 TEST(PersistSaveLoad, FailedWriteIsNotPublished) {
   // Regression: write_framed_atomic ignored fflush/fsync/fclose, so a

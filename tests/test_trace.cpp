@@ -12,6 +12,8 @@
 #include <iterator>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/farmer.hpp"
@@ -663,6 +665,49 @@ TEST_F(StreamedPipelineTest, MultiRoundScalesVolumeAndStaysSorted) {
     prev = r.timestamp;
     ASSERT_LT(r.file.value(), three.file_begin.back());
   }
+}
+
+/// Mappings of `path` in this process: the lines of /proc/self/maps that
+/// name it. Counting the file's own lines, not all of them, keeps the count
+/// blind to the allocator, which under ASan maps memory as the loop runs.
+std::size_t mappings_of(const std::string& path) {
+  std::ifstream maps("/proc/self/maps");
+  std::size_t n = 0;
+  for (std::string line; std::getline(maps, line);)
+    if (line.ends_with(" " + path)) ++n;
+  return n;
+}
+
+// A constructor that throws runs no destructor, so a reader that rejects a
+// file it has already mapped must unmap it on the way out: 200 rejected
+// opens of a 4 KiB file of zeros leave no mapping of it behind.
+TEST_F(StreamedPipelineTest, RejectedFileLeavesNoMapping) {
+  const std::string zeros = dir_ + "/zeros.ftrace";
+  {
+    std::ofstream out(zeros, std::ios::binary);
+    const std::string page(4096, '\0');
+    out.write(page.data(), static_cast<std::streamsize>(page.size()));
+  }
+  const std::string valid = dir_ + "/valid.ftrace";
+  write_trace_binary(generate_trace(tiny_hp(), 1), valid);
+  {
+    // The count sees a live reader's mapping, and its destructor's unmap.
+    const TraceReader reader(valid);
+    ASSERT_EQ(mappings_of(std::filesystem::canonical(valid).string()), 1u);
+  }
+  EXPECT_EQ(mappings_of(std::filesystem::canonical(valid).string()), 0u);
+
+  for (int i = 0; i < 200; ++i) {
+    try {
+      const TraceReader reader(zeros);
+      FAIL() << "a file of zeros opened as a trace";
+    } catch (const std::runtime_error& e) {
+      ASSERT_NE(std::string(e.what()).find("not a farmer trace"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(mappings_of(std::filesystem::canonical(zeros).string()), 0u);
 }
 
 TEST_F(StreamedPipelineTest, MergeRejectsMismatchedDictionaries) {

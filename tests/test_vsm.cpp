@@ -241,24 +241,28 @@ TEST(PathComponents, EmptyPath) {
 TEST(Signature, DpaExpandsPathIntoItems) {
   PaperExample ex;
   const Signature s = build_signature(ex.a, kAllPath, PathMode::kDivided);
-  EXPECT_EQ(s.items.size(), 7u);
-  EXPECT_FALSE(s.ipa_path);
+  EXPECT_EQ(s.items().size(), 7u);
+  EXPECT_FALSE(s.ipa_path());
+  EXPECT_TRUE(s.path_sorted().empty());
   EXPECT_EQ(s.item_count(), 7u);
 }
 
 TEST(Signature, IpaKeepsPathAsOneItem) {
   PaperExample ex;
   const Signature s = build_signature(ex.a, kAllPath, PathMode::kIntegrated);
-  EXPECT_EQ(s.items.size(), 3u);  // user, process, host
-  EXPECT_TRUE(s.ipa_path);
+  EXPECT_EQ(s.items().size(), 3u);  // user, process, host
+  EXPECT_TRUE(s.ipa_path());
   EXPECT_EQ(s.item_count(), 4u);
-  EXPECT_EQ(s.path_sorted.size(), 4u);
+  EXPECT_EQ(s.path_sorted().size(), 4u);
+  // The two runs are sorted separately, items first.
+  EXPECT_TRUE(std::is_sorted(s.items().begin(), s.items().end()));
+  EXPECT_TRUE(std::is_sorted(s.path_sorted().begin(), s.path_sorted().end()));
 }
 
 TEST(Signature, ItemsAreSorted) {
   PaperExample ex;
   const Signature s = build_signature(ex.a, kAllPath, PathMode::kDivided);
-  EXPECT_TRUE(std::is_sorted(s.items.begin(), s.items.end()));
+  EXPECT_TRUE(std::is_sorted(s.items().begin(), s.items().end()));
 }
 
 // ----------------------------------------------------------- attributes --
