@@ -19,29 +19,55 @@
 // into "sharded") is measured by bench/e2e: its set-up times the first two
 // stages and its `ingest` workload is the replay.
 //
-// `--json` replaces the human tables with one machine-readable JSON
-// document (scripts/bench_to_json.py validates/normalizes it into the
-// committed BENCH_ingest.json baseline).
+// Two hard gates follow the tables: every row must clear kMinRecordsPerSec,
+// and 4 apply lanes must keep kMinLaneRatio of 1 lane's records/s. Both
+// catch a stalled or serialized path, not tuning drift, so they hold at any
+// FARMER_BENCH_SCALE. A failed gate is named on stderr and exits 1; any
+// argument exits 2.
 #include "bench_util.hpp"
 
 #include <filesystem>
+
+namespace {
+
+constexpr double kMinRecordsPerSec = 1000.0;
+constexpr double kMinLaneRatio = 0.8;
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace farmer;
   using namespace farmer::bench;
 
-  const bool json = json_output_requested(argc, argv);
-  if (!json)
-    print_experiment_header(
-        std::cout, "Ingest throughput",
-        "HP trace in 256-record batches through the \"sharded\" backend's "
-        "shard-disjoint apply at 1/2/4/8 worker lanes, 8 shards",
-        "throughput should not fall as lanes grow: shards share no mutable "
-        "state, so lanes only split the work");
+  if (argc > 1) {
+    std::cerr << "bench_ingest_throughput: unexpected argument '" << argv[1]
+              << "'\nusage: bench_ingest_throughput (FARMER_BENCH_SCALE and "
+                 "FARMER_SHARDS set the run)\n";
+    return 2;
+  }
+  print_experiment_header(
+      std::cout, "Ingest throughput",
+      "HP trace in 256-record batches through the \"sharded\" backend's "
+      "shard-disjoint apply at 1/2/4/8 worker lanes, 8 shards",
+      "throughput should not fall as lanes grow: shards share no mutable "
+      "state, so lanes only split the work");
 
   const Trace& trace = paper_trace(TraceKind::kHP);
   const FarmerConfig cfg = fpa_config(trace);
   const MinerOptions& opts = miner_options();
+  const std::size_t n = trace.records.size();
+
+  std::vector<std::string> failed;
+  // records/s of one row, checked against the floor.
+  const auto rate = [&](const std::string& table, const std::string& row,
+                        double secs) {
+    const double r = static_cast<double>(n) / secs;
+    if (!(r >= kMinRecordsPerSec))
+      failed.push_back(table + " \"" + row + "\" reads " + fmt_double(r, 0) +
+                       " records/s, below the floor of " +
+                       fmt_double(kMinRecordsPerSec, 0));
+    return r;
+  };
 
   // ----------------------------------------------- parallel apply lanes --
   // The same chunked stream into "sharded" (the caller's thread drives
@@ -50,8 +76,8 @@ int main(int argc, char** argv) {
   // records/s is the entire difference. 8 shards so each lane count up to
   // 8 owns at least one shard.
   Table parallel_apply({"scenario", "records", "seconds", "records/s"});
+  double one_lane = 0.0, four_lanes = 0.0;
   {
-    const std::size_t n = trace.records.size();
     MinerOptions popts = opts;
     popts.shards = 8;
     for (const std::size_t lanes : {1u, 2u, 4u, 8u}) {
@@ -59,18 +85,25 @@ int main(int argc, char** argv) {
       const auto miner = make_miner("sharded", cfg, trace.dict, popts);
       const double secs =
           span_replay(*miner, trace.records, /*chunk=*/256);
-      parallel_apply.add_row({"sharded x" + std::to_string(lanes),
-                              std::to_string(n), fmt_double(secs, 3),
-                              fmt_double(static_cast<double>(n) / secs, 0)});
+      const std::string row = "sharded x" + std::to_string(lanes);
+      const double r = rate("parallel_apply", row, secs);
+      if (lanes == 1) one_lane = r;
+      if (lanes == 4) four_lanes = r;
+      parallel_apply.add_row({row, std::to_string(n), fmt_double(secs, 3),
+                              fmt_double(r, 0)});
     }
   }
-  if (!json) parallel_apply.print(std::cout);
+  if (!(four_lanes >= kMinLaneRatio * one_lane))
+    failed.push_back("parallel_apply \"sharded x4\" reads " +
+                     fmt_double(four_lanes / one_lane, 2) +
+                     "x \"sharded x1\", below the floor of " +
+                     fmt_double(kMinLaneRatio, 2) + "x");
+  parallel_apply.print(std::cout);
 
   // ------------------------------------------------- durable persistence --
-  // The first column is the row's identity for bench_diff. All persist
-  // scenarios share one temp tree (cleaned before and after); ingest rows
-  // replay the same chunked stream so the WAL + checkpoint overhead is the
-  // only difference within a pair.
+  // All persist scenarios share one temp tree (cleaned before and after);
+  // ingest rows replay the same chunked stream so the WAL + checkpoint
+  // overhead is the only difference within a pair.
   Table recovery({"scenario", "records", "seconds", "records/s"});
   {
     namespace fs = std::filesystem;
@@ -78,10 +111,9 @@ int main(int argc, char** argv) {
     std::error_code ec;
     fs::remove_all(base, ec);
     fs::create_directories(base);
-    const std::size_t n = trace.records.size();
     const auto add_recovery_row = [&](const char* label, double secs) {
       recovery.add_row({label, std::to_string(n), fmt_double(secs, 3),
-                        fmt_double(static_cast<double>(n) / secs, 0)});
+                        fmt_double(rate("recovery", label, secs), 0)});
     };
     // span_replay's 1024-record chunks give the durable path realistic
     // batch boundaries: group commits and inline checkpoints both land
@@ -137,16 +169,6 @@ int main(int argc, char** argv) {
     fs::remove_all(base, ec);
   }
 
-  if (json) {
-    std::cout << "{\"bench\": \"bench_ingest_throughput\", \"scale\": "
-              << bench_scale() << ", \"tables\": [";
-    parallel_apply.print_json(std::cout, "parallel_apply");
-    std::cout << ", ";
-    recovery.print_json(std::cout, "recovery");
-    std::cout << "]}\n";
-    return 0;
-  }
-
   std::cout << "\nDurable persistence: WAL + checkpoint overhead on the "
                "ingest path, checkpoint save cost, and recovery wall-clock "
                "(checkpoint deserialization vs checkpoint + ~40%-of-trace "
@@ -157,5 +179,8 @@ int main(int argc, char** argv) {
                "FARMER_SHARDS (default 4) sets the mining partitions of the "
                "persistence rows. Lane counts above the machine's cores "
                "measure scheduling, not mining.\n";
-  return 0;
+
+  for (const std::string& f : failed)
+    std::cerr << "bench_ingest_throughput: FAILED: " << f << "\n";
+  return failed.empty() ? 0 : 1;
 }

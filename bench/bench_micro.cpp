@@ -279,25 +279,12 @@ BENCHMARK(BM_EndToEndReplay)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-// BENCHMARK_MAIN() plus one convenience: `--json` is the cross-bench flag
-// the baseline tooling (scripts/bench_to_json.py, CI bench-smoke) passes to
-// every bench binary; here it maps onto google-benchmark's native
-// --benchmark_format=json.
+// BENCHMARK_MAIN(), except that a --benchmark_filter matching no benchmark
+// is a failed run (exit 1), not an empty success.
 int main(int argc, char** argv) {
-  std::vector<char*> args;
-  static char json_flag[] = "--benchmark_format=json";
-  args.reserve(static_cast<std::size_t>(argc) + 1);
-  for (int i = 0; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--json") {
-      args.push_back(json_flag);
-      continue;
-    }
-    args.push_back(argv[i]);
-  }
-  int n = static_cast<int>(args.size());
-  benchmark::Initialize(&n, args.data());
-  if (benchmark::ReportUnrecognizedArguments(n, args.data())) return 1;
-  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  const std::size_t ran = benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  return 0;
+  return ran == 0 ? 1 : 0;
 }

@@ -6,7 +6,6 @@
 //   bench_serving                       all built-in scenarios, summary table
 //   bench_serving --scenario NAME       one scenario + its per-window rows
 //   bench_serving --list-scenarios      registered scenario names
-//   bench_serving --json                machine-readable (bench_to_json.py)
 //
 // Each scenario's spec fixes its reporting windows and MDS cache capacity.
 // The trace volume follows FARMER_BENCH_SCALE like every other bench
@@ -51,9 +50,9 @@ int main(int argc, char** argv) {
       list = true;
     } else if (arg == "--scenario" && i + 1 < argc) {
       only = argv[++i];
-    } else if (arg != "--json") {
+    } else {
       std::cerr << "usage: bench_serving [--scenario NAME] "
-                   "[--list-scenarios] [--json]\n";
+                   "[--list-scenarios]\n";
       return 2;
     }
   }
@@ -64,20 +63,17 @@ int main(int argc, char** argv) {
     }
     return 0;
   }
-  const bool json = json_output_requested(argc, argv);
-
   const std::vector<std::string> names =
       only.empty() ? registered_scenarios() : std::vector<std::string>{only};
   const std::string& predictor = runtime().predictor;
 
-  if (!json)
-    print_experiment_header(
-        std::cout, "Serving scenarios",
-        "closed-loop trace replay against a live MDS: the " + predictor +
-            " predictor learns in the loop while the cache and two-priority "
-            "disk queue score its prefetches",
-        "hit ratio, prefetch precision and response percentiles react to "
-        "the scenario's load shape");
+  print_experiment_header(
+      std::cout, "Serving scenarios",
+      "closed-loop trace replay against a live MDS: the " + predictor +
+          " predictor learns in the loop while the cache and two-priority "
+          "disk queue score its prefetches",
+      "hit ratio, prefetch precision and response percentiles react to "
+      "the scenario's load shape");
 
   Table summary({"scenario", "predictor", "requests", "demand_hit_ratio",
                  "prefetch_precision", "prefetch_waste", "p50_response_us",
@@ -121,19 +117,6 @@ int main(int argc, char** argv) {
              std::to_string(w.model_footprint_bytes),
              std::to_string(w.invalidations)});
     }
-  }
-
-  if (json) {
-    std::cout << "{\"bench\": \"bench_serving\", \"scale\": " << bench_scale()
-              << ", \"predictor\": " << json_quote(predictor)
-              << ", \"tables\": [";
-    summary.print_json(std::cout, "serving");
-    if (names.size() == 1) {
-      std::cout << ", ";
-      windows_tbl.print_json(std::cout, "serving_windows");
-    }
-    std::cout << "]}\n";
-    return 0;
   }
 
   summary.print(std::cout);

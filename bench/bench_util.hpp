@@ -89,16 +89,6 @@ inline const std::string& miner_backend() { return runtime().miner_backend; }
 
 inline const MinerOptions& miner_options() { return runtime().miner; }
 
-/// True when argv carries `--json`: the bench emits one machine-readable
-/// JSON document on stdout (scripts/bench_to_json.py normalizes and
-/// validates it into the committed BENCH_*.json baselines) instead of the
-/// human tables.
-inline bool json_output_requested(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i)
-    if (std::string_view(argv[i]) == "--json") return true;
-  return false;
-}
-
 /// Miner for the selected backend (validated through the factory). The
 /// selection is announced once on stderr so saved bench output records
 /// which backend produced it.

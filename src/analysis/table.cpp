@@ -34,51 +34,6 @@ void Table::print(std::ostream& os) const {
   for (const auto& row : rows_) print_row(row);
 }
 
-std::string json_quote(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr char hex[] = "0123456789abcdef";
-          out += "\\u00";
-          out += hex[(c >> 4) & 0xF];
-          out += hex[c & 0xF];
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
-
-void Table::print_json(std::ostream& os, const std::string& name) const {
-  os << "{\"name\": " << json_quote(name) << ", \"columns\": [";
-  for (std::size_t c = 0; c < headers_.size(); ++c) {
-    if (c) os << ", ";
-    os << json_quote(headers_[c]);
-  }
-  os << "], \"rows\": [";
-  for (std::size_t r = 0; r < rows_.size(); ++r) {
-    if (r) os << ", ";
-    os << '[';
-    for (std::size_t c = 0; c < rows_[r].size(); ++c) {
-      if (c) os << ", ";
-      os << json_quote(rows_[r][c]);
-    }
-    os << ']';
-  }
-  os << "]}";
-}
-
 void print_experiment_header(std::ostream& os, const std::string& id,
                              const std::string& caption,
                              const std::string& expectation) {

@@ -1,20 +1,13 @@
 // Console table formatting shared by the bench harnesses, so every
-// reproduced table/figure prints in a uniform, diff-friendly layout — plus
-// a machine-readable JSON rendering for the per-PR bench baselines
-// (`--json`, scripts/bench_to_json.py).
+// reproduced table/figure prints in a uniform, diff-friendly layout (the
+// golden files under bench/golden/ pin those bytes).
 #pragma once
 
 #include <iosfwd>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace farmer {
-
-/// JSON string literal for `s`: quotes plus the standard escapes (used by
-/// the benches' --json output; numbers are emitted as strings so one
-/// rendering rule serves every cell).
-[[nodiscard]] std::string json_quote(std::string_view s);
 
 class Table {
  public:
@@ -27,11 +20,6 @@ class Table {
 
   /// Renders with column auto-sizing, a header rule, and 2-space padding.
   void print(std::ostream& os) const;
-
-  /// Emits {"name": ..., "columns": [...], "rows": [[...]]} with every cell
-  /// as a JSON string (cells keep the exact text `print` would show, so the
-  /// human and machine renderings can never drift apart).
-  void print_json(std::ostream& os, const std::string& name) const;
 
  private:
   std::vector<std::string> headers_;

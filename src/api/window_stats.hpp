@@ -60,14 +60,6 @@ struct WindowStats {
                                    static_cast<double>(prefetch_inserted)
                              : 0.0;
   }
-  /// Fraction of this window's prefetches evicted without ever serving a
-  /// hit (cache pollution).
-  [[nodiscard]] double prefetch_waste() const noexcept {
-    return prefetch_inserted
-               ? static_cast<double>(prefetch_evicted_unused) /
-                     static_cast<double>(prefetch_inserted)
-               : 0.0;
-  }
 };
 
 }  // namespace farmer

@@ -76,9 +76,6 @@ class MetadataCache {
   /// Invalidates an entry if resident (metadata updates in the MDS).
   void erase(FileId f);
 
-  /// Zeroes the counters without touching residency (warm-up support).
-  void reset_stats() noexcept { stats_ = CacheStats{}; }
-
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] const CacheStats& stats() const noexcept { return stats_; }

@@ -20,16 +20,11 @@ namespace farmer {
 struct ReplayConfig {
   std::size_t cache_capacity = 1024;  ///< LRU metadata-cache entries
   std::size_t prefetch_degree = 4;  ///< max candidates consumed per request
-  /// Warm-up fraction of the trace during which stats are not recorded
-  /// (the model still learns). 0 disables warm-up handling.
-  double warmup_fraction = 0.0;
 };
 
 struct ReplayResult {
   CacheStats cache;
   std::size_t predictor_footprint = 0;
-  std::uint64_t requests = 0;
-  double wall_seconds = 0.0;
 
   [[nodiscard]] double hit_ratio() const noexcept {
     return cache.hit_ratio();

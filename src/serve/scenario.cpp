@@ -11,16 +11,6 @@
 
 namespace farmer {
 
-const char* load_shape_name(LoadShape s) noexcept {
-  switch (s) {
-    case LoadShape::kSteady: return "steady";
-    case LoadShape::kDiurnal: return "diurnal";
-    case LoadShape::kFlashCrowd: return "flash_crowd";
-    case LoadShape::kTenantShift: return "tenant_shift";
-  }
-  return "?";
-}
-
 std::string ScenarioSpec::validate() const {
   std::string errs;
   const auto fail = [&errs](const std::string& msg) {

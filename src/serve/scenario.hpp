@@ -37,8 +37,6 @@ enum class LoadShape : std::uint8_t {
   kTenantShift,  ///< tenant mix rotates: early tenants drain, late ones ramp
 };
 
-[[nodiscard]] const char* load_shape_name(LoadShape s) noexcept;
-
 /// One serving experiment, as data. Defaults describe a steady
 /// single-tenant run; the built-ins override from here.
 struct ScenarioSpec {

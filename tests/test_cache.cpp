@@ -120,15 +120,6 @@ TEST(MetadataCache, UsedPrefetchNotCountedAsPollution) {
   EXPECT_EQ(c.stats().prefetch_evicted_unused, 0u);
 }
 
-TEST(MetadataCache, ResetStatsKeepsResidency) {
-  MetadataCache c(4);
-  c.insert_demand(FileId(1));
-  (void)c.access(FileId(1));
-  c.reset_stats();
-  EXPECT_EQ(c.stats().demand.denominator(), 0u);
-  EXPECT_TRUE(c.contains(FileId(1)));
-}
-
 TEST(MetadataCache, CapacityOneWorks) {
   MetadataCache c(1);
   c.insert_demand(FileId(1));

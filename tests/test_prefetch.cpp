@@ -283,26 +283,6 @@ TEST(Replay, NoopPredictorEqualsPlainCache) {
   EXPECT_EQ(result.cache.demand.numerator(), 18u);
 }
 
-TEST(Replay, WarmupDiscardsColdCounters) {
-  MicroTrace mt;
-  const FileId a = mt.file("a"), b = mt.file("b");
-  for (int i = 0; i < 50; ++i) {
-    mt.access(a);
-    mt.access(b);
-  }
-  const Trace t = mt.build();
-  NoopPredictor p1, p2;
-  ReplayConfig cold;
-  cold.cache_capacity = 4;
-  ReplayConfig warm = cold;
-  warm.warmup_fraction = 0.5;
-  const auto r_cold = replay_trace(t, p1, cold);
-  const auto r_warm = replay_trace(t, p2, warm);
-  // Warm measurement has no compulsory misses -> strictly better ratio.
-  EXPECT_GT(r_warm.hit_ratio(), r_cold.hit_ratio());
-  EXPECT_DOUBLE_EQ(r_warm.hit_ratio(), 1.0);
-}
-
 TEST(Replay, AccuracyAccountsUnusedPrefetches) {
   MicroTrace mt;
   const FileId a = mt.file("a"), b = mt.file("b"), c = mt.file("c");
@@ -329,7 +309,6 @@ TEST(Replay, FetchableGateMatchesUngatedReplay) {
                                    : AttributeMask::all_with_fileid();
   ReplayConfig rc;
   rc.cache_capacity = std::max<std::size_t>(1, trace.file_count() / 20);
-  rc.warmup_fraction = 0.1;
   for (const char* backend : {"farmer", "sharded"}) {
     SCOPED_TRACE(backend);
     std::uint64_t gated_calls = 0, ungated_calls = 0;
@@ -348,7 +327,6 @@ TEST(Replay, FetchableGateMatchesUngatedReplay) {
               u.cache.prefetch_evicted_unused);
     EXPECT_EQ(g.cache.evictions, u.cache.evictions);
     EXPECT_EQ(g.predictor_footprint, u.predictor_footprint);
-    EXPECT_EQ(g.requests, u.requests);
     // The gate engaged: it skipped some evidence passes, not all of them.
     EXPECT_GT(g.cache.prefetch_inserted, 0u);
     EXPECT_GT(gated_calls, 0u);
