@@ -85,9 +85,9 @@ void BM_BuildSignature(benchmark::State& state) {
 BENCHMARK(BM_BuildSignature);
 
 void BM_EvaluatePair(benchmark::State& state) {
-  // Stage 3 steady state: one R(x, y) evaluation including the
-  // Correlator-List upsert, on signatures extracted from real HP-trace
-  // records.
+  // Stage 3 steady state: one R(x, y) evaluation on the fetched
+  // predecessor block and its fresh N_AB, including the Correlator-List
+  // upsert, on signatures extracted from real HP-trace records.
   const Trace& trace = hp();
   const FarmerConfig cfg = fpa_config(trace);
   SignatureGraph g({cfg.max_successors, cfg.correlator_capacity});
@@ -102,11 +102,13 @@ void BM_EvaluatePair(benchmark::State& state) {
   ex.extract(rb, vb);
   const Signature sa = build_signature(va, cfg.attributes, cfg.path_mode);
   const Signature sb = build_signature(vb, cfg.attributes, cfg.path_mode);
-  g.record_access(ra.file);
-  g.record_access(rb.file);
-  g.add_transition(ra.file, rb.file, 1.0);
+  const SignatureGraph::NodeRef a = g.node(ra.file);
+  g.set_payload(a, sa);
+  g.record_access(a);
+  g.record_access(g.node(rb.file));
+  const double nab = g.add_transition(a, rb.file, 1.0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(miner.evaluate_pair(ra.file, sa, rb.file, sb));
+    benchmark::DoNotOptimize(miner.evaluate_pair(a, rb.file, sb, nab));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
@@ -119,8 +121,9 @@ void BM_GraphTransition(benchmark::State& state) {
   for (auto _ : state) {
     const FileId pred(i % 4096);
     const FileId succ(static_cast<std::uint32_t>(rng.next_below(4096)));
-    g.record_access(pred);
-    benchmark::DoNotOptimize(g.add_transition(pred, succ, 1.0));
+    const CorrelationGraph::NodeRef n = g.node(pred);
+    g.record_access(n);
+    benchmark::DoNotOptimize(g.add_transition(n, succ, 1.0));
     ++i;
   }
 }
@@ -144,7 +147,7 @@ void BM_ObserveKernel(benchmark::State& state) {
   // The serial observe kernel in isolation: a plain Farmer (no factory, no
   // sharding, no queues) replaying the HP trace. This is the records/s
   // number the ingest-kernel optimizations (invariant hoisting, order
-  // repair, signature memoization) move directly.
+  // repair, one block fetch per node per record) move directly.
   const Trace& trace = hp();
   Farmer model(fpa_config(trace), trace.dict);
   std::size_t i = 0;

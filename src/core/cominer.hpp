@@ -41,12 +41,13 @@ class CoMiner {
   CoMiner(const FarmerConfig& cfg, SignatureGraph& graph)
       : cfg_(cfg), graph_(graph) {}
 
-  /// Evaluates R(pred, succ) from the given signatures and the graph's
-  /// current frequency state, then updates pred's Correlator List: the pair
-  /// is inserted/updated when valid, removed when it has fallen below the
-  /// threshold. Returns the degree.
-  double evaluate_pair(FileId pred, const Signature& pred_sig, FileId succ,
-                       const Signature& succ_sig);
+  /// Stages 3 + 4 for a transition pred -> succ the graph has just counted.
+  /// Evaluates R(pred, succ) from pred's signature, `succ_sig` and `nab`,
+  /// the edge's N_AB as add_transition() returned it, then updates pred's
+  /// Correlator List: the pair is inserted/updated when valid, removed when
+  /// it has fallen below the threshold. Returns the degree.
+  double evaluate_pair(SignatureGraph::NodeRef pred, FileId succ,
+                       const Signature& succ_sig, double nab);
 
   /// Function 2 on already-computed factors: p * sim + (1 - p) * F. Every
   /// evaluation path (evaluate_pair, the point queries, the fused

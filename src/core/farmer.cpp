@@ -43,21 +43,26 @@ bool correlator_before(const Correlator& a, const Correlator& b) noexcept {
 void Farmer::observe_impl(const TraceRecord& rec) {
   const FileId file = rec.file;
 
+  // The kernel fetches each block it writes once per record: the file's own
+  // block here, and each predecessor's once in the window walk below. Every
+  // write goes through that handle, and block addresses are stable, so a
+  // handle survives the writes to other blocks.
+  //
   // Stage 1 — Extracting. The stored signature always reflects the most
   // recent request context of the file: it is rebuilt from every record's
-  // extraction and written into the file's block. set_payload() creates
-  // the block on the file's first access — the only place ingest creates a
-  // block, which is what keeps "has a block" and "has a recorded context"
-  // the same thing.
+  // extraction and written into the file's block. node() creates the block
+  // on the file's first access — the only place ingest creates a block —
+  // and the signature is built before it, which is what keeps "has a
+  // block" and "has a recorded context" the same thing.
   extractor_.extract(rec, scratch_vec_);
-  graph_.set_payload(
-      file, build_signature(scratch_vec_, cfg_.attributes, cfg_.path_mode));
+  Signature sig =
+      build_signature(scratch_vec_, cfg_.attributes, cfg_.path_mode);
+  const SignatureGraph::NodeRef self = graph_.node(file);
+  graph_.set_payload(self, std::move(sig));
 
   // Stage 2 — Constructing: N_file and LDA-weighted N_{pred,file} updates.
-  graph_.record_access(file);
-  // Block addresses are stable, so the reference survives the writes to
-  // other nodes below.
-  const Signature& file_sig = *graph_.payload(file);
+  graph_.record_access(self);
+  const Signature& file_sig = self.payload();
 
   // Refresh the *frequency* component of `file`'s Correlator List: N_file
   // just grew, so F(file, succ) = N_AB / N_file shrank for every listed
@@ -68,25 +73,27 @@ void Farmer::observe_impl(const TraceRecord& rec) {
   // 1/N and eventually fall below the validity threshold.
   //
   // N_file, the N/(N-1) rescale and the frequency weight are invariant
-  // across the loop, and the successor set is fetched once — the per-entry
-  // work is one edge scan and a handful of flops.
-  auto& list = graph_.correlators(file);
+  // across the loop — the per-entry work is one edge scan and a handful of
+  // flops.
+  auto& list = self.correlators();
   if (!list.empty()) {
-    const auto& succs = graph_.successors(file);
-    const double n = static_cast<double>(graph_.access_count(file));
+    const auto& succs = self.successors();
+    const double n = static_cast<double>(self.access_count());
     const double rescale = n / std::max(1.0, n - 1.0);
     const double freq_w = 1.0 - cfg_.p;
     for (std::size_t i = list.size(); i-- > 0;) {
-      const FileId succ = list[i].file;
-      const double freq = SignatureGraph::edge_weight_in(succs, succ) / n;
+      const double freq =
+          SignatureGraph::edge_weight_in(succs, list[i].file) / n;
       // Recover the semantic part from the stored degree under the
       // *previous* N (freq scaled by N/(N-1)); algebraically equivalent to
       // caching sim.
       const double prev_freq = freq * rescale;
       const double sem = static_cast<double>(list[i].degree) - freq_w * prev_freq;
       const double degree = sem + freq_w * freq;
+      // List entries name distinct files, so entry i is the only one for
+      // its successor; the entries after it are already refreshed.
       if (degree < cfg_.max_strength)
-        graph_.remove_correlator(file, succ);
+        list.erase_at(i);
       else
         list[i].degree = static_cast<float>(degree);
     }
@@ -110,13 +117,14 @@ void Farmer::observe_impl(const TraceRecord& rec) {
     const double w = AccessWindow::lda_weight(distance, cfg_.lda_delta);
     if (w <= 0.0) return;
     // Every file in the window was observed here (or restored with its
-    // signature), so add_transition never creates a signature-less block.
+    // signature), so node() never creates a signature-less block.
     assert(graph_.has_node(pred));
-    graph_.add_transition(pred, file, w);
+    const SignatureGraph::NodeRef pred_node = graph_.node(pred);
     // Stages 3 + 4 — Mining & Evaluating, then Sorting: only pairs touched
-    // by this request are (re-)evaluated; the Correlator List insert keeps
-    // the list ordered.
-    miner_.evaluate_pair(pred, *graph_.payload(pred), file, file_sig);
+    // by this request are (re-)evaluated, on the N_AB the transition has
+    // just written; the Correlator List insert keeps the list ordered.
+    miner_.evaluate_pair(pred_node, file, file_sig,
+                         graph_.add_transition(pred_node, file, w));
   });
   window_.push(file);
 }

@@ -18,6 +18,12 @@
 // payload is empty and takes no byte. The graph owns its blocks and is
 // move-only.
 //
+// Writes go through a handle: `node(f)` fetches f's block once, and every
+// mutation takes the `NodeRef` it returns. A caller that writes one node
+// several times per request (the ingest kernel writes the file's own block
+// and each predecessor's) pays one block fetch per node, not one per write.
+// The const read queries take a FileId.
+//
 // The same structure serves as the sequence-mining substrate for both
 // FARMER's CoMiner and the Nexus baseline (which ranks successors purely by
 // N_AB).
@@ -58,10 +64,41 @@ struct NoPayload {
 /// `std::size_t heap_bytes() const`.
 template <typename Payload>
 class BasicCorrelationGraph {
+  struct Node;  // one file's block, defined below
+
  public:
   struct Config {
     std::size_t max_successors = 16;  ///< bounded successor set per node
     std::size_t correlator_capacity = 8;  ///< max Correlator List length
+  };
+
+  /// Write handle to one node's block, returned by node(). Block addresses
+  /// are stable, so a handle stays valid across writes to other nodes.
+  class NodeRef {
+   public:
+    [[nodiscard]] FileId id() const noexcept { return id_; }
+    [[nodiscard]] std::uint64_t access_count() const noexcept {
+      return node_->access_count;
+    }
+    [[nodiscard]] const SmallVector<SuccessorEdge, 8>& successors()
+        const noexcept {
+      return node_->successors;
+    }
+    /// The Correlator List. Its entries may be rewritten, reordered and
+    /// erased in place, none of which changes its heap; an insert goes
+    /// through upsert_correlator(), which reports the growth.
+    [[nodiscard]] SmallVector<Correlator, 4>& correlators() const noexcept {
+      return node_->correlator_list;
+    }
+    [[nodiscard]] const Payload& payload() const noexcept {
+      return node_->payload;
+    }
+
+   private:
+    friend class BasicCorrelationGraph;
+    NodeRef(Node& node, FileId id) noexcept : node_(&node), id_(id) {}
+    Node* node_;
+    FileId id_;
   };
 
   BasicCorrelationGraph() : BasicCorrelationGraph(Config{}) {}
@@ -73,13 +110,20 @@ class BasicCorrelationGraph {
     nodes_.grow_to(static_cast<std::size_t>(f.value()) + 1);
   }
 
-  /// Records one access of `f` (increments N_f). Creates the node if new.
-  void record_access(FileId f) { ++at(f).access_count; }
+  /// The write gate: a handle to f's block, created when absent. Every
+  /// mutation below takes one.
+  [[nodiscard]] NodeRef node(FileId f) { return NodeRef(at(f), f); }
+
+  /// Records one access of the node (increments N_f).
+  void record_access(NodeRef n) noexcept { ++n.node_->access_count; }
 
   /// Adds LDA weight to edge pred -> succ, creating it if absent. If the
   /// successor set is full, the weakest edge is evicted when its weight is
-  /// below `weight`. Returns false if the edge was not inserted.
-  bool add_transition(FileId pred, FileId succ, double weight);
+  /// below `weight`. Returns the edge's N_AB after the update, or 0 when the
+  /// edge was not inserted (a self-edge, a non-positive weight, or a full
+  /// set whose weakest edge is not below `weight`): the numerator of
+  /// F(pred, succ) from the same scan that wrote it.
+  double add_transition(NodeRef pred, FileId succ, double weight);
 
   /// N_A: total recorded accesses of `f` (0 if unknown).
   [[nodiscard]] std::uint64_t access_count(FileId f) const noexcept {
@@ -108,9 +152,17 @@ class BasicCorrelationGraph {
   [[nodiscard]] double access_frequency(FileId pred,
                                         FileId succ) const noexcept {
     const Node* n = find(pred);
-    if (!n || n->access_count == 0) return 0.0;
-    return edge_weight_in(n->successors, succ) /
-           static_cast<double>(n->access_count);
+    return n ? frequency(edge_weight_in(n->successors, succ), n->access_count)
+             : 0.0;
+  }
+
+  /// F = nab / N_A; 0 when N_A == 0. The one division behind
+  /// access_frequency() and the ingest kernel's evaluation, which takes
+  /// `nab` from add_transition(), so the two agree bit for bit.
+  [[nodiscard]] static double frequency(double nab,
+                                        std::uint64_t access_count) noexcept {
+    return access_count == 0 ? 0.0
+                             : nab / static_cast<double>(access_count);
   }
 
   /// Successor edges of `f` (unordered). Empty span for unknown files.
@@ -120,24 +172,20 @@ class BasicCorrelationGraph {
     return n ? n->successors : no_successors();
   }
 
-  /// Mutable Correlator List of `f` (maintained sorted by CoMiner); creates
-  /// the node when absent.
-  [[nodiscard]] SmallVector<Correlator, 4>& correlators(FileId f) {
-    return at(f).correlator_list;
-  }
+  /// Correlator List of `f` (maintained sorted by CoMiner).
   [[nodiscard]] const SmallVector<Correlator, 4>& correlators(
       FileId f) const noexcept {
     const Node* n = find(f);
     return n ? n->correlator_list : no_correlators();
   }
 
-  /// Replaces/inserts `c` in f's Correlator List keeping it sorted by
-  /// descending degree and capped at `correlator_capacity`. An existing
-  /// entry for the same file is updated in place (and re-sorted).
-  void upsert_correlator(FileId f, Correlator c);
+  /// Replaces/inserts `c` in the node's Correlator List keeping it sorted
+  /// by descending degree and capped at `correlator_capacity`. An existing
+  /// entry for the same file is replaced (and re-sorted).
+  void upsert_correlator(NodeRef n, Correlator c);
 
-  /// Removes the entry for `succ` from f's list if present.
-  void remove_correlator(FileId f, FileId succ);
+  /// Removes the entry for `succ` from the node's list if present.
+  void remove_correlator(NodeRef n, FileId succ) noexcept;
 
   /// f's payload, or nullptr when `f` has no node.
   [[nodiscard]] const Payload* payload(FileId f) const noexcept {
@@ -145,10 +193,9 @@ class BasicCorrelationGraph {
     return n ? &n->payload : nullptr;
   }
 
-  /// Replaces f's payload (creating the node when absent) and accounts the
-  /// heap the payload owns.
-  void set_payload(FileId f, Payload value) {
-    Node& node = at(f);
+  /// Replaces the node's payload and accounts the heap the payload owns.
+  void set_payload(NodeRef n, Payload value) {
+    Node& node = *n.node_;
     const std::size_t heap_before = node.payload.heap_bytes();
     node.payload = std::move(value);
     nodes_.note_heap_change(heap_before, node.payload.heap_bytes());
@@ -233,52 +280,47 @@ class BasicCorrelationGraph {
 using CorrelationGraph = BasicCorrelationGraph<NoPayload>;
 
 template <typename Payload>
-bool BasicCorrelationGraph<Payload>::add_transition(FileId pred, FileId succ,
-                                                    double weight) {
-  if (weight <= 0.0 || pred == succ) return false;
-  // Register succ in the dense index before mutating pred's node (block
-  // addresses are stable, but the historical order is kept — and touch()
-  // is what gives node_count() its dense-table meaning).
+double BasicCorrelationGraph<Payload>::add_transition(NodeRef pred, FileId succ,
+                                                      double weight) {
+  if (weight <= 0.0 || pred.id() == succ) return 0.0;
+  // touch() registers succ in the dense index, which is what gives
+  // node_count() its dense-table meaning.
   touch(succ);
-  Node& node = at(pred);
-  for (auto& e : node.successors) {
+  auto& succs = pred.node_->successors;
+  for (auto& e : succs) {
     if (e.successor == succ) {
       e.nab += static_cast<float>(weight);
-      return true;
+      return static_cast<double>(e.nab);
     }
   }
-  if (node.successors.size() < cfg_.max_successors) {
-    const std::size_t heap_before = node.successors.heap_bytes();
-    node.successors.push_back({succ, static_cast<float>(weight)});
-    nodes_.note_heap_change(heap_before, node.successors.heap_bytes());
+  const SuccessorEdge edge{succ, static_cast<float>(weight)};
+  if (succs.size() < cfg_.max_successors) {
+    const std::size_t heap_before = succs.heap_bytes();
+    succs.push_back(edge);
+    nodes_.note_heap_change(heap_before, succs.heap_bytes());
     ++edges_;
-    return true;
+    return static_cast<double>(edge.nab);
   }
   // Successor set full: evict the weakest edge if the newcomer beats it.
   // This is the filtering that keeps the graph's footprint bounded.
   std::size_t weakest = 0;
-  for (std::size_t i = 1; i < node.successors.size(); ++i)
-    if (node.successors[i].nab < node.successors[weakest].nab) weakest = i;
-  if (static_cast<double>(node.successors[weakest].nab) < weight) {
-    node.successors[weakest] = {succ, static_cast<float>(weight)};
-    return true;
+  for (std::size_t i = 1; i < succs.size(); ++i)
+    if (succs[i].nab < succs[weakest].nab) weakest = i;
+  if (static_cast<double>(succs[weakest].nab) < weight) {
+    succs[weakest] = edge;
+    return static_cast<double>(edge.nab);
   }
-  return false;
+  return 0.0;
 }
 
 template <typename Payload>
-void BasicCorrelationGraph<Payload>::upsert_correlator(FileId f,
+void BasicCorrelationGraph<Payload>::upsert_correlator(NodeRef n,
                                                        Correlator c) {
-  auto& list = at(f).correlator_list;
+  auto& list = n.correlators();
   // Remove any stale entry for the same successor, then insert in sorted
   // position (descending degree). Lists are tiny (<= correlator_capacity),
   // so linear work beats any clever structure.
-  for (std::size_t i = 0; i < list.size(); ++i) {
-    if (list[i].file == c.file) {
-      list.erase_at(i);
-      break;
-    }
-  }
+  remove_correlator(n, c.file);
   std::size_t pos = 0;
   while (pos < list.size() && list[pos].degree >= c.degree) ++pos;
   if (pos >= cfg_.correlator_capacity) return;  // too weak for a full list
@@ -291,9 +333,9 @@ void BasicCorrelationGraph<Payload>::upsert_correlator(FileId f,
 }
 
 template <typename Payload>
-void BasicCorrelationGraph<Payload>::remove_correlator(FileId f,
-                                                       FileId succ) {
-  auto& list = at(f).correlator_list;
+void BasicCorrelationGraph<Payload>::remove_correlator(NodeRef n,
+                                                       FileId succ) noexcept {
+  auto& list = n.correlators();
   for (std::size_t i = 0; i < list.size(); ++i) {
     if (list[i].file == succ) {
       list.erase_at(i);

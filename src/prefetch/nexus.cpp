@@ -6,10 +6,10 @@ namespace farmer {
 
 void NexusPredictor::observe(const TraceRecord& rec) {
   const FileId file = rec.file;
-  graph_.record_access(file);
+  graph_.record_access(graph_.node(file));
   window_.for_each_predecessor(file, [&](FileId pred, std::size_t distance) {
     const double w = AccessWindow::lda_weight(distance, cfg_.lda_delta);
-    if (w > 0.0) graph_.add_transition(pred, file, w);
+    if (w > 0.0) graph_.add_transition(graph_.node(pred), file, w);
   });
   window_.push(file);
 }

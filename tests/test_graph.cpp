@@ -78,9 +78,9 @@ TEST(AccessWindow, ClearEmpties) {
 
 TEST(CorrelationGraph, AccessCounting) {
   CorrelationGraph g;
-  g.record_access(FileId(3));
-  g.record_access(FileId(3));
-  g.record_access(FileId(7));
+  g.record_access(g.node(FileId(3)));
+  g.record_access(g.node(FileId(3)));
+  g.record_access(g.node(FileId(7)));
   EXPECT_EQ(g.access_count(FileId(3)), 2u);
   EXPECT_EQ(g.access_count(FileId(7)), 1u);
   EXPECT_EQ(g.access_count(FileId(999)), 0u);
@@ -88,32 +88,36 @@ TEST(CorrelationGraph, AccessCounting) {
 
 TEST(CorrelationGraph, TransitionAccumulates) {
   CorrelationGraph g;
-  EXPECT_TRUE(g.add_transition(FileId(1), FileId(2), 1.0));
-  EXPECT_TRUE(g.add_transition(FileId(1), FileId(2), 0.9));
-  EXPECT_NEAR(g.edge_weight(FileId(1), FileId(2)), 1.9, 1e-6);
+  const auto a = g.node(FileId(1));
+  EXPECT_EQ(g.add_transition(a, FileId(2), 1.0), 1.0);
+  // add_transition returns the edge's N_AB after the update, the value the
+  // read query sees.
+  const double nab = g.add_transition(a, FileId(2), 0.9);
+  EXPECT_NEAR(nab, 1.9, 1e-6);
+  EXPECT_EQ(nab, g.edge_weight(FileId(1), FileId(2)));
   EXPECT_EQ(g.edge_count(), 1u);
 }
 
 TEST(CorrelationGraph, SelfEdgeRejected) {
   CorrelationGraph g;
-  EXPECT_FALSE(g.add_transition(FileId(1), FileId(1), 1.0));
+  EXPECT_EQ(g.add_transition(g.node(FileId(1)), FileId(1), 1.0), 0.0);
   EXPECT_EQ(g.edge_count(), 0u);
 }
 
 TEST(CorrelationGraph, NonPositiveWeightRejected) {
   CorrelationGraph g;
-  EXPECT_FALSE(g.add_transition(FileId(1), FileId(2), 0.0));
-  EXPECT_FALSE(g.add_transition(FileId(1), FileId(2), -1.0));
+  const auto a = g.node(FileId(1));
+  EXPECT_EQ(g.add_transition(a, FileId(2), 0.0), 0.0);
+  EXPECT_EQ(g.add_transition(a, FileId(2), -1.0), 0.0);
+  EXPECT_EQ(g.edge_count(), 0u);
 }
 
 TEST(CorrelationGraph, AccessFrequencyDefinition) {
   CorrelationGraph g;
-  g.record_access(FileId(1));
-  g.record_access(FileId(1));
-  g.record_access(FileId(1));
-  g.record_access(FileId(1));
-  g.add_transition(FileId(1), FileId(2), 1.0);
-  g.add_transition(FileId(1), FileId(2), 1.0);
+  const auto a = g.node(FileId(1));
+  for (int i = 0; i < 4; ++i) g.record_access(a);
+  g.add_transition(a, FileId(2), 1.0);
+  g.add_transition(a, FileId(2), 1.0);
   // F(A,B) = N_AB / N_A = 2 / 4.
   EXPECT_NEAR(g.access_frequency(FileId(1), FileId(2)), 0.5, 1e-6);
 }
@@ -125,22 +129,26 @@ TEST(CorrelationGraph, FrequencyZeroWhenUnknown) {
 
 TEST(CorrelationGraph, BoundedSuccessorsEvictWeakest) {
   CorrelationGraph g({/*max_successors=*/2, /*correlator_capacity=*/4});
-  g.add_transition(FileId(0), FileId(1), 5.0);
-  g.add_transition(FileId(0), FileId(2), 1.0);
-  // Full. A stronger newcomer replaces the weakest (2).
-  EXPECT_TRUE(g.add_transition(FileId(0), FileId(3), 2.0));
+  const auto a = g.node(FileId(0));
+  g.add_transition(a, FileId(1), 5.0);
+  g.add_transition(a, FileId(2), 1.0);
+  // Full. A stronger newcomer replaces the weakest (2) and reports its own
+  // weight.
+  EXPECT_EQ(g.add_transition(a, FileId(3), 2.0), 2.0);
   EXPECT_EQ(g.successors(FileId(0)).size(), 2u);
   EXPECT_DOUBLE_EQ(g.edge_weight(FileId(0), FileId(2)), 0.0);
   EXPECT_DOUBLE_EQ(g.edge_weight(FileId(0), FileId(3)), 2.0);
   // A weaker newcomer is rejected.
-  EXPECT_FALSE(g.add_transition(FileId(0), FileId(4), 0.5));
+  EXPECT_EQ(g.add_transition(a, FileId(4), 0.5), 0.0);
+  EXPECT_DOUBLE_EQ(g.edge_weight(FileId(0), FileId(4)), 0.0);
 }
 
 TEST(CorrelationGraph, CorrelatorListSortedDescending) {
   CorrelationGraph g;
-  g.upsert_correlator(FileId(0), {FileId(1), 0.5f});
-  g.upsert_correlator(FileId(0), {FileId(2), 0.9f});
-  g.upsert_correlator(FileId(0), {FileId(3), 0.7f});
+  const auto a = g.node(FileId(0));
+  g.upsert_correlator(a, {FileId(1), 0.5f});
+  g.upsert_correlator(a, {FileId(2), 0.9f});
+  g.upsert_correlator(a, {FileId(3), 0.7f});
   const auto& list = g.correlators(FileId(0));
   ASSERT_EQ(list.size(), 3u);
   EXPECT_EQ(list[0].file, FileId(2));
@@ -150,8 +158,9 @@ TEST(CorrelationGraph, CorrelatorListSortedDescending) {
 
 TEST(CorrelationGraph, CorrelatorUpsertReplacesInPlace) {
   CorrelationGraph g;
-  g.upsert_correlator(FileId(0), {FileId(1), 0.5f});
-  g.upsert_correlator(FileId(0), {FileId(1), 0.95f});
+  const auto a = g.node(FileId(0));
+  g.upsert_correlator(a, {FileId(1), 0.5f});
+  g.upsert_correlator(a, {FileId(1), 0.95f});
   const auto& list = g.correlators(FileId(0));
   ASSERT_EQ(list.size(), 1u);
   EXPECT_FLOAT_EQ(list[0].degree, 0.95f);
@@ -159,9 +168,9 @@ TEST(CorrelationGraph, CorrelatorUpsertReplacesInPlace) {
 
 TEST(CorrelationGraph, CorrelatorCapacityEnforced) {
   CorrelationGraph g({16, /*correlator_capacity=*/3});
+  const auto a = g.node(FileId(0));
   for (std::uint32_t i = 1; i <= 6; ++i)
-    g.upsert_correlator(FileId(0),
-                        {FileId(i), static_cast<float>(i) * 0.1f});
+    g.upsert_correlator(a, {FileId(i), static_cast<float>(i) * 0.1f});
   const auto& list = g.correlators(FileId(0));
   ASSERT_EQ(list.size(), 3u);
   // Strongest three survive: 0.6, 0.5, 0.4.
@@ -172,9 +181,10 @@ TEST(CorrelationGraph, CorrelatorCapacityEnforced) {
 
 TEST(CorrelationGraph, WeakEntryNotInsertedWhenFull) {
   CorrelationGraph g({16, 2});
-  g.upsert_correlator(FileId(0), {FileId(1), 0.9f});
-  g.upsert_correlator(FileId(0), {FileId(2), 0.8f});
-  g.upsert_correlator(FileId(0), {FileId(3), 0.1f});  // too weak
+  const auto a = g.node(FileId(0));
+  g.upsert_correlator(a, {FileId(1), 0.9f});
+  g.upsert_correlator(a, {FileId(2), 0.8f});
+  g.upsert_correlator(a, {FileId(3), 0.1f});  // too weak
   const auto& list = g.correlators(FileId(0));
   ASSERT_EQ(list.size(), 2u);
   EXPECT_EQ(list[0].file, FileId(1));
@@ -183,13 +193,14 @@ TEST(CorrelationGraph, WeakEntryNotInsertedWhenFull) {
 
 TEST(CorrelationGraph, RemoveCorrelator) {
   CorrelationGraph g;
-  g.upsert_correlator(FileId(0), {FileId(1), 0.5f});
-  g.upsert_correlator(FileId(0), {FileId(2), 0.6f});
-  g.remove_correlator(FileId(0), FileId(1));
+  const auto a = g.node(FileId(0));
+  g.upsert_correlator(a, {FileId(1), 0.5f});
+  g.upsert_correlator(a, {FileId(2), 0.6f});
+  g.remove_correlator(a, FileId(1));
   const auto& list = g.correlators(FileId(0));
   ASSERT_EQ(list.size(), 1u);
   EXPECT_EQ(list[0].file, FileId(2));
-  g.remove_correlator(FileId(0), FileId(42));  // absent: no-op
+  g.remove_correlator(a, FileId(42));  // absent: no-op
   EXPECT_EQ(g.correlators(FileId(0)).size(), 1u);
 }
 
@@ -217,15 +228,17 @@ TEST(CorrelationGraph, PayloadLivesInTheNode) {
   };
   BasicCorrelationGraph<Tag> g;
   EXPECT_EQ(g.payload(FileId(2)), nullptr);
-  g.set_payload(FileId(2), Tag{7});
+  const auto a = g.node(FileId(2));
+  g.set_payload(a, Tag{7});
   ASSERT_NE(g.payload(FileId(2)), nullptr);
   EXPECT_EQ(g.payload(FileId(2))->value, 7);
+  EXPECT_EQ(a.payload().value, 7);
   EXPECT_TRUE(g.has_node(FileId(2)));
   // Graph writes keep the payload; a payload write keeps the node.
-  g.record_access(FileId(2));
-  g.add_transition(FileId(2), FileId(3), 1.0);
+  g.record_access(a);
+  g.add_transition(a, FileId(3), 1.0);
   EXPECT_EQ(g.payload(FileId(2))->value, 7);
-  g.set_payload(FileId(2), Tag{9});
+  g.set_payload(a, Tag{9});
   EXPECT_EQ(g.payload(FileId(2))->value, 9);
   EXPECT_EQ(g.access_count(FileId(2)), 1u);
   EXPECT_EQ(g.edge_weight(FileId(2), FileId(3)), 1.0);
@@ -247,13 +260,13 @@ TEST(CorrelationGraph, UnknownFileQueriesAreEmpty) {
 TEST(CorrelationGraph, FootprintGrowsWithNodes) {
   CorrelationGraph g;
   const auto before = g.footprint_bytes();
-  for (std::uint32_t i = 0; i < 1000; ++i) g.record_access(FileId(i));
+  for (std::uint32_t i = 0; i < 1000; ++i) g.record_access(g.node(FileId(i)));
   EXPECT_GT(g.footprint_bytes(), before);
 }
 
 TEST(CorrelationGraph, NodeCountTracksHighestId) {
   CorrelationGraph g;
-  g.record_access(FileId(9));
+  g.record_access(g.node(FileId(9)));
   EXPECT_EQ(g.node_count(), 10u);  // dense table
 }
 

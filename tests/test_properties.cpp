@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <span>
 #include <tuple>
 #include <vector>
@@ -73,6 +75,46 @@ TEST_P(FarmerConfigSweep, DegreesBounded) {
     const double r = model.correlation_degree(a, b);
     EXPECT_GE(r, 0.0);
     EXPECT_LE(r, p + (1.0 - p) * 2.0 + 1e-9);
+  }
+}
+
+TEST_P(FarmerConfigSweep, EvaluatedPairMatchesPointQuery) {
+  // The ingest kernel against the query surface: each pair observe()
+  // evaluates is listed with exactly the degree the point query reads
+  // afterwards, or not at all when that degree is below max_strength.
+  const auto [p, max_strength] = GetParam();
+  FarmerConfig cfg;
+  cfg.p = p;
+  cfg.max_strength = max_strength;
+  const Trace& t = small_hp();
+  Farmer model(cfg, t.dict);
+  std::vector<FileId> preds;
+  for (std::size_t i = 0; i < t.records.size(); ++i) {
+    const FileId file = t.records[i].file;
+    preds.clear();
+    model.access_window().for_each_predecessor(
+        file, [&](FileId q, std::size_t distance) {
+          if (AccessWindow::lda_weight(distance, cfg.lda_delta) > 0.0)
+            preds.push_back(q);
+        });
+    model.observe(t.records[i]);
+    for (const FileId q : preds) {
+      const double r = model.correlation_degree(q, file);
+      const auto& list = model.correlator_list(q);
+      const auto it =
+          std::find_if(list.begin(), list.end(),
+                       [&](const Correlator& c) { return c.file == file; });
+      if (r < max_strength) {
+        ASSERT_EQ(it, list.end())
+            << "record " << i << ": " << q.value() << " -> " << file.value()
+            << " listed at R = " << r;
+      } else if (it != list.end()) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(it->degree),
+                  std::bit_cast<std::uint32_t>(static_cast<float>(r)))
+            << "record " << i << ": " << q.value() << " -> " << file.value()
+            << " listed at " << it->degree << ", point query " << r;
+      }
+    }
   }
 }
 
