@@ -44,8 +44,7 @@ void BM_SimilarityIPA(benchmark::State& state) {
 BENCHMARK(BM_SimilarityIPA);
 
 void BM_MultisetIntersection(benchmark::State& state) {
-  // Args = {|a|, |b|}: comparable sizes take the branch-light linear merge,
-  // skewed pairs (|b| >= 16 * |a|) take the galloping path.
+  // Args = {|a|, |b|}, the sorted token-range sizes.
   const auto na = static_cast<std::size_t>(state.range(0));
   const auto nb = static_cast<std::size_t>(state.range(1));
   Rng rng(42);
@@ -64,9 +63,7 @@ void BM_MultisetIntersection(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MultisetIntersection)
-    ->Args({8, 8})      // typical signature-vs-signature sizes: linear merge
-    ->Args({12, 256})   // just past the skew threshold: gallop
-    ->Args({8, 4096});  // heavily skewed: gallop saves almost every compare
+    ->Args({8, 8});  // typical signature-vs-signature sizes
 
 void BM_BuildSignature(benchmark::State& state) {
   Interner in;

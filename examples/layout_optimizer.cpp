@@ -42,8 +42,8 @@ int main(int argc, char** argv) {
   LayoutConfig lc;
   const auto scatter = place_scatter(*trace.dict, lc);
   const auto grouped = place_grouped(*trace.dict, groups, lc);
-  const auto m_scatter = evaluate_layout(trace, scatter, nullptr, lc);
-  const auto m_grouped = evaluate_layout(trace, grouped, &groups, lc);
+  const auto m_scatter = evaluate_layout(trace, scatter, nullptr);
+  const auto m_grouped = evaluate_layout(trace, grouped, &groups);
 
   Table table({"placement", "seeks", "sequential fraction",
                "mean seek (blocks)", "modelled I/O time"});

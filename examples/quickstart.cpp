@@ -6,7 +6,7 @@
 //   ./quickstart --list-predictors   # registered predictor names, one/line
 //
 // Walks through the full public API surface in ~60 lines: generate a trace,
-// build a validated configuration, construct a mining backend through the
+// set a configuration, construct a mining backend through the validating
 // factory, ingest the stream, query correlations. The --list flags print
 // the factory registries so scripts (CI's smoke loops) can exercise every
 // backend and predictor without hand-maintaining the lists. A seed that is
@@ -68,21 +68,17 @@ int main(int argc, char** argv) {
   std::cout << "trace: " << trace.name << ", " << trace.event_count()
             << " events over " << trace.file_count() << " files\n";
 
-  // 2. A validated configuration. Defaults follow the paper: p = 0.7,
-  //    max_strength = 0.4, IPA path handling, all four attributes. The
-  //    builder rejects out-of-range parameters instead of mining garbage.
-  const FarmerConfigResult cfg =
-      FarmerConfig::builder().p(0.7).max_strength(0.4).window(4).build();
-  if (!cfg) {
-    std::cerr << "bad config: " << cfg.error() << "\n";
-    return 1;
-  }
+  // 2. A configuration. Defaults follow the paper: p = 0.7,
+  //    max_strength = 0.4, IPA path handling, all four attributes.
+  const FarmerConfig cfg{.p = 0.7, .max_strength = 0.4, .window = 4};
 
   // 3. The model, chosen at runtime: "farmer" (serial) or "sharded"
-  //    (streams partitioned by process, applied in parallel).
+  //    (streams partitioned by process, applied in parallel). The factory
+  //    validates the configuration and throws std::invalid_argument naming
+  //    every out-of-range parameter instead of mining garbage.
   std::unique_ptr<CorrelationMiner> model;
   try {
-    model = make_miner(backend, cfg.value(), trace.dict);
+    model = make_miner(backend, cfg, trace.dict);
   } catch (const std::invalid_argument& e) {
     std::cerr << e.what() << "\n";
     return 1;

@@ -1,16 +1,13 @@
 // Zipf-distributed sampling over a finite population.
 //
 // File popularity in every studied trace is heavy-tailed; the workload
-// generators draw file/group ranks from Zipf(s, N). Two samplers are
-// provided:
-//  * `ZipfTable` — O(N) setup, O(log N) draw via CDF inversion; exact.
-//  * `ZipfRejection` — O(1) setup and O(1) expected draw using
-//    rejection-inversion (Hörmann & Derflinger 1996); preferred for large N.
+// generators draw file/group ranks from Zipf(s, N) with `ZipfTable`: O(N)
+// setup, O(log N) draw via CDF inversion, exact.
 #pragma once
 
 #include <cassert>
 #include <cmath>
-#include <cstdint>
+#include <cstddef>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -58,53 +55,6 @@ class ZipfTable {
 
  private:
   std::vector<double> cdf_;
-};
-
-/// O(1) Zipf sampler via rejection-inversion. Valid for s != 1 handled by
-/// the generalised harmonic integral; s == 1 uses the log form.
-class ZipfRejection {
- public:
-  ZipfRejection(std::size_t n, double s)
-      : n_(n), s_(s), h_x1_(h(1.5) - std::exp(-s * std::log(1.0))) {
-    assert(n > 0);
-    h_n_ = h(static_cast<double>(n) + 0.5);
-    dist_ = h_x1_ - h_n_;
-  }
-
-  std::size_t sample(Rng& rng) const noexcept {
-    // Hörmann & Derflinger rejection-inversion loop; expected < 1.1 trips.
-    for (;;) {
-      const double u = h_n_ + rng.next_double() * dist_;
-      const double x = h_inv(u);
-      auto k = static_cast<std::int64_t>(x + 0.5);
-      if (k < 1) k = 1;
-      if (k > static_cast<std::int64_t>(n_)) k = static_cast<std::int64_t>(n_);
-      const double kd = static_cast<double>(k);
-      if (kd - x <= s_eps_ || u >= h(kd + 0.5) - std::exp(-s_ * std::log(kd)))
-        return static_cast<std::size_t>(k - 1);  // 0-based rank
-    }
-  }
-
-  [[nodiscard]] std::size_t size() const noexcept { return n_; }
-
- private:
-  // H(x) = integral of x^-s  (antiderivative, shifted for s == 1).
-  [[nodiscard]] double h(double x) const noexcept {
-    const double logx = std::log(x);
-    if (std::abs(s_ - 1.0) < 1e-12) return logx;
-    return std::exp((1.0 - s_) * logx) / (1.0 - s_);
-  }
-  [[nodiscard]] double h_inv(double u) const noexcept {
-    if (std::abs(s_ - 1.0) < 1e-12) return std::exp(u);
-    return std::exp(std::log((1.0 - s_) * u) / (1.0 - s_));
-  }
-
-  std::size_t n_;
-  double s_;
-  double h_x1_;
-  double h_n_ = 0;
-  double dist_ = 0;
-  static constexpr double s_eps_ = 1e-8;
 };
 
 }  // namespace farmer

@@ -1,11 +1,9 @@
-// FARMER model configuration (Section 3 parameters) plus a validating
-// builder: `FarmerConfig::builder().p(0.7).window(4).build()` returns a
-// `FarmerConfigResult` carrying either the config or a diagnostic listing
-// every violated constraint — miners never silently accept garbage.
+// FARMER model configuration (Section 3 parameters). `validate()` lists
+// every violated constraint, and `make_miner` refuses a config that fails
+// it, so miners never silently accept garbage.
 #pragma once
 
 #include <cstddef>
-#include <stdexcept>
 #include <string>
 
 #include "graph/access_window.hpp"
@@ -44,81 +42,10 @@ struct FarmerConfig {
   /// Maximum Correlator List length per file.
   std::size_t correlator_capacity = 8;
 
-  class Builder;
-  [[nodiscard]] static Builder builder();
-
   /// Empty string when every constraint holds; otherwise all violations,
   /// "; "-joined.
   [[nodiscard]] std::string validate() const;
 };
-
-/// Result of Builder::build(): the config or the validation diagnostic.
-class FarmerConfigResult {
- public:
-  static FarmerConfigResult success(FarmerConfig cfg) {
-    FarmerConfigResult r;
-    r.cfg_ = cfg;
-    r.ok_ = true;
-    return r;
-  }
-  static FarmerConfigResult failure(std::string error) {
-    FarmerConfigResult r;
-    r.error_ = std::move(error);
-    return r;
-  }
-
-  [[nodiscard]] bool ok() const noexcept { return ok_; }
-  explicit operator bool() const noexcept { return ok_; }
-
-  /// The validated config; throws std::logic_error when !ok() so skipping
-  /// the check cannot silently mine with default parameters.
-  [[nodiscard]] const FarmerConfig& value() const {
-    if (!ok_)
-      throw std::logic_error("FarmerConfigResult::value() on failed result: " +
-                             error_);
-    return cfg_;
-  }
-  /// Empty when ok().
-  [[nodiscard]] const std::string& error() const noexcept { return error_; }
-
- private:
-  FarmerConfigResult() = default;
-  FarmerConfig cfg_;
-  std::string error_;
-  bool ok_ = false;
-};
-
-class FarmerConfig::Builder {
- public:
-  Builder() = default;
-  explicit Builder(FarmerConfig base) : cfg_(base) {}
-
-  Builder& p(double v) { cfg_.p = v; return *this; }
-  Builder& max_strength(double v) { cfg_.max_strength = v; return *this; }
-  Builder& window(std::size_t v) { cfg_.window = v; return *this; }
-  Builder& lda_delta(double v) { cfg_.lda_delta = v; return *this; }
-  Builder& attributes(AttributeMask v) { cfg_.attributes = v; return *this; }
-  Builder& path_mode(PathMode v) { cfg_.path_mode = v; return *this; }
-  Builder& max_successors(std::size_t v) {
-    cfg_.max_successors = v;
-    return *this;
-  }
-  Builder& correlator_capacity(std::size_t v) {
-    cfg_.correlator_capacity = v;
-    return *this;
-  }
-
-  [[nodiscard]] FarmerConfigResult build() const {
-    std::string err = cfg_.validate();
-    if (!err.empty()) return FarmerConfigResult::failure(std::move(err));
-    return FarmerConfigResult::success(cfg_);
-  }
-
- private:
-  FarmerConfig cfg_;
-};
-
-inline FarmerConfig::Builder FarmerConfig::builder() { return Builder(); }
 
 inline std::string FarmerConfig::validate() const {
   std::string errors;

@@ -28,18 +28,6 @@ void Farmer::observe_batch(std::span<const TraceRecord> records) {
   for (const TraceRecord& r : records) observe_impl(r);
 }
 
-namespace {
-
-/// The Correlator-List order: degree descending, FileId ascending on ties.
-/// Over unique FileIds this is a strict total order, so the sorted
-/// permutation is unique — any correct sort produces the same bytes.
-bool correlator_before(const Correlator& a, const Correlator& b) noexcept {
-  if (a.degree != b.degree) return a.degree > b.degree;
-  return a.file < b.file;
-}
-
-}  // namespace
-
 void Farmer::observe_impl(const TraceRecord& rec) {
   const FileId file = rec.file;
 

@@ -78,11 +78,7 @@ CorrelatorView ShardedFarmer::snapshot(FileId f) const {
   SmallVector<Correlator, 32> merged;
   for (const auto& shard : shards_)
     for (const Correlator& c : shard->correlator_list(f)) merged.push_back(c);
-  std::sort(merged.begin(), merged.end(),
-            [](const Correlator& a, const Correlator& b) {
-              if (a.degree != b.degree) return a.degree > b.degree;
-              return a.file < b.file;
-            });
+  std::sort(merged.begin(), merged.end(), correlator_before);
   // Deduplicate successors: the strongest shard wins.
   const std::size_t capacity = cfg_.correlator_capacity;
   CorrelatorView::List out;

@@ -52,6 +52,16 @@ struct Correlator {
   float degree = 0.0f;  ///< file correlation degree R(A, B)
 };
 
+/// The Correlator-List order: degree descending, FileId ascending on ties.
+/// Over unique FileIds this is a strict total order, so the sorted
+/// permutation is unique — any correct sort produces the same bytes. A
+/// function object, so `std::sort(..., correlator_before)` inlines it.
+inline constexpr auto correlator_before = [](const Correlator& a,
+                                             const Correlator& b) noexcept {
+  if (a.degree != b.degree) return a.degree > b.degree;
+  return a.file < b.file;
+};
+
 /// The payload of a graph that keeps nothing beside each node.
 struct NoPayload {
   [[nodiscard]] static constexpr std::size_t heap_bytes() noexcept {

@@ -1,7 +1,7 @@
 // Correlation-directed file grouping (Section 4.2).
 //
 // Builds disjoint groups of strongly correlated files from FARMER's
-// Correlator Lists via union-find: an edge A -> B with degree >= threshold
+// Correlator Lists via union-find: an edge A -> B with degree >= 0.4
 // merges A and B, subject to a group-size cap (one batched I/O must stay
 // bounded). Per the paper's design decision, only read-only files are
 // eligible — mutable files would make grouped layout management complex.
@@ -16,9 +16,8 @@
 namespace farmer {
 
 struct GrouperConfig {
-  double min_degree = 0.4;       ///< correlation degree to merge
   std::size_t max_group_files = 16;
-  bool read_only_only = true;    ///< the paper's initial-attempt restriction
+  bool read_only_only = true;  ///< the paper's initial-attempt restriction
 };
 
 /// Disjoint-set over dense file ids with size caps.

@@ -1,10 +1,13 @@
 // FARMER-enabled data layout and its evaluation (Section 4.2).
 //
-// Two placement strategies over a set of OSDs:
+// Two placement strategies over a set of OSDs (object storage devices, each
+// a linear block address space):
 //   * scatter — files are allocated in creation order round-robin across
 //     OSDs (the baseline: correlated files end up far apart);
 //   * grouped — FARMER groups are allocated contiguously on one OSD each,
 //     so a predecessor access can batch-read its whole group sequentially.
+// Placement only allocates, never frees, so each OSD fills from block 0 up
+// and its allocator is one cursor.
 //
 // Evaluation replays the trace's access stream against a placement and
 // accumulates a seek-cost model: consecutive accesses on the same OSD pay a
@@ -13,25 +16,34 @@
 // sequential-run fraction, and modelled total I/O time.
 #pragma once
 
+#include <cstdint>
+#include <vector>
+
 #include "layout/grouper.hpp"
-#include "storage/osd.hpp"
 #include "trace/record.hpp"
 
 namespace farmer {
 
 struct LayoutConfig {
   std::uint32_t osd_count = 4;
-  std::uint64_t osd_capacity_blocks = 1ull << 22;  ///< 4 Mi blocks
-  std::uint32_t block_size = 4096;
-  // Cost model (µs).
-  double seek_base_us = 400.0;       ///< minimum positioning cost
-  double seek_per_gb_us = 2500.0;    ///< added cost per GB of seek span
-  double transfer_per_block_us = 8.0;
+};
+
+/// A contiguous run of blocks on one OSD.
+struct Extent {
+  std::uint64_t start = 0;  ///< block address
+  std::uint64_t length = 0; ///< blocks
+  [[nodiscard]] std::uint64_t end() const noexcept { return start + length; }
+};
+
+/// Where one file lives.
+struct Placement {
+  std::uint32_t osd = 0;
+  Extent extent;
 };
 
 struct PlacementMap {
-  std::vector<Placement> of_file;  ///< dense by FileId
-  std::vector<Osd> osds;
+  std::vector<Placement> of_file;       ///< dense by FileId
+  std::vector<std::uint64_t> next_block;  ///< per OSD: first free block
 };
 
 struct LayoutMetrics {
@@ -61,7 +73,6 @@ struct LayoutMetrics {
 /// Replays the trace's file sequence against a placement.
 [[nodiscard]] LayoutMetrics evaluate_layout(const Trace& trace,
                                             const PlacementMap& placement,
-                                            const GroupingResult* groups,
-                                            const LayoutConfig& cfg);
+                                            const GroupingResult* groups);
 
 }  // namespace farmer

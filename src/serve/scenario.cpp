@@ -21,12 +21,6 @@ std::string ScenarioSpec::validate() const {
   if (!(scale > 0.0) || scale > 1.0) fail("scale must be in (0, 1]");
   if (!(time_scale > 0.0)) fail("time_scale must be positive");
   if (windows == 0 || windows > 1024) fail("windows must be in [1, 1024]");
-  if (diurnal_amplitude < 0.0 || diurnal_amplitude >= 1.0)
-    fail("diurnal_amplitude must be in [0, 1)");
-  if (!(flash_fraction > 0.0) || flash_fraction >= 1.0)
-    fail("flash_fraction must be in (0, 1)");
-  if (!(flash_squeeze > 0.0) || flash_squeeze >= 1.0)
-    fail("flash_squeeze must be in (0, 1)");
   if (pretrain_fraction < 0.0 || pretrain_fraction > 0.9)
     fail("pretrain_fraction must be in [0, 0.9]");
   if (churn_fraction < 0.0 || churn_fraction > 1.0)
@@ -121,6 +115,14 @@ const Registry& registry() {
   return reg;
 }
 
+/// kDiurnal: rate swing around the mean, in [0, 1). 0.8 makes the peak
+/// rate 5x the trough.
+constexpr double kDiurnalAmplitude = 0.8;
+/// kFlashCrowd: the middle kFlashFraction of requests arrive within
+/// kFlashSqueeze of the time span (both in (0, 1)).
+constexpr double kFlashFraction = 0.25;
+constexpr double kFlashSqueeze = 0.05;
+
 /// Monotone warp of a normalised arrival position u in [0, 1]. The arrival
 /// *density* at warped position w(u) is proportional to 1/w'(u), so a flat
 /// stretch of w concentrates requests and a steep stretch thins them.
@@ -131,18 +133,18 @@ double warp(const ScenarioSpec& spec, double u, std::uint32_t tenant) {
     case LoadShape::kDiurnal: {
       // w' = 1 + A cos(2πu): steep (sparse) at the edges, flat (dense)
       // mid-run — one day cycle peaking at the middle of the trace.
-      const double a = spec.diurnal_amplitude;
+      const double a = kDiurnalAmplitude;
       constexpr double kTwoPi = 2.0 * std::numbers::pi;
       return u + a / kTwoPi * std::sin(kTwoPi * u);
     }
     case LoadShape::kFlashCrowd: {
-      // The middle `flash_fraction` of requests (by position) land inside
-      // `flash_squeeze` of the span; the outer segments stretch linearly
+      // The middle kFlashFraction of requests (by position) land inside
+      // kFlashSqueeze of the span; the outer segments stretch linearly
       // over the remaining time. Piecewise linear, strictly increasing.
-      const double a = 0.5 - spec.flash_fraction / 2.0;
-      const double b = 0.5 + spec.flash_fraction / 2.0;
-      const double lo = 0.5 - spec.flash_squeeze / 2.0;
-      const double hi = 0.5 + spec.flash_squeeze / 2.0;
+      const double a = 0.5 - kFlashFraction / 2.0;
+      const double b = 0.5 + kFlashFraction / 2.0;
+      const double lo = 0.5 - kFlashSqueeze / 2.0;
+      const double hi = 0.5 + kFlashSqueeze / 2.0;
       if (u < a) return u * (lo / a);
       if (u <= b) return lo + (u - a) * ((hi - lo) / (b - a));
       return hi + (u - b) * ((1.0 - hi) / (1.0 - b));

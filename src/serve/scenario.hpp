@@ -32,8 +32,8 @@ namespace farmer {
 /// How the arrival rate evolves over the serving run.
 enum class LoadShape : std::uint8_t {
   kSteady,       ///< the generator's native arrival process
-  kDiurnal,      ///< sinusoidal rate: quiet edges, peak mid-run
-  kFlashCrowd,   ///< a burst: many requests squeezed into a short span
+  kDiurnal,      ///< sinusoidal rate: quiet edges, peak 5x the trough mid-run
+  kFlashCrowd,   ///< a burst: a quarter of requests in 5% of the span
   kTenantShift,  ///< tenant mix rotates: early tenants drain, late ones ramp
 };
 
@@ -47,13 +47,6 @@ struct ScenarioSpec {
   std::uint64_t seed = 20080122;  ///< kExperimentSeed
   double scale = 0.15;            ///< trace volume fraction, (0, 1]
   LoadShape shape = LoadShape::kSteady;
-  /// kDiurnal: rate swing around the mean, [0, 1). 0.8 means the peak rate
-  /// is 5x the trough.
-  double diurnal_amplitude = 0.8;
-  /// kFlashCrowd: the middle `flash_fraction` of requests arrive within
-  /// `flash_squeeze` of the time span (both in (0, 1)).
-  double flash_fraction = 0.25;
-  double flash_squeeze = 0.05;
   /// Multiplies arrival gaps; < 1 compresses time and raises load.
   double time_scale = 1.0;
   /// Reporting windows the serving span is split into, [1, 1024].

@@ -2,13 +2,18 @@
 
 namespace farmer {
 
+namespace {
+/// Seeds the fetch-time jitter, so the same replay draws the same times.
+constexpr std::uint64_t kJitterSeed = 42;
+}  // namespace
+
 MdsServer::MdsServer(Simulator& sim, MdsConfig cfg, Predictor& predictor)
     : sim_(sim),
       cfg_(cfg),
       predictor_(predictor),
       cache_(cfg.cache_capacity),
       disk_(sim, cfg.disk_servers),
-      rng_(cfg.seed) {}
+      rng_(kJitterSeed) {}
 
 SimTime MdsServer::fetch_time() {
   const SimTime jitter = cfg_.db_fetch_jitter > 0

@@ -36,7 +36,6 @@ struct MdsConfig {
                                     ///< prefetch (correlated files laid out
                                     ///< contiguously, Section 4.2)
   bool batch_prefetch = true;       ///< single I/O per correlator group
-  std::uint64_t seed = 42;
 };
 
 class MdsServer {

@@ -1,4 +1,4 @@
-// Tests for the mining API boundary: the validated config builder, the
+// Tests for the mining API boundary: config validation, the
 // CorrelationMiner interface + CorrelatorView snapshots, and the
 // MinerFactory registry.
 #include <gtest/gtest.h>
@@ -21,86 +21,61 @@ namespace {
 
 using testing::MicroTrace;
 
-// ------------------------------------------------------- config builder --
+// ---------------------------------------------------- config validation --
+// The suite keeps its historical name; it checks FarmerConfig::validate(),
+// which make_miner runs on every config it is given.
 
 TEST(ConfigBuilder, DefaultsAreValid) {
-  const auto r = FarmerConfig::builder().build();
-  ASSERT_TRUE(r.ok());
-  EXPECT_NEAR(r.value().p, 0.7, 1e-12);
-  EXPECT_TRUE(r.error().empty());
-}
-
-TEST(ConfigBuilder, SettersPropagate) {
-  const auto r = FarmerConfig::builder()
-                     .p(0.5)
-                     .max_strength(0.2)
-                     .window(8)
-                     .lda_delta(0.05)
-                     .max_successors(32)
-                     .correlator_capacity(16)
-                     .path_mode(PathMode::kDivided)
-                     .build();
-  ASSERT_TRUE(r.ok());
-  EXPECT_NEAR(r.value().p, 0.5, 1e-12);
-  EXPECT_NEAR(r.value().max_strength, 0.2, 1e-12);
-  EXPECT_EQ(r.value().window, 8u);
-  EXPECT_NEAR(r.value().lda_delta, 0.05, 1e-12);
-  EXPECT_EQ(r.value().max_successors, 32u);
-  EXPECT_EQ(r.value().correlator_capacity, 16u);
-  EXPECT_EQ(r.value().path_mode, PathMode::kDivided);
+  const FarmerConfig cfg;
+  EXPECT_TRUE(cfg.validate().empty());
+  EXPECT_NEAR(cfg.p, 0.7, 1e-12);
 }
 
 TEST(ConfigBuilder, RejectsPOutsideUnitInterval) {
-  EXPECT_FALSE(FarmerConfig::builder().p(-0.1).build().ok());
-  EXPECT_FALSE(FarmerConfig::builder().p(1.1).build().ok());
-  EXPECT_TRUE(FarmerConfig::builder().p(0.0).build().ok());
-  EXPECT_TRUE(FarmerConfig::builder().p(1.0).build().ok());
-  const auto r = FarmerConfig::builder().p(2.0).build();
-  EXPECT_NE(r.error().find("p must be in [0, 1]"), std::string::npos);
+  EXPECT_FALSE(FarmerConfig{.p = -0.1}.validate().empty());
+  EXPECT_FALSE(FarmerConfig{.p = 1.1}.validate().empty());
+  EXPECT_TRUE(FarmerConfig{.p = 0.0}.validate().empty());
+  EXPECT_TRUE(FarmerConfig{.p = 1.0}.validate().empty());
+  EXPECT_NE(FarmerConfig{.p = 2.0}.validate().find("p must be in [0, 1]"),
+            std::string::npos);
 }
 
 TEST(ConfigBuilder, RejectsZeroWindow) {
-  const auto r = FarmerConfig::builder().window(0).build();
-  ASSERT_FALSE(r.ok());
-  EXPECT_NE(r.error().find("window"), std::string::npos);
+  EXPECT_NE(FarmerConfig{.window = 0}.validate().find("window"),
+            std::string::npos);
   // Past the ring's capacity, even with an LDA step that keeps every slot
   // positive: the window would silently mine only its newest 16 files.
-  const auto big = FarmerConfig::builder().window(17).lda_delta(0.05).build();
-  ASSERT_FALSE(big.ok());
-  EXPECT_NE(big.error().find("window must be <= 16"), std::string::npos);
-  EXPECT_TRUE(FarmerConfig::builder().window(16).lda_delta(0.05).build().ok());
+  const FarmerConfig big{.window = 17, .lda_delta = 0.05};
+  EXPECT_NE(big.validate().find("window must be <= 16"), std::string::npos);
+  const FarmerConfig full{.window = 16, .lda_delta = 0.05};
+  EXPECT_TRUE(full.validate().empty());
 }
 
 TEST(ConfigBuilder, RejectsLdaDeltaDrivingWindowNegative) {
   // window 8 with delta 0.2: distance 8 would contribute 1 - 7*0.2 = -0.4.
-  const auto r = FarmerConfig::builder().window(8).lda_delta(0.2).build();
-  ASSERT_FALSE(r.ok());
-  EXPECT_NE(r.error().find("lda_delta"), std::string::npos);
+  const FarmerConfig negative{.window = 8, .lda_delta = 0.2};
+  EXPECT_NE(negative.validate().find("lda_delta"), std::string::npos);
   // The paper's own configuration (window 4, delta 0.1) is fine.
-  EXPECT_TRUE(FarmerConfig::builder().window(4).lda_delta(0.1).build().ok());
+  const FarmerConfig paper{.window = 4, .lda_delta = 0.1};
+  EXPECT_TRUE(paper.validate().empty());
   // Exactly reaching zero at the window edge is allowed.
-  EXPECT_TRUE(FarmerConfig::builder().window(5).lda_delta(0.25).build().ok());
-  EXPECT_FALSE(FarmerConfig::builder().lda_delta(-0.1).build().ok());
-}
-
-TEST(ConfigBuilder, ValueOnFailedResultThrows) {
-  const auto r = FarmerConfig::builder().p(2.0).build();
-  ASSERT_FALSE(r.ok());
-  EXPECT_THROW((void)r.value(), std::logic_error);
+  const FarmerConfig edge{.window = 5, .lda_delta = 0.25};
+  EXPECT_TRUE(edge.validate().empty());
+  EXPECT_FALSE(FarmerConfig{.lda_delta = -0.1}.validate().empty());
 }
 
 TEST(ConfigBuilder, RejectsZeroCapacities) {
-  EXPECT_FALSE(FarmerConfig::builder().correlator_capacity(0).build().ok());
-  EXPECT_FALSE(FarmerConfig::builder().max_successors(0).build().ok());
+  EXPECT_FALSE(FarmerConfig{.correlator_capacity = 0}.validate().empty());
+  EXPECT_FALSE(FarmerConfig{.max_successors = 0}.validate().empty());
 }
 
 TEST(ConfigBuilder, ReportsEveryViolationAtOnce) {
-  const auto r =
-      FarmerConfig::builder().p(3.0).window(0).correlator_capacity(0).build();
-  ASSERT_FALSE(r.ok());
-  EXPECT_NE(r.error().find("p must be"), std::string::npos);
-  EXPECT_NE(r.error().find("window"), std::string::npos);
-  EXPECT_NE(r.error().find("correlator_capacity"), std::string::npos);
+  const std::string errors =
+      FarmerConfig{.p = 3.0, .window = 0, .correlator_capacity = 0}
+          .validate();
+  EXPECT_NE(errors.find("p must be"), std::string::npos);
+  EXPECT_NE(errors.find("window"), std::string::npos);
+  EXPECT_NE(errors.find("correlator_capacity"), std::string::npos);
 }
 
 // --------------------------------------------------------------- factory --

@@ -174,27 +174,6 @@ TEST(ZipfTable, SingleElement) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(z.sample(rng), 0u);
 }
 
-TEST(ZipfRejection, MatchesTableDistribution) {
-  const double s = 1.1;
-  const std::size_t n = 200;
-  ZipfTable table(n, s);
-  ZipfRejection rej(n, s);
-  Rng rng(17);
-  std::vector<int> counts(n, 0);
-  const int draws = 100000;
-  for (int i = 0; i < draws; ++i) ++counts[rej.sample(rng)];
-  // Head ranks must match the exact pmf closely.
-  for (std::size_t r = 0; r < 5; ++r)
-    EXPECT_NEAR(static_cast<double>(counts[r]) / draws, table.pmf(r), 0.01)
-        << "rank " << r;
-}
-
-TEST(ZipfRejection, HandlesSNearOne) {
-  ZipfRejection rej(50, 1.0);
-  Rng rng(23);
-  for (int i = 0; i < 1000; ++i) EXPECT_LT(rej.sample(rng), 50u);
-}
-
 // ------------------------------------------------------------- Interner --
 
 TEST(Interner, InternReturnsStableIds) {

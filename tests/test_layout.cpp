@@ -108,7 +108,17 @@ TEST(Layout, ScatterPlacesEverything) {
   cfg.osd_count = 2;
   const auto map = place_scatter(*fx.trace.dict, cfg);
   ASSERT_EQ(map.of_file.size(), fx.trace.dict->files.size());
-  for (const auto& p : map.of_file) EXPECT_GT(p.extent.length, 0u);
+  // Round-robin in creation order, each OSD filled from block 0 without
+  // gaps.
+  std::vector<std::uint64_t> next(cfg.osd_count, 0);
+  for (std::uint32_t f = 0; f < map.of_file.size(); ++f) {
+    const Placement& p = map.of_file[f];
+    EXPECT_EQ(p.osd, f % cfg.osd_count);
+    EXPECT_EQ(p.extent.start, next[p.osd]);
+    EXPECT_GT(p.extent.length, 0u);
+    next[p.osd] = p.extent.end();
+  }
+  EXPECT_EQ(map.next_block, next);
 }
 
 TEST(Layout, GroupedPlacesGroupContiguouslyOnOneOsd) {
@@ -138,8 +148,8 @@ TEST(Layout, GroupedBeatsScatterOnSequentiality) {
   cfg.osd_count = 2;
   const auto scatter = place_scatter(*fx.trace.dict, cfg);
   const auto grouped = place_grouped(*fx.trace.dict, groups, cfg);
-  const auto m_scatter = evaluate_layout(fx.trace, scatter, nullptr, cfg);
-  const auto m_grouped = evaluate_layout(fx.trace, grouped, &groups, cfg);
+  const auto m_scatter = evaluate_layout(fx.trace, scatter, nullptr);
+  const auto m_grouped = evaluate_layout(fx.trace, grouped, &groups);
   EXPECT_GT(m_grouped.sequential_fraction(), m_scatter.sequential_fraction());
   EXPECT_LT(m_grouped.total_io_ms, m_scatter.total_io_ms);
   EXPECT_LT(m_grouped.seeks, m_scatter.seeks);
@@ -149,7 +159,7 @@ TEST(Layout, MetricsCountAccesses) {
   LayoutFixture fx;
   LayoutConfig cfg;
   const auto map = place_scatter(*fx.trace.dict, cfg);
-  const auto m = evaluate_layout(fx.trace, map, nullptr, cfg);
+  const auto m = evaluate_layout(fx.trace, map, nullptr);
   EXPECT_EQ(m.accesses, fx.trace.records.size());
 }
 

@@ -1,5 +1,4 @@
-// Tests for the MDS, OSD and the DES trace replay through the serving
-// harness.
+// Tests for the MDS and the DES trace replay through the serving harness.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -8,7 +7,6 @@
 #include "prefetch/fpa.hpp"
 #include "serve/harness.hpp"
 #include "storage/mds.hpp"
-#include "storage/osd.hpp"
 #include "test_helpers.hpp"
 #include "trace/generator.hpp"
 
@@ -160,59 +158,6 @@ TEST(DesReplay, TimeScaleCompressesSimulation) {
   const ServingResult m_fast =
       serve(replay_spec(8, /*time_scale=*/0.5), wl, n2);
   EXPECT_LT(m_fast.sim_duration, m_slow.sim_duration);
-}
-
-// ------------------------------------------------------------------ OSD --
-
-TEST(Osd, AllocateAndFreeRoundTrip) {
-  Osd osd(1000);
-  auto e1 = osd.allocate(100);
-  ASSERT_TRUE(e1.has_value());
-  EXPECT_EQ(e1->start, 0u);
-  auto e2 = osd.allocate(200);
-  ASSERT_TRUE(e2.has_value());
-  EXPECT_EQ(e2->start, 100u);
-  EXPECT_EQ(osd.allocated(), 300u);
-  osd.free_extent(*e1);
-  EXPECT_EQ(osd.allocated(), 200u);
-}
-
-TEST(Osd, CoalescesAdjacentFreeExtents) {
-  Osd osd(1000);
-  auto a = osd.allocate(100);
-  auto b = osd.allocate(100);
-  auto c = osd.allocate(100);
-  ASSERT_TRUE(a && b && c);
-  osd.free_extent(*a);
-  osd.free_extent(*c);
-  // c coalesces with the tail free region -> fragments: [a], [c..end].
-  EXPECT_EQ(osd.free_fragments(), 2u);
-  osd.free_extent(*b);
-  EXPECT_EQ(osd.free_fragments(), 1u);
-  EXPECT_EQ(osd.largest_free(), 1000u);
-}
-
-TEST(Osd, AllocationFailsWhenFragmented) {
-  Osd osd(100);
-  auto a = osd.allocate(60);
-  ASSERT_TRUE(a.has_value());
-  EXPECT_FALSE(osd.allocate(50).has_value());
-  osd.free_extent(*a);
-  EXPECT_TRUE(osd.allocate(100).has_value());
-}
-
-TEST(Osd, SeekDistanceSymmetric) {
-  EXPECT_EQ(Osd::seek_distance(10, 50), 40u);
-  EXPECT_EQ(Osd::seek_distance(50, 10), 40u);
-  EXPECT_EQ(Osd::seek_distance(7, 7), 0u);
-}
-
-TEST(Osd, ZeroBlockAllocation) {
-  Osd osd(10);
-  auto e = osd.allocate(0);
-  ASSERT_TRUE(e.has_value());
-  EXPECT_EQ(e->length, 0u);
-  EXPECT_EQ(osd.allocated(), 0u);
 }
 
 }  // namespace

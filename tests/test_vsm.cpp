@@ -3,7 +3,12 @@
 // the published numbers exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <vector>
+
 #include "common/interner.hpp"
+#include "common/rng.hpp"
 #include "vsm/attribute.hpp"
 #include "vsm/semantic_vector.hpp"
 #include "vsm/similarity.hpp"
@@ -201,6 +206,39 @@ TEST(MultisetIntersection, DisjointIsZero) {
   SmallVector<TokenId, 8> x{in.intern("a")};
   SmallVector<TokenId, 8> y{in.intern("b")};
   EXPECT_EQ(multiset_intersection(x.data(), x.size(), y.data(), y.size()), 0u);
+}
+
+TEST(MultisetIntersection, MatchesSetIntersectionBothWays) {
+  // std::set_intersection keeps min(count_a(x), count_b(x)) copies of each
+  // x from two sorted ranges, so its output size is the reference. Sizes
+  // 0-40 against 0-2,000 over alphabets of 1-256 tokens, so tokens repeat;
+  // every fourth pair is skewed, |b| >= 16 * |a|.
+  Rng rng(20080122);
+  std::size_t skewed = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::size_t na = rng.next_below(41);
+    const std::size_t nb = trial % 4 == 0
+                               ? 16 * na + rng.next_below(2001 - 16 * na)
+                               : rng.next_below(2001);
+    const std::uint64_t alphabet = 1 + rng.next_below(256);
+    std::vector<TokenId> a, b, common;
+    for (std::size_t i = 0; i < na; ++i)
+      a.emplace_back(static_cast<std::uint32_t>(rng.next_below(alphabet)));
+    for (std::size_t i = 0; i < nb; ++i)
+      b.emplace_back(static_cast<std::uint32_t>(rng.next_below(alphabet)));
+    std::sort(a.begin(), a.end());
+    std::sort(b.begin(), b.end());
+    std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                          std::back_inserter(common));
+    if (na > 0 && nb >= 16 * na) ++skewed;
+    ASSERT_EQ(multiset_intersection(a.data(), na, b.data(), nb),
+              common.size())
+        << "trial " << trial << ": |a| = " << na << ", |b| = " << nb;
+    ASSERT_EQ(multiset_intersection(b.data(), nb, a.data(), na),
+              common.size())
+        << "trial " << trial << ": |a| = " << na << ", |b| = " << nb;
+  }
+  EXPECT_GE(skewed, 500u);
 }
 
 TEST(PathSimilarity, PaperValues) {
