@@ -51,6 +51,8 @@ struct MinerStats {
                                     ///< shard-disjoint worker pool (> 1
                                     ///< apply thread; 0 = every batch was
                                     ///< applied serially)
+  /// footprint_bytes() split by structure; the parts sum to it exactly.
+  FootprintBreakdown footprint;
 
   [[nodiscard]] double acceptance_rate() const noexcept {
     return pairs_evaluated

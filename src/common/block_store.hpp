@@ -1,15 +1,23 @@
-// Paged block store: one heap block per populated index behind a paged
-// index, each block owned by exactly one store.
+// Paged block store: blocks held by value in fixed chunks behind a paged
+// index of 4-byte block numbers, each block owned by exactly one store.
 //
 // The mining state (graph nodes with their per-file payload) is dense by
 // FileId but populated sparsely: a shard holds blocks only for the files
 // its streams touched. `BlockStore` keeps that state as
 //
 //   * a vector of page pointers, one per `kPageSize` consecutive indices,
-//     where a page exists only once one of its indices is populated;
-//   * one heap block per populated index, owned by its page slot. Block
-//     addresses are stable: growing the index never moves a block, so a
-//     reference into one block survives writes to others.
+//     where a page exists only once one of its indices is populated. A
+//     page slot is a 32-bit block number: 0 for "no block", else the
+//     block's creation rank plus one, so a zeroed page is an empty page;
+//   * the blocks themselves, by value, in chunks of `kChunkBlocks` that are
+//     allocated as blocks are created: block k lives in chunk
+//     k / kChunkBlocks. A chunk never moves or shrinks, and growing the
+//     index only moves page pointers, so a reference into one block
+//     survives writes to others and the creation of new ones.
+//
+// Blocks are created in rank order, so every chunk but the last is full.
+// Storing them by value in chunks costs no allocation per block and no
+// 8-byte owning pointer per index slot.
 //
 // Footprint accounting is O(1): the store keeps running counters of its
 // populated pages, its blocks and the summed heap bytes of its values. The
@@ -25,7 +33,10 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -37,6 +48,9 @@ class BlockStore {
 
  public:
   static constexpr std::size_t kPageSize = PageSizeN;
+  /// Blocks per chunk: the unit of block allocation. A constant, not an
+  /// option: at most kChunkBlocks - 1 created-but-unused blocks per store.
+  static constexpr std::size_t kChunkBlocks = 16;
 
   BlockStore() = default;
   /// Move-only. A move leaves the source an empty store, counters included,
@@ -47,6 +61,8 @@ class BlockStore {
       size_ = std::exchange(other.size_, 0);
       pages_ = std::move(other.pages_);
       other.pages_.clear();
+      chunks_ = std::move(other.chunks_);
+      other.chunks_.clear();
       blocks_ = std::exchange(other.blocks_, 0);
       populated_pages_ = std::exchange(other.populated_pages_, 0);
       heap_bytes_ = std::exchange(other.heap_bytes_, 0);
@@ -68,7 +84,8 @@ class BlockStore {
     if (i >= size_) return nullptr;
     const std::size_t p = i / kPageSize;
     if (p >= pages_.size() || !pages_[p]) return nullptr;
-    return pages_[p]->slots[i % kPageSize].get();
+    const std::uint32_t slot = (*pages_[p])[i % kPageSize];
+    return slot == 0 ? nullptr : &block(slot);
   }
 
   /// The write gate: returns a mutable reference to the block at `i`,
@@ -84,13 +101,16 @@ class BlockStore {
       page = std::make_unique<Page>();
       ++populated_pages_;
     }
-    BlockPtr& b = page->slots[i % kPageSize];
-    if (!b) {
-      b = std::make_unique<T>();
-      heap_bytes_ += b->heap_bytes();
-      ++blocks_;
+    std::uint32_t& slot = (*page)[i % kPageSize];
+    if (slot == 0) {
+      if (blocks_ == std::numeric_limits<std::uint32_t>::max())
+        throw std::length_error("BlockStore is full at 2^32 - 1 blocks");
+      if (blocks_ % kChunkBlocks == 0)
+        chunks_.push_back(std::make_unique<Chunk>());
+      slot = static_cast<std::uint32_t>(++blocks_);
+      heap_bytes_ += block(slot).heap_bytes();
     }
-    return *b;
+    return block(slot);
   }
 
   /// Populated indices right now.
@@ -106,40 +126,61 @@ class BlockStore {
     heap_bytes_ += after;
   }
 
-  /// Index table + pages + blocks + the heap the values own, from the
-  /// running counters: O(1).
+  /// The store object, the page-pointer vector, the populated pages and
+  /// the chunk table, from the running counters.
+  [[nodiscard]] std::size_t index_bytes() const noexcept {
+    return table_bytes() + populated_pages_ * sizeof(Page);
+  }
+  /// The allocated chunks: every created block's inline bytes, plus the
+  /// unused tail of the last chunk.
+  [[nodiscard]] std::size_t block_bytes() const noexcept {
+    return chunks_.size() * sizeof(Chunk);
+  }
+  /// Index, blocks and the heap the values own: O(1).
   [[nodiscard]] std::size_t footprint_bytes() const noexcept {
-    return index_bytes() + populated_pages_ * sizeof(Page) +
-           blocks_ * sizeof(T) + heap_bytes_;
+    return index_bytes() + block_bytes() + heap_bytes_;
   }
 
-  /// footprint_bytes() by walking every page and block — the oracle the
-  /// running counters are tested against; O(blocks).
+  /// footprint_bytes() by walking every page and the block each populated
+  /// slot names — the oracle the running counters are tested against;
+  /// O(indices). The chunk bytes follow from the blocks the walk finds.
   [[nodiscard]] std::size_t recount_footprint_bytes() const {
-    std::size_t bytes = index_bytes();
+    std::size_t bytes = table_bytes();
+    std::size_t blocks = 0;
     for (const PagePtr& page : pages_) {
       if (!page) continue;
       bytes += sizeof(Page);
-      for (const BlockPtr& b : page->slots)
-        if (b) bytes += sizeof(T) + b->heap_bytes();
+      for (const std::uint32_t slot : *page) {
+        if (slot == 0) continue;
+        bytes += block(slot).heap_bytes();
+        ++blocks;
+      }
     }
-    return bytes;
+    return bytes + (blocks + kChunkBlocks - 1) / kChunkBlocks * sizeof(Chunk);
   }
 
  private:
-  using BlockPtr = std::unique_ptr<T>;
-  struct Page {
-    std::array<BlockPtr, kPageSize> slots;
-  };
+  using Page = std::array<std::uint32_t, kPageSize>;
   using PagePtr = std::unique_ptr<Page>;
+  struct Chunk {
+    std::array<T, kChunkBlocks> blocks;
+  };
+  using ChunkPtr = std::unique_ptr<Chunk>;
 
-  [[nodiscard]] std::size_t index_bytes() const noexcept {
-    return sizeof(*this) + pages_.capacity() * sizeof(PagePtr);
+  [[nodiscard]] T& block(std::uint32_t slot) const noexcept {
+    const std::size_t k = slot - 1;
+    return chunks_[k / kChunkBlocks]->blocks[k % kChunkBlocks];
+  }
+
+  [[nodiscard]] std::size_t table_bytes() const noexcept {
+    return sizeof(*this) + pages_.capacity() * sizeof(PagePtr) +
+           chunks_.capacity() * sizeof(ChunkPtr);
   }
 
   std::size_t size_ = 0;
   std::vector<PagePtr> pages_;
-  std::size_t blocks_ = 0;           ///< populated slots over all pages
+  std::vector<ChunkPtr> chunks_;     ///< block k in chunks_[k / kChunkBlocks]
+  std::size_t blocks_ = 0;           ///< blocks created, all ranks < blocks_
   std::size_t populated_pages_ = 0;  ///< non-null entries of pages_
   std::size_t heap_bytes_ = 0;       ///< sum of heap_bytes() over blocks
 };

@@ -1,9 +1,13 @@
 // SmallVector: a vector with inline storage for the first N elements.
 //
-// Semantic vectors hold 4-12 tokens; successor windows hold <= 8 entries.
-// Storing them inline avoids a heap allocation per file request on the
-// mining hot path (Core Guidelines Per.14: minimize allocations, Per.15: do
-// not allocate on a critical branch).
+// A signature holds at most 7 tokens on the paper traces; a successor set
+// holds up to `max_successors` (16) edges, but at most 4 for a file seen
+// once under the default window of 4; a Correlator List holds up to
+// `correlator_capacity` (8) entries. Storing the common size inline avoids
+// a heap allocation per file request on the mining hot path (Core
+// Guidelines Per.14: minimize allocations, Per.15: do not allocate on a
+// critical branch), and every inline element is paid in every per-file
+// block, so each inline capacity is sized to the traffic it serves.
 //
 // Layout: the inline buffer and the heap pointer share one union, followed
 // by a 32-bit size and a 32-bit capacity, so the header beside the N inline

@@ -50,7 +50,7 @@ class Farmer : public CorrelationMiner {
   /// Sorted Correlator List of `f` (may be empty). Entries all satisfy
   /// degree >= max_strength at their last evaluation. Zero-copy fast path
   /// for concrete-`Farmer` callers; interface callers use snapshot().
-  [[nodiscard]] const SmallVector<Correlator, 4>& correlator_list(
+  [[nodiscard]] const CorrelatorList& correlator_list(
       FileId f) const noexcept {
     return graph_.correlators(f);
   }
@@ -104,6 +104,7 @@ class Farmer : public CorrelationMiner {
     s.pairs_accepted = miner_.stats().pairs_accepted;
     s.pairs_filtered = miner_.stats().pairs_filtered;
     s.shards = 1;
+    s.footprint = graph_.footprint_breakdown();
     return s;
   }
 

@@ -173,7 +173,9 @@ MinerStats ShardedFarmer::stats() const {
     total.pairs_evaluated += s.pairs_evaluated;
     total.pairs_accepted += s.pairs_accepted;
     total.pairs_filtered += s.pairs_filtered;
+    total.footprint += s.footprint;
   }
+  total.footprint.index += sizeof(*this);
   total.shards = shards_.size();
   total.apply_batches = apply_batches_;
   total.apply_parallel_records = apply_parallel_records_;

@@ -15,8 +15,9 @@
 // one block per file: the node plus an optional per-node payload, so a user
 // that keeps more per-file state (FARMER keeps each file's Signature)
 // stores it in the same block instead of a second store. The default
-// payload is empty and takes no byte. The graph owns its blocks and is
-// move-only.
+// payload is empty and takes no byte, and so does the Correlator List of a
+// graph that keeps none (Nexus's). The graph owns its blocks and is pinned:
+// neither copyable nor movable.
 //
 // Writes go through a handle: `node(f)` fetches f's block once, and every
 // mutation takes the `NodeRef` it returns. A caller that writes one node
@@ -32,6 +33,7 @@
 #include <cassert>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <utility>
 
 #include "common/block_store.hpp"
@@ -62,6 +64,35 @@ inline constexpr auto correlator_before = [](const Correlator& a,
   return a.file < b.file;
 };
 
+/// A node's successor edges. Four inline: under the default window a file
+/// seen once has at most 4 successors; a busier file spills to the heap,
+/// up to `max_successors` edges.
+using SuccessorList = SmallVector<SuccessorEdge, 4>;
+/// A node's Correlator List, up to `correlator_capacity` entries.
+using CorrelatorList = SmallVector<Correlator, 4>;
+
+/// A model's footprint (Table 4's bytes) split by structure. The parts sum
+/// to the model's footprint_bytes(); each is a running counter, O(1) to read.
+struct FootprintBreakdown {
+  std::size_t blocks = 0;          ///< per-file blocks, as allocated in chunks
+  std::size_t successor_heap = 0;  ///< successor sets spilled past 4 edges
+  std::size_t list_heap = 0;       ///< Correlator Lists spilled past 4 entries
+  std::size_t signature_heap = 0;  ///< signatures spilled past 8 tokens
+  std::size_t index = 0;  ///< page and chunk tables plus the fixed objects
+
+  [[nodiscard]] std::size_t total() const noexcept {
+    return blocks + successor_heap + list_heap + signature_heap + index;
+  }
+  FootprintBreakdown& operator+=(const FootprintBreakdown& o) noexcept {
+    blocks += o.blocks;
+    successor_heap += o.successor_heap;
+    list_heap += o.list_heap;
+    signature_heap += o.signature_heap;
+    index += o.index;
+    return *this;
+  }
+};
+
 /// The payload of a graph that keeps nothing beside each node.
 struct NoPayload {
   [[nodiscard]] static constexpr std::size_t heap_bytes() noexcept {
@@ -70,9 +101,14 @@ struct NoPayload {
 };
 
 /// `Payload` is per-node state stored inside the node's block. It must be
-/// default-constructible and report the heap it owns through
-/// `std::size_t heap_bytes() const`.
-template <typename Payload>
+/// default-constructible, own no heap when default-constructed, and report
+/// the heap it owns through `std::size_t heap_bytes() const`; that heap is
+/// the breakdown's `signature_heap`, since FARMER's payload is the
+/// Signature. `Listed` says whether each node keeps a Correlator List:
+/// FARMER's graph does, while Nexus ranks successors by N_AB alone, so its
+/// blocks hold N_f and the successor edges only. The list methods exist
+/// only on a listed graph.
+template <typename Payload, bool Listed = true>
 class BasicCorrelationGraph {
   struct Node;  // one file's block, defined below
 
@@ -83,21 +119,23 @@ class BasicCorrelationGraph {
   };
 
   /// Write handle to one node's block, returned by node(). Block addresses
-  /// are stable, so a handle stays valid across writes to other nodes.
+  /// are stable, so a handle stays valid across writes to other nodes and
+  /// the creation of new ones.
   class NodeRef {
    public:
     [[nodiscard]] FileId id() const noexcept { return id_; }
     [[nodiscard]] std::uint64_t access_count() const noexcept {
       return node_->access_count;
     }
-    [[nodiscard]] const SmallVector<SuccessorEdge, 8>& successors()
-        const noexcept {
+    [[nodiscard]] const SuccessorList& successors() const noexcept {
       return node_->successors;
     }
     /// The Correlator List. Its entries may be rewritten, reordered and
     /// erased in place, none of which changes its heap; an insert goes
     /// through upsert_correlator(), which reports the growth.
-    [[nodiscard]] SmallVector<Correlator, 4>& correlators() const noexcept {
+    [[nodiscard]] CorrelatorList& correlators() const noexcept
+      requires Listed
+    {
       return node_->correlator_list;
     }
     [[nodiscard]] const Payload& payload() const noexcept {
@@ -113,6 +151,10 @@ class BasicCorrelationGraph {
 
   BasicCorrelationGraph() : BasicCorrelationGraph(Config{}) {}
   explicit BasicCorrelationGraph(Config cfg) : cfg_(cfg) {}
+  /// Pinned: NodeRef handles point into it, and its heap counters and edge
+  /// count describe its own store.
+  BasicCorrelationGraph(const BasicCorrelationGraph&) = delete;
+  BasicCorrelationGraph& operator=(const BasicCorrelationGraph&) = delete;
 
   /// Ensures a node slot exists for `f`; grows the dense index as needed.
   void touch(FileId f) {
@@ -151,8 +193,8 @@ class BasicCorrelationGraph {
   /// refreshes every Correlator-List entry of one node per request; fetching
   /// the node once and scanning its edges here removes the per-entry node
   /// find that edge_weight()/access_frequency() would repeat.
-  [[nodiscard]] static double edge_weight_in(
-      const SmallVector<SuccessorEdge, 8>& succs, FileId succ) noexcept {
+  [[nodiscard]] static double edge_weight_in(const SuccessorList& succs,
+                                             FileId succ) noexcept {
     for (const auto& e : succs)
       if (e.successor == succ) return static_cast<double>(e.nab);
     return 0.0;
@@ -176,15 +218,15 @@ class BasicCorrelationGraph {
   }
 
   /// Successor edges of `f` (unordered). Empty span for unknown files.
-  [[nodiscard]] const SmallVector<SuccessorEdge, 8>& successors(
-      FileId f) const noexcept {
+  [[nodiscard]] const SuccessorList& successors(FileId f) const noexcept {
     const Node* n = find(f);
     return n ? n->successors : no_successors();
   }
 
   /// Correlator List of `f` (maintained sorted by CoMiner).
-  [[nodiscard]] const SmallVector<Correlator, 4>& correlators(
-      FileId f) const noexcept {
+  [[nodiscard]] const CorrelatorList& correlators(FileId f) const noexcept
+    requires Listed
+  {
     const Node* n = find(f);
     return n ? n->correlator_list : no_correlators();
   }
@@ -192,10 +234,12 @@ class BasicCorrelationGraph {
   /// Replaces/inserts `c` in the node's Correlator List keeping it sorted
   /// by descending degree and capped at `correlator_capacity`. An existing
   /// entry for the same file is replaced (and re-sorted).
-  void upsert_correlator(NodeRef n, Correlator c);
+  void upsert_correlator(NodeRef n, Correlator c)
+    requires Listed;
 
   /// Removes the entry for `succ` from the node's list if present.
-  void remove_correlator(NodeRef n, FileId succ) noexcept;
+  void remove_correlator(NodeRef n, FileId succ) noexcept
+    requires Listed;
 
   /// f's payload, or nullptr when `f` has no node.
   [[nodiscard]] const Payload* payload(FileId f) const noexcept {
@@ -208,7 +252,7 @@ class BasicCorrelationGraph {
     Node& node = *n.node_;
     const std::size_t heap_before = node.payload.heap_bytes();
     node.payload = std::move(value);
-    nodes_.note_heap_change(heap_before, node.payload.heap_bytes());
+    note_heap(payload_heap_, heap_before, node.payload.heap_bytes());
   }
 
   /// True when `f` has a populated node block (an access or an incoming
@@ -224,7 +268,8 @@ class BasicCorrelationGraph {
   /// populated; the edge counter grows by `succs.size()`.
   void restore_node(FileId f, std::uint64_t access_count,
                     std::span<const SuccessorEdge> succs,
-                    std::span<const Correlator> correlators, Payload payload);
+                    std::span<const Correlator> correlators, Payload payload)
+    requires Listed;
 
   [[nodiscard]] std::size_t node_count() const noexcept {
     return nodes_.size();
@@ -244,6 +289,16 @@ class BasicCorrelationGraph {
   [[nodiscard]] std::size_t footprint_bytes() const noexcept {
     return sizeof(*this) - sizeof(NodeStore) + nodes_.footprint_bytes();
   }
+  /// footprint_bytes() split by structure, from the graph's per-structure
+  /// heap counters and the store's: O(1). The heap parts sum to the store's
+  /// heap total, so the parts sum to footprint_bytes().
+  [[nodiscard]] FootprintBreakdown footprint_breakdown() const noexcept {
+    return {.blocks = nodes_.block_bytes(),
+            .successor_heap = successor_heap_,
+            .list_heap = list_heap_,
+            .signature_heap = payload_heap_,
+            .index = sizeof(*this) - sizeof(NodeStore) + nodes_.index_bytes()};
+  }
   /// footprint_bytes() by walking every node — the test oracle for the
   /// running counters.
   [[nodiscard]] std::size_t recount_footprint_bytes() const {
@@ -252,10 +307,18 @@ class BasicCorrelationGraph {
   }
 
  private:
+  /// The Correlator List of a graph that keeps none: no byte in the block.
+  struct NoList {
+    [[nodiscard]] static constexpr std::size_t heap_bytes() noexcept {
+      return 0;
+    }
+  };
+
   struct Node {
     std::uint64_t access_count = 0;
-    SmallVector<SuccessorEdge, 8> successors;
-    SmallVector<Correlator, 4> correlator_list;
+    SuccessorList successors;
+    [[no_unique_address]] std::conditional_t<Listed, CorrelatorList, NoList>
+        correlator_list;
     [[no_unique_address]] Payload payload;
 
     [[nodiscard]] std::size_t heap_bytes() const noexcept {
@@ -265,13 +328,22 @@ class BasicCorrelationGraph {
   };
   using NodeStore = BlockStore<Node>;
 
-  static const SmallVector<SuccessorEdge, 8>& no_successors() noexcept {
-    static const SmallVector<SuccessorEdge, 8> none{};
+  static const SuccessorList& no_successors() noexcept {
+    static const SuccessorList none{};
     return none;
   }
-  static const SmallVector<Correlator, 4>& no_correlators() noexcept {
-    static const SmallVector<Correlator, 4> none{};
+  static const CorrelatorList& no_correlators() noexcept {
+    static const CorrelatorList none{};
     return none;
+  }
+
+  /// Reports that one structure's heap went from `before` to `after` bytes:
+  /// its own counter (`part`) and the store's total move together.
+  void note_heap(std::size_t& part, std::size_t before,
+                 std::size_t after) noexcept {
+    part -= before;
+    part += after;
+    nodes_.note_heap_change(before, after);
   }
 
   [[nodiscard]] const Node* find(FileId f) const noexcept {
@@ -284,14 +356,20 @@ class BasicCorrelationGraph {
   Config cfg_;
   NodeStore nodes_;  // dense by FileId, one block per populated node
   std::size_t edges_ = 0;
+  // Heap the blocks own, per structure; they sum to the store's heap count.
+  std::size_t successor_heap_ = 0;
+  std::size_t list_heap_ = 0;
+  std::size_t payload_heap_ = 0;
 };
 
-/// The graph of the Nexus baseline: nodes only, 120-byte blocks on LP64.
-using CorrelationGraph = BasicCorrelationGraph<NoPayload>;
+/// The graph of the Nexus baseline: N_f and successor edges, no Correlator
+/// List and no payload; 48-byte blocks on LP64.
+using CorrelationGraph = BasicCorrelationGraph<NoPayload, /*Listed=*/false>;
 
-template <typename Payload>
-double BasicCorrelationGraph<Payload>::add_transition(NodeRef pred, FileId succ,
-                                                      double weight) {
+template <typename Payload, bool Listed>
+double BasicCorrelationGraph<Payload, Listed>::add_transition(NodeRef pred,
+                                                              FileId succ,
+                                                              double weight) {
   if (weight <= 0.0 || pred.id() == succ) return 0.0;
   // touch() registers succ in the dense index, which is what gives
   // node_count() its dense-table meaning.
@@ -307,7 +385,7 @@ double BasicCorrelationGraph<Payload>::add_transition(NodeRef pred, FileId succ,
   if (succs.size() < cfg_.max_successors) {
     const std::size_t heap_before = succs.heap_bytes();
     succs.push_back(edge);
-    nodes_.note_heap_change(heap_before, succs.heap_bytes());
+    note_heap(successor_heap_, heap_before, succs.heap_bytes());
     ++edges_;
     return static_cast<double>(edge.nab);
   }
@@ -323,9 +401,11 @@ double BasicCorrelationGraph<Payload>::add_transition(NodeRef pred, FileId succ,
   return 0.0;
 }
 
-template <typename Payload>
-void BasicCorrelationGraph<Payload>::upsert_correlator(NodeRef n,
-                                                       Correlator c) {
+template <typename Payload, bool Listed>
+void BasicCorrelationGraph<Payload, Listed>::upsert_correlator(NodeRef n,
+                                                               Correlator c)
+  requires Listed
+{
   auto& list = n.correlators();
   // Remove any stale entry for the same successor, then insert in sorted
   // position (descending degree). Lists are tiny (<= correlator_capacity),
@@ -336,15 +416,17 @@ void BasicCorrelationGraph<Payload>::upsert_correlator(NodeRef n,
   if (pos >= cfg_.correlator_capacity) return;  // too weak for a full list
   const std::size_t heap_before = list.heap_bytes();
   list.push_back(c);  // grow by one, then shift into place
-  nodes_.note_heap_change(heap_before, list.heap_bytes());
+  note_heap(list_heap_, heap_before, list.heap_bytes());
   for (std::size_t i = list.size() - 1; i > pos; --i) list[i] = list[i - 1];
   list[pos] = c;
   while (list.size() > cfg_.correlator_capacity) list.pop_back();
 }
 
-template <typename Payload>
-void BasicCorrelationGraph<Payload>::remove_correlator(NodeRef n,
-                                                       FileId succ) noexcept {
+template <typename Payload, bool Listed>
+void BasicCorrelationGraph<Payload, Listed>::remove_correlator(
+    NodeRef n, FileId succ) noexcept
+  requires Listed
+{
   auto& list = n.correlators();
   for (std::size_t i = 0; i < list.size(); ++i) {
     if (list[i].file == succ) {
@@ -354,20 +436,24 @@ void BasicCorrelationGraph<Payload>::remove_correlator(NodeRef n,
   }
 }
 
-template <typename Payload>
-void BasicCorrelationGraph<Payload>::restore_node(
+template <typename Payload, bool Listed>
+void BasicCorrelationGraph<Payload, Listed>::restore_node(
     FileId f, std::uint64_t access_count, std::span<const SuccessorEdge> succs,
-    std::span<const Correlator> correlators, Payload payload) {
+    std::span<const Correlator> correlators, Payload payload)
+  requires Listed
+{
   assert(!has_node(f));
   Node& node = at(f);
-  const std::size_t heap_before = node.heap_bytes();
   node.access_count = access_count;
+  // A fresh block owns no heap, so each structure's heap grows from 0.
   node.successors.reserve(succs.size());
   for (const SuccessorEdge& e : succs) node.successors.push_back(e);
+  note_heap(successor_heap_, 0, node.successors.heap_bytes());
   node.correlator_list.reserve(correlators.size());
   for (const Correlator& c : correlators) node.correlator_list.push_back(c);
+  note_heap(list_heap_, 0, node.correlator_list.heap_bytes());
   node.payload = std::move(payload);
-  nodes_.note_heap_change(heap_before, node.heap_bytes());
+  note_heap(payload_heap_, 0, node.payload.heap_bytes());
   edges_ += succs.size();
 }
 

@@ -4,11 +4,6 @@
 
 namespace farmer {
 
-namespace {
-/// Correlation degree at or above which an edge merges its two files.
-constexpr double kMinGroupDegree = 0.4;
-}  // namespace
-
 UnionFind::UnionFind(std::size_t n) : parent_(n), sizes_(n, 1) {
   std::iota(parent_.begin(), parent_.end(), 0u);
 }
@@ -42,7 +37,6 @@ GroupingResult build_groups(const CorrelationMiner& model,
   for (std::uint32_t f = 0; f < n; ++f) {
     if (cfg.read_only_only && !dict.files[f].read_only) continue;
     for (const Correlator& c : model.snapshot(FileId(f))) {
-      if (static_cast<double>(c.degree) < kMinGroupDegree) continue;
       const std::uint32_t succ = c.file.value();
       if (succ >= n) continue;
       if (cfg.read_only_only && !dict.files[succ].read_only) continue;

@@ -1,10 +1,12 @@
 // Correlation-directed file grouping (Section 4.2).
 //
 // Builds disjoint groups of strongly correlated files from FARMER's
-// Correlator Lists via union-find: an edge A -> B with degree >= 0.4
-// merges A and B, subject to a group-size cap (one batched I/O must stay
-// bounded). Per the paper's design decision, only read-only files are
-// eligible — mutable files would make grouped layout management complex.
+// Correlator Lists via union-find: every listed Correlator B of A merges A
+// and B, subject to a group-size cap (one batched I/O must stay bounded).
+// A list holds only pairs whose degree cleared the miner's `max_strength`,
+// so the lists are already the strong edges. Per the paper's design
+// decision, only read-only files are eligible — mutable files would make
+// grouped layout management complex.
 #pragma once
 
 #include <cstdint>

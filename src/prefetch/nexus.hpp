@@ -33,7 +33,7 @@ class NexusPredictor final : public Predictor {
   NexusPredictor() : NexusPredictor(Config{}) {}
   explicit NexusPredictor(Config cfg)
       : cfg_(cfg),
-        graph_({cfg.max_successors, /*correlator_capacity=*/1}),
+        graph_({.max_successors = cfg.max_successors}),
         window_(cfg.window) {}
 
   void observe(const TraceRecord& rec) override;

@@ -6,7 +6,7 @@ namespace farmer {
 
 namespace {
 
-void push_if_valid(SmallVector<TokenId, 12>& tokens, TokenId t) {
+void push_if_valid(Signature::Tokens& tokens, TokenId t) {
   if (t.valid()) tokens.push_back(t);
 }
 

@@ -48,12 +48,16 @@ enum class PathMode {
 ///
 /// One token array holds both runs: the sorted scalar (and DPA path) items,
 /// then the sorted IPA path components, the last `path_len` tokens. Every
-/// file's block stores its signature, so one array (a 56-byte SmallVector)
-/// instead of two keeps the block small; a signature without an IPA path,
-/// such as any signature of a trace without paths, stores no path array.
+/// file's block stores its signature, so one array (a 40-byte SmallVector
+/// of 8 inline tokens) instead of two keeps the block small; a signature
+/// without an IPA path, such as any signature of a trace without paths,
+/// stores no path array. No signature of the four paper traces holds more
+/// than 7 tokens, under IPA or DPA, so none spills
+/// (`Signature.PaperTracesStayInline`); a deeper path spills to the heap.
 struct Signature {
-  SmallVector<TokenId, 12> tokens;  ///< items(), then path_sorted()
-  std::uint32_t path_len = 0;       ///< IPA path components at the end
+  using Tokens = SmallVector<TokenId, 8>;
+  Tokens tokens;               ///< items(), then path_sorted()
+  std::uint32_t path_len = 0;  ///< IPA path components at the end
 
   /// Sorted scalar (and DPA path) items.
   [[nodiscard]] std::span<const TokenId> items() const noexcept {

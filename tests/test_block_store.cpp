@@ -71,6 +71,56 @@ TEST(BlockStore, FootprintCountsBlocksAndHeap) {
   EXPECT_EQ(store.footprint_bytes(), store.recount_footprint_bytes());
 }
 
+// Blocks fill chunks of kChunkBlocks in creation order, whatever their
+// indices: the block bytes step by one chunk at creations 1, 17, 33, ...,
+// and every block reads back its own value across chunk and page
+// boundaries.
+TEST(BlockStore, ChunkBoundaries) {
+  using Store = BlockStore<Payload, 4>;
+  constexpr std::size_t kChunk = Store::kChunkBlocks;
+  constexpr std::size_t kBlocks = 3 * kChunk + 1;
+  Store store;
+  EXPECT_EQ(store.block_bytes(), 0u);
+  const auto index_of = [](std::size_t n) { return (n * 37) % 101; };
+  for (std::size_t n = 0; n < kBlocks; ++n) {
+    store.mutate(index_of(n)).x = static_cast<int>(n);
+    const std::size_t chunks = n / kChunk + 1;
+    ASSERT_EQ(store.block_bytes(), chunks * kChunk * sizeof(Payload))
+        << "after block " << n;
+    ASSERT_EQ(store.block_count(), n + 1);
+    ASSERT_EQ(store.footprint_bytes(), store.recount_footprint_bytes())
+        << "after block " << n;
+  }
+  for (std::size_t n = 0; n < kBlocks; ++n) {
+    ASSERT_NE(store.find(index_of(n)), nullptr) << n;
+    EXPECT_EQ(store.find(index_of(n))->x, static_cast<int>(n));
+  }
+  // A second mutate of a populated index creates nothing.
+  store.mutate(index_of(kChunk)).x = -1;
+  EXPECT_EQ(store.block_count(), kBlocks);
+  EXPECT_EQ(store.block_bytes(), 4 * kChunk * sizeof(Payload));
+  EXPECT_EQ(store.find(index_of(kChunk))->x, -1);
+}
+
+// Chunks never move: a reference taken before two chunks' worth of new
+// blocks (and new pages, which grow the page table) still reads and writes
+// the same block.
+TEST(BlockStore, ReferenceSurvivesNewChunks) {
+  using Store = BlockStore<Payload, 4>;
+  Store store;
+  Payload& held = store.mutate(2);
+  held.x = 11;
+  const Payload* address = &held;
+  for (std::size_t i = 0; i < 2 * Store::kChunkBlocks; ++i)
+    store.mutate(100 + 3 * i).x = static_cast<int>(i);
+  EXPECT_EQ(store.block_count(), 2 * Store::kChunkBlocks + 1);
+  EXPECT_EQ(store.find(2), address);
+  EXPECT_EQ(held.x, 11);
+  held.x = 12;
+  EXPECT_EQ(store.find(2)->x, 12);
+  EXPECT_EQ(&store.mutate(2), address);
+}
+
 // The running counters against the full walk after every operation the
 // store supports: create, reported heap growth and shrink, and moves (a
 // moved-from store must read as empty, counters included).
@@ -194,6 +244,34 @@ Trace deep_path_trace() {
   return mt.build("deep");
 }
 
+/// The footprint breakdown against a walk of every block: each heap part
+/// equals the summed heap of its structure, the blocks part is the chunks
+/// the populated blocks fill, and the parts sum to footprint_bytes().
+void expect_breakdown_matches_walk(const Farmer& model,
+                                   const std::string& what) {
+  const FootprintBreakdown parts = model.stats().footprint;
+  EXPECT_EQ(parts.total(), model.footprint_bytes()) << what;
+  const SignatureGraph& g = model.graph();
+  FootprintBreakdown walked;
+  std::size_t blocks = 0;
+  for (std::size_t i = 0; i < g.node_count(); ++i) {
+    const FileId f(static_cast<std::uint32_t>(i));
+    if (!g.has_node(f)) continue;
+    ++blocks;
+    walked.successor_heap += g.successors(f).heap_bytes();
+    walked.list_heap += g.correlators(f).heap_bytes();
+    walked.signature_heap += g.payload(f)->heap_bytes();
+  }
+  constexpr std::size_t kChunk = BlockStore<Payload>::kChunkBlocks;
+  EXPECT_EQ(parts.blocks,
+            (blocks + kChunk - 1) / kChunk * kChunk *
+                SignatureGraph::node_block_bytes())
+      << what;
+  EXPECT_EQ(parts.successor_heap, walked.successor_heap) << what;
+  EXPECT_EQ(parts.list_heap, walked.list_heap) << what;
+  EXPECT_EQ(parts.signature_heap, walked.signature_heap) << what;
+}
+
 /// Hands out every file's Correlator List both ways a reader gets it: the
 /// model's own list, shared in place by correlator_list(), and the copy
 /// snapshot() makes. Neither may move the counters off the walk.
@@ -225,10 +303,24 @@ TEST(FarmerFootprint, CountersMatchWalkAcrossSharesCopiesAndRestore) {
         live.observe_batch(std::span<const TraceRecord>(&t.records[i], n));
         ASSERT_EQ(live.footprint_bytes(), live.recount_footprint_bytes())
             << t.name << " after record " << i + n;
-        if ((i / kChunk) % 4 == 0)
+        if ((i / kChunk) % 4 == 0) {
+          const std::string what =
+              t.name + " after record " + std::to_string(i + n);
           expect_shares_and_copies_keep_counters(
-              live, static_cast<std::uint32_t>(t.file_count()),
-              t.name + " after record " + std::to_string(i + n));
+              live, static_cast<std::uint32_t>(t.file_count()), what);
+          expect_breakdown_matches_walk(live, what);
+        }
+      }
+      expect_breakdown_matches_walk(live, t.name);
+      // The roomy config spills successor sets and Correlator Lists, and the
+      // deep paths spill signatures, so every heap part is exercised.
+      const FootprintBreakdown parts = live.stats().footprint;
+      if (cfg.max_successors > FarmerConfig{}.max_successors) {
+        EXPECT_GT(parts.successor_heap, 0u) << t.name;
+        EXPECT_GT(parts.list_heap, 0u) << t.name;
+      }
+      if (t.name == "deep") {
+        EXPECT_GT(parts.signature_heap, 0u);
       }
 
       const std::string dir =
@@ -240,12 +332,14 @@ TEST(FarmerFootprint, CountersMatchWalkAcrossSharesCopiesAndRestore) {
       EXPECT_EQ(restored.footprint_bytes(),
                 restored.recount_footprint_bytes())
           << t.name;
+      expect_breakdown_matches_walk(restored, t.name + " restored");
       // Keep mining on the restored model: its exact-size restored lists
       // grow again through the reporting sites.
       restored.observe_batch(t.records);
       EXPECT_EQ(restored.footprint_bytes(),
                 restored.recount_footprint_bytes())
           << t.name;
+      expect_breakdown_matches_walk(restored, t.name + " restored, mined");
       std::filesystem::remove_all(dir);
     }
   }
@@ -253,10 +347,16 @@ TEST(FarmerFootprint, CountersMatchWalkAcrossSharesCopiesAndRestore) {
 
 void expect_shard_counters_match_walk(const ShardedFarmer& sharded,
                                       const std::string& what) {
-  for (std::size_t s = 0; s < sharded.shard_count(); ++s)
+  for (std::size_t s = 0; s < sharded.shard_count(); ++s) {
     EXPECT_EQ(sharded.shard(s).footprint_bytes(),
               sharded.shard(s).recount_footprint_bytes())
         << what << ", shard " << s;
+    expect_breakdown_matches_walk(sharded.shard(s),
+                                  what + ", shard " + std::to_string(s));
+  }
+  // The sharded breakdown is the shards' plus the ShardedFarmer object.
+  EXPECT_EQ(sharded.stats().footprint.total(), sharded.footprint_bytes())
+      << what;
 }
 
 // Checkpoint exports taken mid-ingest leave every shard's counters on its

@@ -76,6 +76,10 @@ TEST(AccessWindow, ClearEmpties) {
 
 // ----------------------------------------------------- CorrelationGraph --
 
+/// A graph that keeps Correlator Lists (as FARMER's does) without a payload.
+/// Nexus's `CorrelationGraph` keeps no list.
+using ListedGraph = BasicCorrelationGraph<NoPayload>;
+
 TEST(CorrelationGraph, AccessCounting) {
   CorrelationGraph g;
   g.record_access(g.node(FileId(3)));
@@ -144,7 +148,7 @@ TEST(CorrelationGraph, BoundedSuccessorsEvictWeakest) {
 }
 
 TEST(CorrelationGraph, CorrelatorListSortedDescending) {
-  CorrelationGraph g;
+  ListedGraph g;
   const auto a = g.node(FileId(0));
   g.upsert_correlator(a, {FileId(1), 0.5f});
   g.upsert_correlator(a, {FileId(2), 0.9f});
@@ -157,7 +161,7 @@ TEST(CorrelationGraph, CorrelatorListSortedDescending) {
 }
 
 TEST(CorrelationGraph, CorrelatorUpsertReplacesInPlace) {
-  CorrelationGraph g;
+  ListedGraph g;
   const auto a = g.node(FileId(0));
   g.upsert_correlator(a, {FileId(1), 0.5f});
   g.upsert_correlator(a, {FileId(1), 0.95f});
@@ -167,7 +171,7 @@ TEST(CorrelationGraph, CorrelatorUpsertReplacesInPlace) {
 }
 
 TEST(CorrelationGraph, CorrelatorCapacityEnforced) {
-  CorrelationGraph g({16, /*correlator_capacity=*/3});
+  ListedGraph g({16, /*correlator_capacity=*/3});
   const auto a = g.node(FileId(0));
   for (std::uint32_t i = 1; i <= 6; ++i)
     g.upsert_correlator(a, {FileId(i), static_cast<float>(i) * 0.1f});
@@ -180,7 +184,7 @@ TEST(CorrelationGraph, CorrelatorCapacityEnforced) {
 }
 
 TEST(CorrelationGraph, WeakEntryNotInsertedWhenFull) {
-  CorrelationGraph g({16, 2});
+  ListedGraph g({16, 2});
   const auto a = g.node(FileId(0));
   g.upsert_correlator(a, {FileId(1), 0.9f});
   g.upsert_correlator(a, {FileId(2), 0.8f});
@@ -192,7 +196,7 @@ TEST(CorrelationGraph, WeakEntryNotInsertedWhenFull) {
 }
 
 TEST(CorrelationGraph, RemoveCorrelator) {
-  CorrelationGraph g;
+  ListedGraph g;
   const auto a = g.node(FileId(0));
   g.upsert_correlator(a, {FileId(1), 0.5f});
   g.upsert_correlator(a, {FileId(2), 0.6f});
@@ -205,19 +209,24 @@ TEST(CorrelationGraph, RemoveCorrelator) {
 }
 
 TEST(CorrelationGraph, EmptyPayloadTakesNoByte) {
-  // The baselines' node block stays at its payload-free size; a payload
-  // adds exactly its own size to each block.
+  // An empty payload and an absent Correlator List take no byte of the
+  // block; a payload adds exactly its own size to each block.
   struct Wide {
     std::uint64_t words[5] = {};
     [[nodiscard]] static std::size_t heap_bytes() noexcept { return 0; }
   };
   if constexpr (sizeof(void*) == 8) {
-    // access count 8 + successors 8 x 8 + 8 + Correlator List 4 x 8 + 8.
-    EXPECT_EQ(CorrelationGraph::node_block_bytes(), 120u);
-    // FARMER's block adds its Signature: 12 x 4 tokens + 8, path_len 4 + 4.
-    EXPECT_EQ(SignatureGraph::node_block_bytes(), 184u);
+    // Nexus's block: access count 8 + successors 4 x 8 inline + 8 header.
+    EXPECT_EQ(CorrelationGraph::node_block_bytes(), 48u);
+    // A listed node adds its Correlator List: 4 x 8 inline + 8 header.
+    EXPECT_EQ(ListedGraph::node_block_bytes(), 88u);
+    // FARMER's block adds its Signature: 8 x 4 tokens inline + 8 header,
+    // then path_len 4 + 4 padding.
+    EXPECT_EQ(SignatureGraph::node_block_bytes(), 136u);
   }
   EXPECT_EQ(BasicCorrelationGraph<Wide>::node_block_bytes(),
+            ListedGraph::node_block_bytes() + sizeof(Wide));
+  EXPECT_EQ((BasicCorrelationGraph<Wide, false>::node_block_bytes()),
             CorrelationGraph::node_block_bytes() + sizeof(Wide));
 }
 
@@ -254,7 +263,9 @@ TEST(CorrelationGraph, PayloadLivesInTheNode) {
 TEST(CorrelationGraph, UnknownFileQueriesAreEmpty) {
   CorrelationGraph g;
   EXPECT_TRUE(g.successors(FileId(123)).empty());
-  EXPECT_TRUE(g.correlators(FileId(123)).empty());
+  ListedGraph listed;
+  EXPECT_TRUE(listed.successors(FileId(123)).empty());
+  EXPECT_TRUE(listed.correlators(FileId(123)).empty());
 }
 
 TEST(CorrelationGraph, FootprintGrowsWithNodes) {

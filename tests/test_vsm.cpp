@@ -7,8 +7,11 @@
 #include <iterator>
 #include <vector>
 
+#include "analysis/experiment.hpp"
 #include "common/interner.hpp"
 #include "common/rng.hpp"
+#include "core/extractor.hpp"
+#include "trace/generator.hpp"
 #include "vsm/attribute.hpp"
 #include "vsm/semantic_vector.hpp"
 #include "vsm/similarity.hpp"
@@ -304,6 +307,34 @@ TEST(Signature, ItemsAreSorted) {
 }
 
 // ----------------------------------------------------------- attributes --
+
+// Every signature of the four paper traces fits the 8 inline tokens of its
+// array, under IPA and DPA, with the four attributes the figures select for
+// the trace (File Path where it has paths, File ID otherwise; every other
+// figure mask is a subset). A trace or attribute change that outgrows them
+// would spill a heap array from every per-file block; it fails here instead
+// of silently growing Table 4.
+TEST(Signature, PaperTracesStayInline) {
+  for (const TraceKind kind : {TraceKind::kLLNL, TraceKind::kINS,
+                               TraceKind::kRES, TraceKind::kHP}) {
+    const Trace t = make_paper_trace(kind, kExperimentSeed, 0.05);
+    const AttributeMask mask = t.has_paths ? AttributeMask::all_with_path()
+                                           : AttributeMask::all_with_fileid();
+    const Extractor extractor(t.dict);
+    SemanticVector sv;
+    for (const PathMode mode : {PathMode::kIntegrated, PathMode::kDivided}) {
+      std::size_t most = 0;
+      for (const TraceRecord& r : t.records) {
+        extractor.extract(r, sv);
+        const Signature sig = build_signature(sv, mask, mode);
+        most = std::max(most, sig.tokens.size());
+        ASSERT_EQ(sig.tokens.heap_bytes(), 0u)
+            << t.name << ": a " << sig.tokens.size() << "-token signature";
+      }
+      EXPECT_GE(most, 5u) << t.name;  // the records carry their attributes
+    }
+  }
+}
 
 TEST(AttributeMask, BasicOps) {
   AttributeMask m{Attribute::kUser};
